@@ -320,8 +320,12 @@ def report_search(result: SearchResult) -> dict:
 
 def _read_system(args) -> System:
     if args.infile and args.infile != "-":
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DocumentError(f"cannot read input: {exc.strerror or exc}", args.infile) from exc
+        return parse(text)
     return parse(sys.stdin.read())
 
 

@@ -23,18 +23,20 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import BudgetError
+from .errors import BudgetError, ShapeError
 from .exact_arith import binomial
 from .systems_model import SetSystem, System, embed, mask_from_elements
 
 DEFAULT_TUPLE_BUDGET = 4096
 
-FAMILY_NAMES = (
-    "uniform_bollobas",
-    "complement_chain",
-    "partitioned_complement_chain",
-    "full_tuza_tuples",
-)
+# each family's required parameters, in its signature's order
+FAMILY_PARAMS = {
+    "uniform_bollobas": ("a", "b"),
+    "complement_chain": ("n",),
+    "partitioned_complement_chain": ("n", "blocks"),
+    "full_tuza_tuples": ("n", "d"),
+}
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,9 @@ def construct(kind: FamilyKind | str, budget: int = DEFAULT_TUPLE_BUDGET, **para
     else:
         name = kind
         embedded = bool(params.pop("embedded", False))
+    missing = [key for key in FAMILY_PARAMS.get(name, ()) if key not in params]
+    if missing:
+        raise ShapeError(f"family {name!r} needs params {', '.join(missing)}")
     if name == "uniform_bollobas":
         system: System = uniform_bollobas(params["a"], params["b"], budget)
     elif name == "complement_chain":

@@ -87,18 +87,35 @@ def rational_from_str(s: str) -> Rational:
     return q
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly for
+# every p below this bound (Sorenson and Webster, 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality for p < MR_EXACT_BELOW; larger p is refused
+    with ``ValueError`` rather than answered by a probabilistic test."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= MR_EXACT_BELOW:
+        raise ValueError(f"primality of {p} is not decided: moduli must be below {MR_EXACT_BELOW}")
+    for b in MR_BASES:
+        if p % b == 0:
+            return p == b
+    s, odd = 0, p - 1
+    while odd % 2 == 0:
+        s, odd = s + 1, odd // 2
+    for b in MR_BASES:
+        x = pow(b, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -57,6 +57,8 @@ from .weight_functionals import FunctionalKind, omega, tuza
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_SET_GUARD = 6
 DEFAULT_GF_GUARD = 4
+# most subspaces an exhaustive GF(p) lattice may have (GF(7)^4 has 3652)
+GF_LATTICE_GUARD = 10_000
 
 OBJECTIVES = ("max_m", "max_weight", "counterexample")
 
@@ -138,6 +140,11 @@ def all_subspaces(n: int, field: PrimeField, guard: int = DEFAULT_GF_GUARD) -> t
         raise ShapeError("subspace enumeration needs a prime field")
     if n > guard:
         raise BudgetError(f"GF ground n={n} above exhaustive guard {guard}")
+    size = subspace_count(n, field.p)
+    if size > GF_LATTICE_GUARD:
+        raise BudgetError(
+            f"GF({field.p})^{n} has {size} subspaces, above the lattice guard {GF_LATTICE_GUARD}"
+        )
     residues = [field.from_int(v) for v in range(field.p)]
     zero, one = field.zero(), field.one()
     out: list[Subspace] = []
@@ -158,6 +165,18 @@ def all_subspaces(n: int, field: PrimeField, guard: int = DEFAULT_GF_GUARD) -> t
                     rows[i][c] = v
                 out.append(Subspace(n, field, tuple(tuple(r) for r in rows)))
     return tuple(out)
+
+
+def subspace_count(n: int, q: int) -> int:
+    """Number of subspaces of GF(q)^n: the sum over k of the Gaussian
+    binomials [n, k]_q, each built as an exact running product."""
+    total = 0
+    for k in range(n + 1):
+        term = 1
+        for i in range(k):
+            term = term * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+        total += term
+    return total
 
 
 def enumerate_subspace_candidates(

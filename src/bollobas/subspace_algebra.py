@@ -6,74 +6,107 @@ canonical representative of a row space, so structural equality of two
 :class:`Subspace` values coincides with equality of the subspaces themselves,
 and serialization is deterministic.
 
-All arithmetic is exact: entries are ``Fraction`` or :class:`PrimeFieldScalar`
-depending on the field tag.  Intersections are computed from the kernel of the
-stacked-basis system, never from orthogonal complements (which are
-field-sensitive).
+All arithmetic is exact, and elimination runs on plain ``int`` rows: over GF(p)
+on residues mod p, over QQ on rows cleared of their denominators, reduced
+fraction-free (Bareiss-style cross multiplication, each new row divided by its
+gcd).  ``Fraction`` or :class:`PrimeFieldScalar` entries are built only for a
+returned basis; ranks and dimensions build none.  Intersections use
+Zassenhaus' sum/intersection elimination of ``[u | u]`` over ``[w | 0]``, never
+orthogonal complements (which are field-sensitive).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, PreconditionError
-from .exact_arith import FieldTag, Scalar
+from .exact_arith import FieldTag, PrimeField, PrimeFieldScalar, Scalar
 
 Vector = tuple  # tuple[Scalar, ...]
 Matrix = tuple  # tuple[Vector, ...]
 
 
+def _int_rows(rows: Iterable[Sequence[Scalar]], width: int, p: int) -> list[list[int]]:
+    """Int rows with the same row space: residues over GF(p) (p > 0), or each
+    row times the lcm of its denominators over QQ (p == 0)."""
+    out = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row of length {len(row)}, expected {width}")
+        if p:
+            out.append([x.residue for x in row])
+            continue
+        den = math.lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(rows: list[Sequence[int]], width: int, p: int) -> tuple[list[Sequence[int]], list[int]]:
+    """Gauss-Jordan elimination of int rows in column order.
+
+    Returns the nonzero rows in echelon order and their pivot columns; every
+    pivot column is zero in all other rows.  Over GF(p) each pivot is 1; over
+    QQ each row is primitive (gcd 1), so its RREF row is ``row / row[pivot]``.
+    The list is reordered and its rows replaced, but no row is changed in
+    place, so rows may be shared with a cached basis.
+    """
+    rank = 0
+    pivots = []
+    for col in range(width):
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        top = rows[i]
+        rows[i] = rows[rank]
+        a = top[col]
+        if p:
+            if a != 1:
+                inv = pow(a, -1, p)
+                top = [x * inv % p for x in top]
+            for j, row in enumerate(rows):
+                f = row[col]
+                if f and j != rank:
+                    rows[j] = [(x - f * y) % p for x, y in zip(row, top)]
+        else:
+            for j, row in enumerate(rows):
+                f = row[col]
+                if f and j != rank:
+                    new = [a * x - f * y for x, y in zip(row, top)]
+                    g = math.gcd(*new)
+                    rows[j] = [x // g for x in new] if g > 1 else new
+        rows[rank] = top
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def _modulus(field: FieldTag) -> int:
+    return field.p if isinstance(field, PrimeField) else 0
+
+
+def _scalar_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], field: FieldTag) -> Matrix:
+    """The canonical basis of eliminated rows: each row over its pivot entry."""
+    if isinstance(field, PrimeField):
+        return tuple(tuple(PrimeFieldScalar(x, field.p) for x in row) for row in rows)
+    zero = Fraction(0)
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else zero for x in row) for row, c in zip(rows, pivots)
+    )
+
+
 def rref(rows: Iterable[Sequence[Scalar]], width: int, field: FieldTag) -> Matrix:
     """Reduced row echelon form; zero rows dropped, pivots normalized to 1."""
-    work = [list(r) for r in rows]
-    for r in work:
-        if len(r) != width:
-            raise ValueError(f"row of length {len(r)}, expected {width}")
-    zero = field.zero()
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][col] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.one() / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != zero:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return tuple(tuple(r) for r in work[:rank])
-
-
-def rank_of(rows: Iterable[Sequence[Scalar]], width: int, field: FieldTag) -> int:
-    return len(rref(rows, width, field))
-
-
-def right_kernel(rows: Sequence[Sequence[Scalar]], width: int, field: FieldTag) -> list[Vector]:
-    """Basis of {x : M x = 0} for the matrix M with the given rows.
-
-    One kernel vector per free column, in ascending column order.
-    """
-    reduced = rref(rows, width, field)
-    pivot_cols = [_pivot_col(row, field) for row in reduced]
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    zero, one = field.zero(), field.one()
-    basis = []
-    for f in free_cols:
-        vec = [zero] * width
-        vec[f] = one
-        for row, c in zip(reduced, pivot_cols):
-            vec[c] = -row[f]
-        basis.append(tuple(vec))
-    return basis
+    p = _modulus(field)
+    reduced, pivots = _eliminate(_int_rows(rows, width, p), width, p)
+    return _scalar_rows(reduced, pivots, field)
 
 
 def _pivot_col(row: Sequence[Scalar], field: FieldTag) -> int:
@@ -100,6 +133,12 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _int_basis(self) -> tuple:
+        """``basis`` as int rows (see ``_int_rows``), built once per value:
+        ``intersection`` and ``dim_of_sum`` eliminate these, not ``basis``."""
+        return tuple(map(tuple, _int_rows(self.basis, self.n, _modulus(self.field))))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         """Subspace sum U + W."""
@@ -165,26 +204,23 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def intersection(u: Subspace, w: Subspace) -> Subspace:
-    """U ∩ W via the kernel of the stacked-basis system.
+    """U ∩ W by Zassenhaus' algorithm: one elimination of [u | u] over [w | 0].
 
-    A kernel vector (c, d) of the transposed stack satisfies
-    sum(c_i * u_i) = -sum(d_j * w_j), so sum(c_i * u_i) lies in both spaces.
+    Every row of the stack has the form (x + y, x) with x in U and y in W, and
+    the rows whose left half is zero are exactly those with x = -y in U ∩ W.
+    Since elimination runs in column order, those rows come last, and their
+    right halves are already the reduced echelon basis of U ∩ W.
     """
     _check_same_space(u, w)
     if u.dim == 0 or w.dim == 0:
         return zero_subspace(u.n, u.field)
-    stacked = u.basis + w.basis
-    transposed = [tuple(row[c] for row in stacked) for c in range(u.n)]
-    kernel = right_kernel(transposed, len(stacked), u.field)
-    zero = u.field.zero()
-    vectors = []
-    for coeffs in kernel:
-        vec = [zero] * u.n
-        for c, row in zip(coeffs[: u.dim], u.basis):
-            if c != zero:
-                vec = [acc + c * x for acc, x in zip(vec, row)]
-        vectors.append(tuple(vec))
-    return canonicalize(u.n, u.field, vectors)
+    n = u.n
+    stacked = [row + row for row in u._int_basis]
+    stacked += [row + (0,) * n for row in w._int_basis]
+    reduced, pivots = _eliminate(stacked, 2 * n, _modulus(u.field))
+    split = sum(c < n for c in pivots)
+    meet = [row[n:] for row in reduced[split:]]
+    return Subspace(n, u.field, _scalar_rows(meet, [c - n for c in pivots[split:]], u.field))
 
 
 def component(u: Subspace, v_k: Subspace) -> Subspace:
@@ -200,8 +236,8 @@ def dim_of_sum(parts: Sequence[Subspace]) -> int:
     rows = []
     for part in parts:
         _check_same_space(first, part)
-        rows.extend(part.basis)
-    return rank_of(rows, first.n, first.field)
+        rows.extend(part._int_basis)
+    return len(_eliminate(rows, first.n, _modulus(first.field))[1])
 
 
 def is_direct_sum(parts: Sequence[Subspace]) -> bool:

@@ -1,6 +1,7 @@
 """Document round-trips, parse errors, and the command-line surface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,27 @@ class TestCli:
         rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--in", str(path))
         assert rc == 2
         assert doc["status"] == "usage"
+
+    def test_construct_missing_params_is_usage_error(self, capsys):
+        rc, doc = run_cli(capsys, "construct", "--family", "complement_chain")
+        assert rc == 2
+        assert doc["status"] == "usage" and "params n" in doc["error"]
+
+    def test_missing_input_file_is_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "nonexistent.json")
+        rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--in", missing)
+        assert rc == 2
+        assert doc["status"] == "usage" and missing in doc["error"]
+
+    @pytest.mark.parametrize("p", [100000000000000000039, 2**89 - 1])
+    def test_explore_over_huge_field_is_usage_error(self, capsys, p):
+        start = time.perf_counter()
+        rc, doc = run_cli(
+            capsys, "explore", "--n", "2", "--d", "2", "--p", "1/2,1/2",
+            "--field", f"gf({p})",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and doc["status"] == "usage"
 
     def test_reports_have_no_decimals(self, capsys, tmp_path):
         path = self.write_chain(tmp_path, n=4)

@@ -1,6 +1,7 @@
 """Exact scalar layer: coefficients, fields, probability vectors."""
 
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +17,9 @@ from bollobas import (
     rational_power,
 )
 from bollobas.exact_arith import (
+    MR_EXACT_BELOW,
     field_from_str,
+    is_prime,
     rational_from_str,
     rational_to_str,
 )
@@ -167,6 +170,29 @@ class TestPrimeField:
             assert x * x.inverse() == f.one()
         with pytest.raises(ZeroDivisionError):
             f.zero().inverse()
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
+
+        assert [p for p in range(5000) if is_prime(p)] == [p for p in range(5000) if trial(p)]
+
+    def test_21_digit_prime_answers_fast(self):
+        start = time.perf_counter()
+        assert PrimeField(100000000000000000039).p == 100000000000000000039
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_composites_rejected(self):
+        # strong pseudoprimes to every prime base up to 23 and up to 37
+        for q in (3825123056546413051, 318665857834031151167461):
+            assert not is_prime(q)
+        with pytest.raises(ValueError):
+            PrimeField(100000000003 * 100000000019)
+
+    def test_modulus_above_exact_limit_refused(self):
+        assert MR_EXACT_BELOW > 10**24
+        with pytest.raises(ValueError, match="not decided"):
+            PrimeField(2**89 - 1)  # a Mersenne prime, above the limit
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from bollobas import (
     tuza,
     verify,
 )
+from bollobas.extremal_search import subspace_count
 
 from conftest import oracle_set_verify
 
@@ -93,6 +94,14 @@ class TestEnumerateCandidates:
         # trivial intersection: recount 1 + (3+3) + (1+1) + 6
         cands = list(enumerate_subspace_candidates(2, PrimeField(2), 2))
         assert len(cands) == 15
+
+    def test_lattice_guard_counts_before_enumerating(self):
+        # Gaussian-binomial sums: GF(3)^3 has 1 + 13 + 13 + 1 subspaces
+        assert subspace_count(3, 3) == 28 == len(all_subspaces(3, PrimeField(3)))
+        assert subspace_count(2, 5) == 8 == len(all_subspaces(2, PrimeField(5)))
+        # GF(p)^2 has p + 3 subspaces, refused before any is built
+        with pytest.raises(BudgetError):
+            all_subspaces(2, PrimeField(100000000000000000039))
 
     def test_gf2_pair_filter_matches_direct_recount(self):
         lattice = all_subspaces(2, PrimeField(2))

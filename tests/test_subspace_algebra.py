@@ -3,8 +3,11 @@ fraction-free rank and GF(2) closure-enumeration oracles."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
     Decomposition,
@@ -295,3 +298,112 @@ class TestGFLattice:
             for part in parts:
                 total = total + part
             assert dim_of_sum(parts) == total.dim
+
+
+# ---------------------------------------------------------------------------
+# property tests of the int elimination kernel against the conftest oracles
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+nonzero_fractions = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def rational_rows(draw, n=None):
+    n = draw(st.integers(1, 5)) if n is None else n
+    return n, draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n), max_size=n + 2))
+
+
+@st.composite
+def rational_pair(draw):
+    n, u_rows = draw(rational_rows())
+    _, w_rows = draw(rational_rows(n))
+    return n, u_rows, w_rows
+
+
+def span_mod(vectors, n, p):
+    """Every vector of the span of int vectors over GF(p), by enumerating all
+    coefficient combinations with plain residue arithmetic."""
+    out = set()
+    for coeffs in product(range(p), repeat=len(vectors)):
+        out.add(tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % p for i in range(n)))
+    return frozenset(out)
+
+
+def gf_span(sub):
+    return span_mod([[x.residue for x in row] for row in sub.basis], sub.n, sub.field.p)
+
+
+def assert_reduced_echelon(sub):
+    """Pivots strictly increase, are 1, and are the only nonzero entry of
+    their column: the definition of RREF, which makes the basis unique."""
+    zero, one = sub.field.zero(), sub.field.one()
+    pivots = [next(c for c, x in enumerate(row) if x != zero) for row in sub.basis]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in sub.basis] == [one if k == i else zero for k in range(sub.dim)]
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_rows())
+    def test_rank_matches_bareiss_oracle(self, drawn):
+        n, rows = drawn
+        s = canonicalize(n, QQ, rows)
+        assert s.dim == rational_rank(rows)
+        assert_reduced_echelon(s)
+        assert dim_of_sum([s]) == s.dim
+        assert canonicalize(n, QQ, s.basis) == s
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_pair())
+    def test_intersection_dimension_and_containment(self, drawn):
+        n, u_rows, w_rows = drawn
+        u, w = canonicalize(n, QQ, u_rows), canonicalize(n, QQ, w_rows)
+        meet = intersection(u, w)
+        stacked_rank = rational_rank(list(u.basis) + list(w.basis))
+        assert meet.dim == u.dim + w.dim - stacked_rank
+        assert dim_of_sum([u, w]) == stacked_rank == (u + w).dim
+        for row in meet.basis:
+            assert rational_rank(list(u.basis) + [row]) == u.dim
+            assert rational_rank(list(w.basis) + [row]) == w.dim
+        assert_reduced_echelon(meet)
+        assert intersection(w, u) == meet
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_rows(), st.data())
+    def test_scaled_rows_give_equal_subspace(self, drawn, data):
+        n, rows = drawn
+        scales = data.draw(st.lists(nonzero_fractions, min_size=len(rows), max_size=len(rows)))
+        scaled = [[c * x for x in row] for c, row in zip(scales, rows)]
+        assert canonicalize(n, QQ, scaled) == canonicalize(n, QQ, rows)
+
+    def test_gf2_intersections_match_closure_oracle(self):
+        field = PrimeField(2)
+        for n in (1, 2, 3):
+            lattice = gf2_subspaces_bruteforce(n)
+            subs = [
+                canonicalize(n, field, [tuple(map(field.from_int, v)) for v in s]) for s in lattice
+            ]
+            for s, sub in zip(lattice, subs):
+                assert gf_span(sub) == s
+            for a, u in zip(lattice, subs):
+                for b, w in zip(lattice, subs):
+                    meet = intersection(u, w)
+                    assert gf_span(meet) == a & b
+                    assert meet.dim == u.dim + w.dim - dim_of_sum([u, w])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_gf3_intersections_match_span_oracle(self, n, data):
+        field = PrimeField(3)
+        vectors = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=n + 1)
+        u_vecs, w_vecs = data.draw(vectors), data.draw(vectors)
+        u, w = (
+            canonicalize(n, field, [tuple(map(field.from_int, v)) for v in vecs])
+            for vecs in (u_vecs, w_vecs)
+        )
+        assert gf_span(u) == span_mod(u_vecs, n, 3)
+        meet = intersection(u, w)
+        assert gf_span(meet) == span_mod(u_vecs, n, 3) & span_mod(w_vecs, n, 3)
+        assert_reduced_echelon(meet)
+        assert 3 ** dim_of_sum([u, w]) == len(span_mod(u_vecs + w_vecs, n, 3))
