@@ -85,6 +85,12 @@ from .weight_functionals import (
     omega,
 )
 
+# Largest ground dimension and arity a document or the ``random`` command may
+# name.  They sit far above every exhaustive guard; without them a few bytes
+# of input could ask for work such as building the bignum 3^n.
+MAX_N = 64
+MAX_D = 16
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -130,8 +136,8 @@ def system_from_doc(doc: Any) -> System:
     kind = doc.get("kind")
     if kind not in ("set", "subspace"):
         raise DocumentError(f"kind must be 'set' or 'subspace', got {kind!r}", "kind")
-    n = _expect_int(doc, "n")
-    d = _expect_int(doc, "d")
+    n = _expect_int(doc, "n", MAX_N)
+    d = _expect_int(doc, "d", MAX_D)
     tuples = doc.get("tuples")
     if not isinstance(tuples, list):
         raise DocumentError("tuples must be a list", "tuples")
@@ -206,10 +212,12 @@ def system_from_doc(doc: Any) -> System:
         raise DocumentError(str(exc)) from exc
 
 
-def _expect_int(doc: dict, key: str) -> int:
+def _expect_int(doc: dict, key: str, cap: int) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(f"{key} must be an integer", key)
+    if value > cap:
+        raise DocumentError(f"{key}={value} is above the cap {cap}", key)
     return value
 
 
@@ -503,6 +511,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    for flag, value, cap in (("--n", args.n, MAX_N), ("--d", args.d, MAX_D)):
+        if value > cap:
+            raise ShapeError(f"{flag} {value} is above the cap {cap}")
     field = field_from_str(args.field) if args.field else None
     if args.compatible_blocks:
         blocks = [

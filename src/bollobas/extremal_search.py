@@ -12,6 +12,19 @@ Candidates stream in a fixed canonical order -- assignment-lexicographic for
 set tuples, (dim, pivot columns, free entries) for GF(p) subspaces -- which
 makes results deterministic across runs and platforms.
 
+The candidate list is fixed for a problem, so the cross clauses are read
+from a clause table of ``int`` bitsets over it.  For a component value v and
+a position q the table holds, built on first use and cached, the candidates
+whose q-th component meets v; a candidate's row, the candidates that may
+follow it, is the OR of these over its ordered component pairs (for bollobas,
+the AND of two).  ``CLAUSE_TABLE_GUARD`` bounds the table's worst-case size
+before any row is built.  The search runs no recursion: it is a loop over an
+explicit stack whose frames hold the allowed bitset (the parent's AND the new
+tuple's row) and the children still to visit, lowest index first, so its
+depth is not bounded by the interpreter's recursion limit.  Weights are
+integers, each term scaled by the least common multiple of the term
+denominators; a reported weight is rebuilt as one exact fraction.
+
 Weight pruning for the maximum-size objective uses a licensed inequality:
 the tuza sum at uniform p is at most 1 on every weak set system, hence on
 every system the set search can build.  No theorem covers GF(p) grounds, so
@@ -25,7 +38,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError, ShapeError
 from .exact_arith import (
@@ -47,6 +61,7 @@ from .subspace_algebra import (
 )
 from .systems_model import SetSystem, SubspaceSystem, System, mask_size
 from .verifiers import (
+    FLAVORS,
     component_clause_ok,
     cross_nontrivial,
     skew_clause_ok,
@@ -59,6 +74,10 @@ DEFAULT_SET_GUARD = 6
 DEFAULT_GF_GUARD = 4
 # most subspaces an exhaustive GF(p) lattice may have (GF(7)^4 has 3652)
 GF_LATTICE_GUARD = 10_000
+# most bits the search's clause table may reach, counted as distinct component
+# values x arity x candidates (8 MiB).  GF(3)^4 pairs need 10.2 M and set
+# n=6 d=6 45 M; GF(5)^4 pairs, 1.8 G, are refused.
+CLAUSE_TABLE_GUARD = 1 << 26
 
 OBJECTIVES = ("max_m", "max_weight", "counterexample")
 
@@ -85,6 +104,10 @@ class SearchProblem:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {self.flavor!r}")
+        if self.flavor == "bollobas" and self.d != 2:
+            raise ShapeError("the bollobas condition is defined for pairs only")
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
         if self.kind == "subspace" and self.field is None:
@@ -261,6 +284,65 @@ def _make_system(problem: SearchProblem, tuples: Sequence[tuple]) -> System:
     return SubspaceSystem(problem.n, problem.field, problem.d, tuple(tuples))
 
 
+def _scaled(terms: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(S, [t * S]) with S the least common multiple of the denominators."""
+    scale = lcm(*(t.denominator for t in terms))
+    return scale, [t.numerator * (scale // t.denominator) for t in terms]
+
+
+def _clause_table(flavor: str, candidates: Sequence[tuple]) -> Callable[[int], int]:
+    """The clause rows of a fixed candidate list, as ``row(i)``: the bitset of
+    candidates j whose cross clauses hold with candidate i placed before j.
+
+    Rows are ORs (bollobas: an AND) of cached ``hits(v, q)`` bitsets, the
+    candidates whose q-th component meets the component value v, built on
+    first use by one ``cross_nontrivial`` call per distinct value at q.
+    Clause (i) keeps a candidate from meeting itself, so row(i) never holds
+    bit i and a chosen candidate drops out of every allowed set below it.
+    """
+    value_id: dict = {}
+    ids = [tuple(value_id.setdefault(x, len(value_id)) for x in t) for t in candidates]
+    d = len(candidates[0]) if candidates else 0
+    worst = len(value_id) * d * len(candidates)
+    if worst > CLAUSE_TABLE_GUARD:
+        raise BudgetError(
+            f"clause table of {len(candidates)} candidates could reach {worst} bits, "
+            f"above the guard {CLAUSE_TABLE_GUARD}"
+        )
+    values = list(value_id)
+    groups: list[dict[int, int]] = [{} for _ in range(d)]
+    for j, t in enumerate(ids):
+        for q, v in enumerate(t):
+            groups[q][v] = groups[q].get(v, 0) | (1 << j)
+    hits: list[int | None] = [None] * (len(values) * d)
+
+    def hit(v: int, q: int) -> int:
+        bits = hits[v * d + q]
+        if bits is None:
+            x = values[v]
+            bits = 0
+            for w, members in groups[q].items():
+                if cross_nontrivial(x, values[w]):
+                    bits |= members
+            hits[v * d + q] = bits
+        return bits
+
+    if flavor == "bollobas":
+        return lambda i: hit(ids[i][0], 1) & hit(ids[i][1], 0)
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    if flavor == "weak":
+        pairs += [(q, p) for p, q in pairs]
+
+    def row(i: int) -> int:
+        t = ids[i]
+        bits = 0
+        for p, q in pairs:
+            bits |= hit(t[p], q)
+        return bits
+
+    return row
+
+
 def search_max(problem: SearchProblem) -> SearchResult:
     """Deterministic DFS for the problem's objective.
 
@@ -270,97 +352,90 @@ def search_max(problem: SearchProblem) -> SearchResult:
     functional value exceeds 1.
     """
     candidates = tuple(enumerate_candidates(problem))
+    row = _clause_table(problem.flavor, candidates)
+    count = len(candidates)
     order_free = problem.flavor in ("weak", "bollobas")
+    max_m = problem.objective == "max_m"
+    counterexample = problem.objective == "counterexample"
 
-    objective_terms: list[Fraction] | None = None
-    max_term = Fraction(0)
-    if problem.objective in ("max_weight", "counterexample"):
+    # Weights are integers, each term times `scale`: the objective's terms,
+    # or for max_m the licensed prune's uniform tuza terms, whose sum is at
+    # most 1 on every weak set system.
+    weights: list[int] | None = None
+    scale = 1
+    if not max_m:
         assert problem.functional is not None
-        objective_terms = [_tuple_term(t, problem.functional) for t in candidates]
-        if objective_terms:
-            max_term = max(objective_terms)
-
-    # licensed weight prune for max_m: uniform tuza is <= 1 on weak set systems
-    prune_terms: list[Fraction] | None = None
-    prune_min: Fraction | None = None
-    if problem.objective == "max_m" and problem.prune and problem.kind == "set" and candidates:
+        scale, weights = _scaled([_tuple_term(t, problem.functional) for t in candidates])
+    elif problem.prune and problem.kind == "set" and candidates:
         uniform = tuza(ProbabilityVector.uniform(problem.d))
-        prune_terms = [_tuple_term(t, uniform) for t in candidates]
-        prune_min = min(prune_terms)
+        scale, weights = _scaled([_tuple_term(t, uniform) for t in candidates])
+    headroom_prune = max_m and weights is not None
+    ceiling_prune = not max_m and problem.prune
+    if headroom_prune:
+        step = min(weights)
+    elif ceiling_prune:
+        step = max(weights, default=0)
 
-    best_value: Rational | int = 0 if problem.objective == "max_m" else Fraction(0)
+    best = 0
     best_witness: list[int] = []
-    cex_witness: list[int] | None = None
     nodes = 0
-    budget_exhausted = False
-
+    budget_exhausted = stopped = False
     chosen: list[int] = []
-    chosen_tuples: list[tuple] = []
-    used = [False] * len(candidates)
-    unused_count = len(candidates)
-
-    def dfs(obj_weight: Fraction, prune_weight: Fraction) -> bool:
-        """Returns True to stop the whole search (counterexample found)."""
-        nonlocal nodes, budget_exhausted, best_value, best_witness, cex_witness, unused_count
-        value: Rational | int = len(chosen) if problem.objective == "max_m" else obj_weight
-        if value > best_value:
-            best_value = value
-            best_witness = list(chosen)
-        if problem.objective == "counterexample" and obj_weight > 1:
-            cex_witness = list(chosen)
-            return True
-        if prune_min is not None and prune_weight <= 1:
-            headroom = (Fraction(1) - prune_weight) / prune_min
-            if len(chosen) + headroom <= best_value:
-                return False
-        if objective_terms is not None and problem.prune:
-            remaining = (
-                len(candidates) - (chosen[-1] + 1)
-                if order_free and chosen
-                else unused_count
-            )
-            ceiling = obj_weight + remaining * max_term
-            if problem.objective == "max_weight" and ceiling <= best_value:
-                return False
-            if problem.objective == "counterexample" and ceiling <= 1:
-                return False
-        start = chosen[-1] + 1 if order_free and chosen else 0
-        for idx in range(start, len(candidates)):
-            if used[idx]:
-                continue
-            if not _cross_ok(problem.flavor, chosen_tuples, candidates[idx]):
-                continue
-            nodes += 1
-            if nodes > problem.node_budget:
-                budget_exhausted = True
-                return False
-            used[idx] = True
-            unused_count -= 1
-            chosen.append(idx)
-            chosen_tuples.append(candidates[idx])
-            stop = dfs(
-                obj_weight + (objective_terms[idx] if objective_terms else Fraction(0)),
-                prune_weight + (prune_terms[idx] if prune_terms else Fraction(0)),
-            )
+    # one frame per expanded node on the path: [unvisited children, allowed, weight]
+    stack: list[list[int]] = []
+    allowed, weight = (1 << count) - 1, 0
+    while True:
+        # enter the node `chosen`; `allowed` is still its parent's
+        depth = len(chosen)
+        value = depth if max_m else weight
+        if value > best:
+            best = value
+            best_witness = chosen.copy()
+        if counterexample and weight > scale:
+            # the first weight above 1 is also the best so far: it is the witness
+            stopped = True
+            break
+        if headroom_prune:
+            # prune when depth + (1 - W) / (min term) <= best
+            expand = not (weight <= scale and scale - weight <= (best - depth) * step)
+        elif ceiling_prune:
+            remaining = count - chosen[-1] - 1 if order_free and chosen else count - depth
+            limit = best if problem.objective == "max_weight" else scale
+            expand = weight + remaining * step > limit
+        else:
+            expand = True
+        if expand:
+            if chosen:
+                last = chosen[-1]
+                allowed &= row(last)
+                if order_free:
+                    allowed &= -(2 << last)  # only candidates after `last`
+            stack.append([allowed, allowed, weight])
+        elif chosen:
             chosen.pop()
-            chosen_tuples.pop()
-            used[idx] = False
-            unused_count += 1
-            if stop:
-                return True
-            if budget_exhausted:
-                return False
-        return False
+        # move to the next unvisited child, lowest index first
+        while stack and not stack[-1][0]:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        if not stack:
+            break
+        frame = stack[-1]
+        rest = frame[0]
+        low = rest & -rest
+        frame[0] = rest ^ low
+        nodes += 1
+        if nodes > problem.node_budget:
+            budget_exhausted = True
+            break
+        chosen.append(low.bit_length() - 1)
+        allowed = frame[1]
+        if weights is not None:
+            weight = frame[2] + weights[chosen[-1]]
 
-    stopped = dfs(Fraction(0), Fraction(0))
-
-    if stopped and cex_witness is not None:
-        witness_idx = cex_witness
-    else:
-        witness_idx = best_witness
-    witness = _make_system(problem, [candidates[i] for i in witness_idx])
+    witness = _make_system(problem, [candidates[i] for i in best_witness])
     return SearchResult(
-        best_value=best_value,
+        best_value=best if max_m else Fraction(best, scale),
         witness=witness,
         nodes=nodes,
         exhaustive=not budget_exhausted and not stopped,

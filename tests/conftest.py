@@ -2,8 +2,9 @@
 
 Oracles here are deliberately independent of the package's code paths:
 rank comes from fraction-free (Bareiss) elimination on integers, GF(2)
-subspaces from closure enumeration, and set-system clauses from plain
-Python sets over element lists.
+subspaces from closure enumeration, set-system clauses from plain Python
+sets over element lists, and the search optimum from a recursive DFS that
+re-checks every clause and sums ``Fraction`` weights.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from itertools import combinations
 import pytest
 
 from bollobas import (
+    ProbabilityVector,
+    SearchProblem,
     SetSystem,
+    SubspaceSystem,
+    omega,
     random_compatible_pair_system,
     random_valid_system,
+    tuza,
 )
+from bollobas.extremal_search import enumerate_candidates
 from bollobas.systems_model import elements_of_mask
+from bollobas.verifiers import cross_nontrivial, skew_clause_ok, weak_clause_ok
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +138,109 @@ def oracle_set_verify(system: SetSystem, flavor: str) -> bool:
                 if not any(hits):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference search: the recursive DFS with per-node clause checks
+
+
+def reference_search(problem: SearchProblem) -> tuple:
+    """(best_value, nodes, exhaustive, witness tuples) by the recursive DFS:
+    every candidate is re-checked against every chosen tuple, weights are
+    ``Fraction`` sums, and each tuple's weight term is ``omega`` of the
+    one-tuple system.  Node counts, budget and prunes follow the search's
+    documented semantics."""
+    candidates = tuple(enumerate_candidates(problem))
+    order_free = problem.flavor in ("weak", "bollobas")
+
+    def term(t, functional) -> Fraction:
+        if problem.kind == "set":
+            return omega(SetSystem(problem.n, problem.d, (t,)), functional)
+        return omega(SubspaceSystem(problem.n, problem.field, problem.d, (t,)), functional)
+
+    def cross_ok(existing, t) -> bool:
+        if problem.flavor == "bollobas":
+            return all(
+                cross_nontrivial(ti[0], t[1]) and cross_nontrivial(t[0], ti[1])
+                for ti in existing
+            )
+        clause = skew_clause_ok if problem.flavor == "skew" else weak_clause_ok
+        return all(clause(ti, t) for ti in existing)
+
+    objective_terms = None
+    max_term = Fraction(0)
+    if problem.objective in ("max_weight", "counterexample"):
+        objective_terms = [term(t, problem.functional) for t in candidates]
+        if objective_terms:
+            max_term = max(objective_terms)
+    prune_terms = None
+    prune_min = None
+    if problem.objective == "max_m" and problem.prune and problem.kind == "set" and candidates:
+        uniform = tuza(ProbabilityVector.uniform(problem.d))
+        prune_terms = [term(t, uniform) for t in candidates]
+        prune_min = min(prune_terms)
+
+    state = {
+        "best": 0 if problem.objective == "max_m" else Fraction(0),
+        "witness": [],
+        "cex": None,
+        "nodes": 0,
+        "exhausted": False,
+    }
+    chosen: list[int] = []
+    used = [False] * len(candidates)
+
+    def dfs(obj_weight: Fraction, prune_weight: Fraction) -> bool:
+        value = len(chosen) if problem.objective == "max_m" else obj_weight
+        if value > state["best"]:
+            state["best"] = value
+            state["witness"] = list(chosen)
+        if problem.objective == "counterexample" and obj_weight > 1:
+            state["cex"] = list(chosen)
+            return True
+        if prune_min is not None and prune_weight <= 1:
+            if len(chosen) + (1 - prune_weight) / prune_min <= state["best"]:
+                return False
+        if objective_terms is not None and problem.prune:
+            if order_free and chosen:
+                remaining = len(candidates) - (chosen[-1] + 1)
+            else:
+                remaining = used.count(False)
+            ceiling = obj_weight + remaining * max_term
+            if problem.objective == "max_weight" and ceiling <= state["best"]:
+                return False
+            if problem.objective == "counterexample" and ceiling <= 1:
+                return False
+        start = chosen[-1] + 1 if order_free and chosen else 0
+        for idx in range(start, len(candidates)):
+            if used[idx] or not cross_ok([candidates[i] for i in chosen], candidates[idx]):
+                continue
+            state["nodes"] += 1
+            if state["nodes"] > problem.node_budget:
+                state["exhausted"] = True
+                return False
+            used[idx] = True
+            chosen.append(idx)
+            stop = dfs(
+                obj_weight + (objective_terms[idx] if objective_terms else 0),
+                prune_weight + (prune_terms[idx] if prune_terms else 0),
+            )
+            chosen.pop()
+            used[idx] = False
+            if stop:
+                return True
+            if state["exhausted"]:
+                return False
+        return False
+
+    stopped = dfs(Fraction(0), Fraction(0))
+    witness = state["cex"] if stopped else state["witness"]
+    return (
+        state["best"],
+        state["nodes"],
+        not state["exhausted"] and not stopped,
+        tuple(candidates[i] for i in witness),
+    )
 
 
 # ---------------------------------------------------------------------------

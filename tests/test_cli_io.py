@@ -291,6 +291,52 @@ class TestCli:
         assert time.perf_counter() - start < 5.0
         assert rc == 2 and doc["status"] == "usage"
 
+    @pytest.mark.parametrize("key, value", [("n", 100000000), ("d", 100000000)])
+    def test_document_n_and_d_are_capped(self, capsys, tmp_path, key, value):
+        doc = {"kind": "set", "n": 2, "d": 2, "tuples": []}
+        doc[key] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        rc, out = run_cli(capsys, "check", "--bound", "cardinality", "--in", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and out["status"] == "usage"
+        assert out["error"].startswith(f"{key}: ")
+
+    def test_caps_admit_their_limit(self):
+        from bollobas.cli_io import MAX_D, MAX_N
+
+        system = system_from_doc({"kind": "set", "n": MAX_N, "d": MAX_D, "tuples": []})
+        assert (system.n, system.d) == (MAX_N, MAX_D)
+        with pytest.raises(DocumentError):
+            system_from_doc({"kind": "subspace", "n": MAX_N + 1, "d": 2, "tuples": []})
+
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    def test_random_n_and_d_are_capped(self, capsys, flag):
+        argv = {"--n": "3", "--d": "2"}
+        argv[flag] = "100000000"
+        start = time.perf_counter()
+        rc, doc = run_cli(
+            capsys, "random", "--seed", "1", "--m", "2", "--n", argv["--n"],
+            "--d", argv["--d"], "--condition", "weak",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and doc["status"] == "usage" and flag in doc["error"]
+
+    def test_search_above_the_clause_table_guard_is_usage_error(self, capsys, monkeypatch):
+        from bollobas import extremal_search
+
+        monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", 71)
+        rc, doc = run_cli(capsys, "search", "--objective", "max-m", "--n", "2", "--d", "2")
+        assert rc == 2 and doc["status"] == "usage" and "clause table" in doc["error"]
+
+    def test_bollobas_search_needs_pairs(self, capsys):
+        rc, doc = run_cli(
+            capsys, "search", "--objective", "max-m", "--n", "2", "--d", "1",
+            "--condition", "bollobas", "--no-prune",
+        )
+        assert rc == 2 and doc["status"] == "usage"
+
     def test_reports_have_no_decimals(self, capsys, tmp_path):
         path = self.write_chain(tmp_path, n=4)
         rc, doc = run_cli(capsys, "weight", "--functional", "hegedus_frankl_sum", "--in", path)

@@ -1,10 +1,13 @@
 """Exhaustive and randomized search, cross-checked by an orderings oracle."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
     BudgetError,
@@ -28,9 +31,11 @@ from bollobas import (
     tuza,
     verify,
 )
+from bollobas import extremal_search
 from bollobas.extremal_search import subspace_count
+from bollobas.weight_functionals import FunctionalKind
 
-from conftest import oracle_set_verify
+from conftest import oracle_set_verify, reference_search
 
 
 def oracle_max_m_sequences(n: int, d: int, flavor: str) -> int:
@@ -201,6 +206,114 @@ class TestSearchMax:
         assert result.witness is not None
         assert omega(result.witness, tuza((Fraction(1, 2), Fraction(1, 2)))) > 1
         assert verify(result.witness, "weak").verdict
+
+
+@st.composite
+def search_problems(draw):
+    """Small set (n <= 3, d in {2, 3}) and GF(2)/GF(3) (n = 2) problems over
+    every flavor, objective, budget, prune setting and uniform size tuple."""
+    kind = draw(st.sampled_from(["set", "set", "subspace"]))
+    if kind == "set":
+        n, d, field = draw(st.sampled_from([3, 3, 2, 1])), draw(st.sampled_from([2, 3])), None
+        objectives = ["max_m", "max_weight"]
+    else:
+        n, d, field = 2, 2, PrimeField(draw(st.sampled_from([2, 3])))
+        objectives = ["max_m", "max_weight", "counterexample"]
+    flavor = draw(st.sampled_from(["skew", "weak", "bollobas"] if d == 2 else ["skew", "weak"]))
+    objective = draw(st.sampled_from(objectives))
+    functional = None
+    if objective != "max_m":
+        names = ["tuza_sum"]
+        if d == 2 and objective == "max_weight":
+            names += ["bollobas_sum", "scott_wilmer_sum", "hegedus_frankl_sum", "yue_sum"]
+        name = draw(st.sampled_from(names))
+        if name == "tuza_sum":
+            shares = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+            functional = tuza(tuple(Fraction(x, sum(shares)) for x in shares))
+        else:
+            functional = FunctionalKind(name)
+    uniform = None
+    if draw(st.integers(0, 3)) == 0:
+        uniform = draw(
+            st.lists(st.integers(0, n), min_size=d, max_size=d)
+            .filter(lambda sizes: sum(sizes) <= n)
+            .map(tuple)
+        )
+    return SearchProblem(
+        kind=kind,
+        n=n,
+        d=d,
+        flavor=flavor,
+        objective=objective,
+        functional=functional,
+        field=field,
+        uniform_sizes=uniform,
+        node_budget=draw(st.integers(1, 50) | st.integers(500, 3000)),
+        prune=draw(st.booleans()),
+    )
+
+
+class TestSearchMatchesReferenceDfs:
+    @settings(max_examples=120, deadline=None)
+    @given(search_problems())
+    def test_search_equals_reference(self, problem):
+        result = search_max(problem)
+        got = (result.best_value, result.nodes, result.exhaustive, result.witness.tuples)
+        assert got == reference_search(problem)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            SearchProblem(kind="set", n=3, d=3, flavor="weak"),
+            SearchProblem(kind="set", n=3, d=2, flavor="skew", prune=False),
+            SearchProblem(kind="set", n=4, d=2, flavor="bollobas"),
+            SearchProblem(
+                kind="set", n=4, d=2, flavor="skew", objective="max_weight",
+                functional=FunctionalKind("yue_sum"), node_budget=800,
+            ),
+            SearchProblem(
+                kind="set", n=3, d=2, flavor="weak", objective="max_weight",
+                functional=FunctionalKind("bollobas_sum"),
+            ),
+            SearchProblem(kind="subspace", n=3, d=2, flavor="skew", field=PrimeField(2), node_budget=300),
+            SearchProblem(
+                kind="subspace", n=2, d=2, flavor="weak", objective="max_weight",
+                functional=tuza((Fraction(1, 3), Fraction(2, 3))), field=PrimeField(3), prune=False,
+            ),
+        ],
+    )
+    def test_larger_searches_equal_reference(self, problem):
+        result = search_max(problem)
+        got = (result.best_value, result.nodes, result.exhaustive, result.witness.tuples)
+        assert got == reference_search(problem)
+
+    def test_depth_is_not_bound_by_the_recursion_limit(self):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            result = search_max(SearchProblem(kind="set", n=4, d=3, flavor="weak"))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (result.best_value, result.nodes, result.exhaustive) == (81, 71518, True)
+
+    def test_clause_table_guard_refuses_before_any_row(self, monkeypatch):
+        # n=2, d=2: 4 component values x 2 positions x 9 candidates = 72 bits
+        problem = SearchProblem(kind="set", n=2, d=2, flavor="skew")
+        monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", 72)
+        assert search_max(problem).best_value == 4
+        monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", 71)
+
+        def no_meet_test(x, y):
+            raise AssertionError("a clause row was built")
+
+        monkeypatch.setattr(extremal_search, "cross_nontrivial", no_meet_test)
+        with pytest.raises(BudgetError):
+            search_max(problem)
 
 
 class TestRandomValidSystem:
