@@ -9,6 +9,7 @@ from .errors import (
     DuplicateTupleError,
     FieldMismatchError,
     LicensingError,
+    PartitionError,
     PreconditionError,
     ShapeError,
 )
@@ -52,9 +53,8 @@ from .verifiers import (
     ClassCount,
     ConditionKind,
     VerificationReport,
-    check_alon_bound,
     check_cardinality_lemmas,
-    check_decomposition_uniform_bound,
+    check_partitioned_uniform_bound,
     check_uniform_pair_bound,
     is_skew_implies_weak_check,
     verify,
@@ -66,6 +66,7 @@ from .weight_functionals import (
     omega,
     phi,
     phi_upper_bound,
+    term,
     tuza,
 )
 from .saturation_engine import (

@@ -37,6 +37,7 @@ from .errors import (
     DuplicateTupleError,
     FieldMismatchError,
     LicensingError,
+    PartitionError,
     PreconditionError,
     ShapeError,
 )
@@ -71,9 +72,8 @@ from .systems_model import (
 from .verifiers import (
     Certificate,
     VerificationReport,
-    check_alon_bound,
     check_cardinality_lemmas,
-    check_decomposition_uniform_bound,
+    check_partitioned_uniform_bound,
     check_uniform_pair_bound,
     verify,
 )
@@ -162,21 +162,17 @@ def system_from_doc(doc: Any) -> System:
             if not isinstance(blocks, list):
                 raise DocumentError("partition must be a list of blocks", "partition")
             masks = []
-            union = 0
             for k, b in enumerate(blocks):
                 try:
-                    mask = mask_from_elements(b, n)
+                    masks.append(mask_from_elements(b, n))
                 except (ValueError, TypeError) as exc:
                     raise DocumentError(str(exc), f"partition[{k}]") from exc
-                if mask & union:
-                    raise DocumentError("blocks overlap", f"partition[{k}]")
-                union |= mask
-                masks.append(mask)
-            if union != (1 << n) - 1:
-                raise DocumentError("blocks do not cover [n]", "partition")
             partition = tuple(masks)
         try:
             return SetSystem(n, d, tuple(packed), partition)
+        except PartitionError as exc:
+            where = "partition" if exc.block is None else f"partition[{exc.block}]"
+            raise DocumentError(str(exc), where) from exc
         except (ValueError, ShapeError) as exc:
             raise DocumentError(str(exc)) from exc
 
@@ -407,10 +403,7 @@ def _cmd_check(args) -> int:
     if args.bound == "uniform-pair":
         cert = check_uniform_pair_bound(system)
     elif args.bound == "partitioned-uniform":
-        if isinstance(system, SetSystem):
-            cert = check_alon_bound(system)
-        else:
-            cert = check_decomposition_uniform_bound(system)
+        cert = check_partitioned_uniform_bound(system)
     else:
         cert = check_cardinality_lemmas(system)
     _emit({"command": "check", "bound": args.bound, **report_certificate(cert)})

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetError, ShapeError
 from .exact_arith import binomial
-from .systems_model import SetSystem, System, embed, mask_from_elements
+from .systems_model import SetSystem, System, elements_of_mask, embed, mask_from_elements
 
 DEFAULT_TUPLE_BUDGET = 4096
 
@@ -71,19 +71,8 @@ def uniform_bollobas(a: int, b: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetS
 def _chain_masks(n: int) -> list[int]:
     """All subsets of [n], non-increasing size, lexicographic within a size."""
     masks = list(range(1 << n))
-    masks.sort(key=lambda s: (-s.bit_count(), _lex_key(s)))
+    masks.sort(key=lambda s: (-s.bit_count(), elements_of_mask(s)))
     return masks
-
-
-def _lex_key(mask: int) -> tuple[int, ...]:
-    out = []
-    p = 1
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return tuple(out)
 
 
 def complement_chain(n: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetSystem:

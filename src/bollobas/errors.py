@@ -37,6 +37,18 @@ class BudgetError(BollobasError):
     """An enumeration or search exceeded its configured budget or guard."""
 
 
+class PartitionError(BollobasError, ValueError):
+    """Partition blocks overlap or leave part of the ground set uncovered.
+
+    ``block`` is the 0-based index of the first block meeting an earlier one,
+    or None when the blocks are disjoint but miss an element.
+    """
+
+    def __init__(self, message: str, block: int | None = None):
+        self.block = block
+        super().__init__(message)
+
+
 class DocumentError(BollobasError):
     """A system document failed to parse or validate."""
 

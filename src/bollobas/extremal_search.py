@@ -49,7 +49,6 @@ from .exact_arith import (
     ProbabilityVector,
     Rational,
     RationalField,
-    binomial,
 )
 from .subspace_algebra import (
     Subspace,
@@ -67,7 +66,7 @@ from .verifiers import (
     skew_clause_ok,
     weak_clause_ok,
 )
-from .weight_functionals import FunctionalKind, omega, tuza
+from .weight_functionals import FunctionalKind, omega, term, tuza
 
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_SET_GUARD = 6
@@ -255,28 +254,6 @@ def _cross_ok(flavor: str, existing: Sequence[tuple], t: tuple) -> bool:
     return all(clause(ti, t) for ti in existing)
 
 
-def _tuple_term(t: tuple, functional: FunctionalKind) -> Fraction:
-    """Per-tuple weight term; every supported functional is a sum of these."""
-    name = functional.name
-    sizes = _sizes_of(t)
-    if name == "tuza_sum":
-        assert functional.p is not None
-        term = Fraction(1)
-        for p_l, s in zip(functional.p.entries, sizes):
-            term *= p_l**s
-        return term
-    if len(t) != 2:
-        raise ShapeError(f"{name} needs pair tuples")
-    a, b = sizes
-    if name in ("bollobas_sum", "scott_wilmer_sum"):
-        return Fraction(1, binomial(a + b, a))
-    if name == "hegedus_frankl_sum":
-        return Fraction(1, binomial(a + b, b))
-    if name == "yue_sum":
-        return Fraction(1, (1 + a + b) * binomial(a + b, a))
-    raise ShapeError(f"search cannot decompose {name} into per-tuple terms")
-
-
 def _make_system(problem: SearchProblem, tuples: Sequence[tuple]) -> System:
     if problem.kind == "set":
         return SetSystem(problem.n, problem.d, tuple(tuples))
@@ -351,6 +328,9 @@ def search_max(problem: SearchProblem) -> SearchResult:
     canonical order.  A counterexample search stops at the first system whose
     functional value exceeds 1.
     """
+    if problem.functional is not None:
+        # a functional that does not fit d-tuples is refused before enumerating
+        term((0,) * problem.d, problem.functional)
     candidates = tuple(enumerate_candidates(problem))
     row = _clause_table(problem.flavor, candidates)
     count = len(candidates)
@@ -365,10 +345,10 @@ def search_max(problem: SearchProblem) -> SearchResult:
     scale = 1
     if not max_m:
         assert problem.functional is not None
-        scale, weights = _scaled([_tuple_term(t, problem.functional) for t in candidates])
+        scale, weights = _scaled([term(_sizes_of(t), problem.functional) for t in candidates])
     elif problem.prune and problem.kind == "set" and candidates:
         uniform = tuza(ProbabilityVector.uniform(problem.d))
-        scale, weights = _scaled([_tuple_term(t, uniform) for t in candidates])
+        scale, weights = _scaled([term(_sizes_of(t), uniform) for t in candidates])
     headroom_prune = max_m and weights is not None
     ceiling_prune = not max_m and problem.prune
     if headroom_prune:
@@ -600,8 +580,6 @@ def explore_weak_subspace_conjecture(
     rationals.  A result above 1 is a finding about the chosen field, not a
     refutation for real vector spaces; callers report it as such.
     """
-    if p.d != d:
-        raise ShapeError(f"p has {p.d} entries, arity is {d}")
     if isinstance(field, PrimeField):
         problem = SearchProblem(
             kind="subspace",

@@ -29,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .constructions import DEFAULT_TUPLE_BUDGET
 from .errors import (
     BollobasError,
+    BudgetError,
     DuplicateTupleError,
     PreconditionError,
     ShapeError,
@@ -64,6 +66,7 @@ from .weight_functionals import (
     omega,
     phi,
     phi_upper_bound,
+    term,
     tuza,
 )
 
@@ -106,23 +109,29 @@ def default_flavor(system: System) -> str:
 # fullness
 
 
-def is_full_tuple(system: System, i: int, flavor: str) -> bool:
+def _deficit(system: System, i: int, flavor: str) -> int:
+    """What tuple i still misses: ground elements (set), dimensions of V
+    (tuple), or block dimensions summed over the blocks (pair)."""
     t = system.tuples[i - 1]
     if flavor == "set":
         union = 0
         for mask in t:
             union |= mask
-        return union == (1 << system.n) - 1
+        return system.n - union.bit_count()
     if flavor == "pair":
         assert isinstance(system, SubspaceSystem) and system.decomposition is not None
         a, b = t
-        for blk in system.decomposition.blocks:
-            if dim_of_sum([component(a, blk), component(b, blk)]) != blk.dim:
-                return False
-        return True
+        return sum(
+            blk.dim - dim_of_sum([component(a, blk), component(b, blk)])
+            for blk in system.decomposition.blocks
+        )
     if flavor == "tuple":
-        return dim_of_sum(list(t)) == system.n
+        return system.n - dim_of_sum(list(t))
     raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def is_full_tuple(system: System, i: int, flavor: str) -> bool:
+    return _deficit(system, i, flavor) == 0
 
 
 def first_non_full(system: System, flavor: str) -> int | None:
@@ -270,6 +279,9 @@ def saturate(
 ) -> SaturationTrace:
     """Fill up every tuple, lowest non-full index first, until fullness.
 
+    A system that would end with more than ``DEFAULT_TUPLE_BUDGET`` tuples is
+    refused with ``BudgetError`` before the first step.
+
     Scan order is deterministic: lowest non-full tuple, then (pair flavor)
     lowest deficient block, then the canonical extension vector.  The trace
     records the invariant weight and the strictly increasing potential; with
@@ -279,6 +291,12 @@ def saturate(
         flavor = default_flavor(system)
     _verify_flavor_condition(system, flavor)
     functional = _functional_for(system, flavor, p)
+    # a tuple missing u elements or dimensions saturates into d^u full tuples
+    final_m = sum(system.d ** _deficit(system, i, flavor) for i in range(1, system.m + 1))
+    if final_m > DEFAULT_TUPLE_BUDGET:
+        raise BudgetError(
+            f"saturation would end with {final_m} tuples, budget is {DEFAULT_TUPLE_BUDGET}"
+        )
 
     bound = phi_upper_bound(system, flavor)
     omegas = [omega(system, functional)]
@@ -405,24 +423,21 @@ def certify_full_system(
         count = classes[key]
         if flavor == "pair":
             assert isinstance(system, SubspaceSystem) and system.decomposition is not None
+            n_ks = system.decomposition.block_dims()
             bound = 1
-            term = Fraction(1)
-            for a_k, n_k in zip(key, system.decomposition.block_dims()):
+            for a_k, n_k in zip(key, n_ks):
                 bound *= binomial(n_k, a_k)
-                term *= Fraction(1, binomial(n_k, a_k) * (1 + n_k))
+            class_term = term(tuple((a_k, n_k - a_k) for a_k, n_k in zip(key, n_ks)), functional)
         else:
             bound = multinomial(key)
-            term = Fraction(1)
-            assert functional.p is not None
-            for p_l, a_l in zip(functional.p.entries, key):
-                term *= p_l**a_l
+            class_term = term(key, functional)
         class_counts.append(ClassCount(profile=key, count=count, bound=bound))
         if count > bound:
             findings.append(
                 f"class {key}: count {count} exceeds bound {bound}"
                 + (f" over {system.field}" if caveat else "")
             )
-        term_total += count * term
+        term_total += count * class_term
 
     value = omega(system, functional)
     if value != term_total:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
-from .errors import ShapeError
+from .errors import PartitionError, ShapeError
 from .exact_arith import QQ, FieldTag
 from .subspace_algebra import (
     Decomposition,
@@ -86,12 +86,12 @@ class SetSystem:
             blocks = tuple(self.partition)
             object.__setattr__(self, "partition", blocks)
             union = 0
-            for b in blocks:
+            for k, b in enumerate(blocks):
                 if b & union:
-                    raise ValueError("partition blocks overlap")
+                    raise PartitionError("blocks overlap", k)
                 union |= b
             if union != full:
-                raise ValueError("partition blocks do not cover [n]")
+                raise PartitionError("blocks do not cover [n]")
 
     @property
     def m(self) -> int:

@@ -34,6 +34,8 @@ from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
+    block_sizes,
+    has_context,
     is_decomposition_compatible,
     pair_block_profile,
     tuple_sizes,
@@ -262,59 +264,32 @@ def check_uniform_pair_bound(system: System) -> Certificate:
     )
 
 
-def check_alon_bound(system: SetSystem) -> Certificate:
-    """m <= prod_k C(a_k + b_k, a_k) for a verified skew partitioned set
-    system whose per-block profile is the same for every pair."""
-    if not isinstance(system, SetSystem):
-        raise ShapeError("the partitioned uniform set bound applies to set systems")
+def check_partitioned_uniform_bound(system: System) -> Certificate:
+    """m <= prod_k C(a_k + b_k, a_k) for a verified skew pair system whose
+    per-block profile is the same for every pair: a partitioned set system,
+    or a decomposition-compatible subspace system."""
+    if isinstance(system, SetSystem):
+        context, name, check = "partition", "partitioned", "partitioned"
+        uneven = "per-block profile is"
+    else:
+        context, name, check = "decomposition", "decomposition", "decomposed"
+        uneven = "per-component dims are"
     if system.d != 2:
         raise ShapeError("needs a pair system")
-    if system.partition is None:
-        raise ShapeError("needs a partition")
-    report = _require_verified(system, "skew", "partitioned uniform bound")
-    profiles = {pair_block_profile(system, i) for i in range(1, system.m + 1)}
-    if len(profiles) > 1:
-        raise PreconditionError("per-block profile is not uniform across pairs")
-    profile = profiles.pop() if profiles else tuple((0, 0) for _ in system.partition)
-    bound = 1
-    for a_k, b_k in profile:
-        bound *= binomial(a_k + b_k, a_k)
-    return Certificate(
-        check="partitioned-uniform-skew-pair-count",
-        holds=system.m <= bound,
-        quantities=(
-            ("m", str(system.m)),
-            ("profile", str(profile)),
-            ("bound", str(bound)),
-        ),
-        field_caveat=report.field_caveat,
-    )
-
-
-def check_decomposition_uniform_bound(system: SubspaceSystem) -> Certificate:
-    """Subspace analogue of the partitioned uniform bound: a verified skew,
-    decomposition-compatible pair system with uniform per-component dims has
-    m <= prod_k C(a_k + b_k, a_k)."""
-    if not isinstance(system, SubspaceSystem):
-        raise ShapeError("the decomposition uniform bound applies to subspace systems")
-    if system.d != 2:
-        raise ShapeError("needs a pair system")
-    if system.decomposition is None:
-        raise ShapeError("needs a decomposition")
-    if not is_decomposition_compatible(system):
+    if not has_context(system):
+        raise ShapeError(f"needs a {context}")
+    if isinstance(system, SubspaceSystem) and not is_decomposition_compatible(system):
         raise PreconditionError("system is not decomposition-compatible")
-    report = _require_verified(system, "skew", "decomposition uniform bound")
+    report = _require_verified(system, "skew", f"{name} uniform bound")
     profiles = {pair_block_profile(system, i) for i in range(1, system.m + 1)}
     if len(profiles) > 1:
-        raise PreconditionError("per-component dims are not uniform across pairs")
-    profile = profiles.pop() if profiles else tuple(
-        (0, 0) for _ in system.decomposition.blocks
-    )
+        raise PreconditionError(f"{uneven} not uniform across pairs")
+    profile = profiles.pop() if profiles else tuple((0, 0) for _ in block_sizes(system))
     bound = 1
     for a_k, b_k in profile:
         bound *= binomial(a_k + b_k, a_k)
     return Certificate(
-        check="decomposed-uniform-skew-pair-count",
+        check=f"{check}-uniform-skew-pair-count",
         holds=system.m <= bound,
         quantities=(
             ("m", str(system.m)),

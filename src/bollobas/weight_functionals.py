@@ -26,6 +26,7 @@ replacement and are bounded, which is what terminates saturation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,74 +111,69 @@ class InequalityVerdict:
 # values
 
 
-def _pair_sizes(system: System) -> list[tuple[int, int]]:
-    if system.d != 2:
-        raise ShapeError(f"{system.d}-tuple system where a pair system is needed")
-    return [tuple_sizes(system, i) for i in range(1, system.m + 1)]  # type: ignore[misc]
-
-
 def _require_context(system: System, name: str) -> None:
     if not has_context(system):
         raise ShapeError(f"{name} needs a partition/decomposition on the system")
 
 
-def omega(system: System, kind: str | FunctionalKind) -> Rational:
-    """Exact value of the named functional; an empty system weighs 0."""
+def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
+    """The weight of one tuple of the given profile; every functional is the
+    sum of these terms over the tuples of a system.
+
+    The profile is the size/dimension vector (a_1, ..., a_d), or for the
+    ``partitioned_*`` functionals the per-block pairs ((a_1, b_1), ...,
+    (a_r, b_r)).  A pair term is a product over blocks, a plain pair being
+    one block: 1 / C(a+b, a), times 1 / (1+a+b) for the yue kinds (C(a+b, b)
+    is the same binomial).  The tuza term is prod_l p_l^(a_l).
+    """
     kind = _as_kind(kind)
     name = kind.name
     if name == "tuza_sum":
         assert kind.p is not None
-        if kind.p.d != system.d:
-            raise ShapeError(f"p has {kind.p.d} entries, system arity is {system.d}")
-        total = Fraction(0)
-        for i in range(1, system.m + 1):
-            term = Fraction(1)
-            for p_l, size in zip(kind.p.entries, tuple_sizes(system, i)):
-                term *= rational_power(p_l, size)
-            total += term
-        return total
+        if kind.p.d != len(profile):
+            raise ShapeError(f"p has {kind.p.d} entries, system arity is {len(profile)}")
+        value = Fraction(1)
+        for p_l, size in zip(kind.p.entries, profile):
+            value *= rational_power(p_l, size)
+        return value
+    if name.startswith("partitioned_"):
+        if not all(isinstance(block, tuple) for block in profile):
+            raise ShapeError(f"{name} needs a per-block (a_k, b_k) profile")
+        blocks = profile
+    elif len(profile) != 2:
+        raise ShapeError(f"{len(profile)}-tuple system where a pair system is needed")
+    else:
+        blocks = (profile,)
+    yue = name in ("yue_sum", "partitioned_yue_sum")
+    den = 1
+    for a, b in blocks:
+        den *= binomial(a + b, a) * (1 + a + b if yue else 1)
+    return Fraction(1, den)
 
-    if name in ("bollobas_sum", "scott_wilmer_sum"):
-        if name == "scott_wilmer_sum" and not is_monotone_pair_profile(system):
-            raise PreconditionError(
-                "scott_wilmer_sum needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
-            )
-        return sum(
-            (Fraction(1, binomial(a + b, a)) for a, b in _pair_sizes(system)),
-            Fraction(0),
+
+def omega(system: System, kind: str | FunctionalKind) -> Rational:
+    """Exact value of the named functional: the tuples are counted by
+    profile, and each profile adds count x :func:`term`.  An empty system
+    weighs 0."""
+    kind = _as_kind(kind)
+    name = kind.name
+    if name == "scott_wilmer_sum" and not is_monotone_pair_profile(system):
+        raise PreconditionError(
+            "scott_wilmer_sum needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
         )
-    if name == "hegedus_frankl_sum":
-        return sum(
-            (Fraction(1, binomial(a + b, b)) for a, b in _pair_sizes(system)),
-            Fraction(0),
-        )
-    if name == "yue_sum":
-        return sum(
-            (
-                Fraction(1, (1 + a + b) * binomial(a + b, a))
-                for a, b in _pair_sizes(system)
-            ),
-            Fraction(0),
-        )
-    if name == "partitioned_yue_sum":
+    if name.startswith("partitioned_"):
         _require_context(system, name)
-        total = Fraction(0)
-        for i in range(1, system.m + 1):
-            term = Fraction(1)
-            for a_k, b_k in pair_block_profile(system, i):
-                term *= Fraction(1, binomial(a_k + b_k, a_k) * (1 + a_k + b_k))
-            total += term
-        return total
-    if name == "partitioned_bollobas_sum":
-        _require_context(system, name)
-        total = Fraction(0)
-        for i in range(1, system.m + 1):
-            term = Fraction(1)
-            for a_k, b_k in pair_block_profile(system, i):
-                term *= Fraction(1, binomial(a_k + b_k, a_k))
-            total += term
-        return total
-    raise AssertionError(f"unhandled functional {name}")
+        profile_of = pair_block_profile
+        zero: tuple = tuple((0, 0) for _ in block_sizes(system))
+    else:
+        profile_of = tuple_sizes
+        zero = (0,) * system.d
+    counts = Counter(profile_of(system, i) for i in range(1, system.m + 1))
+    # an empty system still has its shape checked, on the all-zero profile
+    return sum(
+        (count * term(key, kind) for key, count in (counts.items() or [(zero, 0)])),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------

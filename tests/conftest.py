@@ -3,7 +3,8 @@
 Oracles here are deliberately independent of the package's code paths:
 rank comes from fraction-free (Bareiss) elimination on integers, GF(2)
 subspaces from closure enumeration, set-system clauses from plain Python
-sets over element lists, and the search optimum from a recursive DFS that
+sets over element lists, weights from a per-tuple loop that writes each
+functional's term out, and the search optimum from a recursive DFS that
 re-checks every clause and sums ``Fraction`` weights.
 """
 
@@ -11,13 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from bollobas import (
+    PreconditionError,
     ProbabilityVector,
     SearchProblem,
     SetSystem,
+    ShapeError,
     SubspaceSystem,
     omega,
     random_compatible_pair_system,
@@ -25,8 +29,19 @@ from bollobas import (
     tuza,
 )
 from bollobas.extremal_search import enumerate_candidates
-from bollobas.systems_model import elements_of_mask
-from bollobas.verifiers import cross_nontrivial, skew_clause_ok, weak_clause_ok
+from bollobas.systems_model import (
+    elements_of_mask,
+    has_context,
+    pair_block_profile,
+    tuple_sizes,
+)
+from bollobas.verifiers import (
+    cross_nontrivial,
+    is_monotone_pair_profile,
+    skew_clause_ok,
+    weak_clause_ok,
+)
+from bollobas.weight_functionals import FunctionalKind
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +153,56 @@ def oracle_set_verify(system: SetSystem, flavor: str) -> bool:
                 if not any(hits):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference weights: one term per tuple, each functional written out
+
+
+def reference_omega(system, kind) -> Fraction:
+    """``omega`` as a loop over the tuples, with each functional's term
+    written out from the tuple's sizes and the same shape, context and
+    precondition checks."""
+    if not isinstance(kind, FunctionalKind):
+        kind = FunctionalKind(kind)
+    name = kind.name
+    tuples = range(1, system.m + 1)
+    if name == "tuza_sum":
+        if kind.p.d != system.d:
+            raise ShapeError("p and the system arity differ")
+        total = Fraction(0)
+        for i in tuples:
+            value = Fraction(1)
+            for p_l, size in zip(kind.p.entries, tuple_sizes(system, i)):
+                value *= p_l**size
+            total += value
+        return total
+    if name == "scott_wilmer_sum" and not is_monotone_pair_profile(system):
+        raise PreconditionError("scott_wilmer_sum needs a monotone profile")
+    if name in ("partitioned_yue_sum", "partitioned_bollobas_sum"):
+        if not has_context(system):
+            raise ShapeError(f"{name} needs a context")
+        total = Fraction(0)
+        for i in tuples:
+            value = Fraction(1)
+            for a_k, b_k in pair_block_profile(system, i):
+                value /= comb(a_k + b_k, a_k)
+                if name == "partitioned_yue_sum":
+                    value /= 1 + a_k + b_k
+            total += value
+        return total
+    if system.d != 2:
+        raise ShapeError(f"{name} needs a pair system")
+    total = Fraction(0)
+    for i in tuples:
+        a, b = tuple_sizes(system, i)
+        if name in ("bollobas_sum", "scott_wilmer_sum"):
+            total += Fraction(1, comb(a + b, a))
+        elif name == "hegedus_frankl_sum":
+            total += Fraction(1, comb(a + b, b))
+        else:
+            total += Fraction(1, (1 + a + b) * comb(a + b, a))
+    return total
 
 
 # ---------------------------------------------------------------------------

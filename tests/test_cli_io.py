@@ -337,6 +337,35 @@ class TestCli:
         )
         assert rc == 2 and doc["status"] == "usage"
 
+    @pytest.mark.parametrize(
+        "d, p, ground",
+        [
+            ("3", "1/2,1/2", ("--n", "3")),
+            ("2", "1/3,1/3,1/3", ("--n", "3")),
+            # refused before the 9.5 M triples of GF(3)^4 subspaces are enumerated
+            ("3", "1/2,1/2", ("--kind", "subspace", "--field", "gf(3)", "--n", "4")),
+        ],
+    )
+    def test_search_tuza_p_must_match_the_arity(self, capsys, d, p, ground):
+        # with d=3 and two entries this used to report a weak system of weight 5
+        start = time.perf_counter()
+        rc, doc = run_cli(
+            capsys, "search", "--objective", "max-weight", *ground, "--d", d,
+            "--condition", "weak", "--functional", "tuza", "--p", p, "--budget", "2000",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"] == f"p has {len(p.split(','))} entries, system arity is {d}"
+
+    def test_saturation_above_the_tuple_budget_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sparse.json"
+        path.write_text('{"kind":"set","n":40,"d":2,"tuples":[[[],[]]]}', encoding="utf-8")
+        start = time.perf_counter()
+        rc, doc = run_cli(capsys, "saturate", "--flavor", "set", "--in", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"] == f"saturation would end with {2**40} tuples, budget is 4096"
+
     def test_reports_have_no_decimals(self, capsys, tmp_path):
         path = self.write_chain(tmp_path, n=4)
         rc, doc = run_cli(capsys, "weight", "--functional", "hegedus_frankl_sum", "--in", path)

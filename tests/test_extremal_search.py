@@ -17,6 +17,7 @@ from bollobas import (
     QQ,
     SearchProblem,
     SetSystem,
+    ShapeError,
     all_subspaces,
     embed,
     enumerate_set_candidates,
@@ -179,6 +180,16 @@ class TestSearchMax:
         assert result.best_value == 1  # licensed bound is tight on n=2
         assert omega(result.witness, tuza((Fraction(1, 2), Fraction(1, 2)))) == 1
 
+    @pytest.mark.parametrize("d, p", [(3, (1, 1)), (2, (1, 1, 1))])
+    def test_tuza_p_must_match_the_arity(self, d, p):
+        # a missing p_l used to be read as 1, and an extra one was dropped
+        problem = SearchProblem(
+            kind="set", n=3, d=d, flavor="weak", objective="max_weight",
+            functional=tuza(tuple(Fraction(x, len(p)) for x in p)),
+        )
+        with pytest.raises(ShapeError):
+            search_max(problem)
+
     def test_counterexample_requires_unlicensed_setting(self):
         with pytest.raises(PreconditionError):
             SearchProblem(
@@ -226,6 +237,8 @@ def search_problems(draw):
         names = ["tuza_sum"]
         if d == 2 and objective == "max_weight":
             names += ["bollobas_sum", "scott_wilmer_sum", "hegedus_frankl_sum", "yue_sum"]
+            # searched systems carry no partition: these must be refused
+            names += ["partitioned_yue_sum", "partitioned_bollobas_sum"]
         name = draw(st.sampled_from(names))
         if name == "tuza_sum":
             shares = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
@@ -257,6 +270,12 @@ class TestSearchMatchesReferenceDfs:
     @settings(max_examples=120, deadline=None)
     @given(search_problems())
     def test_search_equals_reference(self, problem):
+        if problem.functional is not None and problem.functional.name.startswith("partitioned_"):
+            with pytest.raises(ShapeError):
+                search_max(problem)
+            with pytest.raises(ShapeError):
+                reference_search(problem)
+            return
         result = search_max(problem)
         got = (result.best_value, result.nodes, result.exhaustive, result.witness.tuples)
         assert got == reference_search(problem)
@@ -405,17 +424,12 @@ class TestExploreConjecture:
         if result.witness is not None:
             assert verify(result.witness, "weak").verdict
 
-    def test_arity_mismatch(self):
-        from bollobas import ShapeError
-
-        with pytest.raises(ShapeError):
-            explore_weak_subspace_conjecture(
-                2, 3, ProbabilityVector.uniform(2), PrimeField(2)
-            )
+    @pytest.mark.parametrize("field", [PrimeField(2), QQ])
+    def test_arity_mismatch(self, field):
+        with pytest.raises(ShapeError, match="p has 2 entries, system arity is 3"):
+            explore_weak_subspace_conjecture(2, 3, ProbabilityVector.uniform(2), field)
 
     def test_exhaustive_rational_subspace_search_refused(self):
-        from bollobas import ShapeError
-
         problem = SearchProblem(kind="subspace", n=2, d=2, flavor="skew", field=QQ)
         with pytest.raises(ShapeError):
             search_max(problem)

@@ -1,0 +1,173 @@
+"""Golden CLI reports: each case's exit code and stdout, byte for byte.
+
+Every README CLI example is here, plus the reports a refactor of the weight
+terms, the partitioned-uniform certificate or partition validation could
+move.  Inputs are built from fixed constructions and written next to the
+run, so a case names them as ``@name`` in its argv.
+
+To record the files again after a deliberate report change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stdout
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from bollobas import (
+    QQ,
+    SetSystem,
+    SubspaceSystem,
+    canonicalize,
+    complement_chain,
+    coordinate_decomposition,
+    embed,
+    full_tuza_tuples,
+    partitioned_complement_chain,
+    random_compatible_pair_system,
+    zero_subspace,
+)
+from bollobas.cli_io import main, system_to_doc
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FUNCTIONAL_ARGS = (
+    ("bollobas",),
+    ("scott_wilmer",),
+    ("hegedus_frankl",),
+    ("yue",),
+    ("partitioned_yue",),
+    ("partitioned_bollobas",),
+    ("tuza", "--p", "1/2,1/2"),
+)
+
+
+@cache
+def _inputs() -> dict[str, object]:
+    blocks = [[1, 2], [3, 4]]
+    chain = complement_chain(4)
+    pchain = partitioned_complement_chain(4, blocks)
+    uniform = SetSystem.from_sets(
+        4, [({1, 3}, {2, 4}), ({2, 4}, {1, 3})], partition=blocks
+    )
+    diag = canonicalize(2, QQ, [(Fraction(1), Fraction(1))])
+    incompatible = SubspaceSystem(
+        2, QQ, 2, ((diag, zero_subspace(2, QQ)),), coordinate_decomposition(2, QQ, [[1], [2]])
+    )
+    docs: dict[str, object] = {
+        "chain": chain,
+        "embedded": embed(chain),
+        "tuples": full_tuza_tuples(3, 3),
+        "pair": random_compatible_pair_system(4, blocks, 2, seed=1),
+        "full": full_tuza_tuples(3, 2),
+        "pchain": pchain,
+        "pchain_embedded": embed(pchain),
+        "uniform": uniform,
+        "uniform_embedded": embed(uniform),
+        "incompatible": incompatible,
+        "chain3_embedded": embed(complement_chain(3)),
+        "empty_set_pair": SetSystem.from_sets(3, [((), ())]),
+        "empty_subspace_pair": embed(SetSystem.from_sets(2, [((), ())])),
+        "overlap": {"kind": "set", "n": 3, "d": 2, "tuples": [], "partition": [[1], [2], [2, 3]]},
+        "noncover": {"kind": "set", "n": 3, "d": 2, "tuples": [], "partition": [[1], [3]]},
+    }
+    return {
+        name: doc if isinstance(doc, dict) else system_to_doc(doc)
+        for name, doc in docs.items()
+    }
+
+
+def _cases() -> dict[str, tuple[str, ...]]:
+    cases = {
+        "readme_construct": ("construct", "--family", "complement_chain", "--params", "n=4"),
+        "readme_verify": ("verify", "--kind", "skew", "--in", "@chain"),
+        "readme_weight_yue": ("weight", "--functional", "yue_sum", "--in", "@chain"),
+        "readme_weight_tuza": (
+            "weight", "--functional", "tuza_sum", "--p", "1/2,1/4,1/4", "--in", "@tuples",
+        ),
+        "readme_embed": ("embed", "--in", "@chain"),
+        "readme_saturate_pair": ("saturate", "--flavor", "pair", "--trace", "--in", "@pair"),
+        "readme_certify_set": ("certify", "--flavor", "set", "--p", "1/2,1/2", "--in", "@full"),
+        "readme_check_cardinality": ("check", "--bound", "cardinality", "--in", "@embedded"),
+        "readme_search": ("search", "--objective", "max-m", "--n", "2", "--d", "2", "--condition", "skew"),
+        "readme_explore": ("explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)"),
+        "readme_random": (
+            "random", "--seed", "7", "--m", "5", "--n", "4", "--d", "2", "--condition", "skew",
+        ),
+        "weight_tuza_arity_mismatch": (
+            "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@tuples",
+        ),
+        "saturate_set": ("saturate", "--flavor", "set", "--trace", "--in", "@empty_set_pair"),
+        "saturate_tuple": ("saturate", "--flavor", "tuple", "--trace", "--in", "@empty_subspace_pair"),
+        "certify_set_uniform_p": ("certify", "--flavor", "set", "--in", "@full"),
+        "certify_pair": ("certify", "--flavor", "pair", "--in", "@pchain_embedded"),
+        "certify_tuple": ("certify", "--flavor", "tuple", "--in", "@chain3_embedded"),
+        "certify_not_full": ("certify", "--flavor", "set", "--in", "@empty_set_pair"),
+        "partition_overlap": ("verify", "--kind", "skew", "--in", "@overlap"),
+        "partition_noncover": ("verify", "--kind", "skew", "--in", "@noncover"),
+        "search_max_weight_yue": (
+            "search", "--objective", "max-weight", "--n", "3", "--d", "2",
+            "--condition", "skew", "--functional", "yue",
+        ),
+        "search_max_weight_tuza": (
+            "search", "--objective", "max-weight", "--n", "3", "--d", "2",
+            "--condition", "weak", "--functional", "tuza", "--p", "1/2,1/2",
+        ),
+    }
+    for doc in ("pchain", "pchain_embedded"):
+        for args in FUNCTIONAL_ARGS:
+            cases[f"weight_{args[0]}_{doc}"] = ("weight", "--functional", *args, "--in", f"@{doc}")
+    for doc in (
+        "uniform", "uniform_embedded", "pchain", "pchain_embedded",
+        "incompatible", "chain", "embedded", "tuples",
+    ):
+        cases[f"check_partitioned_uniform_{doc}"] = (
+            "check", "--bound", "partitioned-uniform", "--in", f"@{doc}",
+        )
+    return cases
+
+
+CASES = _cases()
+
+
+def render(name: str, workdir: Path) -> str:
+    """The golden text of one case: its command line, exit code and stdout."""
+    argv = []
+    for arg in CASES[name]:
+        if arg.startswith("@"):
+            path = workdir / f"{arg[1:]}.json"
+            if not path.exists():
+                path.write_text(json.dumps(_inputs()[arg[1:]]), encoding="utf-8")
+            argv.append(str(path))
+        else:
+            argv.append(arg)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(argv)
+    shown = " ".join(a[1:] + ".json" if a.startswith("@") else a for a in CASES[name])
+    return f"$ bollobas {shown}\nexit {rc}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert render(name, tmp_path) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.out").write_text(render(case, Path(tmp)), encoding="utf-8")

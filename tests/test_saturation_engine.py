@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from bollobas import (
+    BudgetError,
     DuplicateTupleError,
     PreconditionError,
     ProbabilityVector,
@@ -37,6 +38,7 @@ from bollobas import (
     verify,
     zero_subspace,
 )
+from bollobas import saturation_engine
 from bollobas.saturation_engine import default_flavor, first_non_full, is_full_tuple
 from bollobas.systems_model import tuple_sizes
 
@@ -235,6 +237,37 @@ class TestFillUpSubspaceTuple:
         s = SubspaceSystem(2, QQ, 2, ((coordinate_subspace(2, QQ, [1]), z),))
         new = fill_up_subspace_tuple(s, 1)
         assert verify(new, "skew").verdict
+
+
+class TestSaturationSizeGuard:
+    def test_final_m_is_exact(self, weak_set_tuple_corpus, compatible_pair_corpus):
+        cases = [(s, "set") for s in weak_set_tuple_corpus[:12]]
+        cases += [(s, "pair") for s in compatible_pair_corpus[:8]]
+        line = coordinate_subspace(3, QQ, [2])
+        cases += [
+            (SubspaceSystem(2, QQ, 3, ((zero_subspace(2, QQ),) * 3,)), "tuple"),
+            (SubspaceSystem(3, QQ, 2, ((line, zero_subspace(3, QQ)),)), "tuple"),
+        ]
+        for system, flavor in cases:
+            final = saturate(system, flavor).final
+            assert sum(
+                system.d ** saturation_engine._deficit(system, i, flavor)
+                for i in range(1, system.m + 1)
+            ) == final.m
+
+    @pytest.mark.parametrize("flavor", ["set", "pair", "tuple"])
+    def test_refused_before_the_first_step(self, flavor):
+        # one empty pair on 13 points would end with 2^13 = 8192 pairs
+        s = SetSystem.from_sets(13, [((), ())], partition=[range(1, 7), range(7, 14)])
+        system = s if flavor == "set" else embed(s)
+        with pytest.raises(BudgetError, match="8192 tuples"):
+            saturate(system, flavor)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(saturation_engine, "DEFAULT_TUPLE_BUDGET", 4)
+        assert saturate(SetSystem.from_sets(2, [((), ())]), "set").final.m == 4
+        with pytest.raises(BudgetError):
+            saturate(SetSystem.from_sets(3, [((), ())]), "set")
 
 
 class TestSaturate:

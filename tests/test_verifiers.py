@@ -12,9 +12,8 @@ from bollobas import (
     SetSystem,
     ShapeError,
     SubspaceSystem,
-    check_alon_bound,
     check_cardinality_lemmas,
-    check_decomposition_uniform_bound,
+    check_partitioned_uniform_bound,
     check_uniform_pair_bound,
     complement_chain,
     coordinate_decomposition,
@@ -192,7 +191,7 @@ class TestAlonBound:
         )
         # per-block profiles differ across pairs here, so this is rejected
         with pytest.raises(PreconditionError):
-            check_alon_bound(s)
+            check_partitioned_uniform_bound(s)
 
     def test_uniform_per_block(self):
         s = SetSystem.from_sets(
@@ -200,7 +199,7 @@ class TestAlonBound:
             [({1, 3}, {2, 4}), ({2, 4}, {1, 3})],
             partition=[[1, 2], [3, 4]],
         )
-        cert = check_alon_bound(s)
+        cert = check_partitioned_uniform_bound(s)
         assert cert.holds
         assert cert.quantity("bound") == str(2 * 2)
 
@@ -212,7 +211,7 @@ class TestDecompositionUniformBound:
             [({1, 3}, {2, 4}), ({2, 4}, {1, 3})],
             partition=[[1, 2], [3, 4]],
         )
-        cert = check_decomposition_uniform_bound(embed(s))
+        cert = check_partitioned_uniform_bound(embed(s))
         assert cert.holds
         assert cert.quantity("bound") == "4"
 
@@ -223,7 +222,7 @@ class TestDecompositionUniformBound:
         diag = canonicalize(2, QQ, [(Fraction(1), Fraction(1))])
         s = SubspaceSystem(2, QQ, 2, ((diag, zero_subspace(2, QQ)),), decomp)
         with pytest.raises(PreconditionError):
-            check_decomposition_uniform_bound(s)
+            check_partitioned_uniform_bound(s)
 
 
 class TestCardinalityLemmas:

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
     LicensingError,
     PreconditionError,
+    PrimeField,
     QQ,
     SetSystem,
     ShapeError,
@@ -23,11 +26,17 @@ from bollobas import (
     partitioned_complement_chain,
     phi,
     phi_upper_bound,
+    random_compatible_pair_system,
+    random_valid_system,
+    term,
     tuza,
     uniform_bollobas,
     verify,
     zero_subspace,
 )
+from bollobas.weight_functionals import FUNCTIONALS, FunctionalKind
+
+from conftest import reference_omega
 
 
 def yue_chain_oracle(n: int) -> Fraction:
@@ -306,3 +315,75 @@ class TestEmbedPreservesWeights:
                 assert omega(s, name) == omega(e, name)
             p = tuza((Fraction(1, 3), Fraction(2, 3)))
             assert omega(s, p) == omega(e, p)
+
+
+@st.composite
+def weighted_systems(draw):
+    """Set systems of arbitrary masks, with or without a partition; their
+    embeddings; random compatible pair systems with a decomposition; and
+    random skew GF(2)/GF(3) systems without one."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    source = draw(st.sampled_from(["set", "embedded", "compatible", "gf"]))
+    if source == "compatible":
+        blocks = [[1], list(range(2, n + 1))] if n > 1 else [[1]]
+        m = draw(st.integers(1, 4))
+        return random_compatible_pair_system(n, blocks, m, seed=draw(st.integers(0, 999)))
+    if source == "gf":
+        field = PrimeField(draw(st.sampled_from([2, 3])))
+        m = draw(st.integers(0, 4))
+        n = min(n, 3)
+        return random_valid_system("subspace", n, d, "skew", m, seed=draw(st.integers(0, 999)), field=field)
+    masks = st.integers(0, (1 << n) - 1)
+    tuples = draw(st.lists(st.tuples(*[masks] * d), max_size=5))
+    partition = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        partition = tuple(
+            sum(1 << p for p, label in enumerate(labels) if label == k)
+            for k in sorted(set(labels))
+        )
+    system = SetSystem(n, d, tuple(tuples), partition)
+    return embed(system) if source == "embedded" else system
+
+
+@st.composite
+def functional_kinds(draw, d):
+    """Any of the seven functionals; a tuza p usually has d entries."""
+    name = draw(st.sampled_from(FUNCTIONALS))
+    if name != "tuza_sum":
+        return FunctionalKind(name)
+    size = draw(st.sampled_from([d, d, d, d + 1] + ([d - 1] if d > 1 else [])))
+    shares = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return tuza(tuple(Fraction(x, sum(shares)) for x in shares))
+
+
+def _outcome(weigh, system, kind):
+    try:
+        return weigh(system, kind)
+    except (ShapeError, PreconditionError) as exc:
+        return type(exc)
+
+
+class TestOmegaMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_omega_equals_per_tuple_loop(self, data):
+        system = data.draw(weighted_systems())
+        kind = data.draw(functional_kinds(system.d))
+        assert _outcome(omega, system, kind) == _outcome(reference_omega, system, kind)
+
+    def test_term_examples(self):
+        assert term((1, 2), "yue_sum") == Fraction(1, 4 * 3)
+        assert term((1, 2), "hegedus_frankl_sum") == term((1, 2), "bollobas_sum") == Fraction(1, 3)
+        assert term(((1, 1), (0, 2)), "partitioned_yue_sum") == Fraction(1, 2 * 3 * 1 * 3)
+        assert term(((1, 1), (0, 2)), "partitioned_bollobas_sum") == Fraction(1, 2)
+        assert term((2, 0, 1), tuza((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))) == Fraction(1, 16)
+
+    def test_term_checks_the_profile_shape(self):
+        with pytest.raises(ShapeError):
+            term((1, 1, 1), "yue_sum")
+        with pytest.raises(ShapeError):
+            term((1, 1), "partitioned_yue_sum")  # sizes where block pairs are needed
+        with pytest.raises(ShapeError):
+            term((1, 1, 1), tuza((Fraction(1, 2), Fraction(1, 2))))
