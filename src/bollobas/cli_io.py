@@ -563,7 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", required=True, choices=("set", "pair", "tuple"))
     p.add_argument("--p", default=None)
     p.add_argument("--trace", action="store_true", help="include per-step records")
-    p.add_argument("--debug", action="store_true", help="re-verify the condition after every step")
+    p.add_argument(
+        "--debug",
+        action="store_true",
+        help="after every step, recompute the whole-system weight and potential "
+        "and re-verify the condition (each step checks only its own tuples)",
+    )
     p.set_defaults(func=_cmd_saturate)
 
     p = sub.add_parser("certify", help="type-class certification of a full system")

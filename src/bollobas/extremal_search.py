@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError, ShapeError
 from .exact_arith import (
@@ -58,7 +58,7 @@ from .subspace_algebra import (
     intersection,
     zero_subspace,
 )
-from .systems_model import SetSystem, SubspaceSystem, System, mask_size
+from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
 from .verifiers import (
     FLAVORS,
     component_clause_ok,
@@ -231,12 +231,8 @@ def enumerate_candidates(problem: SearchProblem) -> Iterator[tuple]:
         return
     wanted = tuple(problem.uniform_sizes)
     for t in candidates:
-        if _sizes_of(t) == wanted:
+        if sizes_of(t) == wanted:
             yield t
-
-
-def _sizes_of(t: tuple) -> tuple[int, ...]:
-    return tuple(mask_size(x) if isinstance(x, int) else x.dim for x in t)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +263,37 @@ def _scaled(terms: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [t.numerator * (scale // t.denominator) for t in terms]
 
 
-def _clause_table(flavor: str, candidates: Sequence[tuple]) -> Callable[[int], int]:
-    """The clause rows of a fixed candidate list, as ``row(i)``: the bitset of
-    candidates j whose cross clauses hold with candidate i placed before j.
+def _clause_table(
+    flavor: str, stream: Iterable[tuple]
+) -> tuple[tuple[tuple, ...], Callable[[int], int]]:
+    """The candidate list of ``stream`` and its clause rows, as ``row(i)``:
+    the bitset of candidates j whose cross clauses hold with candidate i
+    placed before j.
 
     Rows are ORs (bollobas: an AND) of cached ``hits(v, q)`` bitsets, the
     candidates whose q-th component meets the component value v, built on
     first use by one ``cross_nontrivial`` call per distinct value at q.
     Clause (i) keeps a candidate from meeting itself, so row(i) never holds
     bit i and a chosen candidate drops out of every allowed set below it.
+
+    The table's worst case, distinct component values x d x candidates, only
+    grows while the stream is listed, so ``CLAUSE_TABLE_GUARD`` is checked at
+    every candidate and refuses a stream as soon as it is passed.
     """
     value_id: dict = {}
-    ids = [tuple(value_id.setdefault(x, len(value_id)) for x in t) for t in candidates]
+    listed: list[tuple] = []
+    ids: list[tuple[int, ...]] = []
+    for t in stream:
+        listed.append(t)
+        ids.append(tuple(value_id.setdefault(x, len(value_id)) for x in t))
+        worst = len(value_id) * len(t) * len(listed)
+        if worst > CLAUSE_TABLE_GUARD:
+            raise BudgetError(
+                f"clause table of {len(listed)} candidates could reach {worst} bits, "
+                f"above the guard {CLAUSE_TABLE_GUARD}"
+            )
+    candidates = tuple(listed)
     d = len(candidates[0]) if candidates else 0
-    worst = len(value_id) * d * len(candidates)
-    if worst > CLAUSE_TABLE_GUARD:
-        raise BudgetError(
-            f"clause table of {len(candidates)} candidates could reach {worst} bits, "
-            f"above the guard {CLAUSE_TABLE_GUARD}"
-        )
     values = list(value_id)
     groups: list[dict[int, int]] = [{} for _ in range(d)]
     for j, t in enumerate(ids):
@@ -305,7 +313,7 @@ def _clause_table(flavor: str, candidates: Sequence[tuple]) -> Callable[[int], i
         return bits
 
     if flavor == "bollobas":
-        return lambda i: hit(ids[i][0], 1) & hit(ids[i][1], 0)
+        return candidates, lambda i: hit(ids[i][0], 1) & hit(ids[i][1], 0)
     pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
     if flavor == "weak":
         pairs += [(q, p) for p, q in pairs]
@@ -317,7 +325,7 @@ def _clause_table(flavor: str, candidates: Sequence[tuple]) -> Callable[[int], i
             bits |= hit(t[p], q)
         return bits
 
-    return row
+    return candidates, row
 
 
 def search_max(problem: SearchProblem) -> SearchResult:
@@ -331,8 +339,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
     if problem.functional is not None:
         # a functional that does not fit d-tuples is refused before enumerating
         term((0,) * problem.d, problem.functional)
-    candidates = tuple(enumerate_candidates(problem))
-    row = _clause_table(problem.flavor, candidates)
+    candidates, row = _clause_table(problem.flavor, enumerate_candidates(problem))
     count = len(candidates)
     order_free = problem.flavor in ("weak", "bollobas")
     max_m = problem.objective == "max_m"
@@ -345,10 +352,10 @@ def search_max(problem: SearchProblem) -> SearchResult:
     scale = 1
     if not max_m:
         assert problem.functional is not None
-        scale, weights = _scaled([term(_sizes_of(t), problem.functional) for t in candidates])
+        scale, weights = _scaled([term(sizes_of(t), problem.functional) for t in candidates])
     elif problem.prune and problem.kind == "set" and candidates:
         uniform = tuza(ProbabilityVector.uniform(problem.d))
-        scale, weights = _scaled([term(_sizes_of(t), uniform) for t in candidates])
+        scale, weights = _scaled([term(sizes_of(t), uniform) for t in candidates])
     headroom_prune = max_m and weights is not None
     ceiling_prune = not max_m and problem.prune
     if headroom_prune:

@@ -20,8 +20,16 @@ Three flavors, matching the three potentials:
 * ``tuple``: a subspace d-tuple whose components do not span V gains <x> in
   each coordinate, coordinate order, like the set case.
 
-Every step re-checks the invariants it claims (exact weight equality, strict
-potential increase, the step bound) and raises instead of trusting them.
+Every step checks the invariants it claims on its own d + 1 tuples, and
+raises instead of trusting them: the replacements' weight terms sum exactly
+to the replaced tuple's term, their potentials exceed its potential, and the
+running potential and the step count stay within the bound.  ω and φ of the
+whole system are recomputed before the first step and after the last, and
+must equal the start weight and the running potential; with ``debug`` they
+are also recomputed, and the flavor's condition re-verified, after every
+step.  A step costs O(d) tuple operations, not O(m): a cursor replaces the
+rescan for the first non-full tuple, and the tuple list is spliced in place
+and made a system once, at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +64,9 @@ from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
+    block_profile_of,
     is_decomposition_compatible,
+    sizes_of,
     tuple_sizes,
     with_tuples,
 )
@@ -67,6 +77,7 @@ from .weight_functionals import (
     phi,
     phi_upper_bound,
     term,
+    tuple_potential,
     tuza,
 )
 
@@ -143,6 +154,74 @@ def first_non_full(system: System, flavor: str) -> int | None:
 
 # ---------------------------------------------------------------------------
 # fill-up steps
+#
+# One helper per flavor finds the step for tuple t (number i, for messages)
+# of a system with the given context: it returns (block, x, replacements),
+# or None when t is full and the caller left the choice to the helper.
+
+
+def _set_step(system: SetSystem, t: tuple, i: int, x: int | None = None):
+    """x joins each coordinate in turn; without x, the lowest uncovered
+    element."""
+    covered = 0
+    for mask in t:
+        covered |= mask
+    if x is None:
+        if covered == (1 << system.n) - 1:
+            return None
+        x = (~covered & (covered + 1)).bit_length()
+    elif covered & (1 << (x - 1)):
+        raise PreconditionError(f"element {x} is already covered by tuple {i}")
+    bit = 1 << (x - 1)
+    replacements = tuple(
+        tuple(mask | bit if l == pos else mask for l, mask in enumerate(t))
+        for pos in range(len(t))
+    )
+    return None, x, replacements
+
+
+def _pair_step(system: SubspaceSystem, t: tuple, i: int, k: int | None = None):
+    """The first canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k) gives
+    (A + <x>, B) then (A, B + <x>); without k, the lowest deficient block."""
+    assert system.decomposition is not None
+    a, b = t
+    blocks = system.decomposition.blocks
+    for j in range(1, len(blocks) + 1) if k is None else (k,):
+        v_j = blocks[j - 1]
+        a_j, b_j = component(a, v_j), component(b, v_j)
+        if dim_of_sum([a_j, b_j]) < v_j.dim:
+            x = extension_vector(v_j, a_j + b_j)
+            x_span = canonicalize(system.n, system.field, (x,))
+            return j, x, ((a + x_span, b), (a, b + x_span))
+    if k is not None:
+        raise PreconditionError(f"pair {i} is already full in block {k}")
+    return None
+
+
+def _tuple_step(system: SubspaceSystem, t: tuple, i: int):
+    """The first canonical x outside the component sum joins each coordinate
+    in turn."""
+    if dim_of_sum(list(t)) == system.n:
+        return None
+    span = canonicalize(system.n, system.field, tuple(row for sub in t for row in sub.basis))
+    x = extension_vector(full_space(system.n, system.field), span)
+    x_span = canonicalize(system.n, system.field, (x,))
+    replacements = tuple(
+        tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
+        for pos in range(len(t))
+    )
+    return None, x, replacements
+
+
+def _duplicate(i: int, x: object) -> DuplicateTupleError:
+    return DuplicateTupleError(
+        f"fill-up of tuple {i} with {x} reproduces an existing tuple; "
+        "the input did not satisfy its condition"
+    )
+
+
+def _spliced(system: System, i: int, replacements: tuple) -> System:
+    return with_tuples(system, system.tuples[: i - 1] + replacements + system.tuples[i:])
 
 
 def fill_up_set_tuple(system: SetSystem, i: int, x: int) -> SetSystem:
@@ -154,26 +233,11 @@ def fill_up_set_tuple(system: SetSystem, i: int, x: int) -> SetSystem:
         raise IndexError(f"tuple index {i} outside [1, {system.m}]")
     if not 1 <= x <= system.n:
         raise ValueError(f"ground element {x} outside [1, {system.n}]")
-    old = system.tuples[i - 1]
-    bit = 1 << (x - 1)
-    covered = 0
-    for mask in old:
-        covered |= mask
-    if covered & bit:
-        raise PreconditionError(f"element {x} is already covered by tuple {i}")
-    replacements = tuple(
-        tuple(mask | bit if l == pos else mask for l, mask in enumerate(old))
-        for pos in range(system.d)
-    )
-    others = system.tuples[: i - 1] + system.tuples[i:]
-    for rep in replacements:
-        if rep in others:
-            raise DuplicateTupleError(
-                f"fill-up of tuple {i} with {x} reproduces an existing tuple; "
-                "the input did not satisfy its condition"
-            )
-    new_tuples = system.tuples[: i - 1] + replacements + system.tuples[i:]
-    return with_tuples(system, new_tuples)
+    _, _, replacements = _set_step(system, system.tuples[i - 1], i, x)
+    others = set(system.tuples[: i - 1] + system.tuples[i:])
+    if any(rep in others for rep in replacements):
+        raise _duplicate(i, x)
+    return _spliced(system, i, replacements)
 
 
 def fill_up_subspace_pair(system: SubspaceSystem, i: int, k: int) -> SubspaceSystem:
@@ -188,16 +252,8 @@ def fill_up_subspace_pair(system: SubspaceSystem, i: int, k: int) -> SubspaceSys
     blocks = system.decomposition.blocks
     if not 1 <= k <= len(blocks):
         raise IndexError(f"block index {k} outside [1, {len(blocks)}]")
-    a, b = system.tuples[i - 1]
-    v_k = blocks[k - 1]
-    filled = component(a, v_k) + component(b, v_k)
-    x = extension_vector(v_k, filled)
-    if x is None:
-        raise PreconditionError(f"pair {i} is already full in block {k}")
-    x_span = canonicalize(system.n, system.field, (x,))
-    replacements = ((a + x_span, b), (a, b + x_span))
-    new_tuples = system.tuples[: i - 1] + replacements + system.tuples[i:]
-    return with_tuples(system, new_tuples)
+    _, _, replacements = _pair_step(system, system.tuples[i - 1], i, k)
+    return _spliced(system, i, replacements)
 
 
 def fill_up_subspace_tuple(system: SubspaceSystem, i: int) -> SubspaceSystem:
@@ -207,21 +263,11 @@ def fill_up_subspace_tuple(system: SubspaceSystem, i: int) -> SubspaceSystem:
         raise ShapeError("tuple fill-up needs a subspace system")
     if not 1 <= i <= system.m:
         raise IndexError(f"tuple index {i} outside [1, {system.m}]")
-    old = system.tuples[i - 1]
-    ambient = full_space(system.n, system.field)
-    span = canonicalize(
-        system.n, system.field, tuple(row for sub in old for row in sub.basis)
-    )
-    x = extension_vector(ambient, span)
-    if x is None:
+    step = _tuple_step(system, system.tuples[i - 1], i)
+    if step is None:
         raise PreconditionError(f"tuple {i} already spans the whole space")
-    x_span = canonicalize(system.n, system.field, (x,))
-    replacements = tuple(
-        tuple(sub + x_span if l == pos else sub for l, sub in enumerate(old))
-        for pos in range(system.d)
-    )
-    new_tuples = system.tuples[: i - 1] + replacements + system.tuples[i:]
-    return with_tuples(system, new_tuples)
+    _, _, replacements = step
+    return _spliced(system, i, replacements)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +276,8 @@ def fill_up_subspace_tuple(system: SubspaceSystem, i: int) -> SubspaceSystem:
 
 def _verify_flavor_condition(system: System, flavor: str) -> None:
     if flavor == "set":
+        if not isinstance(system, SetSystem):
+            raise ShapeError("set saturation needs a set system")
         report = verify(system, "weak")
         if not report.verdict:
             raise PreconditionError(
@@ -271,6 +319,28 @@ def _functional_for(system: System, flavor: str, p: ProbabilityVector | None) ->
     return tuza(p if p is not None else ProbabilityVector.uniform(system.d))
 
 
+def _check_whole_system(
+    current: System,
+    flavor: str,
+    functional: FunctionalKind,
+    weight: Rational,
+    potential: int,
+    where: str,
+) -> None:
+    """Recompute ω and φ over the whole system and compare them with the
+    values the steps carried."""
+    whole = omega(current, functional)
+    if whole != weight:
+        raise BollobasError(
+            f"whole-system weight {whole} differs from the invariant {weight} {where}"
+        )
+    whole = phi(current, flavor)
+    if whole != potential:
+        raise BollobasError(
+            f"whole-system potential {whole} differs from the running {potential} {where}"
+        )
+
+
 def saturate(
     system: System,
     flavor: str | None = None,
@@ -283,9 +353,13 @@ def saturate(
     refused with ``BudgetError`` before the first step.
 
     Scan order is deterministic: lowest non-full tuple, then (pair flavor)
-    lowest deficient block, then the canonical extension vector.  The trace
-    records the invariant weight and the strictly increasing potential; with
-    ``debug`` the flavor's condition is re-verified after every step.
+    lowest deficient block, then the canonical extension vector.  A cursor
+    walks the tuple list: every tuple before it is full, and after a
+    replacement it stays on the first replacement.  Each step checks its own
+    d + 1 tuples only: the replacement terms sum to the replaced term, and
+    the potential gain is positive.  ω and φ of the whole system are
+    recomputed at both ends, and with ``debug`` after every step too, where
+    the flavor's condition is also re-verified.
     """
     if flavor is None:
         flavor = default_flavor(system)
@@ -299,76 +373,73 @@ def saturate(
         )
 
     bound = phi_upper_bound(system, flavor)
-    omegas = [omega(system, functional)]
-    phis = [phi(system, flavor)]
+    weight = omega(system, functional)
+    potential = phi(system, flavor)
+    omegas = [weight]
+    phis = [potential]
     steps: list[FillUpStep] = []
-    current = system
+    step_of = {"set": _set_step, "pair": _pair_step, "tuple": _tuple_step}[flavor]
+    terms: dict[tuple, Fraction] = {}  # the weight term of each profile met
 
-    while True:
-        i = first_non_full(current, flavor)
-        if i is None:
-            break
-        if flavor == "set":
-            covered = 0
-            for mask in current.tuples[i - 1]:
-                covered |= mask
-            x: object = next(
-                e for e in range(1, current.n + 1) if not covered & (1 << (e - 1))
-            )
-            new = fill_up_set_tuple(current, i, x)
-            block = None
-        elif flavor == "pair":
-            assert isinstance(current, SubspaceSystem)
-            assert current.decomposition is not None
-            block = None
-            for k, blk in enumerate(current.decomposition.blocks, start=1):
-                a, b = current.tuples[i - 1]
-                if dim_of_sum([component(a, blk), component(b, blk)]) != blk.dim:
-                    block = k
-                    break
-            assert block is not None
-            a, b = current.tuples[i - 1]
-            v_k = current.decomposition.blocks[block - 1]
-            x = extension_vector(v_k, component(a, v_k) + component(b, v_k))
-            new = fill_up_subspace_pair(current, i, block)
-        else:
-            assert isinstance(current, SubspaceSystem)
-            old = current.tuples[i - 1]
-            span = canonicalize(
-                current.n, current.field, tuple(row for sub in old for row in sub.basis)
-            )
-            x = extension_vector(full_space(current.n, current.field), span)
-            new = fill_up_subspace_tuple(current, i)
-            block = None
+    def weight_term(t: tuple) -> Fraction:
+        key = block_profile_of(system, t) if flavor == "pair" else sizes_of(t)
+        if key not in terms:
+            terms[key] = term(key, functional)
+        return terms[key]
 
-        # every flavor replaces one tuple with exactly d tuples at position i
-        replacements = new.tuples[i - 1 : i - 1 + new.d]
-        steps.append(FillUpStep(index=i, block=block, x=x, replacements=replacements))
+    tuples = list(system.tuples)
+    # a verified set system holds no duplicate tuple, so a set of them will do
+    present = set(tuples) if flavor == "set" else None
+    cursor = 0
+    while cursor < len(tuples):
+        old = tuples[cursor]
+        found = step_of(system, old, cursor + 1)
+        if found is None:
+            cursor += 1
+            continue
+        block, x, replacements = found
+        if present is not None:
+            if any(rep in present for rep in replacements):
+                raise _duplicate(cursor + 1, x)
+            present.discard(old)
+            present.update(replacements)
+        tuples[cursor : cursor + 1] = replacements
+        steps.append(FillUpStep(index=cursor + 1, block=block, x=x, replacements=replacements))
 
-        omegas.append(omega(new, functional))
-        phis.append(phi(new, flavor))
-        if omegas[-1] != omegas[-2]:
+        removed = weight_term(old)
+        added = sum((weight_term(rep) for rep in replacements), Fraction(0))
+        if added != removed:
             raise BollobasError(
                 f"weight invariance broken at step {len(steps)}: "
-                f"{omegas[-2]} -> {omegas[-1]}"
+                f"{weight} -> {weight - removed + added}"
             )
-        if phis[-1] <= phis[-2]:
+        gain = sum(tuple_potential(system, rep, flavor) for rep in replacements)
+        gain -= tuple_potential(system, old, flavor)
+        if gain <= 0:
             raise BollobasError(f"potential failed to increase at step {len(steps)}")
-        if phis[-1] > bound:
+        potential += gain
+        omegas.append(weight)
+        phis.append(potential)
+        if potential > bound:
             raise BollobasError(f"potential exceeded its bound {bound}")
         if len(steps) > bound:
             raise BollobasError(f"saturation exceeded {bound} steps")
         if debug:
-            _verify_flavor_condition(new, flavor)
-        current = new
+            current = with_tuples(system, tuples)
+            _check_whole_system(
+                current, flavor, functional, weight, potential, f"at step {len(steps)}"
+            )
+            _verify_flavor_condition(current, flavor)
 
+    final = with_tuples(system, tuples)
+    _check_whole_system(final, flavor, functional, weight, potential, "at the end")
     return SaturationTrace(
         flavor=flavor,
         functional=functional,
         steps=tuple(steps),
         omegas=tuple(omegas),
         phis=tuple(phis),
-        final=current,
+        final=final,
     )
 
 

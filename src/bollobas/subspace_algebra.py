@@ -134,6 +134,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once per value: the search keys
+        its clause table by subspaces, and each basis entry hashes at Python
+        level."""
+        return hash((self.n, self.field, self.basis))
+
     @cached_property
     def _int_basis(self) -> tuple:
         """``basis`` as int rows (see ``_int_rows``), built once per value:

@@ -175,17 +175,25 @@ def block_sizes(system: System) -> tuple[int, ...]:
 
 def tuple_sizes(system: System, i: int) -> tuple[int, ...]:
     """Sizes |A_i^(l)| (or dims) of tuple i, 1-based."""
-    t = _tuple_at(system, i)
-    if isinstance(system, SetSystem):
-        return tuple(mask_size(mask) for mask in t)
-    return tuple(sub.dim for sub in t)
+    return sizes_of(_tuple_at(system, i))
+
+
+def sizes_of(t: tuple) -> tuple[int, ...]:
+    """Sizes (or dims) of the components of one set or subspace tuple."""
+    return tuple(mask_size(x) if isinstance(x, int) else x.dim for x in t)
 
 
 def pair_block_profile(system: System, i: int) -> tuple[tuple[int, int], ...]:
     """Per-block profile ((a_{i,1}, b_{i,1}), ..., (a_{i,r}, b_{i,r})) of pair i."""
     if system.d != 2:
         raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
-    a, b = _tuple_at(system, i)
+    return block_profile_of(system, _tuple_at(system, i))
+
+
+def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]:
+    """Per-block profile of ``pair`` under the system's partition or
+    decomposition; the pair need not be one of the system's tuples."""
+    a, b = pair
     if isinstance(system, SetSystem):
         if system.partition is None:
             raise ShapeError("set system has no partition")

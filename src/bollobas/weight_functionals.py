@@ -41,6 +41,7 @@ from .systems_model import (
     has_context,
     is_decomposition_compatible,
     pair_block_profile,
+    sizes_of,
     tuple_sizes,
 )
 from .verifiers import ConditionKind, condition_for, is_monotone_pair_profile, verify
@@ -272,10 +273,10 @@ def evaluate_inequality(system: System, kind: str | FunctionalKind) -> Inequalit
 # potentials
 
 
-def _pair_deficits(system: SubspaceSystem, i: int) -> tuple[int, ...]:
-    """d_{i,k} = n_k - dim((A_i ∩ V_k) + (B_i ∩ V_k)) per block."""
+def _pair_deficits(system: SubspaceSystem, pair: tuple) -> tuple[int, ...]:
+    """d_k = n_k - dim((A ∩ V_k) + (B ∩ V_k)) per block."""
     assert system.decomposition is not None
-    a, b = system.tuples[i - 1]
+    a, b = pair
     out = []
     for blk in system.decomposition.blocks:
         filled = dim_of_sum([component(a, blk), component(b, blk)])
@@ -283,49 +284,54 @@ def _pair_deficits(system: SubspaceSystem, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def phi(system: System, flavor: str) -> int:
-    """The integer potential of the given saturation flavor.
-
-    * ``set``:   sum of all component sizes over all tuples;
-    * ``pair``:  sum_i prod_k 2^(n_k - d_{i,k}) over a decomposed pair system;
-    * ``tuple``: sum of all component dimensions over all tuples.
-    """
+def _check_potential_shape(system: System, flavor: str) -> None:
     if flavor == "set":
         if not isinstance(system, SetSystem):
             raise ShapeError("set potential needs a set system")
-        return sum(sum(tuple_sizes(system, i)) for i in range(1, system.m + 1))
-    if flavor == "pair":
+    elif flavor == "pair":
         if not isinstance(system, SubspaceSystem) or system.d != 2:
             raise ShapeError("pair potential needs a subspace pair system")
-        if system.decomposition is None:
-            raise ShapeError("pair potential needs a decomposition")
-        n_ks = system.decomposition.block_dims()
-        total = 0
-        for i in range(1, system.m + 1):
-            term = 1
-            for n_k, d_ik in zip(n_ks, _pair_deficits(system, i)):
-                term *= 2 ** (n_k - d_ik)
-            total += term
-        return total
-    if flavor == "tuple":
+    elif flavor == "tuple":
         if not isinstance(system, SubspaceSystem):
             raise ShapeError("tuple potential needs a subspace system")
-        return sum(sum(tuple_sizes(system, i)) for i in range(1, system.m + 1))
+    else:
+        raise ValueError(f"unknown potential flavor {flavor!r}; choose from {PHI_FLAVORS}")
+
+
+def phi(system: System, flavor: str) -> int:
+    """The integer potential of the given saturation flavor: the sum of
+    :func:`tuple_potential` over the tuples."""
+    _check_potential_shape(system, flavor)
+    if flavor == "pair" and system.decomposition is None:
+        raise ShapeError("pair potential needs a decomposition")
+    return sum(tuple_potential(system, t, flavor) for t in system.tuples)
+
+
+def tuple_potential(system: System, t: tuple, flavor: str) -> int:
+    """One tuple's share of :func:`phi`, in the system's context (the tuple
+    need not be one of its tuples; the system must fit the flavor, as
+    :func:`phi` checks).
+
+    * ``set``:   the sum of the component sizes;
+    * ``pair``:  prod_k 2^(n_k - d_k), d_k the pair's deficit in block V_k;
+    * ``tuple``: the sum of the component dimensions.
+    """
+    if flavor == "pair":
+        assert isinstance(system, SubspaceSystem) and system.decomposition is not None
+        value = 1
+        for n_k, d_k in zip(system.decomposition.block_dims(), _pair_deficits(system, t)):
+            value *= 2 ** (n_k - d_k)
+        return value
+    if flavor in ("set", "tuple"):
+        return sum(sizes_of(t))
     raise ValueError(f"unknown potential flavor {flavor!r}; choose from {PHI_FLAVORS}")
 
 
 def phi_upper_bound(system: System, flavor: str) -> int:
     """The termination bound for the flavor: n(d+1)^n, 4^n, or n d^n."""
+    _check_potential_shape(system, flavor)
     if flavor == "set":
-        if not isinstance(system, SetSystem):
-            raise ShapeError("set potential needs a set system")
         return system.n * (system.d + 1) ** system.n
     if flavor == "pair":
-        if not isinstance(system, SubspaceSystem) or system.d != 2:
-            raise ShapeError("pair potential needs a subspace pair system")
         return 4**system.n
-    if flavor == "tuple":
-        if not isinstance(system, SubspaceSystem):
-            raise ShapeError("tuple potential needs a subspace system")
-        return system.n * system.d**system.n
-    raise ValueError(f"unknown potential flavor {flavor!r}; choose from {PHI_FLAVORS}")
+    return system.n * system.d**system.n

@@ -4,8 +4,10 @@ Oracles here are deliberately independent of the package's code paths:
 rank comes from fraction-free (Bareiss) elimination on integers, GF(2)
 subspaces from closure enumeration, set-system clauses from plain Python
 sets over element lists, weights from a per-tuple loop that writes each
-functional's term out, and the search optimum from a recursive DFS that
-re-checks every clause and sums ``Fraction`` weights.
+functional's term out, the search optimum from a recursive DFS that
+re-checks every clause and sums ``Fraction`` weights, and saturation from
+whole-system passes that rescan, rebuild and re-weigh the system at every
+step.
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ from math import comb
 import pytest
 
 from bollobas import (
+    FillUpStep,
+    SaturationTrace,
+    canonicalize,
+    component,
+    dim_of_sum,
+    extension_vector,
+    fill_up_set_tuple,
+    fill_up_subspace_pair,
+    fill_up_subspace_tuple,
+    full_space,
+    phi,
+    phi_upper_bound,
     PreconditionError,
     ProbabilityVector,
     SearchProblem,
@@ -306,6 +320,70 @@ def reference_search(problem: SearchProblem) -> tuple:
         not state["exhausted"] and not stopped,
         tuple(candidates[i] for i in witness),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference saturation: whole-system passes at every step
+
+
+def reference_saturate(system, flavor: str, functional: FunctionalKind) -> SaturationTrace:
+    """``saturate`` as whole-system passes: each step rescans from tuple 1 for
+    the first non-full tuple, picks x (and the pair's block) itself, rebuilds
+    the system through the public ``fill_up_*`` function, and recomputes
+    omega and phi over every tuple.  The input must satisfy the flavor's
+    condition; the invariants are asserted."""
+
+    def full(t) -> bool:
+        if flavor == "set":
+            union = 0
+            for mask in t:
+                union |= mask
+            return union == (1 << system.n) - 1
+        if flavor == "pair":
+            a, b = t
+            return all(
+                dim_of_sum([component(a, blk), component(b, blk)]) == blk.dim
+                for blk in system.decomposition.blocks
+            )
+        return dim_of_sum(list(t)) == system.n
+
+    bound = phi_upper_bound(system, flavor)
+    omegas = [omega(system, functional)]
+    phis = [phi(system, flavor)]
+    steps = []
+    current = system
+    while True:
+        i = next((k for k, t in enumerate(current.tuples, start=1) if not full(t)), None)
+        if i is None:
+            break
+        t = current.tuples[i - 1]
+        block = None
+        if flavor == "set":
+            covered = 0
+            for mask in t:
+                covered |= mask
+            x = next(e for e in range(1, system.n + 1) if not covered & (1 << (e - 1)))
+            new = fill_up_set_tuple(current, i, x)
+        elif flavor == "pair":
+            a, b = t
+            block, v_k = next(
+                (k, blk)
+                for k, blk in enumerate(system.decomposition.blocks, start=1)
+                if dim_of_sum([component(a, blk), component(b, blk)]) != blk.dim
+            )
+            x = extension_vector(v_k, component(a, v_k) + component(b, v_k))
+            new = fill_up_subspace_pair(current, i, block)
+        else:
+            span = canonicalize(system.n, system.field, [row for sub in t for row in sub.basis])
+            x = extension_vector(full_space(system.n, system.field), span)
+            new = fill_up_subspace_tuple(current, i)
+        steps.append(FillUpStep(i, block, x, new.tuples[i - 1 : i - 1 + new.d]))
+        omegas.append(omega(new, functional))
+        phis.append(phi(new, flavor))
+        assert omegas[-1] == omegas[-2]
+        assert phis[-2] < phis[-1] <= bound and len(steps) <= bound
+        current = new
+    return SaturationTrace(flavor, functional, tuple(steps), tuple(omegas), tuple(phis), current)
 
 
 # ---------------------------------------------------------------------------

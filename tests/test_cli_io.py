@@ -1,10 +1,14 @@
 """Document round-trips, parse errors, and the command-line surface."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
     DocumentError,
@@ -330,6 +334,16 @@ class TestCli:
         rc, doc = run_cli(capsys, "search", "--objective", "max-m", "--n", "2", "--d", "2")
         assert rc == 2 and doc["status"] == "usage" and "clause table" in doc["error"]
 
+    def test_search_over_gf5_pairs_is_refused_while_listing(self, capsys):
+        # 810 969 candidates; the guard is passed at the 29 960th
+        start = time.perf_counter()
+        rc, doc = run_cli(
+            capsys, "search", "--objective", "max-m", "--kind", "subspace",
+            "--field", "gf(5)", "--n", "4", "--d", "2",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2 and doc["status"] == "usage" and "clause table" in doc["error"]
+
     def test_bollobas_search_needs_pairs(self, capsys):
         rc, doc = run_cli(
             capsys, "search", "--objective", "max-m", "--n", "2", "--d", "1",
@@ -372,3 +386,78 @@ class TestCli:
         assert rc == 0
         assert doc["value"] == "5"
         assert "." not in doc["value"] and "." not in doc["bound"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents through saturate and certify
+
+
+@st.composite
+def set_documents(draw):
+    """Set documents with n <= 6 and d <= 3: elements mostly in [n], some
+    outside it, tuples of any arity, and a partition that is a labelling of
+    [n] or arbitrary blocks."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 3))
+    element = st.one_of(st.integers(1, max(n, 1)), st.integers(-1, n + 1))
+    subset = st.lists(element, max_size=n + 1)
+    arity = st.one_of(st.just(d), st.integers(0, 4))
+    tuples = draw(
+        st.lists(arity.flatmap(lambda a: st.lists(subset, min_size=a, max_size=a)), max_size=3)
+    )
+    doc = {"kind": "set", "n": n, "d": d, "tuples": tuples}
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            doc["partition"] = [
+                [p + 1 for p in range(n) if labels[p] == k] for k in sorted(set(labels))
+            ]
+        else:
+            doc["partition"] = draw(st.lists(subset, max_size=3))
+    return doc
+
+
+@st.composite
+def pair_documents(draw):
+    """Rational pair documents with n <= 3, any rows, and a coordinate or an
+    arbitrary decomposition."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]), min_size=n, max_size=n)
+    subspace = st.lists(row, max_size=n)
+    tuples = draw(st.lists(st.lists(subspace, min_size=2, max_size=2), max_size=3))
+    doc = {"kind": "subspace", "n": n, "d": 2, "field": "rational", "tuples": tuples}
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            cut = draw(st.integers(1, n))
+            unit = [["1" if c == p else "0" for c in range(n)] for p in range(n)]
+            doc["decomposition"] = [unit[:cut]] + ([unit[cut:]] if cut < n else [])
+        else:
+            doc["decomposition"] = draw(st.lists(subspace, min_size=1, max_size=3))
+    return doc
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.one_of(set_documents(), pair_documents()), data=st.data())
+    def test_saturate_and_certify_end_in_a_json_report(self, tmp_path_factory, doc, data):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        flavor = data.draw(st.sampled_from(["set", "pair", "tuple"]))
+        argv = ["saturate", "--flavor", flavor, "--in", str(path)]
+        # --debug re-verifies the whole system at every step, O(steps * m^2)
+        if doc["n"] <= 3 and data.draw(st.booleans()):
+            argv.append("--debug")
+        certify = ["certify", "--in", str(path)]
+        for command in (argv, certify, certify + ["--flavor", flavor]):
+            rc, out, err = run_quietly(command)
+            assert rc in (0, 1, 2)
+            report = json.loads(out)
+            assert isinstance(report, dict) and report.get("status") != "internal"
+            assert err == ""

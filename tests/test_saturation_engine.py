@@ -7,19 +7,25 @@ total size s+1 adds (d-1)*s + d for the set and tuple flavors, and exactly
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
+    BollobasError,
     BudgetError,
     DuplicateTupleError,
     PreconditionError,
+    PrimeField,
     ProbabilityVector,
     QQ,
     SetSystem,
     ShapeError,
     SubspaceSystem,
+    canonicalize,
     certify_full_system,
     complement_chain,
     coordinate_decomposition,
@@ -41,6 +47,9 @@ from bollobas import (
 from bollobas import saturation_engine
 from bollobas.saturation_engine import default_flavor, first_non_full, is_full_tuple
 from bollobas.systems_model import tuple_sizes
+from bollobas.weight_functionals import FunctionalKind
+
+from conftest import reference_saturate
 
 
 def pair_deficit_product(system: SubspaceSystem, i: int) -> int:
@@ -312,6 +321,14 @@ class TestSaturate:
         with pytest.raises(PreconditionError):
             saturate(s, "tuple")
 
+    def test_set_flavor_needs_a_set_system(self):
+        # a subspace system once reached the set flavor's element loop
+        s = SubspaceSystem(1, QQ, 2, ((zero_subspace(1, QQ),) * 2,))
+        with pytest.raises(ShapeError, match="set saturation needs a set system"):
+            saturate(s, "set")
+        with pytest.raises(ShapeError, match="set saturation needs a set system"):
+            certify_full_system(s, "set")
+
     def test_pair_flavor_needs_decomposition(self):
         s = SubspaceSystem(2, QQ, 2, ())
         with pytest.raises(ShapeError):
@@ -381,3 +398,118 @@ class TestCertifyFullSystem:
             cert = certify_full_system(trace.final, "set", p=p)
             assert cert.holds
             assert omega(trace.final, tuza(p.entries)) == omega(s, tuza(p.entries))
+
+
+@st.composite
+def saturation_inputs(draw, pair_corpus, max_n=5):
+    """(system, flavor, p): a weak set system (n <= max_n, d in {2, 3}), a
+    compatible pair system of the corpus, or a skew tuple system over QQ,
+    GF(2) or GF(3) (n <= 4, d in {2, 3}); p is a random probability vector,
+    None for pairs."""
+    flavor = draw(st.sampled_from(["set", "pair", "tuple"]))
+    if flavor == "pair":
+        return draw(st.sampled_from(pair_corpus)), "pair", None
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.sampled_from(range(1, 5 if flavor == "set" else 4)))
+    seed = draw(st.integers(0, 9999))
+    # the system is drawn on the first k coordinates of [n] (or F^n), so the
+    # last n - k are missing from every tuple and the runs grow longer
+    n = draw(st.sampled_from(range(1, (max_n if flavor == "set" else min(max_n, 4)) + 1)))
+    k = draw(st.sampled_from(range(1, n + 1)))
+    if flavor == "set":
+        drawn = random_valid_system("set", k, d, "weak", m, seed=seed)
+        system = SetSystem(n, d, drawn.tuples)
+    else:
+        field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+        drawn = random_valid_system("subspace", k, d, "skew", m, seed=seed, field=field)
+        pad = (field.zero(),) * (n - k)
+        system = SubspaceSystem(
+            n,
+            field,
+            d,
+            tuple(
+                tuple(canonicalize(n, field, [row + pad for row in sub.basis]) for sub in t)
+                for t in drawn.tuples
+            ),
+        )
+    shares = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    return system, flavor, ProbabilityVector(tuple(Fraction(x, sum(shares)) for x in shares))
+
+
+class TestIncrementalEngine:
+    """The engine's local checks and cursor against the whole-system loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_trace_equals_the_whole_system_reference(self, compatible_pair_corpus, data):
+        system, flavor, p = data.draw(saturation_inputs(compatible_pair_corpus))
+        functional = FunctionalKind("partitioned_yue_sum") if flavor == "pair" else tuza(p)
+        assert saturate(system, flavor, p=p) == reference_saturate(system, flavor, functional)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_debug_gives_the_same_trace(self, compatible_pair_corpus, data):
+        # debug re-verifies the whole system at every step, O(steps * m^2)
+        system, flavor, p = data.draw(saturation_inputs(compatible_pair_corpus[:20], max_n=3))
+        assert saturate(system, flavor, p=p, debug=True) == saturate(system, flavor, p=p)
+
+    def test_one_empty_triple_at_n7(self):
+        start = time.perf_counter()
+        trace = saturate(SetSystem.from_sets(7, [((), (), ())], d=3), "set")
+        elapsed = time.perf_counter() - start
+        assert (len(trace.steps), trace.final.m) == (1093, 2187)
+        assert trace.phis[-1] == 2187 * 7
+        # whole-system passes took 5.8 s on a 2-core host, local steps 0.053 s
+        assert elapsed < 3.0
+
+
+class TestLocalChecksFire:
+    """A replacement helper that breaks an invariant is caught by the step's
+    own checks, with the messages of the whole-system checks."""
+
+    def test_wrong_weight(self, monkeypatch):
+        # (1, 0) and (1, 1) weigh 1/2 + 1/4 at p = (1/2, 1/2), not 1
+        monkeypatch.setattr(
+            saturation_engine,
+            "_set_step",
+            lambda system, t, i, x=None: (None, 2, ((0b01, 0b00), (0b01, 0b10))),
+        )
+        with pytest.raises(BollobasError, match=r"^weight invariance broken at step 1: 1 -> 3/4$"):
+            saturate(SetSystem.from_sets(2, [((), ())]), "set")
+
+    def test_wrong_pair_weight(self, monkeypatch):
+        s = SubspaceSystem(
+            2, QQ, 2,
+            ((coordinate_subspace(2, QQ, [1]), zero_subspace(2, QQ)),),
+            coordinate_decomposition(2, QQ, [[1, 2]]),
+        )
+        honest = saturation_engine._pair_step
+
+        def doubled(system, t, i, k=None):
+            block, x, replacements = honest(system, t, i, k)
+            return block, x, (replacements[0], replacements[0])
+
+        monkeypatch.setattr(saturation_engine, "_pair_step", doubled)
+        with pytest.raises(BollobasError, match=r"^weight invariance broken at step 1: 1/2 -> 2/3$"):
+            saturate(s, "pair")
+
+    def test_potential_that_does_not_increase(self, monkeypatch):
+        # ({2}, {}) weighs what ({1}, {}) weighs, and has the same potential
+        monkeypatch.setattr(
+            saturation_engine, "_set_step", lambda system, t, i, x=None: (None, 2, ((0b10, 0),))
+        )
+        with pytest.raises(BollobasError, match=r"^potential failed to increase at step 1$"):
+            saturate(SetSystem.from_sets(2, [({1}, ())]), "set")
+
+    @pytest.mark.parametrize("debug, where", [(False, "at the end"), (True, "at step 1")])
+    def test_whole_system_check(self, monkeypatch, debug, where):
+        honest = saturation_engine.tuple_potential
+        monkeypatch.setattr(
+            saturation_engine,
+            "tuple_potential",
+            lambda system, t, flavor: 2 * honest(system, t, flavor),
+        )
+        with pytest.raises(
+            BollobasError, match=f"^whole-system potential 4 differs from the running 7 {where}$"
+        ):
+            saturate(SetSystem.from_sets(2, [({1}, ())]), "set", debug=debug)
