@@ -48,6 +48,14 @@ FUNCTIONAL_ARGS = (
 )
 
 
+def _one_entry(entry: str, field: str = "rational") -> dict:
+    """A one-pair subspace document whose first row holds ``entry``."""
+    return {
+        "kind": "subspace", "n": 2, "d": 2, "field": field,
+        "tuples": [[[[entry, "1"]], [["0", "1"]]]],
+    }
+
+
 @cache
 def _inputs() -> dict[str, object]:
     blocks = [[1, 2], [3, 4]]
@@ -76,6 +84,26 @@ def _inputs() -> dict[str, object]:
         "empty_subspace_pair": embed(SetSystem.from_sets(2, [((), ())])),
         "overlap": {"kind": "set", "n": 3, "d": 2, "tuples": [], "partition": [[1], [2], [2, 3]]},
         "noncover": {"kind": "set", "n": 3, "d": 2, "tuples": [], "partition": [[1], [3]]},
+        # rows off canonical form: negative and out-of-range residues,
+        # non-unit pivots, dependent rows
+        "gf3_rows": {
+            "kind": "subspace", "n": 3, "d": 2, "field": "gf(3)",
+            "tuples": [
+                [[["2", "-1", "7 mod 3"]], [["0", "3", "-1"]]],
+                [[], [["-1", "-1", "-2"], ["4", "0", "0"], ["-2", "-2", "-4"]]],
+            ],
+        },
+        # fractional and non-primitive rows, negative pivots, dependent rows
+        "qq_rows": {
+            "kind": "subspace", "n": 3, "d": 2, "field": "rational",
+            "tuples": [
+                [[["-1/2", "1/3", "0"]], [["0", "-4", "6"], ["0", "-2", "3"]]],
+                [[], [["-3/2", "1", "0"], ["-6", "0", "-9/3"]]],
+            ],
+        },
+        "bad_scalar_word": _one_entry("x"),
+        "bad_scalar_zero_den": _one_entry("1/0"),
+        "bad_scalar_modulus": _one_entry("2 mod 7", "gf(5)"),
     }
     return {
         name: doc if isinstance(doc, dict) else system_to_doc(doc)
@@ -119,7 +147,15 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "search", "--objective", "max-weight", "--n", "3", "--d", "2",
             "--condition", "weak", "--functional", "tuza", "--p", "1/2,1/2",
         ),
+        "random_subspace_gf3": (
+            "random", "--kind", "subspace", "--field", "gf(3)",
+            "--seed", "3", "--m", "4", "--n", "3", "--d", "2",
+        ),
+        "saturate_tuple_gf3_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@gf3_rows"),
+        "saturate_tuple_qq_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@qq_rows"),
     }
+    for doc in ("bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus"):
+        cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("pchain", "pchain_embedded"):
         for args in FUNCTIONAL_ARGS:
             cases[f"weight_{args[0]}_{doc}"] = ("weight", "--functional", *args, "--in", f"@{doc}")
