@@ -17,13 +17,11 @@ from .exact_arith import (
     QQ,
     FieldTag,
     PrimeField,
-    PrimeFieldScalar,
     ProbabilityVector,
     Rational,
     RationalField,
     binomial,
     multinomial,
-    rational_power,
 )
 from .subspace_algebra import (
     Decomposition,
@@ -38,7 +36,6 @@ from .subspace_algebra import (
     full_space,
     intersection,
     is_direct_sum,
-    subspace_sum,
     zero_subspace,
 )
 from .systems_model import (

@@ -225,7 +225,7 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str) -> Subsp
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"row must have {n} entries", f"{where}[{r}]")
         try:
-            parsed.append(tuple(field.scalar_from_str(str(x)) for x in row))
+            parsed.append(field.parse_row([str(x) for x in row]))
         except ValueError as exc:
             raise DocumentError(str(exc), f"{where}[{r}]") from exc
     # non-RREF input is legal; canonicalization restores the invariant
@@ -294,7 +294,7 @@ def report_trace(trace: SaturationTrace, include_steps: bool) -> dict:
             {
                 "index": s.index,
                 "block": s.block,
-                "x": _x_to_doc(s.x),
+                "x": _x_to_doc(s.x, trace.final),
                 "omega": rational_to_str(om),
                 "phi": ph,
             }
@@ -303,10 +303,12 @@ def report_trace(trace: SaturationTrace, include_steps: bool) -> dict:
     return doc
 
 
-def _x_to_doc(x) -> Any:
+def _x_to_doc(x, system: System) -> Any:
+    """A set step's ground element as it is; a subspace step's vector as
+    scalar strings of the system's field."""
     if isinstance(x, int):
         return x
-    return [rational_to_str(v) if isinstance(v, Fraction) else str(v) for v in x]
+    return [system.field.scalar_to_str(v) for v in x]
 
 
 def report_search(result: SearchResult) -> dict:

@@ -5,18 +5,21 @@ rational, or a prime-field residue.  There is no tolerance anywhere: equality
 of weights, bounds, and certificates is decidable equality of these values.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator), re-exported as :data:`Rational`.  Prime fields get a small
-scalar class of their own.  A field is named by a tag value --
-:class:`RationalField` or :class:`PrimeField` -- that also knows how to build
-its scalars.
+denominator), re-exported as :data:`Rational`; prime-field elements are plain
+``int`` residues in [0, p).  A field is named by a tag value --
+:class:`RationalField` or :class:`PrimeField` -- that parses document entries
+("num/den" or "r mod p") straight into ``int`` rows and formats scalars back;
+it builds no scalar objects of its own.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -54,37 +57,88 @@ def multinomial(parts: Iterable[int]) -> int:
     return out
 
 
-def rational_power(base: Rational, exp: int) -> Rational:
-    """base ** exp for exp >= 0.  exp == 0 returns 1 even for base 0.
-
-    The empty-product convention makes a dimension-0 factor contribute 1 to a
-    product weight.
-    """
-    if exp < 0:
-        raise ValueError(f"rational_power needs exp >= 0, got {exp}")
-    if exp == 0:
-        return Fraction(1)
-    return Fraction(base) ** exp
-
-
 # ---------------------------------------------------------------------------
 # scalar serialization: rationals as "num/den" (den omitted when 1),
 # prime-field scalars as "r mod p"
 
 
 def rational_to_str(q: Rational) -> str:
-    q = Fraction(q)
+    """``num/den``, or ``num`` alone when the denominator is 1; ints pass too."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_str(s: str) -> Rational:
+# The literals ``Fraction`` accepts: an integer, ``num/den``, or a decimal with
+# an optional exponent, e.g. "-3/4", "1.5", "47e-2".
+_RATIONAL = re.compile(
+    r"""\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<den>\d+(_\d+)*))?
+      |(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""",
+    re.VERBOSE | re.IGNORECASE,
+)
+
+
+def rational_parts(s: str) -> tuple[int, int]:
+    """A rational literal as (numerator, denominator), denominator positive,
+    not necessarily in lowest terms.
+
+    An exponent whose power of ten would have more digits than the
+    interpreter's int-string limit (``sys.get_int_max_str_digits``) is
+    refused before the power is built, as a plain literal that long already
+    is; otherwise a few bytes such as "1e100000000" would ask for a bignum
+    of a hundred million digits.
+    """
+    match = _RATIONAL.match(s)
+    if match is None:
+        raise ValueError(f"not a rational: {s!r}")
     try:
-        q = Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        if match["den"]:
+            num, den = int(match["num"]), int(match["den"])
+            if den == 0:
+                raise ValueError("zero denominator")
+        else:
+            decimal = (match["decimal"] or "").replace("_", "")
+            digits = match["num"].replace("_", "") + decimal
+            num, den = int(digits or "0"), 10 ** len(decimal)
+            exp = int(match["exp"] or "0")
+            if num and exp:
+                # digits of num * 10^exp, or of den * 10^-exp
+                size = len(digits.lstrip("0")) + exp if exp > 0 else len(decimal) - exp + 1
+                limit = sys.get_int_max_str_digits()
+                if limit and size > limit:
+                    raise ValueError(f"more than {limit} digits")
+                if exp > 0:
+                    num *= 10**exp
+                else:
+                    den *= 10**-exp
+    except ValueError as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
-    return q
+    return (-num if match["sign"] == "-" else num), den
+
+
+def rational_from_str(s: str) -> Rational:
+    return Fraction(*rational_parts(s))
+
+
+def residue_from_str(s: str, p: int) -> int:
+    """Parse "r mod p" or a bare integer string against a known modulus; the
+    residue r mod p."""
+    text = s.strip()
+    if "mod" in text:
+        left, _, right = text.partition("mod")
+        try:
+            r, mod = int(left), int(right)
+        except ValueError as exc:
+            raise ValueError(f"not a prime-field scalar: {s!r}") from exc
+        if mod != p:
+            raise ValueError(f"scalar {s!r} does not match field GF({p})")
+        return r % p
+    try:
+        return int(text) % p
+    except ValueError as exc:
+        raise ValueError(f"not a prime-field scalar: {s!r}") from exc
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly for
@@ -119,92 +173,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeFieldScalar:
-    """An element of GF(p): a residue in [0, p) with mod-p arithmetic."""
-
-    residue: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.p}")
-        object.__setattr__(self, "residue", self.residue % self.p)
-
-    def _coerce(self, other) -> "PrimeFieldScalar":
-        if isinstance(other, PrimeFieldScalar):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldScalar(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldScalar(self.residue + other.residue, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldScalar(self.residue - other.residue, self.p)
-
-    def __neg__(self):
-        return PrimeFieldScalar(-self.residue, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldScalar(self.residue * other.residue, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PrimeFieldScalar":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        # p is prime, so Fermat's little theorem applies
-        return PrimeFieldScalar(pow(self.residue, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __str__(self) -> str:
-        return f"{self.residue} mod {self.p}"
-
-
-def prime_scalar_from_str(s: str, p: int) -> PrimeFieldScalar:
-    """Parse "r mod p" or a bare integer string against a known modulus."""
-    text = s.strip()
-    if "mod" in text:
-        left, _, right = text.partition("mod")
-        try:
-            r, mod = int(left), int(right)
-        except ValueError as exc:
-            raise ValueError(f"not a prime-field scalar: {s!r}") from exc
-        if mod != p:
-            raise ValueError(f"scalar {s!r} does not match field GF({p})")
-        return PrimeFieldScalar(r, p)
-    try:
-        return PrimeFieldScalar(int(text), p)
-    except ValueError as exc:
-        raise ValueError(f"not a prime-field scalar: {s!r}") from exc
-
-
-Scalar = Union[Fraction, PrimeFieldScalar]
-
-
 # ---------------------------------------------------------------------------
 # field tags
 
@@ -213,19 +181,14 @@ Scalar = Union[Fraction, PrimeFieldScalar]
 class RationalField:
     """Tag for exact rational arithmetic."""
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def parse_row(self, texts: Sequence[str]) -> list[int]:
+        """Rational entries as one int row spanning the same line: each entry
+        times the lcm of the denominators."""
+        parts = [rational_parts(text) for text in texts]
+        den = math.lcm(*[d for _, d in parts])
+        return [num * (den // d) for num, d in parts]
 
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
-    def scalar_from_str(self, s: str) -> Fraction:
-        return rational_from_str(s)
-
-    def scalar_to_str(self, x: Scalar) -> str:
+    def scalar_to_str(self, x: Rational) -> str:
         return rational_to_str(x)
 
     def __str__(self) -> str:
@@ -234,7 +197,7 @@ class RationalField:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Tag for GF(p), p prime."""
+    """Tag for GF(p), p prime; its scalars are int residues in [0, p)."""
 
     p: int
 
@@ -242,20 +205,11 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def zero(self) -> PrimeFieldScalar:
-        return PrimeFieldScalar(0, self.p)
+    def parse_row(self, texts: Sequence[str]) -> list[int]:
+        return [residue_from_str(text, self.p) for text in texts]
 
-    def one(self) -> PrimeFieldScalar:
-        return PrimeFieldScalar(1, self.p)
-
-    def from_int(self, k: int) -> PrimeFieldScalar:
-        return PrimeFieldScalar(k, self.p)
-
-    def scalar_from_str(self, s: str) -> PrimeFieldScalar:
-        return prime_scalar_from_str(s, self.p)
-
-    def scalar_to_str(self, x: Scalar) -> str:
-        return str(x)
+    def scalar_to_str(self, x: int) -> str:
+        return f"{x} mod {self.p}"
 
     def __str__(self) -> str:
         return f"gf({self.p})"

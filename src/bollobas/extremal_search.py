@@ -41,6 +41,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .constructions import DEFAULT_TUPLE_BUDGET
 from .errors import BudgetError, PreconditionError, ShapeError
 from .exact_arith import (
     QQ,
@@ -167,8 +168,6 @@ def all_subspaces(n: int, field: PrimeField, guard: int = DEFAULT_GF_GUARD) -> t
         raise BudgetError(
             f"GF({field.p})^{n} has {size} subspaces, above the lattice guard {GF_LATTICE_GUARD}"
         )
-    residues = [field.from_int(v) for v in range(field.p)]
-    zero, one = field.zero(), field.one()
     out: list[Subspace] = []
     for k in range(n + 1):
         for pivots in combinations(range(n), k):
@@ -179,10 +178,10 @@ def all_subspaces(n: int, field: PrimeField, guard: int = DEFAULT_GF_GUARD) -> t
                 for c in range(pivots[i] + 1, n)
                 if c not in pivot_set
             ]
-            for values in product(residues, repeat=len(free_positions)):
-                rows = [[zero] * n for _ in range(k)]
+            for values in product(range(field.p), repeat=len(free_positions)):
+                rows = [[0] * n for _ in range(k)]
                 for i, c in enumerate(pivots):
-                    rows[i][c] = one
+                    rows[i][c] = 1
                 for (i, c), v in zip(free_positions, values):
                     rows[i][c] = v
                 out.append(Subspace(n, field, tuple(tuple(r) for r in rows)))
@@ -442,13 +441,20 @@ def _random_set_tuple(rng: random.Random, n: int, d: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
+def _check_target(target_m: int) -> None:
+    """Refuse a target above the tuple budget: each attempt scans every
+    tuple chosen so far, and a small ground admits few tuples anyway."""
+    if target_m > DEFAULT_TUPLE_BUDGET:
+        raise BudgetError(f"target m={target_m} is above the tuple budget {DEFAULT_TUPLE_BUDGET}")
+
+
 def _random_subspace(rng: random.Random, n: int, field: FieldTag) -> Subspace:
     rows = []
     for _ in range(rng.randrange(n + 1)):
         if isinstance(field, PrimeField):
-            rows.append(tuple(field.from_int(rng.randrange(field.p)) for _ in range(n)))
+            rows.append([rng.randrange(field.p) for _ in range(n)])
         else:
-            rows.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
+            rows.append([rng.randint(-2, 2) for _ in range(n)])
     return canonicalize(n, field, rows)
 
 
@@ -467,8 +473,10 @@ def random_valid_system(
     whose ordered clauses hold against every existing tuple.
 
     Deterministic for a fixed seed; may return fewer than ``target_m`` tuples.
-    The result verifies its condition by construction.
+    The result verifies its condition by construction.  A ``target_m`` above
+    ``DEFAULT_TUPLE_BUDGET`` is refused with ``BudgetError``.
     """
+    _check_target(target_m)
     rng = random.Random(seed)
     attempts = max_attempts if max_attempts is not None else 60 * max(target_m, 1)
     chosen: list[tuple] = []
@@ -515,6 +523,7 @@ def random_compatible_pair_system(
     components, so compatibility and clause (i) hold by construction;
     skewness is enforced by the same append rule as the other generators.
     """
+    _check_target(target_m)
     rng = random.Random(seed)
     decomp = coordinate_decomposition(n, QQ, blocks)
     attempts = max_attempts if max_attempts is not None else 80 * max(target_m, 1)
@@ -562,10 +571,10 @@ def _random_block_subspace(rng: random.Random, n: int, coords: Sequence[int]) ->
     """A random subspace supported on the given 1-based coordinates."""
     rows = []
     for _ in range(rng.randrange(len(coords) + 1)):
-        row = [Fraction(0)] * n
+        row = [0] * n
         for c in coords:
-            row[c - 1] = Fraction(rng.randint(-2, 2))
-        rows.append(tuple(row))
+            row[c - 1] = rng.randint(-2, 2)
+        rows.append(row)
     return canonicalize(n, QQ, rows)
 
 

@@ -66,14 +66,15 @@ from .systems_model import (
     System,
     block_profile_of,
     is_decomposition_compatible,
+    pair_block_dims,
     sizes_of,
-    tuple_sizes,
     with_tuples,
 )
 from .verifiers import Certificate, ClassCount, verify
 from .weight_functionals import (
     FunctionalKind,
     omega,
+    pair_potential,
     phi,
     phi_upper_bound,
     term,
@@ -120,9 +121,10 @@ def default_flavor(system: System) -> str:
 # fullness
 
 
-def _deficit(system: System, i: int, flavor: str) -> int:
+def _deficit(system: System, i: int, flavor: str, dims: tuple | None = None) -> int:
     """What tuple i still misses: ground elements (set), dimensions of V
-    (tuple), or block dimensions summed over the blocks (pair)."""
+    (tuple), or block dimensions summed over the blocks (pair, read from the
+    pair's ``pair_block_dims`` when the caller has them)."""
     t = system.tuples[i - 1]
     if flavor == "set":
         union = 0
@@ -130,12 +132,9 @@ def _deficit(system: System, i: int, flavor: str) -> int:
             union |= mask
         return system.n - union.bit_count()
     if flavor == "pair":
-        assert isinstance(system, SubspaceSystem) and system.decomposition is not None
-        a, b = t
-        return sum(
-            blk.dim - dim_of_sum([component(a, blk), component(b, blk)])
-            for blk in system.decomposition.blocks
-        )
+        if dims is None:
+            dims = pair_block_dims(system, t)
+        return system.n - sum(s_k for _, _, s_k in dims)
     if flavor == "tuple":
         return system.n - dim_of_sum(list(t))
     raise ValueError(f"unknown flavor {flavor!r}")
@@ -180,22 +179,31 @@ def _set_step(system: SetSystem, t: tuple, i: int, x: int | None = None):
     return None, x, replacements
 
 
+def _deficient_block(system: SubspaceSystem, dims: tuple) -> int | None:
+    """The lowest block k (1-based) where a pair with these
+    ``pair_block_dims`` is deficient; None when the pair is full."""
+    assert system.decomposition is not None
+    for k, (blk, (_, _, s_k)) in enumerate(zip(system.decomposition.blocks, dims), start=1):
+        if s_k < blk.dim:
+            return k
+    return None
+
+
 def _pair_step(system: SubspaceSystem, t: tuple, i: int, k: int | None = None):
     """The first canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k) gives
     (A + <x>, B) then (A, B + <x>); without k, the lowest deficient block."""
     assert system.decomposition is not None
     a, b = t
-    blocks = system.decomposition.blocks
-    for j in range(1, len(blocks) + 1) if k is None else (k,):
-        v_j = blocks[j - 1]
-        a_j, b_j = component(a, v_j), component(b, v_j)
-        if dim_of_sum([a_j, b_j]) < v_j.dim:
-            x = extension_vector(v_j, a_j + b_j)
-            x_span = canonicalize(system.n, system.field, (x,))
-            return j, x, ((a + x_span, b), (a, b + x_span))
-    if k is not None:
+    if k is None:
+        k = _deficient_block(system, pair_block_dims(system, t))
+        if k is None:
+            return None
+    v_k = system.decomposition.blocks[k - 1]
+    filled = component(a, v_k) + component(b, v_k)
+    if filled.dim == v_k.dim:
         raise PreconditionError(f"pair {i} is already full in block {k}")
-    return None
+    x_span = canonicalize(system.n, system.field, (extension_vector(v_k, filled),))
+    return k, x_span.basis[0], ((a + x_span, b), (a, b + x_span))
 
 
 def _tuple_step(system: SubspaceSystem, t: tuple, i: int):
@@ -203,14 +211,15 @@ def _tuple_step(system: SubspaceSystem, t: tuple, i: int):
     in turn."""
     if dim_of_sum(list(t)) == system.n:
         return None
-    span = canonicalize(system.n, system.field, tuple(row for sub in t for row in sub.basis))
-    x = extension_vector(full_space(system.n, system.field), span)
-    x_span = canonicalize(system.n, system.field, (x,))
+    span = canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
+    x_span = canonicalize(
+        system.n, system.field, (extension_vector(full_space(system.n, system.field), span),)
+    )
     replacements = tuple(
         tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
         for pos in range(len(t))
     )
-    return None, x, replacements
+    return None, x_span.basis[0], replacements
 
 
 def _duplicate(i: int, x: object) -> DuplicateTupleError:
@@ -365,8 +374,30 @@ def saturate(
         flavor = default_flavor(system)
     _verify_flavor_condition(system, flavor)
     functional = _functional_for(system, flavor, p)
+    block_dims: dict[tuple, tuple] = {}
+
+    def dims_of(t: tuple) -> tuple | None:
+        """A pair's ``pair_block_dims``, computed once per run: they give its
+        step, weight profile and potential.  None for the other flavors."""
+        if flavor != "pair":
+            return None
+        if t not in block_dims:
+            block_dims[t] = pair_block_dims(system, t)
+        return block_dims[t]
+
+    def profile_of(t: tuple) -> tuple:
+        dims = dims_of(t)
+        return sizes_of(t) if dims is None else tuple(d[:2] for d in dims)
+
+    def potential_of(t: tuple) -> int:
+        dims = dims_of(t)
+        return tuple_potential(system, t, flavor) if dims is None else pair_potential(dims)
+
     # a tuple missing u elements or dimensions saturates into d^u full tuples
-    final_m = sum(system.d ** _deficit(system, i, flavor) for i in range(1, system.m + 1))
+    final_m = sum(
+        system.d ** _deficit(system, i, flavor, dims_of(t))
+        for i, t in enumerate(system.tuples, start=1)
+    )
     if final_m > DEFAULT_TUPLE_BUDGET:
         raise BudgetError(
             f"saturation would end with {final_m} tuples, budget is {DEFAULT_TUPLE_BUDGET}"
@@ -378,11 +409,10 @@ def saturate(
     omegas = [weight]
     phis = [potential]
     steps: list[FillUpStep] = []
-    step_of = {"set": _set_step, "pair": _pair_step, "tuple": _tuple_step}[flavor]
     terms: dict[tuple, Fraction] = {}  # the weight term of each profile met
 
     def weight_term(t: tuple) -> Fraction:
-        key = block_profile_of(system, t) if flavor == "pair" else sizes_of(t)
+        key = profile_of(t)
         if key not in terms:
             terms[key] = term(key, functional)
         return terms[key]
@@ -393,7 +423,11 @@ def saturate(
     cursor = 0
     while cursor < len(tuples):
         old = tuples[cursor]
-        found = step_of(system, old, cursor + 1)
+        if flavor == "pair":
+            k = _deficient_block(system, dims_of(old))
+            found = None if k is None else _pair_step(system, old, cursor + 1, k)
+        else:
+            found = (_set_step if flavor == "set" else _tuple_step)(system, old, cursor + 1)
         if found is None:
             cursor += 1
             continue
@@ -413,8 +447,7 @@ def saturate(
                 f"weight invariance broken at step {len(steps)}: "
                 f"{weight} -> {weight - removed + added}"
             )
-        gain = sum(tuple_potential(system, rep, flavor) for rep in replacements)
-        gain -= tuple_potential(system, old, flavor)
+        gain = sum(potential_of(rep) for rep in replacements) - potential_of(old)
         if gain <= 0:
             raise BollobasError(f"potential failed to increase at step {len(steps)}")
         potential += gain
@@ -471,19 +504,17 @@ def certify_full_system(
 
     classes: dict[tuple, int] = {}
     for i in range(1, system.m + 1):
+        t = system.tuples[i - 1]
         if flavor == "pair":
             assert isinstance(system, SubspaceSystem) and system.decomposition is not None
-            a, b = system.tuples[i - 1]
-            key = tuple(component(a, blk).dim for blk in system.decomposition.blocks)
+            block_profile = block_profile_of(system, t)
+            key = tuple(a_k for a_k, _ in block_profile)
             # fullness + zero intersection force a_k + b_k = n_k per block
-            for a_k, blk in zip(key, system.decomposition.blocks):
-                b_k = component(b, blk).dim
-                if a_k + b_k != blk.dim:
-                    raise BollobasError(
-                        f"full pair {i} has a_k + b_k != n_k in some block (bug)"
-                    )
+            n_ks = system.decomposition.block_dims()
+            if any(a_k + b_k != n_k for (a_k, b_k), n_k in zip(block_profile, n_ks)):
+                raise BollobasError(f"full pair {i} has a_k + b_k != n_k in some block (bug)")
         else:
-            key = tuple_sizes(system, i)
+            key = sizes_of(t)
         classes[key] = classes.get(key, 0) + 1
 
     caveat = isinstance(system, SubspaceSystem) and isinstance(system.field, PrimeField)

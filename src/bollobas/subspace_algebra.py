@@ -1,18 +1,21 @@
 """Exact linear algebra: canonical subspaces and their lattice operations.
 
-A subspace of an n-dimensional ambient space is stored as its reduced
-row echelon basis with strictly increasing pivot columns.  RREF is the unique
-canonical representative of a row space, so structural equality of two
-:class:`Subspace` values coincides with equality of the subspaces themselves,
+A subspace of an n-dimensional ambient space is stored as one tuple of
+canonical ``int`` rows: its reduced row echelon basis, with strictly
+increasing pivot columns, in integer form.  Over GF(p) a row is the RREF row
+itself, residues in [0, p) with pivot 1; over QQ it is the RREF row scaled to
+be primitive (gcd 1) with a positive pivot.  RREF is the unique canonical
+representative of a row space, so structural equality and hashing of two
+:class:`Subspace` values coincide with equality of the subspaces themselves,
 and serialization is deterministic.
 
-All arithmetic is exact, and elimination runs on plain ``int`` rows: over GF(p)
-on residues mod p, over QQ on rows cleared of their denominators, reduced
-fraction-free (Bareiss-style cross multiplication, each new row divided by its
-gcd).  ``Fraction`` or :class:`PrimeFieldScalar` entries are built only for a
-returned basis; ranks and dimensions build none.  Intersections use
-Zassenhaus' sum/intersection elimination of ``[u | u]`` over ``[w | 0]``, never
-orthogonal complements (which are field-sensitive).
+All arithmetic is exact and runs on these rows directly: over GF(p) on
+residues mod p, over QQ fraction-free (Bareiss-style cross multiplication,
+each new row divided by its gcd).  The scalar basis -- ``Fraction`` entries
+over QQ, ``int`` residues over GF(p) -- is a view derived on demand for
+serialization and display.  Intersections use Zassenhaus' sum/intersection
+elimination of ``[u | u]`` over ``[w | 0]``, never orthogonal complements
+(which are field-sensitive).
 """
 
 from __future__ import annotations
@@ -24,35 +27,18 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, PreconditionError
-from .exact_arith import FieldTag, PrimeField, PrimeFieldScalar, Scalar
-
-Vector = tuple  # tuple[Scalar, ...]
-Matrix = tuple  # tuple[Vector, ...]
-
-
-def _int_rows(rows: Iterable[Sequence[Scalar]], width: int, p: int) -> list[list[int]]:
-    """Int rows with the same row space: residues over GF(p) (p > 0), or each
-    row times the lcm of its denominators over QQ (p == 0)."""
-    out = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row of length {len(row)}, expected {width}")
-        if p:
-            out.append([x.residue for x in row])
-            continue
-        den = math.lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+from .exact_arith import FieldTag, PrimeField
 
 
 def _eliminate(rows: list[Sequence[int]], width: int, p: int) -> tuple[list[Sequence[int]], list[int]]:
     """Gauss-Jordan elimination of int rows in column order.
 
     Returns the nonzero rows in echelon order and their pivot columns; every
-    pivot column is zero in all other rows.  Over GF(p) each pivot is 1; over
-    QQ each row is primitive (gcd 1), so its RREF row is ``row / row[pivot]``.
-    The list is reordered and its rows replaced, but no row is changed in
-    place, so rows may be shared with a cached basis.
+    pivot column is zero in all other rows, so each row is a multiple of its
+    RREF row.  Over GF(p) the rows must hold residues, and each pivot comes
+    out 1; over QQ a row may keep a common factor or a negative pivot, which
+    :func:`_canonical` removes.  The list is reordered and its rows replaced,
+    but no row is changed in place, so rows may be shared with a subspace.
     """
     rank = 0
     pivots = []
@@ -92,47 +78,46 @@ def _modulus(field: FieldTag) -> int:
     return field.p if isinstance(field, PrimeField) else 0
 
 
-def _scalar_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], field: FieldTag) -> Matrix:
-    """The canonical basis of eliminated rows: each row over its pivot entry."""
-    if isinstance(field, PrimeField):
-        return tuple(tuple(PrimeFieldScalar(x, field.p) for x in row) for row in rows)
-    zero = Fraction(0)
-    return tuple(
-        tuple(Fraction(x, row[c]) if x else zero for x in row) for row, c in zip(rows, pivots)
-    )
+def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int], p: int) -> tuple:
+    """Eliminated rows in canonical form: over GF(p) as they are; over QQ
+    each divided by the gcd of its entries, signed to a positive pivot."""
+    if p:
+        return tuple(map(tuple, rows))
+    out = []
+    for row, c in zip(rows, pivots):
+        g = math.gcd(*row)
+        if row[c] < 0:
+            g = -g
+        out.append(tuple(x // g for x in row) if g != 1 else tuple(row))
+    return tuple(out)
 
 
-def rref(rows: Iterable[Sequence[Scalar]], width: int, field: FieldTag) -> Matrix:
-    """Reduced row echelon form; zero rows dropped, pivots normalized to 1."""
+def rref(rows: Iterable[Sequence[int]], width: int, field: FieldTag) -> tuple:
+    """Canonical int rows of the row space of ``rows``, zero and dependent
+    rows dropped.  Entries are ints: over GF(p) any integers, taken mod p;
+    over QQ a row with fractions is given times a common denominator."""
     p = _modulus(field)
-    reduced, pivots = _eliminate(_int_rows(rows, width, p), width, p)
-    return _scalar_rows(reduced, pivots, field)
-
-
-def _pivot_col(row: Sequence[Scalar], field: FieldTag) -> int:
-    zero = field.zero()
-    for c, x in enumerate(row):
-        if x != zero:
-            return c
-    raise ValueError("zero row has no pivot")
+    work = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row of length {len(row)}, expected {width}")
+        work.append([x % p for x in row] if p else row)
+    return _canonical(*_eliminate(work, width, p), p)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^n in canonical (RREF) form.
-
-    ``basis`` rows are linearly independent with pivot columns strictly
-    increasing; the zero subspace has an empty basis.  Values are immutable
-    and hashable; equality is subspace equality.
-    """
+    """A subspace of F^n, stored as its canonical int rows (see the module
+    docstring); the zero subspace has none.  Values are immutable and
+    hashable; equality is subspace equality."""
 
     n: int
     field: FieldTag
-    basis: Matrix
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __hash__(self) -> int:
         return self._hash
@@ -140,31 +125,34 @@ class Subspace:
     @cached_property
     def _hash(self) -> int:
         """The hash of the fields, computed once per value: the search keys
-        its clause table by subspaces, and each basis entry hashes at Python
-        level."""
-        return hash((self.n, self.field, self.basis))
+        its clause table by subspaces."""
+        return hash((self.n, self.field, self.rows))
 
     @cached_property
-    def _int_basis(self) -> tuple:
-        """``basis`` as int rows (see ``_int_rows``), built once per value:
-        ``intersection`` and ``dim_of_sum`` eliminate these, not ``basis``."""
-        return tuple(map(tuple, _int_rows(self.basis, self.n, _modulus(self.field))))
+    def basis(self) -> tuple:
+        """The RREF basis as scalars: each row over its pivot as ``Fraction``
+        entries over QQ, the rows themselves (int residues) over GF(p)."""
+        if isinstance(self.field, PrimeField):
+            return self.rows
+        zero = Fraction(0)
+        out = []
+        for row in self.rows:
+            pivot = next(x for x in row if x)
+            out.append(tuple(Fraction(x, pivot) if x else zero for x in row))
+        return tuple(out)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         """Subspace sum U + W."""
         _check_same_space(self, other)
-        return canonicalize(self.n, self.field, self.basis + other.basis)
+        return canonicalize(self.n, self.field, self.rows + other.rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Subspace intersection U & W."""
         return intersection(self, other)
 
-    def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        return contains(self, v)
-
     def is_subspace_of(self, other: "Subspace") -> bool:
         _check_same_space(self, other)
-        return all(contains(other, row) for row in self.basis)
+        return all(contains(other, row) for row in self.rows)
 
     def __str__(self) -> str:
         rows = "; ".join(
@@ -181,8 +169,8 @@ def _check_same_space(u: Subspace, w: Subspace) -> None:
         )
 
 
-def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[Scalar]]) -> Subspace:
-    """Row space of ``rows`` in RREF; dependent and zero rows dropped."""
+def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[int]]) -> Subspace:
+    """Row space of the int ``rows`` (see :func:`rref`) in canonical form."""
     if n < 0:
         raise ValueError(f"ambient dimension must be >= 0, got {n}")
     return Subspace(n, field, rref(rows, n, field))
@@ -197,20 +185,13 @@ def full_space(n: int, field: FieldTag) -> Subspace:
 
 
 def coordinate_subspace(n: int, field: FieldTag, coords: Iterable[int]) -> Subspace:
-    """span{e_p : p in coords}, coords 1-based.  Already in RREF by construction."""
-    zero, one = field.zero(), field.one()
+    """span{e_p : p in coords}, coords 1-based.  Canonical by construction."""
     rows = []
     for p in sorted(set(coords)):
         if not 1 <= p <= n:
             raise ValueError(f"coordinate {p} outside [1, {n}]")
-        row = [zero] * n
-        row[p - 1] = one
-        rows.append(tuple(row))
+        rows.append((0,) * (p - 1) + (1,) + (0,) * (n - p))
     return Subspace(n, field, tuple(rows))
-
-
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    return u + w
 
 
 def intersection(u: Subspace, w: Subspace) -> Subspace:
@@ -225,12 +206,13 @@ def intersection(u: Subspace, w: Subspace) -> Subspace:
     if u.dim == 0 or w.dim == 0:
         return zero_subspace(u.n, u.field)
     n = u.n
-    stacked = [row + row for row in u._int_basis]
-    stacked += [row + (0,) * n for row in w._int_basis]
-    reduced, pivots = _eliminate(stacked, 2 * n, _modulus(u.field))
+    p = _modulus(u.field)
+    stacked = [row + row for row in u.rows]
+    stacked += [row + (0,) * n for row in w.rows]
+    reduced, pivots = _eliminate(stacked, 2 * n, p)
     split = sum(c < n for c in pivots)
     meet = [row[n:] for row in reduced[split:]]
-    return Subspace(n, u.field, _scalar_rows(meet, [c - n for c in pivots[split:]], u.field))
+    return Subspace(n, u.field, _canonical(meet, [c - n for c in pivots[split:]], p))
 
 
 def component(u: Subspace, v_k: Subspace) -> Subspace:
@@ -239,14 +221,14 @@ def component(u: Subspace, v_k: Subspace) -> Subspace:
 
 
 def dim_of_sum(parts: Sequence[Subspace]) -> int:
-    """dim(U_1 + ... + U_t) from one rank computation on the stacked bases."""
+    """dim(U_1 + ... + U_t) from one rank computation on the stacked rows."""
     if not parts:
         raise ValueError("dim_of_sum needs at least one subspace")
     first = parts[0]
     rows = []
     for part in parts:
         _check_same_space(first, part)
-        rows.extend(part._int_basis)
+        rows.extend(part.rows)
     return len(_eliminate(rows, first.n, _modulus(first.field))[1])
 
 
@@ -255,22 +237,27 @@ def is_direct_sum(parts: Sequence[Subspace]) -> bool:
     return dim_of_sum(parts) == sum(p.dim for p in parts)
 
 
-def contains(u: Subspace, v: Sequence[Scalar]) -> bool:
-    """Membership by elimination against the RREF basis."""
+def contains(u: Subspace, v: Sequence) -> bool:
+    """Membership of the vector v: since each pivot column of U's rows is
+    zero in the other rows, v lies in U iff it equals the combination of the
+    rows weighted by its own pivot entries.  Over QQ, v may hold ints or
+    fractions; over GF(p), ints."""
     if len(v) != u.n:
         raise ValueError(f"vector of length {len(v)}, expected {u.n}")
-    zero = u.field.zero()
-    work = list(v)
-    for row in u.basis:
-        c = _pivot_col(row, u.field)
-        if work[c] != zero:
-            f = work[c]
+    p = _modulus(u.field)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in u.rows]
+    # over QQ the rows are scaled by their pivot entries; clear those
+    scale = math.lcm(*[row[c] for row, c in zip(u.rows, pivots)])
+    work = [scale * x for x in v]
+    for row, c in zip(u.rows, pivots):
+        f = v[c] * (scale // row[c])
+        if f:
             work = [a - f * b for a, b in zip(work, row)]
-    return all(x == zero for x in work)
+    return not any(x % p if p else x for x in work)
 
 
-def extension_vector(v_k: Subspace, s: Subspace) -> Optional[Vector]:
-    """First canonical basis row of ``v_k`` outside ``s``; None when s = v_k.
+def extension_vector(v_k: Subspace, s: Subspace) -> Optional[tuple[int, ...]]:
+    """First canonical row of ``v_k`` outside ``s``; None when s = v_k.
 
     Deterministic by construction, which makes saturation runs reproducible.
     Requires s ⊆ v_k.
@@ -278,7 +265,7 @@ def extension_vector(v_k: Subspace, s: Subspace) -> Optional[Vector]:
     _check_same_space(v_k, s)
     if not s.is_subspace_of(v_k):
         raise PreconditionError("extension_vector requires S contained in V_k")
-    for row in v_k.basis:
+    for row in v_k.rows:
         if not contains(s, row):
             return row
     return None

@@ -23,6 +23,7 @@ from .subspace_algebra import (
     Subspace,
     component,
     coordinate_subspace,
+    dim_of_sum,
 )
 
 # ---------------------------------------------------------------------------
@@ -200,12 +201,23 @@ def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]
         return tuple(
             (mask_size(a & blk), mask_size(b & blk)) for blk in system.partition
         )
+    return tuple(dims[:2] for dims in pair_block_dims(system, pair))
+
+
+def pair_block_dims(system: SubspaceSystem, pair: tuple) -> tuple[tuple[int, int, int], ...]:
+    """Per block V_k of the decomposition, (dim(A ∩ V_k), dim(B ∩ V_k),
+    dim((A ∩ V_k) + (B ∩ V_k))) for the pair (A, B), which need not be one of
+    the system's tuples.  The pair's block profile, its deficits and its
+    potential all read from this one pass over the blocks."""
     if system.decomposition is None:
         raise ShapeError("subspace system has no decomposition")
-    return tuple(
-        (component(a, blk).dim, component(b, blk).dim)
-        for blk in system.decomposition.blocks
-    )
+    a, b = pair
+    out = []
+    for blk in system.decomposition.blocks:
+        a_k, b_k = component(a, blk), component(b, blk)
+        joined = dim_of_sum([a_k, b_k]) if a_k.dim and b_k.dim else a_k.dim + b_k.dim
+        out.append((a_k.dim, b_k.dim, joined))
+    return tuple(out)
 
 
 def profile(system: System, i: int):

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LicensingError, PreconditionError, ShapeError
-from .exact_arith import PrimeField, ProbabilityVector, Rational, binomial, rational_power
-from .subspace_algebra import component, dim_of_sum
+from .exact_arith import PrimeField, ProbabilityVector, Rational, binomial
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
@@ -40,6 +39,7 @@ from .systems_model import (
     block_sizes,
     has_context,
     is_decomposition_compatible,
+    pair_block_dims,
     pair_block_profile,
     sizes_of,
     tuple_sizes,
@@ -135,7 +135,7 @@ def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
             raise ShapeError(f"p has {kind.p.d} entries, system arity is {len(profile)}")
         value = Fraction(1)
         for p_l, size in zip(kind.p.entries, profile):
-            value *= rational_power(p_l, size)
+            value *= p_l**size
         return value
     if name.startswith("partitioned_"):
         if not all(isinstance(block, tuple) for block in profile):
@@ -273,17 +273,6 @@ def evaluate_inequality(system: System, kind: str | FunctionalKind) -> Inequalit
 # potentials
 
 
-def _pair_deficits(system: SubspaceSystem, pair: tuple) -> tuple[int, ...]:
-    """d_k = n_k - dim((A ∩ V_k) + (B ∩ V_k)) per block."""
-    assert system.decomposition is not None
-    a, b = pair
-    out = []
-    for blk in system.decomposition.blocks:
-        filled = dim_of_sum([component(a, blk), component(b, blk)])
-        out.append(blk.dim - filled)
-    return tuple(out)
-
-
 def _check_potential_shape(system: System, flavor: str) -> None:
     if flavor == "set":
         if not isinstance(system, SetSystem):
@@ -313,18 +302,22 @@ def tuple_potential(system: System, t: tuple, flavor: str) -> int:
     :func:`phi` checks).
 
     * ``set``:   the sum of the component sizes;
-    * ``pair``:  prod_k 2^(n_k - d_k), d_k the pair's deficit in block V_k;
+    * ``pair``:  prod_k 2^(n_k - d_k), d_k the pair's deficit in block V_k
+      (see :func:`pair_potential`);
     * ``tuple``: the sum of the component dimensions.
     """
     if flavor == "pair":
-        assert isinstance(system, SubspaceSystem) and system.decomposition is not None
-        value = 1
-        for n_k, d_k in zip(system.decomposition.block_dims(), _pair_deficits(system, t)):
-            value *= 2 ** (n_k - d_k)
-        return value
+        return pair_potential(pair_block_dims(system, t))
     if flavor in ("set", "tuple"):
         return sum(sizes_of(t))
     raise ValueError(f"unknown potential flavor {flavor!r}; choose from {PHI_FLAVORS}")
+
+
+def pair_potential(dims: tuple[tuple[int, int, int], ...]) -> int:
+    """The pair potential from a pair's :func:`pair_block_dims`: with
+    s_k = dim((A ∩ V_k) + (B ∩ V_k)) the deficit is d_k = n_k - s_k, so
+    prod_k 2^(n_k - d_k) = 2^(s_1 + ... + s_r)."""
+    return 2 ** sum(s_k for _, _, s_k in dims)
 
 
 def phi_upper_bound(system: System, flavor: str) -> int:

@@ -115,6 +115,27 @@ def rational_rank(rows) -> int:
     return bareiss_rank(fractions_to_int_rows(rows))
 
 
+def scalar_rref(rows, width: int, p: int = 0) -> tuple[tuple, ...]:
+    """Textbook Gauss-Jordan on scalars: ``Fraction`` entries over QQ
+    (p == 0), residues mod p over GF(p).  Zero rows dropped, each pivot
+    scaled to 1 and cleared from every other row."""
+    m = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p) if p else 1 / m[rank][col]
+        m[rank] = [x * inv % p if p else x * inv for x in m[rank]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != rank and f:
+                m[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in m[:rank])
+
+
 def gf2_subspaces_bruteforce(n: int) -> list[frozenset[tuple[int, ...]]]:
     """All subspaces of GF(2)^n as vector sets: subsets containing 0 that are
     closed under addition.  Exponential; fine for n <= 3."""
@@ -374,9 +395,12 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
             x = extension_vector(v_k, component(a, v_k) + component(b, v_k))
             new = fill_up_subspace_pair(current, i, block)
         else:
-            span = canonicalize(system.n, system.field, [row for sub in t for row in sub.basis])
+            span = canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
             x = extension_vector(full_space(system.n, system.field), span)
             new = fill_up_subspace_tuple(current, i)
+        if flavor != "set":
+            # a step reports x as the scalar row of its span
+            x = canonicalize(system.n, system.field, (x,)).basis[0]
         steps.append(FillUpStep(i, block, x, new.tuples[i - 1 : i - 1 + new.d]))
         omegas.append(omega(new, functional))
         phis.append(phi(new, flavor))

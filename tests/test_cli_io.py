@@ -380,6 +380,34 @@ class TestCli:
         assert rc == 2 and doc["status"] == "usage"
         assert doc["error"] == f"saturation would end with {2**40} tuples, budget is 4096"
 
+    def test_exponent_scalar_past_the_digit_limit_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "exponent.json"
+        path.write_text(
+            '{"kind":"subspace","n":1,"d":1,"tuples":[[[["1e100000000"]]]]}', encoding="utf-8"
+        )
+        start = time.perf_counter()
+        rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--in", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"].startswith("tuples[0][0][0]: not a rational: '1e100000000'")
+        # a probability vector is parsed by the same bounded parser
+        path.write_text(serialize(full_tuza_tuples(1, 2)), encoding="utf-8")
+        start = time.perf_counter()
+        rc, doc = run_cli(
+            capsys, "weight", "--functional", "tuza_sum", "--p", "1e100000000,1", "--in", str(path)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"].startswith("not a rational: '1e100000000'")
+
+    @pytest.mark.parametrize("extra", [(), ("--compatible-blocks", "1,2|3")])
+    def test_random_m_above_the_tuple_budget_is_usage_error(self, capsys, extra):
+        start = time.perf_counter()
+        rc, doc = run_cli(capsys, "random", "--seed", "0", "--m", "100000", "--n", "3", *extra)
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"] == "target m=100000 is above the tuple budget 4096"
+
     def test_reports_have_no_decimals(self, capsys, tmp_path):
         path = self.write_chain(tmp_path, n=4)
         rc, doc = run_cli(capsys, "weight", "--functional", "hegedus_frankl_sum", "--in", path)

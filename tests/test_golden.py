@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stdout
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -64,7 +63,7 @@ def _inputs() -> dict[str, object]:
     uniform = SetSystem.from_sets(
         4, [({1, 3}, {2, 4}), ({2, 4}, {1, 3})], partition=blocks
     )
-    diag = canonicalize(2, QQ, [(Fraction(1), Fraction(1))])
+    diag = canonicalize(2, QQ, [(1, 1)])
     incompatible = SubspaceSystem(
         2, QQ, 2, ((diag, zero_subspace(2, QQ)),), coordinate_decomposition(2, QQ, [[1], [2]])
     )

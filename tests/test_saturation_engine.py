@@ -422,13 +422,13 @@ def saturation_inputs(draw, pair_corpus, max_n=5):
     else:
         field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
         drawn = random_valid_system("subspace", k, d, "skew", m, seed=seed, field=field)
-        pad = (field.zero(),) * (n - k)
+        pad = (0,) * (n - k)
         system = SubspaceSystem(
             n,
             field,
             d,
             tuple(
-                tuple(canonicalize(n, field, [row + pad for row in sub.basis]) for sub in t)
+                tuple(canonicalize(n, field, [row + pad for row in sub.rows]) for sub in t)
                 for t in drawn.tuples
             ),
         )

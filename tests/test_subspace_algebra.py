@@ -1,6 +1,7 @@
 """Canonical subspaces and lattice operations, cross-checked against
 fraction-free rank and GF(2) closure-enumeration oracles."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -29,24 +30,20 @@ from bollobas import (
 )
 from bollobas.extremal_search import all_subspaces
 
-from conftest import gf2_subspaces_bruteforce, rational_rank
-
-
-def qq(*rows):
-    return canonicalize(len(rows[0]) if rows else 0, QQ, [tuple(Fraction(x) for x in r) for r in rows])
+from conftest import fractions_to_int_rows, gf2_subspaces_bruteforce, rational_rank, scalar_rref
 
 
 def qspan(n, *rows):
-    return canonicalize(n, QQ, [tuple(Fraction(x) for x in r) for r in rows])
+    return canonicalize(n, QQ, rows)
 
 
 def random_subspace(rng, n, field=QQ, max_entry=3):
     rows = []
     for _ in range(rng.randrange(n + 1)):
         if isinstance(field, PrimeField):
-            rows.append(tuple(field.from_int(rng.randrange(field.p)) for _ in range(n)))
+            rows.append([rng.randrange(field.p) for _ in range(n)])
         else:
-            rows.append(tuple(Fraction(rng.randint(-max_entry, max_entry)) for _ in range(n)))
+            rows.append([rng.randint(-max_entry, max_entry) for _ in range(n)])
     return canonicalize(n, field, rows)
 
 
@@ -71,7 +68,7 @@ class TestCanonicalize:
         for _ in range(40):
             n = rng.randrange(1, 5)
             s = random_subspace(rng, n)
-            assert canonicalize(n, QQ, s.basis) == s
+            assert canonicalize(n, QQ, s.rows) == s
 
     def test_pivots_strictly_increasing_and_normalized(self):
         rng = random.Random(9)
@@ -93,7 +90,7 @@ class TestCanonicalize:
                 [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
                 for _ in range(rng.randrange(0, n + 2))
             ]
-            assert canonicalize(n, QQ, rows).dim == rational_rank(rows)
+            assert canonicalize(n, QQ, fractions_to_int_rows(rows)).dim == rational_rank(rows)
 
 
 class TestSumIntersection:
@@ -207,7 +204,7 @@ class TestExtensionVector:
         for _ in range(60):
             n = rng.randrange(1, 5)
             vk = random_subspace(rng, n)
-            rows = [r for r in vk.basis if rng.random() < 0.5]
+            rows = [r for r in vk.rows if rng.random() < 0.5]
             s = canonicalize(n, QQ, rows)
             x = extension_vector(vk, s)
             if x is None:
@@ -282,7 +279,7 @@ class TestGFLattice:
                 for i in range(sub.dim):
                     if (coeffs >> i) & 1:
                         total = [
-                            (t + x.residue) % 2 for t, x in zip(total, sub.basis[i])
+                            (t + x) % 2 for t, x in zip(total, sub.basis[i])
                         ]
                 vectors.add(tuple(total))
             as_vector_sets.add(frozenset(vectors))
@@ -330,17 +327,16 @@ def span_mod(vectors, n, p):
 
 
 def gf_span(sub):
-    return span_mod([[x.residue for x in row] for row in sub.basis], sub.n, sub.field.p)
+    return span_mod(sub.basis, sub.n, sub.field.p)
 
 
 def assert_reduced_echelon(sub):
     """Pivots strictly increase, are 1, and are the only nonzero entry of
     their column: the definition of RREF, which makes the basis unique."""
-    zero, one = sub.field.zero(), sub.field.one()
-    pivots = [next(c for c, x in enumerate(row) if x != zero) for row in sub.basis]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in sub.basis]
     assert pivots == sorted(set(pivots))
     for i, c in enumerate(pivots):
-        assert [row[c] for row in sub.basis] == [one if k == i else zero for k in range(sub.dim)]
+        assert [row[c] for row in sub.basis] == [int(k == i) for k in range(sub.dim)]
 
 
 class TestKernelProperties:
@@ -348,17 +344,17 @@ class TestKernelProperties:
     @given(rational_rows())
     def test_rank_matches_bareiss_oracle(self, drawn):
         n, rows = drawn
-        s = canonicalize(n, QQ, rows)
+        s = canonicalize(n, QQ, fractions_to_int_rows(rows))
         assert s.dim == rational_rank(rows)
         assert_reduced_echelon(s)
         assert dim_of_sum([s]) == s.dim
-        assert canonicalize(n, QQ, s.basis) == s
+        assert canonicalize(n, QQ, s.rows) == s
 
     @settings(max_examples=150, deadline=None)
     @given(rational_pair())
     def test_intersection_dimension_and_containment(self, drawn):
         n, u_rows, w_rows = drawn
-        u, w = canonicalize(n, QQ, u_rows), canonicalize(n, QQ, w_rows)
+        u, w = (canonicalize(n, QQ, fractions_to_int_rows(rows)) for rows in (u_rows, w_rows))
         meet = intersection(u, w)
         stacked_rank = rational_rank(list(u.basis) + list(w.basis))
         assert meet.dim == u.dim + w.dim - stacked_rank
@@ -375,14 +371,16 @@ class TestKernelProperties:
         n, rows = drawn
         scales = data.draw(st.lists(nonzero_fractions, min_size=len(rows), max_size=len(rows)))
         scaled = [[c * x for x in row] for c, row in zip(scales, rows)]
-        assert canonicalize(n, QQ, scaled) == canonicalize(n, QQ, rows)
+        assert canonicalize(n, QQ, fractions_to_int_rows(scaled)) == canonicalize(
+            n, QQ, fractions_to_int_rows(rows)
+        )
 
     def test_gf2_intersections_match_closure_oracle(self):
         field = PrimeField(2)
         for n in (1, 2, 3):
             lattice = gf2_subspaces_bruteforce(n)
             subs = [
-                canonicalize(n, field, [tuple(map(field.from_int, v)) for v in s]) for s in lattice
+                canonicalize(n, field, s) for s in lattice
             ]
             for s, sub in zip(lattice, subs):
                 assert gf_span(sub) == s
@@ -399,7 +397,7 @@ class TestKernelProperties:
         vectors = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=n + 1)
         u_vecs, w_vecs = data.draw(vectors), data.draw(vectors)
         u, w = (
-            canonicalize(n, field, [tuple(map(field.from_int, v)) for v in vecs])
+            canonicalize(n, field, vecs)
             for vecs in (u_vecs, w_vecs)
         )
         assert gf_span(u) == span_mod(u_vecs, n, 3)
@@ -407,3 +405,47 @@ class TestKernelProperties:
         assert gf_span(meet) == span_mod(u_vecs, n, 3) & span_mod(w_vecs, n, 3)
         assert_reduced_echelon(meet)
         assert 3 ** dim_of_sum([u, w]) == len(span_mod(u_vecs + w_vecs, n, 3))
+
+
+@st.composite
+def spanning_rows(draw):
+    """A field, a width, base rows, and rows spanning what the base rows
+    span: each base row times a nonzero (possibly negative) integer, so
+    rows come non-primitive and with negative pivots, plus a dependent
+    combination of two of them, in a drawn order.  Over GF(p) a scale that
+    is a multiple of p drops its row from the span."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    n = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=n + 1))
+    scales = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=len(base), max_size=len(base)))
+    rows = [[c * x for x in row] for c, row in zip(scales, base)]
+    if base:
+        i, j = draw(st.integers(0, len(base) - 1)), draw(st.integers(0, len(base) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
+    return field, n, base, draw(st.permutations(rows))
+
+
+class TestCanonicalRows:
+    """The stored int rows against the scalar RREF oracle in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spanning_rows())
+    def test_rows_basis_equality_and_hash_follow_the_oracle(self, drawn):
+        field, n, base, rows = drawn
+        p = field.p if isinstance(field, PrimeField) else 0
+        s = canonicalize(n, field, rows)
+        expected = scalar_rref(rows, n, p)
+        assert s.basis == expected
+        for row, oracle_row in zip(s.rows, expected):
+            pivot = next(c for c, x in enumerate(row) if x)
+            if p:
+                assert row == oracle_row and all(0 <= x < p for x in row)
+            else:
+                assert row[pivot] > 0 and math.gcd(*row) == 1
+                assert tuple(Fraction(x, row[pivot]) for x in row) == oracle_row
+        w = canonicalize(n, field, base)
+        assert (s == w) == (expected == scalar_rref(base, n, p))
+        if s == w:
+            assert hash(s) == hash(w)
+        assert canonicalize(n, field, s.rows) == s

@@ -137,7 +137,7 @@ class TestEmbed:
 class TestDecompositionCompatibility:
     def test_diagonal_line_is_incompatible(self):
         decomp = coordinate_decomposition(3, QQ, [[1, 2], [3]])
-        diag = canonicalize(3, QQ, [(Fraction(1), Fraction(0), Fraction(1))])
+        diag = canonicalize(3, QQ, [(1, 0, 1)])
         sys = SubspaceSystem(3, QQ, 2, ((diag, zero_subspace(3, QQ)),), decomp)
         assert not is_decomposition_compatible(sys)
 

@@ -219,7 +219,7 @@ class TestDecompositionUniformBound:
         decomp = coordinate_decomposition(2, QQ, [[1], [2]])
         from bollobas import canonicalize
 
-        diag = canonicalize(2, QQ, [(Fraction(1), Fraction(1))])
+        diag = canonicalize(2, QQ, [(1, 1)])
         s = SubspaceSystem(2, QQ, 2, ((diag, zero_subspace(2, QQ)),), decomp)
         with pytest.raises(PreconditionError):
             check_partitioned_uniform_bound(s)

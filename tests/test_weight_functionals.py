@@ -199,7 +199,7 @@ class TestLicensing:
         from bollobas import canonicalize
 
         decomp = coordinate_decomposition(2, QQ, [[1], [2]])
-        diag = canonicalize(2, QQ, [(Fraction(1), Fraction(1))])
+        diag = canonicalize(2, QQ, [(1, 1)])
         s = SubspaceSystem(2, QQ, 2, ((diag, zero_subspace(2, QQ)),), decomp)
         with pytest.raises(LicensingError):
             evaluate_inequality(s, "partitioned_yue_sum")
