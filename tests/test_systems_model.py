@@ -25,7 +25,6 @@ from bollobas.systems_model import (
     pair_block_profile,
     tuple_sizes,
 )
-from fractions import Fraction
 
 
 def test_mask_round_trip():

@@ -1,7 +1,6 @@
 """Condition verification and counting-bound certificates."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
