@@ -15,7 +15,6 @@ it builds no scalar objects of its own.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,57 +68,27 @@ def rational_to_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-# The literals ``Fraction`` accepts: an integer, ``num/den``, or a decimal with
-# an optional exponent, e.g. "-3/4", "1.5", "47e-2".
-_RATIONAL = re.compile(
-    r"""\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
-    (?:(?:/(?P<den>\d+(_\d+)*))?
-      |(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
-    \s*\Z""",
-    re.VERBOSE | re.IGNORECASE,
-)
-
-
-def rational_parts(s: str) -> tuple[int, int]:
-    """A rational literal as (numerator, denominator), denominator positive,
-    not necessarily in lowest terms.
-
-    An exponent whose power of ten would have more digits than the
-    interpreter's int-string limit (``sys.get_int_max_str_digits``) is
-    refused before the power is built, as a plain literal that long already
-    is; otherwise a few bytes such as "1e100000000" would ask for a bignum
-    of a hundred million digits.
-    """
-    match = _RATIONAL.match(s)
-    if match is None:
-        raise ValueError(f"not a rational: {s!r}")
-    try:
-        if match["den"]:
-            num, den = int(match["num"]), int(match["den"])
-            if den == 0:
-                raise ValueError("zero denominator")
-        else:
-            decimal = (match["decimal"] or "").replace("_", "")
-            digits = match["num"].replace("_", "") + decimal
-            num, den = int(digits or "0"), 10 ** len(decimal)
-            exp = int(match["exp"] or "0")
-            if num and exp:
-                # digits of num * 10^exp, or of den * 10^-exp
-                size = len(digits.lstrip("0")) + exp if exp > 0 else len(decimal) - exp + 1
-                limit = sys.get_int_max_str_digits()
-                if limit and size > limit:
-                    raise ValueError(f"more than {limit} digits")
-                if exp > 0:
-                    num *= 10**exp
-                else:
-                    den *= 10**-exp
-    except ValueError as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
-    return (-num if match["sign"] == "-" else num), den
-
-
 def rational_from_str(s: str) -> Rational:
-    return Fraction(*rational_parts(s))
+    """A literal ``Fraction`` accepts: an integer, ``num/den``, or a decimal
+    with an optional exponent, e.g. "-3/4", "1.5", "47e-2".
+
+    An exponent that would give the numerator or denominator more digits
+    than the interpreter's int-string limit (``sys.get_int_max_str_digits``)
+    is refused before the power of ten is built, as a plain literal that
+    long already is; otherwise a few bytes such as "1e100000000" would ask
+    for a bignum of a hundred million digits.
+    """
+    try:
+        mantissa, e, exp = s.lower().partition("e")
+        limit = sys.get_int_max_str_digits()
+        if e and limit:
+            m, k = Fraction(mantissa), int(exp)
+            part = m.numerator if k > 0 else m.denominator
+            if k and len(str(abs(part))) + abs(k) > limit:
+                raise ValueError(f"more than {limit} digits")
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {s!r}") from exc
 
 
 def residue_from_str(s: str, p: int) -> int:
@@ -184,9 +153,9 @@ class RationalField:
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         """Rational entries as one int row spanning the same line: each entry
         times the lcm of the denominators."""
-        parts = [rational_parts(text) for text in texts]
-        den = math.lcm(*[d for _, d in parts])
-        return [num * (den // d) for num, d in parts]
+        qs = [rational_from_str(text) for text in texts]
+        den = math.lcm(*[q.denominator for q in qs])
+        return [q.numerator * (den // q.denominator) for q in qs]
 
     def scalar_to_str(self, x: Rational) -> str:
         return rational_to_str(x)

@@ -189,15 +189,11 @@ def _deficient_block(system: SubspaceSystem, dims: tuple) -> int | None:
     return None
 
 
-def _pair_step(system: SubspaceSystem, t: tuple, i: int, k: int | None = None):
+def _pair_step(system: SubspaceSystem, t: tuple, i: int, k: int):
     """The first canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k) gives
-    (A + <x>, B) then (A, B + <x>); without k, the lowest deficient block."""
+    (A + <x>, B) then (A, B + <x>)."""
     assert system.decomposition is not None
     a, b = t
-    if k is None:
-        k = _deficient_block(system, pair_block_dims(system, t))
-        if k is None:
-            return None
     v_k = system.decomposition.blocks[k - 1]
     filled = component(a, v_k) + component(b, v_k)
     if filled.dim == v_k.dim:

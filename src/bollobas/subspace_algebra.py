@@ -94,13 +94,16 @@ def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int], p: int) -> 
 
 def rref(rows: Iterable[Sequence[int]], width: int, field: FieldTag) -> tuple:
     """Canonical int rows of the row space of ``rows``, zero and dependent
-    rows dropped.  Entries are ints: over GF(p) any integers, taken mod p;
-    over QQ a row with fractions is given times a common denominator."""
+    rows dropped.  Entries must be ints (``TypeError`` otherwise): over GF(p)
+    any integers, taken mod p; over QQ a row with fractions is given times a
+    common denominator."""
     p = _modulus(field)
     work = []
     for row in rows:
         if len(row) != width:
             raise ValueError(f"row of length {len(row)}, expected {width}")
+        if not all(isinstance(x, int) for x in row):
+            raise TypeError(f"rows must hold int entries, got {row!r}")
         work.append([x % p for x in row] if p else row)
     return _canonical(*_eliminate(work, width, p), p)
 

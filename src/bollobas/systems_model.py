@@ -201,23 +201,26 @@ def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]
         return tuple(
             (mask_size(a & blk), mask_size(b & blk)) for blk in system.partition
         )
-    return tuple(dims[:2] for dims in pair_block_dims(system, pair))
+    return tuple((a_k.dim, b_k.dim) for a_k, b_k in _block_components(system, pair))
 
 
 def pair_block_dims(system: SubspaceSystem, pair: tuple) -> tuple[tuple[int, int, int], ...]:
     """Per block V_k of the decomposition, (dim(A ∩ V_k), dim(B ∩ V_k),
     dim((A ∩ V_k) + (B ∩ V_k))) for the pair (A, B), which need not be one of
-    the system's tuples.  The pair's block profile, its deficits and its
-    potential all read from this one pass over the blocks."""
+    the system's tuples.  A pair's deficits and potential read from this one
+    pass over the blocks; saturation takes its profile from it too."""
+    return tuple(
+        (a_k.dim, b_k.dim, dim_of_sum([a_k, b_k]) if a_k.dim and b_k.dim else a_k.dim + b_k.dim)
+        for a_k, b_k in _block_components(system, pair)
+    )
+
+
+def _block_components(system: SubspaceSystem, pair: tuple) -> list[tuple[Subspace, Subspace]]:
+    """(A ∩ V_k, B ∩ V_k) for each block V_k of the decomposition."""
     if system.decomposition is None:
         raise ShapeError("subspace system has no decomposition")
     a, b = pair
-    out = []
-    for blk in system.decomposition.blocks:
-        a_k, b_k = component(a, blk), component(b, blk)
-        joined = dim_of_sum([a_k, b_k]) if a_k.dim and b_k.dim else a_k.dim + b_k.dim
-        out.append((a_k.dim, b_k.dim, joined))
-    return tuple(out)
+    return [(component(a, blk), component(b, blk)) for blk in system.decomposition.blocks]
 
 
 def profile(system: System, i: int):

@@ -485,7 +485,7 @@ class TestLocalChecksFire:
         )
         honest = saturation_engine._pair_step
 
-        def doubled(system, t, i, k=None):
+        def doubled(system, t, i, k):
             block, x, replacements = honest(system, t, i, k)
             return block, x, (replacements[0], replacements[0])
 

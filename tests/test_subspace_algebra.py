@@ -58,6 +58,13 @@ class TestCanonicalize:
         assert s.dim == 1
         assert s.basis == ((Fraction(1), Fraction(1)),)
 
+    def test_non_int_entries_refused(self):
+        # a Fraction row over QQ, and over GF(3) one whose pivot is already 1
+        with pytest.raises(TypeError, match="int entries"):
+            canonicalize(2, QQ, [[Fraction(1, 2), 1]])
+        with pytest.raises(TypeError, match="int entries"):
+            canonicalize(2, PrimeField(3), [[1, Fraction(1, 2)]])
+
     def test_empty_rows_give_zero_subspace(self):
         s = canonicalize(3, QQ, [])
         assert s.dim == 0
