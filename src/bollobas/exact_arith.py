@@ -79,6 +79,11 @@ def rational_from_str(s: str) -> Rational:
     for a bignum of a hundred million digits.
     """
     try:
+        # most document entries are plain integers: int skips the literal grammar
+        return Fraction(int(s))
+    except ValueError:
+        pass
+    try:
         mantissa, e, exp = s.lower().partition("e")
         limit = sys.get_int_max_str_digits()
         if e and limit:
