@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Sequence
 
 from .constructions import FAMILY_NAMES, construct
@@ -342,7 +343,7 @@ def _emit(doc: dict) -> None:
 
 def _cmd_verify(args) -> int:
     system = _read_system(args)
-    report = verify(system, args.kind, monotone=args.monotone)
+    report = verify(system, args.kind)
     _emit({"command": "verify", "kind": args.kind, **report_verification(report)})
     return 0 if report.verdict else 1
 
@@ -530,6 +531,7 @@ def _cmd_random(args) -> int:
     return 0
 
 
+@cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bollobas",
@@ -546,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a condition, reporting the first violation")
     add_infile(p)
     p.add_argument("--kind", required=True, choices=("bollobas", "skew", "weak"))
-    p.add_argument("--monotone", action="store_true", help="record the monotone flag on the condition")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("weight", help="evaluate a functional and its licensed bound")

@@ -13,12 +13,11 @@ set tuples, (dim, pivot columns, free entries) for GF(p) subspaces -- which
 makes results deterministic across runs and platforms.
 
 The candidate list is fixed for a problem, so the cross clauses are read
-from a clause table of ``int`` bitsets over it.  For a component value v and
-a position q the table holds, built on first use and cached, the candidates
-whose q-th component meets v; a candidate's row, the candidates that may
-follow it, is the OR of these over its ordered component pairs (for bollobas,
-the AND of two).  ``CLAUSE_TABLE_GUARD`` bounds the table's worst-case size
-before any row is built.  The search runs no recursion: it is a loop over an
+from ``verifiers.ClauseTable`` over it, as ``int`` bitset rows of the
+candidates that may follow a candidate; the random generators append the
+proposals that the same table admits.  ``CLAUSE_TABLE_GUARD`` bounds the
+table's worst-case size while the candidates are listed, before any row is
+built.  The search runs no recursion: it is a loop over an
 explicit stack whose frames hold the allowed bitset (the parent's AND the new
 tuple's row) and the children still to visit, lowest index first, so its
 depth is not bounded by the interpreter's recursion limit.  Weights are
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .constructions import DEFAULT_TUPLE_BUDGET
 from .errors import BudgetError, PreconditionError, ShapeError
@@ -60,13 +59,7 @@ from .subspace_algebra import (
     zero_subspace,
 )
 from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
-from .verifiers import (
-    FLAVORS,
-    component_clause_ok,
-    cross_nontrivial,
-    skew_clause_ok,
-    weak_clause_ok,
-)
+from .verifiers import FLAVORS, ClauseTable, component_clause_ok
 from .weight_functionals import FunctionalKind, omega, term, tuza
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -96,8 +89,6 @@ class SearchProblem:
     uniform_sizes: tuple[int, ...] | None = None
     node_budget: int = DEFAULT_NODE_BUDGET
     prune: bool = True
-    set_guard: int = DEFAULT_SET_GUARD
-    gf_guard: int = DEFAULT_GF_GUARD
 
     def __post_init__(self):
         if self.kind not in ("set", "subspace"):
@@ -142,13 +133,11 @@ class SearchResult:
 # candidate enumeration
 
 
-def enumerate_set_candidates(
-    n: int, d: int, guard: int = DEFAULT_SET_GUARD
-) -> Iterator[tuple[int, ...]]:
+def enumerate_set_candidates(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """All (d+1)^n tuples of pairwise-disjoint subsets of [n], streamed in
     assignment-lexicographic order (coordinate 0 means unused)."""
-    if n > guard:
-        raise BudgetError(f"set ground n={n} above exhaustive guard {guard}")
+    if n > DEFAULT_SET_GUARD:
+        raise BudgetError(f"set ground n={n} above exhaustive guard {DEFAULT_SET_GUARD}")
     for assignment in product(range(d + 1), repeat=n):
         parts = [0] * d
         for p, coord in enumerate(assignment, start=1):
@@ -157,12 +146,12 @@ def enumerate_set_candidates(
         yield tuple(parts)
 
 
-def all_subspaces(n: int, field: PrimeField, guard: int = DEFAULT_GF_GUARD) -> tuple[Subspace, ...]:
+def all_subspaces(n: int, field: PrimeField) -> tuple[Subspace, ...]:
     """Every subspace of GF(p)^n, by dim, then pivot columns, then free entries."""
     if not isinstance(field, PrimeField):
         raise ShapeError("subspace enumeration needs a prime field")
-    if n > guard:
-        raise BudgetError(f"GF ground n={n} above exhaustive guard {guard}")
+    if n > DEFAULT_GF_GUARD:
+        raise BudgetError(f"GF ground n={n} above exhaustive guard {DEFAULT_GF_GUARD}")
     size = subspace_count(n, field.p)
     if size > GF_LATTICE_GUARD:
         raise BudgetError(
@@ -201,11 +190,11 @@ def subspace_count(n: int, q: int) -> int:
 
 
 def enumerate_subspace_candidates(
-    n: int, field: PrimeField, d: int, guard: int = DEFAULT_GF_GUARD
+    n: int, field: PrimeField, d: int
 ) -> Iterator[tuple[Subspace, ...]]:
     """All clause-(i)-valid d-tuples over the GF(p) subspace lattice, in
     product order over the canonical subspace list."""
-    lattice = all_subspaces(n, field, guard)
+    lattice = all_subspaces(n, field)
     for t in product(lattice, repeat=d):
         if sum(s.dim for s in t) <= n and component_clause_ok(t):
             yield t
@@ -213,18 +202,14 @@ def enumerate_subspace_candidates(
 
 def enumerate_candidates(problem: SearchProblem) -> Iterator[tuple]:
     if problem.kind == "set":
-        candidates: Iterator[tuple] = enumerate_set_candidates(
-            problem.n, problem.d, problem.set_guard
-        )
+        candidates: Iterator[tuple] = enumerate_set_candidates(problem.n, problem.d)
     else:
         if not isinstance(problem.field, PrimeField):
             raise ShapeError(
                 "exhaustive subspace search needs a prime field; over the "
                 "rationals use the randomized explorer"
             )
-        candidates = enumerate_subspace_candidates(
-            problem.n, problem.field, problem.d, problem.gf_guard
-        )
+        candidates = enumerate_subspace_candidates(problem.n, problem.field, problem.d)
     if problem.uniform_sizes is None:
         yield from candidates
         return
@@ -236,17 +221,6 @@ def enumerate_candidates(problem: SearchProblem) -> Iterator[tuple]:
 
 # ---------------------------------------------------------------------------
 # depth-first search
-
-
-def _cross_ok(flavor: str, existing: Sequence[tuple], t: tuple) -> bool:
-    """Clauses between every existing index and the appended last index."""
-    if flavor == "bollobas":
-        return all(
-            cross_nontrivial(ti[0], t[1]) and cross_nontrivial(t[0], ti[1])
-            for ti in existing
-        )
-    clause = skew_clause_ok if flavor == "skew" else weak_clause_ok
-    return all(clause(ti, t) for ti in existing)
 
 
 def _make_system(problem: SearchProblem, tuples: Sequence[tuple]) -> System:
@@ -262,69 +236,22 @@ def _scaled(terms: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [t.numerator * (scale // t.denominator) for t in terms]
 
 
-def _clause_table(
-    flavor: str, stream: Iterable[tuple]
-) -> tuple[tuple[tuple, ...], Callable[[int], int]]:
-    """The candidate list of ``stream`` and its clause rows, as ``row(i)``:
-    the bitset of candidates j whose cross clauses hold with candidate i
-    placed before j.
-
-    Rows are ORs (bollobas: an AND) of cached ``hits(v, q)`` bitsets, the
-    candidates whose q-th component meets the component value v, built on
-    first use by one ``cross_nontrivial`` call per distinct value at q.
-    Clause (i) keeps a candidate from meeting itself, so row(i) never holds
-    bit i and a chosen candidate drops out of every allowed set below it.
-
-    The table's worst case, distinct component values x d x candidates, only
-    grows while the stream is listed, so ``CLAUSE_TABLE_GUARD`` is checked at
-    every candidate and refuses a stream as soon as it is passed.
-    """
-    value_id: dict = {}
+def _listed(stream: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The candidates of ``stream``, refused as soon as the clause table's
+    worst case, distinct component values x d x candidates, passes
+    ``CLAUSE_TABLE_GUARD``: it only grows while the stream is listed."""
+    values: set = set()
     listed: list[tuple] = []
-    ids: list[tuple[int, ...]] = []
     for t in stream:
         listed.append(t)
-        ids.append(tuple(value_id.setdefault(x, len(value_id)) for x in t))
-        worst = len(value_id) * len(t) * len(listed)
+        values.update(t)
+        worst = len(values) * len(t) * len(listed)
         if worst > CLAUSE_TABLE_GUARD:
             raise BudgetError(
                 f"clause table of {len(listed)} candidates could reach {worst} bits, "
                 f"above the guard {CLAUSE_TABLE_GUARD}"
             )
-    candidates = tuple(listed)
-    d = len(candidates[0]) if candidates else 0
-    values = list(value_id)
-    groups: list[dict[int, int]] = [{} for _ in range(d)]
-    for j, t in enumerate(ids):
-        for q, v in enumerate(t):
-            groups[q][v] = groups[q].get(v, 0) | (1 << j)
-    hits: list[int | None] = [None] * (len(values) * d)
-
-    def hit(v: int, q: int) -> int:
-        bits = hits[v * d + q]
-        if bits is None:
-            x = values[v]
-            bits = 0
-            for w, members in groups[q].items():
-                if cross_nontrivial(x, values[w]):
-                    bits |= members
-            hits[v * d + q] = bits
-        return bits
-
-    if flavor == "bollobas":
-        return candidates, lambda i: hit(ids[i][0], 1) & hit(ids[i][1], 0)
-    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
-    if flavor == "weak":
-        pairs += [(q, p) for p, q in pairs]
-
-    def row(i: int) -> int:
-        t = ids[i]
-        bits = 0
-        for p, q in pairs:
-            bits |= hit(t[p], q)
-        return bits
-
-    return candidates, row
+    return tuple(listed)
 
 
 def search_max(problem: SearchProblem) -> SearchResult:
@@ -338,7 +265,8 @@ def search_max(problem: SearchProblem) -> SearchResult:
     if problem.functional is not None:
         # a functional that does not fit d-tuples is refused before enumerating
         term((0,) * problem.d, problem.functional)
-    candidates, row = _clause_table(problem.flavor, enumerate_candidates(problem))
+    candidates = _listed(enumerate_candidates(problem))
+    table = ClauseTable(problem.flavor, problem.d, candidates)
     count = len(candidates)
     order_free = problem.flavor in ("weak", "bollobas")
     max_m = problem.objective == "max_m"
@@ -393,9 +321,10 @@ def search_max(problem: SearchProblem) -> SearchResult:
         if expand:
             if chosen:
                 last = chosen[-1]
-                allowed &= row(last)
                 if order_free:
                     allowed &= -(2 << last)  # only candidates after `last`
+                # clause (i) keeps `last` out of its own row: it is not chosen again
+                allowed &= table.row(candidates[last], allowed)
             stack.append([allowed, allowed, weight])
         elif chosen:
             chosen.pop()
@@ -442,7 +371,7 @@ def _random_set_tuple(rng: random.Random, n: int, d: int) -> tuple[int, ...]:
 
 
 def _check_target(target_m: int) -> None:
-    """Refuse a target above the tuple budget: each attempt scans every
+    """Refuse a target above the tuple budget: each attempt reads every
     tuple chosen so far, and a small ground admits few tuples anyway."""
     if target_m > DEFAULT_TUPLE_BUDGET:
         raise BudgetError(f"target m={target_m} is above the tuple budget {DEFAULT_TUPLE_BUDGET}")
@@ -466,11 +395,9 @@ def random_valid_system(
     target_m: int,
     seed: int,
     field: FieldTag | None = None,
-    partition: Sequence[Sequence[int]] | None = None,
-    max_attempts: int | None = None,
 ) -> System:
     """Random greedy generator: propose clause-(i)-valid tuples, append those
-    whose ordered clauses hold against every existing tuple.
+    that the clause table admits after every existing tuple.
 
     Deterministic for a fixed seed; may return fewer than ``target_m`` tuples.
     The result verifies its condition by construction.  A ``target_m`` above
@@ -478,10 +405,9 @@ def random_valid_system(
     """
     _check_target(target_m)
     rng = random.Random(seed)
-    attempts = max_attempts if max_attempts is not None else 60 * max(target_m, 1)
-    chosen: list[tuple] = []
-    for _ in range(attempts):
-        if len(chosen) >= target_m:
+    table = ClauseTable(flavor, d)
+    for _ in range(60 * max(target_m, 1)):
+        if len(table.tuples) >= target_m:
             break
         if kind == "set":
             t: tuple = _random_set_tuple(rng, n, d)
@@ -493,20 +419,12 @@ def random_valid_system(
                 continue
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        if t in chosen:
-            continue
-        if not _cross_ok(flavor, chosen, t):
-            continue
-        chosen.append(t)
+        if table.admits(t):
+            table.extend((t,))
     if kind == "set":
-        blocks = None
-        if partition is not None:
-            from .systems_model import mask_from_elements
-
-            blocks = tuple(mask_from_elements(b, n) for b in partition)
-        return SetSystem(n, d, tuple(chosen), blocks)
+        return SetSystem(n, d, tuple(table.tuples))
     assert field is not None
-    return SubspaceSystem(n, field, d, tuple(chosen))
+    return SubspaceSystem(n, field, d, tuple(table.tuples))
 
 
 def random_compatible_pair_system(
@@ -514,7 +432,6 @@ def random_compatible_pair_system(
     blocks: Sequence[Sequence[int]],
     target_m: int,
     seed: int,
-    max_attempts: int | None = None,
 ) -> SubspaceSystem:
     """Random skew, decomposition-compatible subspace pair system over the
     rationals: embedded coordinate pairs mixed with blockwise-random pairs.
@@ -526,11 +443,10 @@ def random_compatible_pair_system(
     _check_target(target_m)
     rng = random.Random(seed)
     decomp = coordinate_decomposition(n, QQ, blocks)
-    attempts = max_attempts if max_attempts is not None else 80 * max(target_m, 1)
-    chosen: list[tuple[Subspace, Subspace]] = []
+    table = ClauseTable("skew", 2)
     block_coords = [tuple(b) for b in blocks]
-    for _ in range(attempts):
-        if len(chosen) >= target_m:
+    for _ in range(80 * max(target_m, 1)):
+        if len(table.tuples) >= target_m:
             break
         a_parts: list[Subspace] = []
         b_parts: list[Subspace] = []
@@ -552,12 +468,9 @@ def random_compatible_pair_system(
         if not ok:
             continue
         t = (_sum_all(a_parts, n), _sum_all(b_parts, n))
-        if t in chosen:
-            continue
-        if not _cross_ok("skew", chosen, t):
-            continue
-        chosen.append(t)
-    return SubspaceSystem(n, QQ, 2, tuple(chosen), decomp)
+        if table.admits(t):
+            table.extend((t,))
+    return SubspaceSystem(n, QQ, 2, tuple(table.tuples), decomp)
 
 
 def _sum_all(parts: Sequence[Subspace], n: int) -> Subspace:

@@ -12,6 +12,9 @@ For subspace d-tuples, clause (i) is dimension additivity of the component
 sum (direct-sum independence), which for d >= 3 is strictly stronger than
 pairwise zero intersections.
 
+Clause (ii) is written once, in ``ClauseTable``: ``verify``, ``search_max``
+and the random generators read it there as ``int`` bitsets over the tuples.
+
 A false verdict always carries the lexicographically first violating witness
 (i, j, clause), 1-based, with i = j marking a clause-(i) failure.  Duplicate
 tuples never survive verification: two equal tuples have componentwise
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import PreconditionError, ShapeError
 from .exact_arith import PrimeField, Rational, binomial, rational_to_str
@@ -92,8 +96,8 @@ def _is_gfp(system: System) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# clause primitives, shared with the search module; components are bitmasks
-# (sets) or Subspace values, and the two never mix within a tuple
+# clauses; components are bitmasks (sets) or Subspace values, and the two
+# never mix within a tuple
 
 
 def component_clause_ok(t) -> bool:
@@ -108,45 +112,121 @@ def component_clause_ok(t) -> bool:
     return dim_of_sum(list(t)) == sum(sub.dim for sub in t)
 
 
-def cross_nontrivial(x, y) -> bool:
-    """Nonempty intersection (sets) / positive intersection dimension (subspaces)."""
-    if isinstance(x, int):
-        return bool(x & y)
-    assert isinstance(x, Subspace) and isinstance(y, Subspace)
+def cross_nontrivial(x: Subspace, y: Subspace) -> bool:
+    """Positive intersection dimension of two subspaces."""
     if x.dim == 0 or y.dim == 0:
         return False
     return x.dim + y.dim > dim_of_sum([x, y])
 
 
-def skew_clause_ok(ti, tj) -> bool:
-    """Clause (ii) for i < j: some p < q with A_i^(p) meeting A_j^(q)."""
-    d = len(ti)
-    for p in range(d):
-        for q in range(p + 1, d):
-            if cross_nontrivial(ti[p], tj[q]):
-                return True
-    return False
+class ClauseTable:
+    """Clause (ii) over a list of d-tuples: t_i before t_j needs t_i^(p)
+    meeting t_j^(q) for a pair p < q (skew) or p != q (weak); bollobas needs
+    A_i meeting B_j and A_j meeting B_i.
 
+    Per position q, each tuple is filed under the elements of a set value or
+    under a subspace value itself.  ``hit(v, q)``, the bitset of tuples whose
+    q-th component meets v, is an OR of element bitsets for a set, one
+    ``cross_nontrivial`` per value filed at q for a subspace; it is cached
+    until the next ``extend``.  A read ORs hits over the flavor's pairs and
+    stops once it covers the bitset it needs.
+    """
 
-def weak_clause_ok(ti, tj) -> bool:
-    """Clause (ii) for i < j, either orientation of the component pair."""
-    d = len(ti)
-    for p in range(d):
-        for q in range(p + 1, d):
-            if cross_nontrivial(ti[p], tj[q]):
-                return True
-            if cross_nontrivial(ti[q], tj[p]):
-                return True
-    return False
+    def __init__(self, flavor: str, d: int, tuples: Iterable[tuple] = ()):
+        if flavor == "bollobas":
+            if d != 2:
+                raise ShapeError("the bollobas condition is defined for pairs only")
+            pairs = [(0, 1)]
+        else:
+            pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+            if flavor == "weak":
+                pairs += [(q, p) for p, q in pairs]
+        self.flavor = flavor
+        self.tuples: list[tuple] = []
+        self._forward = pairs
+        self._backward = [(q, p) for p, q in pairs]
+        self._filed: list[dict] = [{} for _ in range(d)]
+        self.extend(tuples)
+
+    def extend(self, tuples: Iterable[tuple]) -> None:
+        """Append tuples to the table, dropping the cached hits."""
+        start = len(self.tuples)
+        self.tuples.extend(tuples)
+        new: list[dict] = [{} for _ in self._filed]
+        for j in range(start, len(self.tuples)):
+            for q, x in enumerate(self.tuples[j]):
+                if isinstance(x, int):
+                    while x:
+                        e = x & -x
+                        new[q].setdefault(e, []).append(j)
+                        x ^= e
+                else:
+                    new[q].setdefault(x, []).append(j)
+        size = (len(self.tuples) >> 3) + 1
+        for filed, keys in zip(self._filed, new):
+            for key, members in keys.items():
+                buf = bytearray(size)
+                for j in members:
+                    buf[j >> 3] |= 1 << (j & 7)
+                filed[key] = filed.get(key, 0) | int.from_bytes(buf, "little")
+        self._hits: list[dict] = [{} for _ in self._filed]
+
+    def hit(self, v, q: int, low: int = 0) -> int:
+        """The tuples whose q-th component meets v, exact from index ``low``
+        on: a subspace is tested only against values that some tuple of
+        index ``low`` or more carries."""
+        cached = self._hits[q].get(v)
+        if cached is not None and cached[1] <= low:
+            return cached[0]
+        filed = self._filed[q]
+        bits = 0
+        if isinstance(v, int):
+            low = 0
+            rest = v
+            while rest:
+                e = rest & -rest
+                bits |= filed.get(e, 0)
+                rest ^= e
+        else:
+            for w, members in filed.items():
+                if members.bit_length() > low and cross_nontrivial(v, w):
+                    bits |= members
+        self._hits[q][v] = (bits, low)
+        return bits
+
+    def _cover(self, t: tuple, pairs: list[tuple[int, int]], need: int, low: int = 0) -> int:
+        bits = 0
+        for p, q in pairs:
+            if bits & need == need:
+                break
+            bits |= self.hit(t[p], q, low)
+        return bits
+
+    def row(self, t: tuple, need: int, low: int = 0) -> int:
+        """Tuples j such that t placed before t_j satisfies clause (ii):
+        exact on the bits of ``need`` from index ``low`` on."""
+        bits = self._cover(t, self._forward, need, low)
+        if self.flavor == "bollobas":
+            bits &= self._cover(t, self._backward, need)
+        return bits
+
+    def admits(self, t: tuple) -> bool:
+        """Whether t placed after every tuple of the table satisfies clause (ii)."""
+        need = (1 << len(self.tuples)) - 1
+        bits = self._cover(t, self._backward, need)
+        if self.flavor == "bollobas":
+            bits &= self._cover(t, self._forward, need)
+        return bits & need == need
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def verify(system: System, flavor: str | ConditionKind, monotone: bool = False) -> VerificationReport:
+def verify(system: System, flavor: str | ConditionKind) -> VerificationReport:
     """Check the named condition, reporting the first violation in
-    lexicographic (i, j) order."""
+    lexicographic (i, j) order: clause (i) at (i, i), and for bollobas the
+    tuples B_j that A_i misses, below i first, then above."""
     if isinstance(flavor, ConditionKind):
         condition = flavor
         if condition.d != system.d or condition.kind != (
@@ -154,24 +234,28 @@ def verify(system: System, flavor: str | ConditionKind, monotone: bool = False) 
         ):
             raise ShapeError(f"condition {condition} does not match the system shape")
     else:
-        condition = condition_for(system, flavor, monotone)
+        condition = condition_for(system, flavor)
     caveat = _is_gfp(system)
 
-    tuples = system.tuples
-    m = system.m
-    component_ok = [component_clause_ok(t) for t in tuples]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                if not component_ok[i]:
-                    return VerificationReport(False, (i + 1, j + 1, CLAUSE_COMPONENT), condition, caveat)
-            elif condition.flavor == "bollobas":
-                if not cross_nontrivial(tuples[i][0], tuples[j][1]):
-                    return VerificationReport(False, (i + 1, j + 1, CLAUSE_CROSS), condition, caveat)
-            elif j > i:
-                clause = skew_clause_ok if condition.flavor == "skew" else weak_clause_ok
-                if not clause(tuples[i], tuples[j]):
-                    return VerificationReport(False, (i + 1, j + 1, CLAUSE_CROSS), condition, caveat)
+    def violated(i: int, j: int, clause: str) -> VerificationReport:
+        return VerificationReport(False, (i + 1, j + 1, clause), condition, caveat)
+
+    table = ClauseTable(condition.flavor, system.d, system.tuples)
+    everyone = (1 << system.m) - 1
+    both_sides = condition.flavor == "bollobas"
+    for i, t in enumerate(system.tuples):
+        bit = 1 << i
+        if both_sides:
+            missing = everyone & ~table.hit(t[0], 1) & ~bit
+            if missing & (bit - 1):
+                return violated(i, (missing & -missing).bit_length() - 1, CLAUSE_CROSS)
+        if not component_clause_ok(t):
+            return violated(i, i, CLAUSE_COMPONENT)
+        if not both_sides:
+            need = everyone & -(bit << 1)
+            missing = need & ~table.row(t, need, i + 1)
+        if missing:
+            return violated(i, (missing & -missing).bit_length() - 1, CLAUSE_CROSS)
     return VerificationReport(True, None, condition, caveat)
 
 

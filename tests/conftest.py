@@ -4,8 +4,9 @@ Oracles here are deliberately independent of the package's code paths:
 rank comes from fraction-free (Bareiss) elimination on integers, GF(2)
 subspaces from closure enumeration, set-system clauses from plain Python
 sets over element lists, weights from a per-tuple loop that writes each
-functional's term out, the search optimum from a recursive DFS that
-re-checks every clause and sums ``Fraction`` weights, and saturation from
+functional's term out, verification and the search optimum from pairwise
+clause checks (subspace meets by textbook elimination), the search optimum
+by a recursive DFS that sums ``Fraction`` weights, and saturation from
 whole-system passes that rescan, rebuild and re-weigh the system at every
 step.
 """
@@ -13,6 +14,7 @@ step.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -49,12 +51,8 @@ from bollobas.systems_model import (
     pair_block_profile,
     tuple_sizes,
 )
-from bollobas.verifiers import (
-    cross_nontrivial,
-    is_monotone_pair_profile,
-    skew_clause_ok,
-    weak_clause_ok,
-)
+from bollobas.exact_arith import PrimeField
+from bollobas.verifiers import is_monotone_pair_profile
 from bollobas.weight_functionals import FunctionalKind
 
 
@@ -191,6 +189,63 @@ def oracle_set_verify(system: SetSystem, flavor: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# pairwise clause oracle and reference verification, sets and subspaces
+
+
+def _rank(rows, sub) -> int:
+    p = sub.field.p if isinstance(sub.field, PrimeField) else 0
+    return len(scalar_rref(rows, sub.n, p))
+
+
+@lru_cache(maxsize=None)
+def meets(x, y) -> bool:
+    """Nonempty intersection of set masks, positive intersection dimension
+    of subspaces (dim x + dim y > dim (x + y))."""
+    if isinstance(x, int):
+        return bool(x & y)
+    return x.dim + y.dim > _rank(x.rows + y.rows, x)
+
+
+def components_ok(t) -> bool:
+    """Clause (i): pairwise disjoint masks / dimension-additive subspaces."""
+    if not t or isinstance(t[0], int):
+        return all(not (t[p] & t[q]) for p in range(len(t)) for q in range(p + 1, len(t)))
+    return _rank([row for sub in t for row in sub.rows], t[0]) == sum(sub.dim for sub in t)
+
+
+def cross_ok(flavor: str, ti, tj) -> bool:
+    """Clause (ii) for ti placed before tj, component pair by component pair."""
+    if flavor == "bollobas":
+        return meets(ti[0], tj[1]) and meets(tj[0], ti[1])
+    d = len(ti)
+    return any(
+        meets(ti[p], tj[q]) or (flavor == "weak" and meets(ti[q], tj[p]))
+        for p in range(d)
+        for q in range(p + 1, d)
+    )
+
+
+def reference_verify(system, flavor: str) -> tuple[bool, tuple | None]:
+    """(verdict, first violation) of ``verify`` by the pairwise double loop:
+    (i, j) in lexicographic order, clause (i) at i == j, and clause (ii) at
+    j > i for skew and weak, at every j != i for bollobas (A_i meeting B_j)."""
+    tuples = system.tuples
+    for i, ti in enumerate(tuples):
+        for j, tj in enumerate(tuples):
+            if i == j:
+                ok, clause = components_ok(ti), "component"
+            elif flavor == "bollobas":
+                ok, clause = meets(ti[0], tj[1]), "cross"
+            elif j > i:
+                ok, clause = cross_ok(flavor, ti, tj), "cross"
+            else:
+                continue
+            if not ok:
+                return False, (i + 1, j + 1, clause)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # reference weights: one term per tuple, each functional written out
 
 
@@ -258,15 +313,6 @@ def reference_search(problem: SearchProblem) -> tuple:
             return omega(SetSystem(problem.n, problem.d, (t,)), functional)
         return omega(SubspaceSystem(problem.n, problem.field, problem.d, (t,)), functional)
 
-    def cross_ok(existing, t) -> bool:
-        if problem.flavor == "bollobas":
-            return all(
-                cross_nontrivial(ti[0], t[1]) and cross_nontrivial(t[0], ti[1])
-                for ti in existing
-            )
-        clause = skew_clause_ok if problem.flavor == "skew" else weak_clause_ok
-        return all(clause(ti, t) for ti in existing)
-
     objective_terms = None
     max_term = Fraction(0)
     if problem.objective in ("max_weight", "counterexample"):
@@ -313,7 +359,9 @@ def reference_search(problem: SearchProblem) -> tuple:
                 return False
         start = chosen[-1] + 1 if order_free and chosen else 0
         for idx in range(start, len(candidates)):
-            if used[idx] or not cross_ok([candidates[i] for i in chosen], candidates[idx]):
+            if used[idx] or not all(
+                cross_ok(problem.flavor, candidates[i], candidates[idx]) for i in chosen
+            ):
                 continue
             state["nodes"] += 1
             if state["nodes"] > problem.node_budget:

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -29,6 +32,7 @@ from bollobas import (
     uniform_bollobas,
     zero_subspace,
 )
+from bollobas import cli_io
 from bollobas.cli_io import main, system_from_doc, system_to_doc
 
 
@@ -266,6 +270,47 @@ class TestCli:
     def test_unknown_flag_is_usage_error(self, capsys):
         rc = main(["verify", "--nonsense"])  # argparse prints to stderr
         assert rc == 2
+
+    @pytest.mark.parametrize("d", ["1", "3"])
+    def test_random_bollobas_needs_pairs(self, capsys, d):
+        rc, doc = run_cli(capsys, "random", "--seed", "1", "--m", "5", "--n", "3", "--d", d, "--condition", "bollobas")
+        assert rc == 2 and doc["status"] == "usage"
+
+    def test_verify_has_no_monotone_flag(self, capsys, tmp_path):
+        # the flag only named a monotone condition; verify never checked it
+        path = tmp_path / "pairs.json"
+        path.write_text('{"kind":"set","n":2,"d":2,"tuples":[[[1,2],[]],[[],[1,2]]]}')
+        rc = main(["verify", "--kind", "skew", "--monotone", "--in", str(path)])
+        assert rc == 2
+        rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--in", str(path))
+        assert rc == 0 and doc["condition"] == "skew set 2-tuples"
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        chain = self.write_chain(tmp_path)
+        runs = [
+            ["verify", "--kind", "skew", "--in", chain],
+            ["saturate", "--flavor", "set", "--trace", "--in", chain],
+            ["verify", "--kind", "bollobas", "--in", chain],
+            ["random", "--seed", "3", "--m", "4", "--n", "3", "--condition", "weak"],
+            ["random", "--seed", "3", "--m", "4", "--n", "3"],
+            ["saturate", "--flavor", "set", "--in", chain],
+        ]
+        src = os.path.dirname(os.path.dirname(cli_io.__file__))
+        fresh = "import sys; from bollobas.cli_io import main; sys.exit(main(sys.argv[1:]))"
+        parsers = set()
+        for argv in runs:
+            rc = main(argv)
+            out = capsys.readouterr().out
+            parsers.add(id(cli_io.build_parser()))
+            proc = subprocess.run(
+                [sys.executable, "-c", fresh, *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+            assert (rc, out) == (proc.returncode, proc.stdout)
+        assert len(parsers) == 1
 
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -32,7 +33,7 @@ from bollobas import (
     tuza,
     verify,
 )
-from bollobas import extremal_search
+from bollobas import extremal_search, verifiers
 from bollobas.extremal_search import subspace_count
 from bollobas.weight_functionals import FunctionalKind
 
@@ -321,18 +322,39 @@ class TestSearchMatchesReferenceDfs:
         assert (result.best_value, result.nodes, result.exhaustive) == (81, 71518, True)
 
     def test_clause_table_guard_refuses_before_any_row(self, monkeypatch):
-        # n=2, d=2: 4 component values x 2 positions x 9 candidates = 72 bits
-        problem = SearchProblem(kind="set", n=2, d=2, flavor="skew")
-        monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", 72)
-        assert search_max(problem).best_value == 4
-        monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", 71)
+        # set n=2, d=2: 4 component values x 2 positions x 9 candidates = 72 bits;
+        # GF(2)^1 pairs: 2 values x 2 positions x 3 candidates = 12 bits
+        # set rows are built with no meet test, subspace rows by meet tests
+        cases = [
+            (SearchProblem(kind="set", n=2, d=2, flavor="skew"), 72, 4, False),
+            (SearchProblem(kind="subspace", n=1, d=2, flavor="skew", field=PrimeField(2)), 12, 2, True),
+        ]
+        real_hit, real_meet = verifiers.ClauseTable.hit, verifiers.cross_nontrivial
+        calls = Counter()
 
-        def no_meet_test(x, y):
+        def counted_hit(table, *args):
+            calls["hit"] += 1
+            return real_hit(table, *args)
+
+        def counted_meet(x, y):
+            calls["meet"] += 1
+            return real_meet(x, y)
+
+        def no_row(*args):
             raise AssertionError("a clause row was built")
 
-        monkeypatch.setattr(extremal_search, "cross_nontrivial", no_meet_test)
-        with pytest.raises(BudgetError):
-            search_max(problem)
+        for problem, bits, best, meet_tests in cases:
+            calls.clear()
+            monkeypatch.setattr(verifiers.ClauseTable, "hit", counted_hit)
+            monkeypatch.setattr(verifiers, "cross_nontrivial", counted_meet)
+            monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", bits)
+            assert search_max(problem).best_value == best
+            assert calls["hit"] > 0 and (calls["meet"] > 0) == meet_tests
+            monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", bits - 1)
+            monkeypatch.setattr(verifiers.ClauseTable, "hit", no_row)
+            monkeypatch.setattr(verifiers, "cross_nontrivial", no_row)
+            with pytest.raises(BudgetError):
+                search_max(problem)
 
 
 class TestRandomValidSystem:

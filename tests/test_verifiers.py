@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
     PreconditionError,
@@ -17,15 +19,17 @@ from bollobas import (
     complement_chain,
     coordinate_decomposition,
     coordinate_subspace,
+    canonicalize,
     embed,
     full_tuza_tuples,
     is_skew_implies_weak_check,
+    random_valid_system,
     verify,
     zero_subspace,
 )
 from bollobas.verifiers import ConditionKind
 
-from conftest import oracle_set_verify, set_tuple_lists
+from conftest import oracle_set_verify, reference_verify, set_tuple_lists
 
 
 class TestVerify:
@@ -299,3 +303,77 @@ class TestEmbedEquivalenceOracle:
                 rs, re = verify(s, flavor), verify(e, flavor)
                 assert rs.verdict == re.verdict
                 assert rs.first_violation == re.first_violation
+
+
+# ---------------------------------------------------------------------------
+# the clause table against the pairwise double loop
+
+
+def flavors_for(d: int) -> tuple[str, ...]:
+    return ("bollobas", "skew", "weak") if d == 2 else ("skew", "weak")
+
+
+@st.composite
+def systems_with_violations(draw):
+    """A seeded random valid system of either kind, then extra tuples (any
+    components, so clause (i) may fail) and copies of its own tuples, each
+    inserted at a drawn position."""
+    kind = draw(st.sampled_from(["set", "subspace"]))
+    if kind == "set":
+        n, d, field = draw(st.integers(1, 6)), draw(st.integers(1, 4)), None
+        component = st.integers(0, (1 << n) - 1)
+    else:
+        n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        field = draw(st.sampled_from([PrimeField(2), PrimeField(3), QQ]))
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        component = st.lists(row, max_size=n).map(lambda rows: canonicalize(n, field, rows))
+    tuples = []
+    if d >= 2 and draw(st.booleans()):
+        base = random_valid_system(
+            kind,
+            n,
+            d,
+            draw(st.sampled_from(flavors_for(d))),
+            target_m=draw(st.integers(0, 12)),
+            seed=draw(st.integers(0, 2**16)),
+            field=field,
+        )
+        tuples = list(base.tuples)
+    for _ in range(draw(st.integers(0, 3))):
+        if tuples and draw(st.booleans()):
+            t = draw(st.sampled_from(tuples))  # a duplicate
+        else:
+            t = tuple(draw(st.lists(component, min_size=d, max_size=d)))
+        tuples.insert(draw(st.integers(0, len(tuples))), t)
+    if kind == "set":
+        return SetSystem(n, d, tuple(tuples))
+    return SubspaceSystem(n, field, d, tuple(tuples))
+
+
+class TestClauseTableMatchesPairwiseVerify:
+    @settings(max_examples=300, deadline=None)
+    @given(systems_with_violations())
+    def test_verdict_and_first_violation(self, system):
+        for flavor in flavors_for(system.d):
+            report = verify(system, flavor)
+            assert (report.verdict, report.first_violation) == reference_verify(system, flavor)
+
+    def test_witness_order_on_fixed_systems(self):
+        # a duplicate, clause (i) after a bollobas miss below i, and a last-j miss
+        chain = complement_chain(3)
+        dup = SetSystem(3, 2, chain.tuples[:2] + chain.tuples[1:2])
+        overlap = SetSystem(2, 2, ((1, 2), (1, 1)))  # A_2 misses B_1; tuple 2 overlaps
+        late = SetSystem(3, 2, chain.tuples[1:] + chain.tuples[:1])
+        cases = [
+            (chain, "skew", (True, None)),
+            (dup, "skew", (False, (2, 3, "cross"))),
+            (overlap, "weak", (False, (2, 2, "component"))),
+            (overlap, "bollobas", (False, (2, 1, "cross"))),
+            (chain, "bollobas", (False, (2, 1, "cross"))),
+            (late, "skew", (False, (1, 8, "cross"))),
+            (late, "weak", (True, None)),
+        ]
+        for system, flavor, expected in cases:
+            report = verify(system, flavor)
+            assert (report.verdict, report.first_violation) == expected
+            assert reference_verify(system, flavor) == expected
