@@ -359,11 +359,12 @@ class TestSearchMatchesReferenceDfs:
 
 class TestRandomValidSystem:
     def test_postcondition_by_construction(self):
-        for seed in range(20):
-            s = random_valid_system("set", 4, 2, "skew", target_m=6, seed=seed)
-            assert verify(s, "skew").verdict
-            assert oracle_set_verify(s, "skew")
-            assert s.m <= 6
+        for flavor in ("bollobas", "skew", "weak"):
+            for seed in range(20):
+                s = random_valid_system("set", 4, 2, flavor, target_m=6, seed=seed)
+                assert verify(s, flavor).verdict
+                assert oracle_set_verify(s, flavor)
+                assert s.m <= 6
 
     def test_reproducible(self):
         a = random_valid_system("set", 4, 2, "skew", target_m=6, seed=9)

@@ -27,7 +27,7 @@ from bollobas import (
     verify,
     zero_subspace,
 )
-from bollobas.verifiers import ConditionKind
+from bollobas.verifiers import ClauseTable, ConditionKind
 
 from conftest import oracle_set_verify, reference_verify, set_tuple_lists
 
@@ -357,6 +357,16 @@ class TestClauseTableMatchesPairwiseVerify:
         for flavor in flavors_for(system.d):
             report = verify(system, flavor)
             assert (report.verdict, report.first_violation) == reference_verify(system, flavor)
+
+    def test_hit_read_from_an_earlier_index_is_rebuilt(self):
+        # verify reads hits from index i + 1 on; a later read from 0 must not
+        # reuse that partial bitset
+        field = PrimeField(2)
+        z = zero_subspace(2, field)
+        e1, e2 = coordinate_subspace(2, field, [1]), coordinate_subspace(2, field, [2])
+        table = ClauseTable("skew", 2, [(z, e1 + e2), (z, e2), (z, e1)])
+        assert table.hit(e1, 1, 2) == 0b100
+        assert table.hit(e1, 1) == 0b101
 
     def test_witness_order_on_fixed_systems(self):
         # a duplicate, clause (i) after a bollobas miss below i, and a last-j miss
