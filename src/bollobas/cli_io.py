@@ -337,8 +337,19 @@ def _read_system(args) -> System:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write the report in one call: ``json.dump`` writes once per chunk."""
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _check_sizes(sizes: dict[str, int], prefix: str) -> None:
+    """Refuse a size argument outside its range before any work is sized by
+    it: a ground dimension or family parameter n, a, b outside [0, MAX_N],
+    an arity d outside [1, MAX_D].  ``prefix`` makes the flag the message
+    names: "--" for --n, "--params " for a construct param."""
+    for key, value in sizes.items():
+        low, cap = (1, MAX_D) if key == "d" else (0, MAX_N)
+        if not low <= value <= cap:
+            raise ShapeError(f"{prefix}{key}={value} is outside [{low}, {cap}]")
 
 
 def _cmd_verify(args) -> int:
@@ -414,6 +425,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_sizes({"n": args.n, "d": args.d}, "--")
     field = field_from_str(args.field) if args.field else None
     functional = None
     if args.functional:
@@ -451,6 +463,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    _check_sizes({"n": args.n, "d": args.d}, "--")
     field = field_from_str(args.field)
     p = ProbabilityVector.parse(args.p)
     result = explore_weak_subspace_conjecture(
@@ -476,6 +489,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params or [])
+    _check_sizes({k: v for k, v in params.items() if k in ("n", "a", "b", "d")}, "--params ")
     system = construct(args.family, **params)
     _emit(system_to_doc(system))
     return 0
@@ -507,9 +521,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    for flag, value, cap in (("--n", args.n, MAX_N), ("--d", args.d, MAX_D)):
-        if value > cap:
-            raise ShapeError(f"{flag} {value} is above the cap {cap}")
+    _check_sizes({"n": args.n, "d": args.d}, "--")
     field = field_from_str(args.field) if args.field else None
     if args.compatible_blocks:
         blocks = [
@@ -531,9 +543,19 @@ def _cmd_random(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error as a JSON body at exit 2, like every other error;
+    ``--help`` still prints text and exits 0.  Subcommand parsers share the
+    class."""
+
+    def error(self, message: str):
+        _emit({"error": f"{self.prog}: {message}", "status": "usage"})
+        self.exit(2)
+
+
 @cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bollobas",
         description=(
             "Construct, verify, transform, and certify Bollobás-type systems "

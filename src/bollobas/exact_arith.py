@@ -157,8 +157,15 @@ class RationalField:
 
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         """Rational entries as one int row spanning the same line: each entry
-        times the lcm of the denominators."""
-        qs = [rational_from_str(text) for text in texts]
+        times the lcm of the denominators.  A plain integer entry stays an
+        ``int`` (its denominator is 1); only the others go through
+        :func:`rational_from_str`."""
+        qs: list[int | Fraction] = []
+        for text in texts:
+            try:
+                qs.append(int(text))
+            except ValueError:
+                qs.append(rational_from_str(text))
         den = math.lcm(*[q.denominator for q in qs])
         return [q.numerator * (den // q.denominator) for q in qs]
 

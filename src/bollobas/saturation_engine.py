@@ -55,7 +55,6 @@ from .exact_arith import (
 )
 from .subspace_algebra import (
     canonicalize,
-    component,
     dim_of_sum,
     extension_vector,
     full_space,
@@ -194,8 +193,9 @@ def _pair_step(system: SubspaceSystem, t: tuple, i: int, k: int):
     (A + <x>, B) then (A, B + <x>)."""
     assert system.decomposition is not None
     a, b = t
+    components = system.decomposition.components
     v_k = system.decomposition.blocks[k - 1]
-    filled = component(a, v_k) + component(b, v_k)
+    filled = components(a)[k - 1] + components(b)[k - 1]
     if filled.dim == v_k.dim:
         raise PreconditionError(f"pair {i} is already full in block {k}")
     x_span = canonicalize(system.n, system.field, (extension_vector(v_k, filled),))

@@ -20,6 +20,7 @@ elimination of ``[u | u]`` over ``[w | 0]``, never orthogonal complements
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -276,11 +277,21 @@ def extension_vector(v_k: Subspace, s: Subspace) -> Optional[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A direct-sum decomposition V = V_1 ⊕ ... ⊕ V_r of the ambient space."""
+    """A direct-sum decomposition V = V_1 ⊕ ... ⊕ V_r of the ambient space.
+
+    ``components(u)`` memoizes (U ∩ V_1, ..., U ∩ V_r) per subspace U in a
+    dict that lives as long as this value: systems derived by
+    ``with_tuples``/``replace`` keep the same decomposition, so one
+    saturation run computes each component once.  The memo takes no part in
+    equality, hashing or repr.
+    """
 
     n: int
     field: FieldTag
     blocks: tuple[Subspace, ...]
+    _components: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -301,6 +312,13 @@ class Decomposition:
 
     def block_dims(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.blocks)
+
+    def components(self, u: Subspace) -> tuple[Subspace, ...]:
+        """(U ∩ V_1, ..., U ∩ V_r), computed on the first call for U."""
+        found = self._components.get(u)
+        if found is None:
+            found = self._components[u] = tuple(component(u, blk) for blk in self.blocks)
+        return found
 
 
 def coordinate_decomposition(n: int, field: FieldTag, blocks: Sequence[Iterable[int]]) -> Decomposition:

@@ -21,7 +21,6 @@ from .exact_arith import QQ, FieldTag
 from .subspace_algebra import (
     Decomposition,
     Subspace,
-    component,
     coordinate_subspace,
     dim_of_sum,
 )
@@ -215,12 +214,14 @@ def pair_block_dims(system: SubspaceSystem, pair: tuple) -> tuple[tuple[int, int
     )
 
 
-def _block_components(system: SubspaceSystem, pair: tuple) -> list[tuple[Subspace, Subspace]]:
-    """(A ∩ V_k, B ∩ V_k) for each block V_k of the decomposition."""
+def _block_components(system: SubspaceSystem, pair: tuple) -> Iterable[tuple[Subspace, Subspace]]:
+    """(A ∩ V_k, B ∩ V_k) for each block V_k of the decomposition, from its
+    component memo."""
     if system.decomposition is None:
         raise ShapeError("subspace system has no decomposition")
     a, b = pair
-    return [(component(a, blk), component(b, blk)) for blk in system.decomposition.blocks]
+    components = system.decomposition.components
+    return zip(components(a), components(b))
 
 
 def profile(system: System, i: int):
@@ -275,9 +276,9 @@ def is_decomposition_compatible(system: SubspaceSystem) -> bool:
     """
     if system.decomposition is None:
         raise ShapeError("no decomposition attached")
-    blocks = system.decomposition.blocks
+    components = system.decomposition.components
     for t in system.tuples:
         for sub in t:
-            if sum(component(sub, blk).dim for blk in blocks) != sub.dim:
+            if sum(c.dim for c in components(sub)) != sub.dim:
                 return False
     return True

@@ -101,7 +101,9 @@ def _is_gfp(system: System) -> bool:
 
 
 def component_clause_ok(t) -> bool:
-    """Clause (i): pairwise disjoint subsets / dimension-additive subspaces."""
+    """Clause (i): pairwise disjoint subsets / dimension-additive subspaces.
+    A sum has dimension at most n, so subspace dims adding up past n fail
+    with no elimination."""
     if not t or isinstance(t[0], int):
         seen = 0
         for mask in t:
@@ -109,14 +111,18 @@ def component_clause_ok(t) -> bool:
                 return False
             seen |= mask
         return True
-    return dim_of_sum(list(t)) == sum(sub.dim for sub in t)
+    total = sum(sub.dim for sub in t)
+    return total <= t[0].n and dim_of_sum(list(t)) == total
 
 
 def cross_nontrivial(x: Subspace, y: Subspace) -> bool:
-    """Positive intersection dimension of two subspaces."""
+    """Positive intersection dimension of two subspaces of the same space:
+    dim(U ∩ W) = dim U + dim W - dim(U + W), and dim(U + W) <= n, so dims
+    adding up past n settle the meet with no elimination."""
     if x.dim == 0 or y.dim == 0:
         return False
-    return x.dim + y.dim > dim_of_sum([x, y])
+    total = x.dim + y.dim
+    return total > x.n or total > dim_of_sum([x, y])
 
 
 class ClauseTable:

@@ -267,9 +267,71 @@ class TestCli:
         assert doc["best_value"] == "5/4"
         assert "open" in doc["note"]
 
+    def test_pair_runs_meet_each_subspace_with_each_block_once(self, capsys, tmp_path, monkeypatch):
+        from bollobas import subspace_algebra
+
+        system = random_compatible_pair_system(4, [[1, 2], [3, 4]], 3, 2)
+        path = tmp_path / "pair.json"
+        path.write_text(serialize(system), encoding="utf-8")
+        real = subspace_algebra.intersection
+        calls = []
+
+        def counted(u, w):
+            calls.append((u, w))
+            return real(u, w)
+
+        monkeypatch.setattr(subspace_algebra, "intersection", counted)
+        rc, doc = run_cli(capsys, "saturate", "--flavor", "pair", "--in", str(path))
+        assert rc == 0 and doc["steps"] > 0
+        blocks = set(system.decomposition.blocks)
+        assert calls and len(calls) == len(set(calls)) and {w for _, w in calls} <= blocks
+        full_path = tmp_path / "full.json"
+        full_path.write_text(json.dumps(doc["final_system"]), encoding="utf-8")
+        calls.clear()
+        rc, cert = run_cli(capsys, "certify", "--flavor", "pair", "--in", str(full_path))
+        assert rc == 0 and cert["holds"] is True
+        # the final pairs' subspaces, each met with each of the 2 blocks once
+        final = parse(full_path.read_text(encoding="utf-8"))
+        distinct = {sub for t in final.tuples for sub in t}
+        assert sorted(map(repr, calls)) == sorted(repr((u, w)) for u in distinct for w in blocks)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify"], "bollobas verify: the following arguments are required: --kind"),
+            (["construct", "--family", "nosuch"], "bollobas construct: argument --family: invalid choice"),
+        ],
+    )
+    def test_argparse_error_is_a_json_body(self, capsys, argv, message):
+        rc, out, err = run_quietly(argv)
+        assert rc == 2 and err == ""
+        doc = json.loads(out)
+        assert doc["status"] == "usage" and doc["error"].startswith(message)
+
+    def test_help_stays_text(self, capsys):
+        rc, out, err = run_quietly(["verify", "--help"])
+        assert rc == 0 and out.startswith("usage: bollobas verify") and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "--objective", "max-m", "--n", "-1"], "--n=-1 is outside [0, 64]"),
+            (["search", "--objective", "max-m", "--n", "2", "--d", "0"], "--d=0 is outside [1, 16]"),
+            (
+                ["construct", "--family", "complement_chain", "--params", "n=100000"],
+                "--params n=100000 is outside [0, 64]",
+            ),
+            (["explore", "--n", "2", "--d", "17", "--p", "1/2,1/2", "--field", "gf(2)"], "--d=17 is outside [1, 16]"),
+            (["random", "--seed", "0", "--m", "2", "--n", "-3"], "--n=-3 is outside [0, 64]"),
+        ],
+    )
+    def test_argv_sizes_are_checked_at_the_boundary(self, capsys, argv, message):
+        rc, doc = run_cli(capsys, *argv)
+        assert rc == 2 and doc == {"error": message, "status": "usage"}
+
     def test_unknown_flag_is_usage_error(self, capsys):
-        rc = main(["verify", "--nonsense"])  # argparse prints to stderr
-        assert rc == 2
+        rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--nonsense")
+        assert rc == 2 and doc["status"] == "usage" and "--nonsense" in doc["error"]
 
     @pytest.mark.parametrize("d", ["1", "3"])
     def test_random_bollobas_needs_pairs(self, capsys, d):
@@ -280,8 +342,8 @@ class TestCli:
         # the flag only named a monotone condition; verify never checked it
         path = tmp_path / "pairs.json"
         path.write_text('{"kind":"set","n":2,"d":2,"tuples":[[[1,2],[]],[[],[1,2]]]}')
-        rc = main(["verify", "--kind", "skew", "--monotone", "--in", str(path)])
-        assert rc == 2
+        rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--monotone", "--in", str(path))
+        assert rc == 2 and doc["status"] == "usage" and "--monotone" in doc["error"]
         rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--in", str(path))
         assert rc == 0 and doc["condition"] == "skew set 2-tuples"
 

@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -145,6 +145,24 @@ def test_rational_row_clears_denominators():
     assert QQ.parse_row([]) == []
     assert QQ.scalar_to_str(Fraction(-2, 4)) == "-1/2"
     assert QQ.scalar_to_str(3) == "3"
+
+
+def test_rational_row_integer_entries_stay_int():
+    # an integer entry skips Fraction; the row matches the fraction route
+    for texts, expected in [
+        (["3"], [3]),
+        (["6/2"], [3]),
+        (["1", "-1/2", "0"], [2, -1, 0]),
+        (["2/2", "-0.5", "0/7"], [2, -1, 0]),
+        ([" -4 ", "1/3", "2"], [-12, 1, 6]),
+    ]:
+        row = QQ.parse_row(texts)
+        assert row == expected and all(type(x) is int for x in row)
+        qs = [Fraction(text.strip()) for text in texts]
+        den = 1
+        for q in qs:
+            den = den * q.denominator // gcd(den, q.denominator)
+        assert row == [int(q * den) for q in qs]
 
 
 def test_exponent_past_the_digit_limit_refused_before_building():

@@ -267,6 +267,42 @@ class TestDecomposition:
             )
 
 
+class TestComponentMemo:
+    def test_components_are_the_block_meets_computed_once(self, monkeypatch):
+        from bollobas import subspace_algebra
+
+        decomp = coordinate_decomposition(3, QQ, [[1, 2], [3]])
+        u = qspan(3, [1, 0, 1], [0, 1, 0])
+        calls = []
+        real = subspace_algebra.intersection
+
+        def counted(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(subspace_algebra, "intersection", counted)
+        parts = decomp.components(u)
+        assert parts == tuple(real(u, blk) for blk in decomp.blocks)
+        assert parts == (qspan(3, [0, 1, 0]), zero_subspace(3, QQ))
+        assert decomp.components(qspan(3, [0, 1, 0], [1, 0, 1])) is parts
+        assert calls == [(u, blk) for blk in decomp.blocks]
+
+    def test_memo_takes_no_part_in_equality_or_hash(self):
+        from bollobas import SubspaceSystem
+
+        filled = coordinate_decomposition(2, QQ, [[1], [2]])
+        empty = coordinate_decomposition(2, QQ, [[1], [2]])
+        pair = (coordinate_subspace(2, QQ, [1]), coordinate_subspace(2, QQ, [2]))
+        for sub in pair:
+            filled.components(sub)
+        assert filled is not empty
+        assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+        with_memo = SubspaceSystem(2, QQ, 2, (pair,), filled)
+        without = SubspaceSystem(2, QQ, 2, (pair,), empty)
+        assert with_memo == without and hash(with_memo) == hash(without)
+        assert {with_memo: 1}[without] == 1
+
+
 class TestGFLattice:
     def test_gf2_counts_match_closure_oracle(self):
         for n in (1, 2, 3):

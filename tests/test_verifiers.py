@@ -22,14 +22,15 @@ from bollobas import (
     canonicalize,
     embed,
     full_tuza_tuples,
+    intersection,
     is_skew_implies_weak_check,
     random_valid_system,
     verify,
     zero_subspace,
 )
-from bollobas.verifiers import ClauseTable, ConditionKind
+from bollobas.verifiers import ClauseTable, ConditionKind, component_clause_ok, cross_nontrivial
 
-from conftest import oracle_set_verify, reference_verify, set_tuple_lists
+from conftest import components_ok, oracle_set_verify, reference_verify, set_tuple_lists
 
 
 class TestVerify:
@@ -348,6 +349,42 @@ def systems_with_violations(draw):
     if kind == "set":
         return SetSystem(n, d, tuple(tuples))
     return SubspaceSystem(n, field, d, tuple(tuples))
+
+
+@st.composite
+def subspace_of_dim(draw, n, field, k):
+    """A k-dimensional subspace of F^n: k rows with distinct leading columns
+    are independent, and every subspace has such a basis."""
+    entries = st.integers(-2, 2) if field == QQ else st.integers(0, field.p - 1)
+    cols = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    rows = [[0] * c + [1] + draw(st.lists(entries, min_size=n - c - 1, max_size=n - c - 1)) for c in cols]
+    return canonicalize(n, field, rows)
+
+
+@st.composite
+def subspace_tuples(draw):
+    """Tuples of 2 or 3 subspaces over QQ, GF(2) or GF(3), n <= 4; half the
+    draws give the first two dims summing past n."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    n = draw(st.integers(1, 4))
+    past_n = draw(st.booleans())
+    first = draw(st.integers(int(past_n), n))
+    dims = [first, draw(st.integers(n - first + 1 if past_n else 0, n))]
+    dims += draw(st.lists(st.integers(0, n), max_size=1))
+    return tuple(draw(subspace_of_dim(n, field, k)) for k in dims)
+
+
+class TestMeetsByDimensionCount:
+    @settings(max_examples=300, deadline=None)
+    @given(subspace_tuples())
+    def test_cross_and_component_clauses_match_elimination(self, t):
+        x, y = t[0], t[1]
+        meet = intersection(x, y).dim > 0
+        assert cross_nontrivial(x, y) == meet
+        if x.dim + y.dim > x.n:
+            assert meet
+        assert component_clause_ok(t) == components_ok(t)
+        assert component_clause_ok(t[:2]) == components_ok(t[:2])
 
 
 class TestClauseTableMatchesPairwiseVerify:
