@@ -61,8 +61,6 @@ from .weight_functionals import (
     InequalityVerdict,
     evaluate_inequality,
     omega,
-    phi,
-    phi_upper_bound,
     term,
     tuza,
 )
@@ -73,6 +71,8 @@ from .saturation_engine import (
     fill_up_set_tuple,
     fill_up_subspace_pair,
     fill_up_subspace_tuple,
+    phi,
+    phi_upper_bound,
     saturate,
 )
 from .extremal_search import (

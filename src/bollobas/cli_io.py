@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Any, Sequence
 
-from .constructions import FAMILY_NAMES, construct
+from .constructions import FAMILY_NAMES, FamilyKind, construct
 from .errors import (
     BollobasError,
     BudgetError,
@@ -57,6 +57,7 @@ from .extremal_search import (
     search_max,
 )
 from .saturation_engine import (
+    FLAVORS,
     SaturationTrace,
     certify_full_system,
     saturate,
@@ -341,6 +342,20 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _int(text: str, flag: str) -> int:
+    """One integer of an argv value, such as an entry of "1,2|3"; a
+    ``ShapeError`` naming ``flag`` for anything else."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ShapeError(f"{flag}: {text!r} is not an integer") from None
+
+
+def _int_blocks(text: str, flag: str) -> list[list[int]]:
+    """Comma-separated integer lists, "|" between lists: "1,2|3,4"."""
+    return [[_int(x, flag) for x in block.split(",") if x] for block in text.split("|")]
+
+
 def _check_sizes(sizes: dict[str, int], prefix: str) -> None:
     """Refuse a size argument outside its range before any work is sized by
     it: a ground dimension or family parameter n, a, b outside [0, MAX_N],
@@ -427,16 +442,10 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     _check_sizes({"n": args.n, "d": args.d}, "--")
     field = field_from_str(args.field) if args.field else None
-    functional = None
-    if args.functional:
-        name = _functional_name(args.functional)
-        p = ProbabilityVector.parse(args.p) if args.p else None
-        functional = (
-            FunctionalKind("tuza_sum", p) if name == "tuza_sum" else FunctionalKind(name)
-        )
+    functional = _parse_functional(args) if args.functional else None
     uniform = None
     if args.uniform:
-        uniform = tuple(int(x) for x in args.uniform.split(","))
+        uniform = tuple(_int(x, "--uniform") for x in args.uniform.split(","))
     objective = args.objective.replace("-", "_")
     problem = SearchProblem(
         kind=args.kind,
@@ -490,7 +499,9 @@ def _cmd_explore(args) -> int:
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params or [])
     _check_sizes({k: v for k, v in params.items() if k in ("n", "a", "b", "d")}, "--params ")
-    system = construct(args.family, **params)
+    embedded = params.pop("embedded", False)
+    # a FamilyKind keeps every param a param: budget=N is refused, not bound
+    system = construct(FamilyKind(args.family, tuple(params.items()), embedded))
     _emit(system_to_doc(system))
     return 0
 
@@ -502,13 +513,11 @@ def _parse_params(entries: Sequence[str]) -> dict:
         if not sep:
             raise ShapeError(f"params look like key=value, got {entry!r}")
         if key == "blocks":
-            out[key] = [
-                [int(x) for x in block.split(",") if x] for block in value.split("|")
-            ]
+            out[key] = _int_blocks(value, "--params blocks")
         elif key == "embedded":
             out[key] = value.lower() in ("1", "true", "yes")
         else:
-            out[key] = int(value)
+            out[key] = _int(value, f"--params {key}")
     return out
 
 
@@ -524,10 +533,7 @@ def _cmd_random(args) -> int:
     _check_sizes({"n": args.n, "d": args.d}, "--")
     field = field_from_str(args.field) if args.field else None
     if args.compatible_blocks:
-        blocks = [
-            [int(x) for x in block.split(",") if x]
-            for block in args.compatible_blocks.split("|")
-        ]
+        blocks = _int_blocks(args.compatible_blocks, "--compatible-blocks")
         system: System = random_compatible_pair_system(args.n, blocks, args.m, args.seed)
     else:
         system = random_valid_system(
@@ -585,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("saturate", help="fill up every tuple, tracking weight and potential")
     add_infile(p)
-    p.add_argument("--flavor", required=True, choices=("set", "pair", "tuple"))
+    p.add_argument("--flavor", required=True, choices=tuple(FLAVORS))
     p.add_argument("--p", default=None)
     p.add_argument("--trace", action="store_true", help="include per-step records")
     p.add_argument(
@@ -598,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="type-class certification of a full system")
     add_infile(p)
-    p.add_argument("--flavor", default=None, choices=("set", "pair", "tuple"))
+    p.add_argument("--flavor", default=None, choices=tuple(FLAVORS))
     p.add_argument("--p", default=None)
     p.set_defaults(func=_cmd_certify)
 

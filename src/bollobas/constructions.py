@@ -106,8 +106,17 @@ def full_tuza_tuples(n: int, d: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetS
     return SetSystem(n, d, tuple(tuples))
 
 
+_FAMILIES = {
+    "uniform_bollobas": uniform_bollobas,
+    "complement_chain": complement_chain,
+    "partitioned_complement_chain": partitioned_complement_chain,
+    "full_tuza_tuples": full_tuza_tuples,
+}
+
+
 def construct(kind: FamilyKind | str, budget: int = DEFAULT_TUPLE_BUDGET, **params) -> System:
-    """Dispatch a family by name; the CLI entry point for fixtures."""
+    """Dispatch a family by name; the CLI entry point for fixtures.  A param
+    the family does not take is refused."""
     if isinstance(kind, FamilyKind):
         params = dict(kind.params)
         embedded = kind.embedded
@@ -115,19 +124,15 @@ def construct(kind: FamilyKind | str, budget: int = DEFAULT_TUPLE_BUDGET, **para
     else:
         name = kind
         embedded = bool(params.pop("embedded", False))
-    missing = [key for key in FAMILY_PARAMS.get(name, ()) if key not in params]
+    if name not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+    missing = [key for key in FAMILY_PARAMS[name] if key not in params]
     if missing:
         raise ShapeError(f"family {name!r} needs params {', '.join(missing)}")
-    if name == "uniform_bollobas":
-        system: System = uniform_bollobas(params["a"], params["b"], budget)
-    elif name == "complement_chain":
-        system = complement_chain(params["n"], budget)
-    elif name == "partitioned_complement_chain":
-        system = partitioned_complement_chain(params["n"], params["blocks"], budget)
-    elif name == "full_tuza_tuples":
-        system = full_tuza_tuples(params["n"], params["d"], budget)
-    else:
-        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+    unknown = [key for key in params if key not in FAMILY_PARAMS[name]]
+    if unknown:
+        raise ShapeError(f"family {name!r} takes no params {', '.join(unknown)}")
+    system = _FAMILIES[name](**params, budget=budget)
     if embedded:
         assert isinstance(system, SetSystem)
         return embed(system)

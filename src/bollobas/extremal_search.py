@@ -99,6 +99,10 @@ class SearchProblem:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "bollobas" and self.d != 2:
             raise ShapeError("the bollobas condition is defined for pairs only")
+        if self.uniform_sizes is not None and len(self.uniform_sizes) != self.d:
+            raise ShapeError(
+                f"uniform sizes have {len(self.uniform_sizes)} entries, arity is {self.d}"
+            )
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
         if self.kind == "subspace" and self.field is None:
@@ -371,8 +375,11 @@ def _random_set_tuple(rng: random.Random, n: int, d: int) -> tuple[int, ...]:
 
 
 def _check_target(target_m: int) -> None:
-    """Refuse a target above the tuple budget: each attempt reads every
-    tuple chosen so far, and a small ground admits few tuples anyway."""
+    """Refuse a negative target, and one above the tuple budget: each
+    attempt reads every tuple chosen so far, and a small ground admits few
+    tuples anyway."""
+    if target_m < 0:
+        raise ShapeError(f"target m={target_m} is negative")
     if target_m > DEFAULT_TUPLE_BUDGET:
         raise BudgetError(f"target m={target_m} is above the tuple budget {DEFAULT_TUPLE_BUDGET}")
 
@@ -404,6 +411,10 @@ def random_valid_system(
     ``DEFAULT_TUPLE_BUDGET`` is refused with ``BudgetError``.
     """
     _check_target(target_m)
+    if kind not in ("set", "subspace"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "subspace" and field is None:
+        raise ShapeError("subspace generation needs a field")
     rng = random.Random(seed)
     table = ClauseTable(flavor, d)
     for _ in range(60 * max(target_m, 1)):
@@ -411,19 +422,14 @@ def random_valid_system(
             break
         if kind == "set":
             t: tuple = _random_set_tuple(rng, n, d)
-        elif kind == "subspace":
-            if field is None:
-                raise ShapeError("subspace generation needs a field")
+        else:
             t = tuple(_random_subspace(rng, n, field) for _ in range(d))
             if not component_clause_ok(t):
                 continue
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
         if table.admits(t):
             table.extend((t,))
     if kind == "set":
         return SetSystem(n, d, tuple(table.tuples))
-    assert field is not None
     return SubspaceSystem(n, field, d, tuple(table.tuples))
 
 

@@ -1,5 +1,5 @@
-"""Weight-invariant fill-up, saturation to fullness, and type-class
-certification.
+"""Weight-invariant fill-up, saturation to fullness, potentials, and
+type-class certification.
 
 The engine executes the constructive argument behind the inequalities: a
 replacement step rewrites one non-full tuple into several fuller ones without
@@ -7,18 +7,23 @@ changing the weight, while an integer potential strictly increases; the
 potential is bounded, so repetition reaches a system of full tuples, whose
 type classes obey explicit counting bounds that force the weight below 1.
 
-Three flavors, matching the three potentials:
+Three flavors, one :class:`Flavor` record each in ``FLAVORS``; a flavor's
+potential is an exact integer, bounded as stated below:
 
 * ``set``:   a set d-tuple missing some ground element x is replaced by the d
   tuples that add x to one coordinate each, in coordinate order.  The tuza
-  weight is invariant because p_1 + ... + p_d = 1.
+  weight is invariant because p_1 + ... + p_d = 1.  Potential: the sum of
+  the component sizes, at most n(d+1)^n.
 * ``pair``:  a decomposed subspace pair with a deficient block k gains a
   vector x from V_k outside (A ∩ V_k) + (B ∩ V_k); the pair is replaced by
   (A + <x>, B) FIRST and (A, B + <x>) second.  That order is forced: the
   earlier pair's A meets the later pair's B in <x>, so skewness survives;
   swapped, the two new pairs violate the skew clause between themselves.
+  Potential: prod_k 2^(n_k - d_k) = 2^(s_1 + ... + s_r), with s_k =
+  dim((A ∩ V_k) + (B ∩ V_k)) and d_k = n_k - s_k, at most 4^n.
 * ``tuple``: a subspace d-tuple whose components do not span V gains <x> in
-  each coordinate, coordinate order, like the set case.
+  each coordinate, coordinate order, like the set case.  Potential: the sum
+  of the component dimensions, at most n d^n.
 
 Every step checks the invariants it claims on its own d + 1 tuples, and
 raises instead of trusting them: the replacements' weight terms sum exactly
@@ -28,14 +33,17 @@ whole system are recomputed before the first step and after the last, and
 must equal the start weight and the running potential; with ``debug`` they
 are also recomputed, and the flavor's condition re-verified, after every
 step.  A step costs O(d) tuple operations, not O(m): a cursor replaces the
-rescan for the first non-full tuple, and the tuple list is spliced in place
-and made a system once, at the end.
+rescan for the first non-full tuple, each tuple's facts are computed once
+per run, and the tuple list is spliced in place and made a system once, at
+the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
+from typing import Any, Callable
 
 from .constructions import DEFAULT_TUPLE_BUDGET
 from .errors import (
@@ -53,35 +61,18 @@ from .exact_arith import (
     multinomial,
     rational_to_str,
 )
-from .subspace_algebra import (
-    canonicalize,
-    dim_of_sum,
-    extension_vector,
-    full_space,
-)
+from .subspace_algebra import Subspace, canonicalize, extension_vector, full_space
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
-    block_profile_of,
     is_decomposition_compatible,
     pair_block_dims,
     sizes_of,
     with_tuples,
 )
 from .verifiers import Certificate, ClassCount, verify
-from .weight_functionals import (
-    FunctionalKind,
-    omega,
-    pair_potential,
-    phi,
-    phi_upper_bound,
-    term,
-    tuple_potential,
-    tuza,
-)
-
-SATURATION_FLAVORS = ("set", "pair", "tuple")
+from .weight_functionals import FunctionalKind, omega, term, tuza
 
 
 @dataclass(frozen=True)
@@ -108,6 +99,178 @@ class SaturationTrace:
     final: System
 
 
+class Flavor:
+    """One saturation flavor; ``FLAVORS`` holds one instance each.  Each
+    defines ``shape`` (``ShapeError`` for another kind of system), a tuple's
+    ``facts``, which a run computes once per tuple, the ``deficit`` (0 when
+    full) and ``step`` read from them, and ``bound``, which caps the
+    potential and the step count.  The defaults serve set and tuple: tuza
+    weights, size vectors as profiles (what :func:`term` weighs) and type
+    classes, multinomial class bounds."""
+
+    name: str
+    condition: str  # verified before saturation and certification
+
+    def precondition(self, system: System) -> None:
+        """Refuse a system of the flavor's shape before its condition."""
+
+    def functional(self, system: System, p: ProbabilityVector | None) -> FunctionalKind:
+        return tuza(p if p is not None else ProbabilityVector.uniform(system.d))
+
+    def potential(self, t: tuple, facts: Any) -> int:
+        return sum(sizes_of(t))
+
+    def profile(self, t: tuple, facts: Any) -> tuple:
+        return sizes_of(t)
+
+    def class_key(self, system: System, i: int, profile: tuple) -> tuple:
+        return profile
+
+    def class_bound(self, system: System, key: tuple) -> int:
+        return multinomial(key)
+
+
+# A step takes a non-full tuple t (number i, for messages) and its facts,
+# and returns (block, x, replacements).
+
+
+class _SetFlavor(Flavor):
+    name = "set"
+    condition = "weak"
+
+    def shape(self, system: System) -> None:
+        if not isinstance(system, SetSystem):
+            raise ShapeError("set saturation needs a set system")
+
+    def facts(self, system: SetSystem, t: tuple) -> int:
+        """The mask of the ground elements some component holds."""
+        covered = 0
+        for mask in t:
+            covered |= mask
+        return covered
+
+    def deficit(self, system: SetSystem, covered: int) -> int:
+        return system.n - covered.bit_count()
+
+    def step(self, system: SetSystem, t: tuple, i: int, covered: int, x: int | None = None):
+        """x joins each coordinate in turn; without x, the lowest uncovered
+        element."""
+        if x is None:
+            x = (~covered & (covered + 1)).bit_length()
+        elif covered & (1 << (x - 1)):
+            raise PreconditionError(f"element {x} is already covered by tuple {i}")
+        bit = 1 << (x - 1)
+        replacements = tuple(
+            tuple(mask | bit if l == pos else mask for l, mask in enumerate(t))
+            for pos in range(len(t))
+        )
+        return None, x, replacements
+
+    def bound(self, system: SetSystem) -> int:
+        return system.n * (system.d + 1) ** system.n
+
+
+class _PairFlavor(Flavor):
+    name = "pair"
+    condition = "skew"
+
+    def shape(self, system: System) -> None:
+        if not isinstance(system, SubspaceSystem) or system.d != 2:
+            raise ShapeError("pair saturation needs a subspace pair system")
+        if system.decomposition is None:
+            raise ShapeError("pair saturation needs a decomposition")
+
+    def precondition(self, system: SubspaceSystem) -> None:
+        if not is_decomposition_compatible(system):
+            raise PreconditionError("pair saturation needs a decomposition-compatible system")
+
+    def functional(self, system: System, p: ProbabilityVector | None) -> FunctionalKind:
+        if p is not None:
+            raise ShapeError("the pair flavor tracks partitioned_yue_sum; p does not apply")
+        return FunctionalKind("partitioned_yue_sum")
+
+    def facts(self, system: SubspaceSystem, t: tuple) -> tuple:
+        """(a_k, b_k, s_k) per block: see ``pair_block_dims``."""
+        return pair_block_dims(system, t)
+
+    def deficit(self, system: SubspaceSystem, dims: tuple) -> int:
+        return system.n - sum(s_k for _, _, s_k in dims)
+
+    def potential(self, t: tuple, dims: tuple) -> int:
+        return 2 ** sum(s_k for _, _, s_k in dims)
+
+    def profile(self, t: tuple, dims: tuple) -> tuple:
+        return tuple((a_k, b_k) for a_k, b_k, _ in dims)
+
+    def step(self, system: SubspaceSystem, t: tuple, i: int, dims: tuple, k: int | None = None):
+        """The first canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k) gives
+        (A + <x>, B) then (A, B + <x>); without k, the lowest block where the
+        pair is deficient."""
+        blocks = system.decomposition.blocks
+        if k is None:
+            k = next(k for k, ((_, _, s_k), v_k) in enumerate(zip(dims, blocks), 1) if s_k < v_k.dim)
+        a, b = t
+        components = system.decomposition.components
+        filled = components(a)[k - 1] + components(b)[k - 1]
+        if filled.dim == blocks[k - 1].dim:
+            raise PreconditionError(f"pair {i} is already full in block {k}")
+        x_span = canonicalize(system.n, system.field, (extension_vector(blocks[k - 1], filled),))
+        return k, x_span.basis[0], ((a + x_span, b), (a, b + x_span))
+
+    def bound(self, system: SubspaceSystem) -> int:
+        return 4**system.n
+
+    def class_key(self, system: SubspaceSystem, i: int, profile: tuple) -> tuple:
+        """A full pair's per-block dims (a_1, ..., a_r)."""
+        n_ks = system.decomposition.block_dims()
+        # fullness + zero intersection force a_k + b_k = n_k per block
+        if any(a_k + b_k != n_k for (a_k, b_k), n_k in zip(profile, n_ks)):
+            raise BollobasError(f"full pair {i} has a_k + b_k != n_k in some block (bug)")
+        return tuple(a_k for a_k, _ in profile)
+
+    def class_bound(self, system: SubspaceSystem, key: tuple) -> int:
+        bound = 1
+        for a_k, n_k in zip(key, system.decomposition.block_dims()):
+            bound *= binomial(n_k, a_k)
+        return bound
+
+
+class _TupleFlavor(Flavor):
+    name = "tuple"
+    # A weak-but-not-skew subspace system has no licensed saturation: the
+    # uniform counting bound behind the certificate is unavailable.
+    condition = "skew"
+
+    def shape(self, system: System) -> None:
+        if not isinstance(system, SubspaceSystem):
+            raise ShapeError("tuple saturation needs a subspace system")
+
+    def facts(self, system: SubspaceSystem, t: tuple) -> Subspace:
+        """The sum of the components, from one elimination."""
+        return canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
+
+    def deficit(self, system: SubspaceSystem, span: Subspace) -> int:
+        return system.n - span.dim
+
+    def step(self, system: SubspaceSystem, t: tuple, i: int, span: Subspace):
+        """The first canonical x outside the component span joins each
+        coordinate in turn."""
+        x_span = canonicalize(
+            system.n, system.field, (extension_vector(full_space(system.n, system.field), span),)
+        )
+        replacements = tuple(
+            tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
+            for pos in range(len(t))
+        )
+        return None, x_span.basis[0], replacements
+
+    def bound(self, system: SubspaceSystem) -> int:
+        return system.n * system.d**system.n
+
+
+FLAVORS = {flavor.name: flavor for flavor in (_SetFlavor(), _PairFlavor(), _TupleFlavor())}
+
+
 def default_flavor(system: System) -> str:
     if isinstance(system, SetSystem):
         return "set"
@@ -116,106 +279,57 @@ def default_flavor(system: System) -> str:
     return "tuple"
 
 
+def _lookup(system: System, flavor: str | None) -> Flavor:
+    """The record of the named flavor (None: the system's default), once the
+    system has passed its shape check."""
+    if flavor is None:
+        flavor = default_flavor(system)
+    record = FLAVORS.get(flavor)
+    if record is None:
+        raise ValueError(f"unknown flavor {flavor!r}; choose from {tuple(FLAVORS)}")
+    record.shape(system)
+    return record
+
+
+def _admit(record: Flavor, system: System) -> None:
+    """Refuse a system of the flavor's shape that fails its precondition or
+    its condition."""
+    record.precondition(system)
+    report = verify(system, record.condition)
+    if not report.verdict:
+        raise PreconditionError(
+            f"{record.name} saturation needs a {record.condition} system; "
+            f"violated at {report.first_violation}"
+        )
+
+
 # ---------------------------------------------------------------------------
-# fullness
+# potentials and fullness
 
 
-def _deficit(system: System, i: int, flavor: str, dims: tuple | None = None) -> int:
-    """What tuple i still misses: ground elements (set), dimensions of V
-    (tuple), or block dimensions summed over the blocks (pair, read from the
-    pair's ``pair_block_dims`` when the caller has them)."""
-    t = system.tuples[i - 1]
-    if flavor == "set":
-        union = 0
-        for mask in t:
-            union |= mask
-        return system.n - union.bit_count()
-    if flavor == "pair":
-        if dims is None:
-            dims = pair_block_dims(system, t)
-        return system.n - sum(s_k for _, _, s_k in dims)
-    if flavor == "tuple":
-        return system.n - dim_of_sum(list(t))
-    raise ValueError(f"unknown flavor {flavor!r}")
+def phi(system: System, flavor: str) -> int:
+    """The integer potential of the given saturation flavor: the sum of the
+    flavor's per-tuple potential over the tuples."""
+    record = _lookup(system, flavor)
+    return sum(record.potential(t, record.facts(system, t)) for t in system.tuples)
+
+
+def phi_upper_bound(system: System, flavor: str) -> int:
+    """The termination bound for the flavor: n(d+1)^n, 4^n, or n d^n."""
+    return _lookup(system, flavor).bound(system)
 
 
 def is_full_tuple(system: System, i: int, flavor: str) -> bool:
-    return _deficit(system, i, flavor) == 0
+    record = _lookup(system, flavor)
+    return record.deficit(system, record.facts(system, system.tuples[i - 1])) == 0
 
 
 def first_non_full(system: System, flavor: str) -> int | None:
-    for i in range(1, system.m + 1):
-        if not is_full_tuple(system, i, flavor):
-            return i
-    return None
+    return next((i for i in range(1, system.m + 1) if not is_full_tuple(system, i, flavor)), None)
 
 
 # ---------------------------------------------------------------------------
 # fill-up steps
-#
-# One helper per flavor finds the step for tuple t (number i, for messages)
-# of a system with the given context: it returns (block, x, replacements),
-# or None when t is full and the caller left the choice to the helper.
-
-
-def _set_step(system: SetSystem, t: tuple, i: int, x: int | None = None):
-    """x joins each coordinate in turn; without x, the lowest uncovered
-    element."""
-    covered = 0
-    for mask in t:
-        covered |= mask
-    if x is None:
-        if covered == (1 << system.n) - 1:
-            return None
-        x = (~covered & (covered + 1)).bit_length()
-    elif covered & (1 << (x - 1)):
-        raise PreconditionError(f"element {x} is already covered by tuple {i}")
-    bit = 1 << (x - 1)
-    replacements = tuple(
-        tuple(mask | bit if l == pos else mask for l, mask in enumerate(t))
-        for pos in range(len(t))
-    )
-    return None, x, replacements
-
-
-def _deficient_block(system: SubspaceSystem, dims: tuple) -> int | None:
-    """The lowest block k (1-based) where a pair with these
-    ``pair_block_dims`` is deficient; None when the pair is full."""
-    assert system.decomposition is not None
-    for k, (blk, (_, _, s_k)) in enumerate(zip(system.decomposition.blocks, dims), start=1):
-        if s_k < blk.dim:
-            return k
-    return None
-
-
-def _pair_step(system: SubspaceSystem, t: tuple, i: int, k: int):
-    """The first canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k) gives
-    (A + <x>, B) then (A, B + <x>)."""
-    assert system.decomposition is not None
-    a, b = t
-    components = system.decomposition.components
-    v_k = system.decomposition.blocks[k - 1]
-    filled = components(a)[k - 1] + components(b)[k - 1]
-    if filled.dim == v_k.dim:
-        raise PreconditionError(f"pair {i} is already full in block {k}")
-    x_span = canonicalize(system.n, system.field, (extension_vector(v_k, filled),))
-    return k, x_span.basis[0], ((a + x_span, b), (a, b + x_span))
-
-
-def _tuple_step(system: SubspaceSystem, t: tuple, i: int):
-    """The first canonical x outside the component sum joins each coordinate
-    in turn."""
-    if dim_of_sum(list(t)) == system.n:
-        return None
-    span = canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
-    x_span = canonicalize(
-        system.n, system.field, (extension_vector(full_space(system.n, system.field), span),)
-    )
-    replacements = tuple(
-        tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
-        for pos in range(len(t))
-    )
-    return None, x_span.basis[0], replacements
 
 
 def _duplicate(i: int, x: object) -> DuplicateTupleError:
@@ -238,7 +352,8 @@ def fill_up_set_tuple(system: SetSystem, i: int, x: int) -> SetSystem:
         raise IndexError(f"tuple index {i} outside [1, {system.m}]")
     if not 1 <= x <= system.n:
         raise ValueError(f"ground element {x} outside [1, {system.n}]")
-    _, _, replacements = _set_step(system, system.tuples[i - 1], i, x)
+    record, t = FLAVORS["set"], system.tuples[i - 1]
+    _, _, replacements = record.step(system, t, i, record.facts(system, t), x)
     others = set(system.tuples[: i - 1] + system.tuples[i:])
     if any(rep in others for rep in replacements):
         raise _duplicate(i, x)
@@ -257,7 +372,8 @@ def fill_up_subspace_pair(system: SubspaceSystem, i: int, k: int) -> SubspaceSys
     blocks = system.decomposition.blocks
     if not 1 <= k <= len(blocks):
         raise IndexError(f"block index {k} outside [1, {len(blocks)}]")
-    _, _, replacements = _pair_step(system, system.tuples[i - 1], i, k)
+    record, t = FLAVORS["pair"], system.tuples[i - 1]
+    _, _, replacements = record.step(system, t, i, record.facts(system, t), k)
     return _spliced(system, i, replacements)
 
 
@@ -268,10 +384,11 @@ def fill_up_subspace_tuple(system: SubspaceSystem, i: int) -> SubspaceSystem:
         raise ShapeError("tuple fill-up needs a subspace system")
     if not 1 <= i <= system.m:
         raise IndexError(f"tuple index {i} outside [1, {system.m}]")
-    step = _tuple_step(system, system.tuples[i - 1], i)
-    if step is None:
+    record, t = FLAVORS["tuple"], system.tuples[i - 1]
+    span = record.facts(system, t)
+    if not record.deficit(system, span):
         raise PreconditionError(f"tuple {i} already spans the whole space")
-    _, _, replacements = step
+    _, _, replacements = record.step(system, t, i, span)
     return _spliced(system, i, replacements)
 
 
@@ -279,54 +396,9 @@ def fill_up_subspace_tuple(system: SubspaceSystem, i: int) -> SubspaceSystem:
 # saturation
 
 
-def _verify_flavor_condition(system: System, flavor: str) -> None:
-    if flavor == "set":
-        if not isinstance(system, SetSystem):
-            raise ShapeError("set saturation needs a set system")
-        report = verify(system, "weak")
-        if not report.verdict:
-            raise PreconditionError(
-                f"set saturation needs a weak system; violated at {report.first_violation}"
-            )
-        return
-    if flavor == "pair":
-        if not isinstance(system, SubspaceSystem) or system.d != 2:
-            raise ShapeError("pair saturation needs a subspace pair system")
-        if system.decomposition is None:
-            raise ShapeError("pair saturation needs a decomposition")
-        if not is_decomposition_compatible(system):
-            raise PreconditionError("pair saturation needs a decomposition-compatible system")
-        report = verify(system, "skew")
-        if not report.verdict:
-            raise PreconditionError(
-                f"pair saturation needs a skew system; violated at {report.first_violation}"
-            )
-        return
-    if flavor == "tuple":
-        if not isinstance(system, SubspaceSystem):
-            raise ShapeError("tuple saturation needs a subspace system")
-        report = verify(system, "skew")
-        if not report.verdict:
-            # A weak-but-not-skew subspace system has no licensed saturation:
-            # the uniform counting bound behind the certificate is unavailable.
-            raise PreconditionError(
-                f"tuple saturation needs a skew system; violated at {report.first_violation}"
-            )
-        return
-    raise ValueError(f"unknown flavor {flavor!r}; choose from {SATURATION_FLAVORS}")
-
-
-def _functional_for(system: System, flavor: str, p: ProbabilityVector | None) -> FunctionalKind:
-    if flavor == "pair":
-        if p is not None:
-            raise ShapeError("the pair flavor tracks partitioned_yue_sum; p does not apply")
-        return FunctionalKind("partitioned_yue_sum")
-    return tuza(p if p is not None else ProbabilityVector.uniform(system.d))
-
-
 def _check_whole_system(
     current: System,
-    flavor: str,
+    potential_of: Callable[[tuple], int],
     functional: FunctionalKind,
     weight: Rational,
     potential: int,
@@ -339,7 +411,7 @@ def _check_whole_system(
         raise BollobasError(
             f"whole-system weight {whole} differs from the invariant {weight} {where}"
         )
-    whole = phi(current, flavor)
+    whole = sum(map(potential_of, current.tuples))
     if whole != potential:
         raise BollobasError(
             f"whole-system potential {whole} differs from the running {potential} {where}"
@@ -366,73 +438,50 @@ def saturate(
     recomputed at both ends, and with ``debug`` after every step too, where
     the flavor's condition is also re-verified.
     """
-    if flavor is None:
-        flavor = default_flavor(system)
-    _verify_flavor_condition(system, flavor)
-    functional = _functional_for(system, flavor, p)
-    block_dims: dict[tuple, tuple] = {}
-
-    def dims_of(t: tuple) -> tuple | None:
-        """A pair's ``pair_block_dims``, computed once per run: they give its
-        step, weight profile and potential.  None for the other flavors."""
-        if flavor != "pair":
-            return None
-        if t not in block_dims:
-            block_dims[t] = pair_block_dims(system, t)
-        return block_dims[t]
-
-    def profile_of(t: tuple) -> tuple:
-        dims = dims_of(t)
-        return sizes_of(t) if dims is None else tuple(d[:2] for d in dims)
-
-    def potential_of(t: tuple) -> int:
-        dims = dims_of(t)
-        return tuple_potential(system, t, flavor) if dims is None else pair_potential(dims)
+    record = _lookup(system, flavor)
+    _admit(record, system)
+    functional = record.functional(system, p)
+    facts = cache(partial(record.facts, system))  # once per tuple met
 
     # a tuple missing u elements or dimensions saturates into d^u full tuples
-    final_m = sum(
-        system.d ** _deficit(system, i, flavor, dims_of(t))
-        for i, t in enumerate(system.tuples, start=1)
-    )
+    final_m = sum(system.d ** record.deficit(system, facts(t)) for t in system.tuples)
     if final_m > DEFAULT_TUPLE_BUDGET:
         raise BudgetError(
             f"saturation would end with {final_m} tuples, budget is {DEFAULT_TUPLE_BUDGET}"
         )
 
-    bound = phi_upper_bound(system, flavor)
-    weight = omega(system, functional)
-    potential = phi(system, flavor)
-    omegas = [weight]
-    phis = [potential]
-    steps: list[FillUpStep] = []
     terms: dict[tuple, Fraction] = {}  # the weight term of each profile met
 
     def weight_term(t: tuple) -> Fraction:
-        key = profile_of(t)
+        key = record.profile(t, facts(t))
         if key not in terms:
             terms[key] = term(key, functional)
         return terms[key]
 
+    def potential_of(t: tuple) -> int:
+        return record.potential(t, facts(t))
+
+    bound = record.bound(system)
+    weight = omega(system, functional)
+    potential = sum(map(potential_of, system.tuples))
+    omegas = [weight]
+    phis = [potential]
+    steps: list[FillUpStep] = []
+
     tuples = list(system.tuples)
-    # a verified set system holds no duplicate tuple, so a set of them will do
-    present = set(tuples) if flavor == "set" else None
+    # a verified system holds no duplicate tuple, so a set of them will do
+    present = set(tuples)
     cursor = 0
     while cursor < len(tuples):
         old = tuples[cursor]
-        if flavor == "pair":
-            k = _deficient_block(system, dims_of(old))
-            found = None if k is None else _pair_step(system, old, cursor + 1, k)
-        else:
-            found = (_set_step if flavor == "set" else _tuple_step)(system, old, cursor + 1)
-        if found is None:
+        if not record.deficit(system, facts(old)):
             cursor += 1
             continue
-        block, x, replacements = found
-        if present is not None:
-            if any(rep in present for rep in replacements):
-                raise _duplicate(cursor + 1, x)
-            present.discard(old)
-            present.update(replacements)
+        block, x, replacements = record.step(system, old, cursor + 1, facts(old))
+        if any(rep in present for rep in replacements):
+            raise _duplicate(cursor + 1, x)
+        present.discard(old)
+        present.update(replacements)
         tuples[cursor : cursor + 1] = replacements
         steps.append(FillUpStep(index=cursor + 1, block=block, x=x, replacements=replacements))
 
@@ -456,14 +505,14 @@ def saturate(
         if debug:
             current = with_tuples(system, tuples)
             _check_whole_system(
-                current, flavor, functional, weight, potential, f"at step {len(steps)}"
+                current, potential_of, functional, weight, potential, f"at step {len(steps)}"
             )
-            _verify_flavor_condition(current, flavor)
+            _admit(record, current)
 
     final = with_tuples(system, tuples)
-    _check_whole_system(final, flavor, functional, weight, potential, "at the end")
+    _check_whole_system(final, potential_of, functional, weight, potential, "at the end")
     return SaturationTrace(
-        flavor=flavor,
+        flavor=record.name,
         functional=functional,
         steps=tuple(steps),
         omegas=tuple(omegas),
@@ -490,52 +539,33 @@ def certify_full_system(
     ω <= 1.  Set/tuple flavors: classes by the size/dim vector, multinomial
     class bound, tuza terms; the multinomial theorem gives total exactly 1.
     """
-    if flavor is None:
-        flavor = default_flavor(system)
-    _verify_flavor_condition(system, flavor)
-    functional = _functional_for(system, flavor, p)
-    non_full = first_non_full(system, flavor)
-    if non_full is not None:
-        raise PreconditionError(f"tuple {non_full} is not full; saturate first")
+    record = _lookup(system, flavor)
+    _admit(record, system)
+    functional = record.functional(system, p)
+    facts = [record.facts(system, t) for t in system.tuples]
+    for i, f in enumerate(facts, start=1):
+        if record.deficit(system, f):
+            raise PreconditionError(f"tuple {i} is not full; saturate first")
 
-    classes: dict[tuple, int] = {}
-    for i in range(1, system.m + 1):
-        t = system.tuples[i - 1]
-        if flavor == "pair":
-            assert isinstance(system, SubspaceSystem) and system.decomposition is not None
-            block_profile = block_profile_of(system, t)
-            key = tuple(a_k for a_k, _ in block_profile)
-            # fullness + zero intersection force a_k + b_k = n_k per block
-            n_ks = system.decomposition.block_dims()
-            if any(a_k + b_k != n_k for (a_k, b_k), n_k in zip(block_profile, n_ks)):
-                raise BollobasError(f"full pair {i} has a_k + b_k != n_k in some block (bug)")
-        else:
-            key = sizes_of(t)
-        classes[key] = classes.get(key, 0) + 1
+    classes: dict[tuple, list] = {}  # class key -> [count, the members' profile]
+    for i, (t, f) in enumerate(zip(system.tuples, facts), start=1):
+        profile = record.profile(t, f)
+        classes.setdefault(record.class_key(system, i, profile), [0, profile])[0] += 1
 
     caveat = isinstance(system, SubspaceSystem) and isinstance(system.field, PrimeField)
     class_counts = []
     findings = []
     term_total = Fraction(0)
     for key in sorted(classes):
-        count = classes[key]
-        if flavor == "pair":
-            assert isinstance(system, SubspaceSystem) and system.decomposition is not None
-            n_ks = system.decomposition.block_dims()
-            bound = 1
-            for a_k, n_k in zip(key, n_ks):
-                bound *= binomial(n_k, a_k)
-            class_term = term(tuple((a_k, n_k - a_k) for a_k, n_k in zip(key, n_ks)), functional)
-        else:
-            bound = multinomial(key)
-            class_term = term(key, functional)
+        count, profile = classes[key]
+        bound = record.class_bound(system, key)
         class_counts.append(ClassCount(profile=key, count=count, bound=bound))
         if count > bound:
             findings.append(
                 f"class {key}: count {count} exceeds bound {bound}"
                 + (f" over {system.field}" if caveat else "")
             )
-        term_total += count * class_term
+        term_total += count * term(profile, functional)
 
     value = omega(system, functional)
     if value != term_total:
@@ -543,7 +573,7 @@ def certify_full_system(
     bounds_ok = all(c.count <= c.bound for c in class_counts)
     holds = bounds_ok and value <= 1
     return Certificate(
-        check=f"full-{flavor}-type-classes",
+        check=f"full-{record.name}-type-classes",
         holds=holds,
         quantities=(
             ("m", str(system.m)),

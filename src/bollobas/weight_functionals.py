@@ -1,4 +1,4 @@
-"""Weights, potentials, and the inequalities they satisfy.
+"""Weights and the inequalities they satisfy.
 
 Every functional evaluates to an exact rational.  Values are always
 computable; a <=-verdict is produced only after the condition that licenses
@@ -20,8 +20,8 @@ Tuple functional, any arity, with a probability vector p:
 * ``tuza_sum``  sum_i prod_l p_l^(size of component l)  <= 1 under weak (sets)
   or skew (subspaces); the weak subspace case is open and is refused.
 
-Potentials are exact integers; they strictly increase under fill-up
-replacement and are bounded, which is what terminates saturation.
+The saturation potentials live with the flavors they terminate, in
+:mod:`bollobas.saturation_engine`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .systems_model import (
     block_sizes,
     has_context,
     is_decomposition_compatible,
-    pair_block_dims,
     pair_block_profile,
-    sizes_of,
     tuple_sizes,
 )
 from .verifiers import ConditionKind, condition_for, is_monotone_pair_profile, verify
@@ -55,8 +53,6 @@ PAIR_FUNCTIONALS = (
     "partitioned_bollobas_sum",
 )
 FUNCTIONALS = PAIR_FUNCTIONALS + ("tuza_sum",)
-
-PHI_FLAVORS = ("set", "pair", "tuple")
 
 
 @dataclass(frozen=True)
@@ -269,62 +265,9 @@ def evaluate_inequality(system: System, kind: str | FunctionalKind) -> Inequalit
     )
 
 
-# ---------------------------------------------------------------------------
-# potentials
-
-
-def _check_potential_shape(system: System, flavor: str) -> None:
-    if flavor == "set":
-        if not isinstance(system, SetSystem):
-            raise ShapeError("set potential needs a set system")
-    elif flavor == "pair":
-        if not isinstance(system, SubspaceSystem) or system.d != 2:
-            raise ShapeError("pair potential needs a subspace pair system")
-    elif flavor == "tuple":
-        if not isinstance(system, SubspaceSystem):
-            raise ShapeError("tuple potential needs a subspace system")
-    else:
-        raise ValueError(f"unknown potential flavor {flavor!r}; choose from {PHI_FLAVORS}")
-
-
 def phi(system: System, flavor: str) -> int:
-    """The integer potential of the given saturation flavor: the sum of
-    :func:`tuple_potential` over the tuples."""
-    _check_potential_shape(system, flavor)
-    if flavor == "pair" and system.decomposition is None:
-        raise ShapeError("pair potential needs a decomposition")
-    return sum(tuple_potential(system, t, flavor) for t in system.tuples)
+    """:func:`bollobas.saturation_engine.phi`, under the name that
+    ``bench/tracer.py`` reads as a layer."""
+    from .saturation_engine import phi as potential  # that module imports this one
 
-
-def tuple_potential(system: System, t: tuple, flavor: str) -> int:
-    """One tuple's share of :func:`phi`, in the system's context (the tuple
-    need not be one of its tuples; the system must fit the flavor, as
-    :func:`phi` checks).
-
-    * ``set``:   the sum of the component sizes;
-    * ``pair``:  prod_k 2^(n_k - d_k), d_k the pair's deficit in block V_k
-      (see :func:`pair_potential`);
-    * ``tuple``: the sum of the component dimensions.
-    """
-    if flavor == "pair":
-        return pair_potential(pair_block_dims(system, t))
-    if flavor in ("set", "tuple"):
-        return sum(sizes_of(t))
-    raise ValueError(f"unknown potential flavor {flavor!r}; choose from {PHI_FLAVORS}")
-
-
-def pair_potential(dims: tuple[tuple[int, int, int], ...]) -> int:
-    """The pair potential from a pair's :func:`pair_block_dims`: with
-    s_k = dim((A ∩ V_k) + (B ∩ V_k)) the deficit is d_k = n_k - s_k, so
-    prod_k 2^(n_k - d_k) = 2^(s_1 + ... + s_r)."""
-    return 2 ** sum(s_k for _, _, s_k in dims)
-
-
-def phi_upper_bound(system: System, flavor: str) -> int:
-    """The termination bound for the flavor: n(d+1)^n, 4^n, or n d^n."""
-    _check_potential_shape(system, flavor)
-    if flavor == "set":
-        return system.n * (system.d + 1) ** system.n
-    if flavor == "pair":
-        return 4**system.n
-    return system.n * system.d**system.n
+    return potential(system, flavor)

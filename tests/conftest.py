@@ -6,9 +6,9 @@ subspaces from closure enumeration, set-system clauses from plain Python
 sets over element lists, weights from a per-tuple loop that writes each
 functional's term out, verification and the search optimum from pairwise
 clause checks (subspace meets by textbook elimination), the search optimum
-by a recursive DFS that sums ``Fraction`` weights, and saturation from
-whole-system passes that rescan, rebuild and re-weigh the system at every
-step.
+by a recursive DFS that sums ``Fraction`` weights, potentials from meets by
+Zassenhaus on scalars, and saturation from whole-system passes that rescan,
+rebuild and re-weigh the system at every step.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from bollobas import (
     fill_up_subspace_pair,
     fill_up_subspace_tuple,
     full_space,
-    phi,
     phi_upper_bound,
     PreconditionError,
     ProbabilityVector,
@@ -245,6 +244,31 @@ def reference_verify(system, flavor: str) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def meet_rows(x, y) -> list:
+    """Rows spanning the subspace meet x ∩ y, by Zassenhaus on scalars: the
+    rows (u | u), u in x, and (v | 0), v in y, reduced; those whose left
+    half vanishes carry the meet in their right half."""
+    n = x.n
+    p = x.field.p if isinstance(x.field, PrimeField) else 0
+    rows = [list(u) * 2 for u in x.rows] + [list(v) + [0] * n for v in y.rows]
+    return [row[n:] for row in scalar_rref(rows, 2 * n, p) if not any(row[:n])]
+
+
+def reference_phi(system, flavor: str) -> int:
+    """``phi`` written out per tuple from this file's meets and sums: the
+    sum of the component sizes (set) or dimensions (tuple), and for a pair
+    (A, B) 2^(s_1 + ... + s_r), s_k the rank of (A ∩ V_k) + (B ∩ V_k)."""
+    if flavor == "set":
+        return sum(len(part) for i in range(1, system.m + 1) for part in set_tuple_lists(system, i))
+    if flavor == "tuple":
+        return sum(_rank(sub.rows, sub) for t in system.tuples for sub in t)
+    blocks = system.decomposition.blocks
+    return sum(
+        2 ** sum(_rank(meet_rows(a, blk) + meet_rows(b, blk), blk) for blk in blocks)
+        for a, b in system.tuples
+    )
+
+
 # ---------------------------------------------------------------------------
 # reference weights: one term per tuple, each functional written out
 
@@ -418,7 +442,7 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
 
     bound = phi_upper_bound(system, flavor)
     omegas = [omega(system, functional)]
-    phis = [phi(system, flavor)]
+    phis = [reference_phi(system, flavor)]
     steps = []
     current = system
     while True:
@@ -451,7 +475,7 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
             x = canonicalize(system.n, system.field, (x,)).basis[0]
         steps.append(FillUpStep(i, block, x, new.tuples[i - 1 : i - 1 + new.d]))
         omegas.append(omega(new, functional))
-        phis.append(phi(new, flavor))
+        phis.append(reference_phi(new, flavor))
         assert omegas[-1] == omegas[-2]
         assert phis[-2] < phis[-1] <= bound and len(steps) <= bound
         current = new

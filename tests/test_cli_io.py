@@ -34,6 +34,7 @@ from bollobas import (
 )
 from bollobas import cli_io
 from bollobas.cli_io import main, system_from_doc, system_to_doc
+from bollobas.constructions import FAMILY_PARAMS
 
 
 def run_cli(capsys, *argv):
@@ -515,6 +516,51 @@ class TestCli:
         assert rc == 2 and doc["status"] == "usage"
         assert doc["error"] == "target m=100000 is above the tuple budget 4096"
 
+    @pytest.mark.parametrize("extra", [(), ("--compatible-blocks", "1|2")])
+    def test_random_negative_m_is_usage_error(self, capsys, extra):
+        # it used to exit 0 with an empty system
+        rc, doc = run_cli(capsys, "random", "--seed", "0", "--m", "-1", "--n", "2", *extra)
+        assert rc == 2 and doc == {"error": "target m=-1 is negative", "status": "usage"}
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["construct", "--family", "complement_chain", "--params", "n=x"], "--params n"),
+            (
+                ["construct", "--family", "partitioned_complement_chain", "--params", "n=2", "blocks=1|x"],
+                "--params blocks",
+            ),
+            (["search", "--objective", "max-m", "--n", "2", "--uniform", "1,x"], "--uniform"),
+            (["random", "--seed", "0", "--m", "2", "--n", "2", "--compatible-blocks", "1,x"], "--compatible-blocks"),
+        ],
+    )
+    def test_argv_integer_lists_name_their_flag(self, capsys, argv, flag):
+        rc, doc = run_cli(capsys, *argv)
+        assert rc == 2 and doc == {"error": f"{flag}: 'x' is not an integer", "status": "usage"}
+
+    @pytest.mark.parametrize(
+        "params, unknown",
+        # budget=N used to bind construct's budget and lift the tuple guard
+        [(["a=1", "b=1", "n=5"], "a, b"), (["n=17", "budget=1000000"], "budget")],
+    )
+    def test_construct_refuses_params_its_family_does_not_take(self, capsys, params, unknown):
+        rc, doc = run_cli(capsys, "construct", "--family", "complement_chain", "--params", *params)
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"] == f"family 'complement_chain' takes no params {unknown}"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # best 0 with "exhaustive": true used to be the answer
+            (["--uniform", "1"], "uniform sizes have 1 entries, arity is 2"),
+            # --p used to be dropped in silence, where weight refuses it
+            (["--functional", "yue", "--p", "1/2,1/2"], "yue_sum takes no --p"),
+        ],
+    )
+    def test_search_arguments_are_checked(self, capsys, extra, message):
+        rc, doc = run_cli(capsys, "search", "--objective", "max-m", "--n", "2", *extra)
+        assert rc == 2 and doc == {"error": message, "status": "usage"}
+
     def test_reports_have_no_decimals(self, capsys, tmp_path):
         path = self.write_chain(tmp_path, n=4)
         rc, doc = run_cli(capsys, "weight", "--functional", "hegedus_frankl_sum", "--in", path)
@@ -578,7 +624,75 @@ def run_quietly(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+# raw argv lists for construct, search and random: small ints, and in half
+# the lists bad ints, non-ints, budget= and --uniform of any length; n <= 4
+# and budgets <= 2000 keep each run short
+_JUNK = st.sampled_from(["x", "", "1.5", "1e3", "-1", "99999", "1|2", "-"])
+
+
+@st.composite
+def raw_argv(draw):
+    clean = draw(st.booleans())
+
+    def bad(strategy):
+        return strategy if clean else st.one_of(strategy, _JUNK)
+
+    def options(**flags):
+        out = []
+        for flag, strategy in flags.items():
+            value = draw(strategy)
+            if value is not None:
+                out += [f"--{flag.replace('_', '-')}", value]
+        return out
+
+    def maybe(strategy):
+        return st.one_of(st.none(), strategy)
+
+    value = bad(st.integers(0, 4).map(str))
+    ints = st.lists(value, min_size=1, max_size=3).map(",".join)
+    blocks = st.lists(ints, min_size=1, max_size=3).map("|".join)
+    command = draw(st.sampled_from(["construct", "search", "random"]))
+    if command == "construct":
+        family = draw(st.sampled_from([*cli_io.FAMILY_NAMES, *([] if clean else ["nosuch"])]))
+        keys = list(FAMILY_PARAMS.get(family, ()))
+        if not clean:
+            keys += draw(st.lists(st.sampled_from(["n", "d", "embedded", "budget", "x"]), max_size=2))
+        params = [f"{k}={draw(blocks if k == 'blocks' else value)}" for k in keys]
+        return ["construct", "--family", family, "--params", *params]
+    kind = draw(st.sampled_from(["set", "set", "subspace"]))
+    # subspace grounds stay at n <= 2: GF(3)^4 pairs take seconds to list
+    common = options(
+        n=bad(st.integers(0, 4 if kind == "set" else 2).map(str)),
+        d=maybe(bad(st.sampled_from(["1", "2", "3"]))),
+        condition=maybe(st.sampled_from(["skew", "weak", "bollobas"])),
+        field=bad(st.sampled_from(["gf(2)", "gf(3)", "rational"]))
+        if kind == "subspace" else maybe(st.just("gf(2)")),
+    )
+    if command == "search":
+        return ["search", "--kind", kind, *common, *options(
+            objective=st.sampled_from(["max-m", "max-m", "max-weight", "counterexample"]),
+            budget=bad(st.integers(1, 2000).map(str)),
+            functional=maybe(st.sampled_from(["yue", "tuza", "tuza", "partitioned_yue"])),
+            p=maybe(st.sampled_from(["1/2,1/2", "1/3,1/3,1/3"])),
+            uniform=maybe(ints),
+        )]
+    return ["random", "--kind", kind, *common, *options(
+        seed=value,
+        m=bad(st.integers(0, 12).map(str)),
+        compatible_blocks=maybe(blocks),
+    )]
+
+
 class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=raw_argv())
+    def test_raw_argv_ends_in_a_json_report(self, argv):
+        rc, out, err = run_quietly(argv)
+        assert rc in (0, 1, 2)
+        report = json.loads(out)
+        assert isinstance(report, dict) and report.get("status") != "internal"
+        assert err == ""
+
     @settings(max_examples=150, deadline=None)
     @given(doc=st.one_of(set_documents(), pair_documents()), data=st.data())
     def test_saturate_and_certify_end_in_a_json_report(self, tmp_path_factory, doc, data):

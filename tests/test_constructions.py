@@ -7,7 +7,9 @@ import pytest
 
 from bollobas import (
     BudgetError,
+    FamilyKind,
     SetSystem,
+    ShapeError,
     binomial,
     complement_chain,
     construct,
@@ -157,3 +159,11 @@ class TestConstructDispatch:
             construct("complement_chain", n=20)
         with pytest.raises(BudgetError):
             construct("full_tuza_tuples", n=8, d=4)
+
+    def test_params_the_family_does_not_take_are_refused(self):
+        with pytest.raises(ShapeError, match="^family 'complement_chain' takes no params a, b$"):
+            construct("complement_chain", a=1, b=1, n=5)
+        # a family kind's budget is a param like any other, not the guard's
+        kind = FamilyKind("complement_chain", (("n", 17), ("budget", 10**6)))
+        with pytest.raises(ShapeError, match="takes no params budget$"):
+            construct(kind)

@@ -153,6 +153,12 @@ class TestSearchMax:
         assert result.best_value == 2  # C(1+1, 1)
         assert result.exhaustive
 
+    def test_uniform_sizes_need_one_entry_per_component(self):
+        # (1,) on pairs used to match no candidate and report best 0, exhaustive
+        for sizes in [(1,), (1, 1, 0)]:
+            with pytest.raises(ShapeError, match=f"have {len(sizes)} entries, arity is 2"):
+                SearchProblem(kind="set", n=2, d=2, flavor="skew", uniform_sizes=sizes)
+
     def test_pruned_equals_unpruned(self):
         for flavor in ("skew", "weak", "bollobas"):
             for n in (1, 2):
@@ -380,6 +386,13 @@ class TestRandomValidSystem:
         s = random_valid_system("set", 3, 2, "skew", target_m=0, seed=1)
         assert s.m == 0
         assert omega(s, "yue_sum") == 0
+
+    def test_negative_target_is_refused(self):
+        # it used to return an empty system
+        with pytest.raises(ShapeError, match="^target m=-1 is negative$"):
+            random_valid_system("set", 2, 2, "skew", target_m=-1, seed=0)
+        with pytest.raises(ShapeError, match="^target m=-1 is negative$"):
+            random_compatible_pair_system(2, [[1], [2]], target_m=-1, seed=0)
 
     def test_gf_subspace_generation(self):
         for seed in range(10):

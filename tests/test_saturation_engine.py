@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bollobas import (
     BollobasError,
     BudgetError,
+    Decomposition,
     DuplicateTupleError,
     PreconditionError,
     PrimeField,
@@ -49,7 +50,7 @@ from bollobas.saturation_engine import default_flavor, first_non_full, is_full_t
 from bollobas.systems_model import tuple_sizes
 from bollobas.weight_functionals import FunctionalKind
 
-from conftest import reference_saturate
+from conftest import reference_phi, reference_saturate
 
 
 def pair_deficit_product(system: SubspaceSystem, i: int) -> int:
@@ -248,6 +249,45 @@ class TestFillUpSubspaceTuple:
         assert verify(new, "skew").verdict
 
 
+@st.composite
+def potential_inputs(draw):
+    """A flavor and a system of its shape, whose tuples need satisfy no
+    condition: set systems with n <= 3, and subspace tuples over QQ, GF(2)
+    and GF(3) with n <= 3, pairs under a decomposition into blocks of a
+    random basis."""
+    flavor = draw(st.sampled_from(["set", "pair", "tuple"]))
+    n = draw(st.integers(1, 3))
+    d = 2 if flavor == "pair" else draw(st.integers(1, 3))
+    if flavor == "set":
+        t = st.tuples(*[st.integers(0, (1 << n) - 1)] * d)
+        return flavor, SetSystem(n, d, tuple(draw(st.lists(t, max_size=4))))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    sub = st.lists(row, max_size=n).map(lambda rows: canonicalize(n, field, rows))
+    tuples = tuple(draw(st.lists(st.tuples(*[sub] * d), max_size=4)))
+    decomposition = None
+    if flavor == "pair":
+        basis = draw(
+            st.lists(row, min_size=n, max_size=n).filter(
+                lambda rows: canonicalize(n, field, rows).dim == n
+            )
+        )
+        cuts = [0, *sorted(draw(st.sets(st.integers(1, n)))), n]
+        blocks = tuple(
+            canonicalize(n, field, basis[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+        )
+        decomposition = Decomposition(n, field, blocks)
+    return flavor, SubspaceSystem(n, field, d, tuples, decomposition)
+
+
+class TestPhiMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=potential_inputs())
+    def test_phi_equals_the_reference(self, inputs):
+        flavor, system = inputs
+        assert phi(system, flavor) == reference_phi(system, flavor)
+
+
 class TestSaturationSizeGuard:
     def test_final_m_is_exact(self, weak_set_tuple_corpus, compatible_pair_corpus):
         cases = [(s, "set") for s in weak_set_tuple_corpus[:12]]
@@ -259,9 +299,10 @@ class TestSaturationSizeGuard:
         ]
         for system, flavor in cases:
             final = saturate(system, flavor).final
+            record = saturation_engine.FLAVORS[flavor]
             assert sum(
-                system.d ** saturation_engine._deficit(system, i, flavor)
-                for i in range(1, system.m + 1)
+                system.d ** record.deficit(system, record.facts(system, t))
+                for t in system.tuples
             ) == final.m
 
     @pytest.mark.parametrize("flavor", ["set", "pair", "tuple"])
@@ -464,15 +505,15 @@ class TestIncrementalEngine:
 
 
 class TestLocalChecksFire:
-    """A replacement helper that breaks an invariant is caught by the step's
-    own checks, with the messages of the whole-system checks."""
+    """A flavor record whose step or potential breaks an invariant is caught
+    by the step's own checks, with the messages of the whole-system checks."""
 
     def test_wrong_weight(self, monkeypatch):
         # (1, 0) and (1, 1) weigh 1/2 + 1/4 at p = (1/2, 1/2), not 1
         monkeypatch.setattr(
-            saturation_engine,
-            "_set_step",
-            lambda system, t, i, x=None: (None, 2, ((0b01, 0b00), (0b01, 0b10))),
+            saturation_engine.FLAVORS["set"],
+            "step",
+            lambda system, t, i, facts: (None, 2, ((0b01, 0b00), (0b01, 0b10))),
         )
         with pytest.raises(BollobasError, match=r"^weight invariance broken at step 1: 1 -> 3/4$"):
             saturate(SetSystem.from_sets(2, [((), ())]), "set")
@@ -483,33 +524,39 @@ class TestLocalChecksFire:
             ((coordinate_subspace(2, QQ, [1]), zero_subspace(2, QQ)),),
             coordinate_decomposition(2, QQ, [[1, 2]]),
         )
-        honest = saturation_engine._pair_step
+        honest = saturation_engine.FLAVORS["pair"].step
 
-        def doubled(system, t, i, k):
-            block, x, replacements = honest(system, t, i, k)
+        def doubled(system, t, i, facts):
+            block, x, replacements = honest(system, t, i, facts)
             return block, x, (replacements[0], replacements[0])
 
-        monkeypatch.setattr(saturation_engine, "_pair_step", doubled)
+        monkeypatch.setattr(saturation_engine.FLAVORS["pair"], "step", doubled)
         with pytest.raises(BollobasError, match=r"^weight invariance broken at step 1: 1/2 -> 2/3$"):
             saturate(s, "pair")
 
     def test_potential_that_does_not_increase(self, monkeypatch):
         # ({2}, {}) weighs what ({1}, {}) weighs, and has the same potential
         monkeypatch.setattr(
-            saturation_engine, "_set_step", lambda system, t, i, x=None: (None, 2, ((0b10, 0),))
+            saturation_engine.FLAVORS["set"],
+            "step",
+            lambda system, t, i, facts: (None, 2, ((0b10, 0),)),
         )
         with pytest.raises(BollobasError, match=r"^potential failed to increase at step 1$"):
             saturate(SetSystem.from_sets(2, [({1}, ())]), "set")
 
     @pytest.mark.parametrize("debug, where", [(False, "at the end"), (True, "at step 1")])
     def test_whole_system_check(self, monkeypatch, debug, where):
-        honest = saturation_engine.tuple_potential
-        monkeypatch.setattr(
-            saturation_engine,
-            "tuple_potential",
-            lambda system, t, flavor: 2 * honest(system, t, flavor),
-        )
+        # a potential that doubles after its first answer: the start sum reads
+        # 1, the step adds 2 * (2 + 2) - 2 * 1, and a recount reads 2 * (2 + 2)
+        honest = saturation_engine.FLAVORS["set"].potential
+        calls = []
+
+        def drifting(t, facts):
+            calls.append(t)
+            return honest(t, facts) * (1 if len(calls) == 1 else 2)
+
+        monkeypatch.setattr(saturation_engine.FLAVORS["set"], "potential", drifting)
         with pytest.raises(
-            BollobasError, match=f"^whole-system potential 4 differs from the running 7 {where}$"
+            BollobasError, match=f"^whole-system potential 8 differs from the running 7 {where}$"
         ):
             saturate(SetSystem.from_sets(2, [({1}, ())]), "set", debug=debug)
