@@ -16,9 +16,11 @@ scalar strings ("num/den" over the rationals, "r mod p" over GF(p)), the zero
 subspace being the empty matrix.  Non-canonical rows are accepted and
 canonicalized on load, after which serialize-parse round-trips exactly.
 
-Reports are JSON with every number an exact string.  Exit status 0 means the
-verdict was true / the inequality holds; 1 means a violation, an unlicensed
-bound, or a failed precondition; 2 means a usage, parse, or shape error.
+Reports are JSON with every number an exact string, written as the
+standard ``json`` module writes them with an indent of 2.  Exit status 0
+means the verdict was true / the inequality holds; 1 means a violation, an
+unlicensed bound, or a failed precondition; 2 means a usage, parse, or shape
+error.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 from .constructions import FAMILY_NAMES, FamilyKind, construct
@@ -129,7 +132,45 @@ def _subspace_rows(sub: Subspace) -> list[list[str]]:
 
 
 def serialize(system: System) -> str:
-    return json.dumps(system_to_doc(system), indent=2)
+    return _dumps(system_to_doc(system))
+
+
+def _dumps(value: Any, newline: str = "\n") -> str:
+    """The text the ``json`` module writes for ``value`` with an indent of 2,
+    for what a report holds: dicts with ``str`` keys, lists and tuples,
+    ``str``, ``int``, ``bool`` and None.  Any other type raises
+    ``TypeError``.  With an indent, ``json`` runs its pure-Python encoder;
+    this one joins each container's item texts in one pass.  ``newline``
+    breaks and indents the line ``value`` starts on."""
+    cls = type(value)
+    if cls is str:
+        return _quote(value)
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [
+            int.__repr__(x) if type(x) is int else _quote(x) if type(x) is str else _dumps(x, inner)
+            for x in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _dumps(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if cls is int:
+        return int.__repr__(value)
+    if cls is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"a report cannot hold {cls.__name__}")
 
 
 def system_from_doc(doc: Any) -> System:
@@ -338,8 +379,8 @@ def _read_system(args) -> System:
 
 
 def _emit(doc: dict) -> None:
-    """Write the report in one call: ``json.dump`` writes once per chunk."""
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    """Write the report in one call."""
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 def _int(text: str, flag: str) -> int:
@@ -515,7 +556,12 @@ def _parse_params(entries: Sequence[str]) -> dict:
         if key == "blocks":
             out[key] = _int_blocks(value, "--params blocks")
         elif key == "embedded":
-            out[key] = value.lower() in ("1", "true", "yes")
+            word = value.lower()
+            if word not in ("1", "true", "yes", "0", "false", "no"):
+                raise ShapeError(
+                    f"--params embedded: {value!r} is not one of 1/true/yes or 0/false/no"
+                )
+            out[key] = word in ("1", "true", "yes")
         else:
             out[key] = _int(value, f"--params {key}")
     return out
@@ -645,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--params",
         nargs="*",
-        help="key=value; blocks as 1,2|3,4; embedded=true for the subspace variant",
+        help="key=value; blocks as 1,2|3,4; embedded=true (yes, 1) for the subspace "
+        "variant, false (no, 0) for the set family",
     )
     p.set_defaults(func=_cmd_construct)
 

@@ -28,6 +28,10 @@ from .exact_arith import binomial
 from .systems_model import SetSystem, System, elements_of_mask, embed, mask_from_elements
 
 DEFAULT_TUPLE_BUDGET = 4096
+# Largest steps x final tuples that ``saturate(..., debug=True)`` recounts:
+# it re-weighs and re-verifies the whole system after every step.  It admits
+# n = 7, d = 3 from one empty triple (1093 steps x 2187 tuples).
+DEBUG_RECOUNT_BUDGET = 2**22
 
 # each family's required parameters, in its signature's order
 FAMILY_PARAMS = {

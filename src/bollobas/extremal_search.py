@@ -37,7 +37,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import DEFAULT_TUPLE_BUDGET
@@ -60,7 +59,7 @@ from .subspace_algebra import (
 )
 from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
 from .verifiers import FLAVORS, ClauseTable, component_clause_ok
-from .weight_functionals import FunctionalKind, omega, term, tuza
+from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_SET_GUARD = 6
@@ -232,12 +231,6 @@ def _make_system(problem: SearchProblem, tuples: Sequence[tuple]) -> System:
         return SetSystem(problem.n, problem.d, tuple(tuples))
     assert problem.field is not None
     return SubspaceSystem(problem.n, problem.field, problem.d, tuple(tuples))
-
-
-def _scaled(terms: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(S, [t * S]) with S the least common multiple of the denominators."""
-    scale = lcm(*(t.denominator for t in terms))
-    return scale, [t.numerator * (scale // t.denominator) for t in terms]
 
 
 def _listed(stream: Iterable[tuple]) -> tuple[tuple, ...]:

@@ -27,14 +27,18 @@ potential is an exact integer, bounded as stated below:
 
 Every step checks the invariants it claims on its own d + 1 tuples, and
 raises instead of trusting them: the replacements' weight terms sum exactly
-to the replaced tuple's term, their potentials exceed its potential, and the
-running potential and the step count stay within the bound.  ω and φ of the
-whole system are recomputed before the first step and after the last, and
-must equal the start weight and the running potential; with ``debug`` they
-are also recomputed, and the flavor's condition re-verified, after every
-step.  A step costs O(d) tuple operations, not O(m): a cursor replaces the
-rescan for the first non-full tuple, each tuple's facts are computed once
-per run, and the tuple list is spliced in place and made a system once, at
+to the replaced tuple's term (as integers, each term scaled by the least
+common multiple of the d + 1 denominators), their potentials exceed its
+potential, and the running potential and the step count stay within the
+bound.  ω and φ of the whole system are recomputed before the first step
+and after the last, and must equal the start weight and the running
+potential; with ``debug`` they are also recomputed, and the flavor's
+condition re-verified, after every step, which ``DEBUG_RECOUNT_BUDGET``
+bounds.  A step costs O(d) tuple
+operations, not O(m): a cursor replaces the rescan for the first non-full
+tuple, each tuple's facts are computed once per run (for sets they hold the
+covered mask and the size vector, which the potential and the weight term
+read), and the tuple list is spliced in place and made a system once, at
 the end.
 """
 
@@ -45,7 +49,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Any, Callable
 
-from .constructions import DEFAULT_TUPLE_BUDGET
+from .constructions import DEBUG_RECOUNT_BUDGET, DEFAULT_TUPLE_BUDGET
 from .errors import (
     BollobasError,
     BudgetError,
@@ -72,7 +76,7 @@ from .systems_model import (
     with_tuples,
 )
 from .verifiers import Certificate, ClassCount, verify
-from .weight_functionals import FunctionalKind, omega, term, tuza
+from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,8 @@ class Flavor:
     full) and ``step`` read from them, and ``bound``, which caps the
     potential and the step count.  The defaults serve set and tuple: tuza
     weights, size vectors as profiles (what :func:`term` weighs) and type
-    classes, multinomial class bounds."""
+    classes, multinomial class bounds; the set flavor reads its size vector
+    from its facts."""
 
     name: str
     condition: str  # verified before saturation and certification
@@ -142,19 +147,27 @@ class _SetFlavor(Flavor):
         if not isinstance(system, SetSystem):
             raise ShapeError("set saturation needs a set system")
 
-    def facts(self, system: SetSystem, t: tuple) -> int:
-        """The mask of the ground elements some component holds."""
+    def facts(self, system: SetSystem, t: tuple) -> tuple[int, tuple]:
+        """The mask of the ground elements some component holds, and the
+        component sizes."""
         covered = 0
         for mask in t:
             covered |= mask
-        return covered
+        return covered, sizes_of(t)
 
-    def deficit(self, system: SetSystem, covered: int) -> int:
-        return system.n - covered.bit_count()
+    def deficit(self, system: SetSystem, facts: tuple[int, tuple]) -> int:
+        return system.n - facts[0].bit_count()
 
-    def step(self, system: SetSystem, t: tuple, i: int, covered: int, x: int | None = None):
+    def potential(self, t: tuple, facts: tuple[int, tuple]) -> int:
+        return sum(facts[1])
+
+    def profile(self, t: tuple, facts: tuple[int, tuple]) -> tuple:
+        return facts[1]
+
+    def step(self, system: SetSystem, t: tuple, i: int, facts: tuple, x: int | None = None):
         """x joins each coordinate in turn; without x, the lowest uncovered
         element."""
+        covered = facts[0]
         if x is None:
             x = (~covered & (covered + 1)).bit_length()
         elif covered & (1 << (x - 1)):
@@ -427,7 +440,9 @@ def saturate(
     """Fill up every tuple, lowest non-full index first, until fullness.
 
     A system that would end with more than ``DEFAULT_TUPLE_BUDGET`` tuples is
-    refused with ``BudgetError`` before the first step.
+    refused with ``BudgetError`` before the first step; with ``debug``, so
+    is one whose steps times final tuples, the cost of the per-step
+    recounts, would pass ``DEBUG_RECOUNT_BUDGET``.
 
     Scan order is deterministic: lowest non-full tuple, then (pair flavor)
     lowest deficient block, then the canonical extension vector.  A cursor
@@ -443,12 +458,23 @@ def saturate(
     functional = record.functional(system, p)
     facts = cache(partial(record.facts, system))  # once per tuple met
 
-    # a tuple missing u elements or dimensions saturates into d^u full tuples
-    final_m = sum(system.d ** record.deficit(system, facts(t)) for t in system.tuples)
+    # a tuple missing u elements or dimensions saturates into d^u full tuples,
+    # in (d^u - 1) / (d - 1) steps (u steps for d = 1)
+    deficits = [record.deficit(system, facts(t)) for t in system.tuples]
+    final_m = sum(system.d**u for u in deficits)
     if final_m > DEFAULT_TUPLE_BUDGET:
         raise BudgetError(
             f"saturation would end with {final_m} tuples, budget is {DEFAULT_TUPLE_BUDGET}"
         )
+    if debug:
+        d = system.d
+        total_steps = sum(deficits) if d == 1 else (final_m - len(deficits)) // (d - 1)
+        if total_steps * final_m > DEBUG_RECOUNT_BUDGET:
+            raise BudgetError(
+                f"debug saturation would recount {final_m} tuples after each of "
+                f"{total_steps} steps, {total_steps * final_m} tuple operations; "
+                f"the budget is {DEBUG_RECOUNT_BUDGET}"
+            )
 
     terms: dict[tuple, Fraction] = {}  # the weight term of each profile met
 
@@ -485,12 +511,11 @@ def saturate(
         tuples[cursor : cursor + 1] = replacements
         steps.append(FillUpStep(index=cursor + 1, block=block, x=x, replacements=replacements))
 
-        removed = weight_term(old)
-        added = sum((weight_term(rep) for rep in replacements), Fraction(0))
-        if added != removed:
+        scale, (removed, *added) = _scaled([weight_term(old), *map(weight_term, replacements)])
+        if sum(added) != removed:
             raise BollobasError(
                 f"weight invariance broken at step {len(steps)}: "
-                f"{weight} -> {weight - removed + added}"
+                f"{weight} -> {weight + Fraction(sum(added) - removed, scale)}"
             )
         gain = sum(potential_of(rep) for rep in replacements) - potential_of(old)
         if gain <= 0:

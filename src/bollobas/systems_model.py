@@ -180,7 +180,9 @@ def tuple_sizes(system: System, i: int) -> tuple[int, ...]:
 
 def sizes_of(t: tuple) -> tuple[int, ...]:
     """Sizes (or dims) of the components of one set or subspace tuple."""
-    return tuple(mask_size(x) if isinstance(x, int) else x.dim for x in t)
+    if t and isinstance(t[0], int):
+        return tuple(map(int.bit_count, t))
+    return tuple(x.dim for x in t)
 
 
 def pair_block_profile(system: System, i: int) -> tuple[tuple[int, int], ...]:

@@ -125,17 +125,46 @@ def cross_nontrivial(x: Subspace, y: Subspace) -> bool:
     return total > x.n or total > dim_of_sum([x, y])
 
 
+# _BIT_DIGITS[b] maps a byte to b"1" where bit b is set, to b"0" elsewhere
+_BIT_DIGITS = [bytes(0x31 if byte >> b & 1 else 0x30 for byte in range(256)) for b in range(8)]
+
+
+def _file_elements(filed: dict, masks: list[int], start: int) -> None:
+    """OR into ``filed[1 << e]``, for each element e of some mask, the bitset
+    of the masks holding e, mask j at bit ``start + j``.  The masks are
+    packed as words of ``width`` little-endian bytes; element e's bits are
+    the byte e // 8 of every word, read at bit e % 8."""
+    union = 0
+    for mask in masks:
+        union |= mask
+    width = (union.bit_length() + 7) >> 3
+    packed = b"".join([mask.to_bytes(width, "little") for mask in masks])
+    while union:
+        e = union & -union
+        union ^= e
+        k = e.bit_length() - 1
+        digits = packed[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])
+        filed[e] = filed.get(e, 0) | int(digits[::-1], 2) << start
+
+
 class ClauseTable:
     """Clause (ii) over a list of d-tuples: t_i before t_j needs t_i^(p)
     meeting t_j^(q) for a pair p < q (skew) or p != q (weak); bollobas needs
     A_i meeting B_j and A_j meeting B_i.
 
-    Per position q, each tuple is filed under the elements of a set value or
-    under a subspace value itself.  ``hit(v, q)``, the bitset of tuples whose
-    q-th component meets v, is an OR of element bitsets for a set, one
-    ``cross_nontrivial`` per value filed at q for a subspace; it is cached
-    until the next ``extend``.  A read ORs hits over the flavor's pairs and
-    stops once it covers the bitset it needs.
+    Per position q, the table files the bitset of the tuples whose q-th
+    component holds each ground element (set values) or is each subspace
+    value.  ``extend`` builds the element bitsets of set values by
+    transposing column q: the new masks are packed into fixed-width
+    little-endian words, and each element's bits are read with bytes
+    operations (a strided slice, a translate to ``b"0"``/``b"1"``, a
+    reverse, ``int(..., 2)``), so its Python-level work is O(d n) for n
+    elements, not O(m n).  Subspace values are filed one by one.
+    ``hit(v, q)``, the bitset of tuples whose q-th component meets v, is an
+    OR of element bitsets for a set, one ``cross_nontrivial`` per value filed
+    at q for a subspace; it is cached until the next ``extend``.  A read ORs
+    hits over the flavor's pairs and stops once it covers the bitset it
+    needs.
     """
 
     def __init__(self, flavor: str, d: int, tuples: Iterable[tuple] = ()):
@@ -158,23 +187,20 @@ class ClauseTable:
         """Append tuples to the table, dropping the cached hits."""
         start = len(self.tuples)
         self.tuples.extend(tuples)
-        new: list[dict] = [{} for _ in self._filed]
-        for j in range(start, len(self.tuples)):
-            for q, x in enumerate(self.tuples[j]):
-                if isinstance(x, int):
-                    while x:
-                        e = x & -x
-                        new[q].setdefault(e, []).append(j)
-                        x ^= e
-                else:
-                    new[q].setdefault(x, []).append(j)
         size = (len(self.tuples) >> 3) + 1
-        for filed, keys in zip(self._filed, new):
-            for key, members in keys.items():
+        for q, filed in enumerate(self._filed):
+            column = [t[q] for t in self.tuples[start:]]
+            if column and isinstance(column[0], int):
+                _file_elements(filed, column, start)
+                continue
+            members: dict = {}
+            for j, x in enumerate(column, start):
+                members.setdefault(x, []).append(j)
+            for x, js in members.items():
                 buf = bytearray(size)
-                for j in members:
+                for j in js:
                     buf[j >> 3] |= 1 << (j & 7)
-                filed[key] = filed.get(key, 0) | int.from_bytes(buf, "little")
+                filed[x] = filed.get(x, 0) | int.from_bytes(buf, "little")
         self._hits: list[dict] = [{} for _ in self._filed]
 
     def hit(self, v, q: int, low: int = 0) -> int:

@@ -29,6 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import LicensingError, PreconditionError, ShapeError
 from .exact_arith import PrimeField, ProbabilityVector, Rational, binomial
@@ -146,6 +148,13 @@ def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
     for a, b in blocks:
         den *= binomial(a + b, a) * (1 + a + b if yue else 1)
     return Fraction(1, den)
+
+
+def _scaled(terms: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(S, [t * S]) with S the least common multiple of the denominators:
+    sums and comparisons of terms in integers."""
+    scale = lcm(*(t.denominator for t in terms))
+    return scale, [t.numerator * (scale // t.denominator) for t in terms]
 
 
 def omega(system: System, kind: str | FunctionalKind) -> Rational:

@@ -3,7 +3,8 @@
 Oracles here are deliberately independent of the package's code paths:
 rank comes from fraction-free (Bareiss) elimination on integers, GF(2)
 subspaces from closure enumeration, set-system clauses from plain Python
-sets over element lists, weights from a per-tuple loop that writes each
+sets over element lists, clause-table element bitsets one tuple and one
+element at a time, weights from a per-tuple loop that writes each
 functional's term out, verification and the search optimum from pairwise
 clause checks (subspace meets by textbook elimination), the search optimum
 by a recursive DFS that sums ``Fraction`` weights, potentials from meets by
@@ -222,6 +223,22 @@ def cross_ok(flavor: str, ti, tj) -> bool:
         for p in range(d)
         for q in range(p + 1, d)
     )
+
+
+def reference_element_bitsets(tuples, q: int) -> dict[int, int]:
+    """{e: bitset of the tuples whose q-th set component holds element e},
+    0-based e, built one tuple and one element at a time."""
+    bitsets: dict[int, int] = {}
+    for j, t in enumerate(tuples):
+        for e in elements_of_mask(t[q]):
+            bitsets[e - 1] = bitsets.get(e - 1, 0) | 1 << j
+    return bitsets
+
+
+def reference_row(flavor: str, t, tuples) -> int:
+    """Bitset of the tuples t_j such that t placed before t_j satisfies
+    clause (ii), pair by pair."""
+    return sum(1 << j for j, tj in enumerate(tuples) if cross_ok(flavor, t, tj))
 
 
 def reference_verify(system, flavor: str) -> tuple[bool, tuple | None]:

@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -539,6 +540,38 @@ class TestCli:
         assert rc == 2 and doc == {"error": f"{flag}: 'x' is not an integer", "status": "usage"}
 
     @pytest.mark.parametrize(
+        "value, kind",
+        [("1", "subspace"), ("TRUE", "subspace"), ("Yes", "subspace"),
+         ("0", "set"), ("false", "set"), ("NO", "set")],
+    )
+    def test_construct_embedded_reads_yes_and_no(self, capsys, value, kind):
+        rc, doc = run_cli(
+            capsys, "construct", "--family", "complement_chain", "--params", "n=1", f"embedded={value}"
+        )
+        assert rc == 0 and doc["kind"] == kind
+
+    @pytest.mark.parametrize("value", ["yes-please", "2", ""])
+    def test_construct_embedded_refuses_other_words(self, capsys, value):
+        # they used to give the set family at exit 0
+        rc, doc = run_cli(
+            capsys, "construct", "--family", "complement_chain", "--params", "n=1", f"embedded={value}"
+        )
+        assert rc == 2 and doc == {
+            "error": f"--params embedded: {value!r} is not one of 1/true/yes or 0/false/no",
+            "status": "usage",
+        }
+
+    def test_saturate_debug_above_the_recount_budget_is_usage_error(self, capsys, tmp_path):
+        # within the tuple budget, but 4095 recounts of up to 4096 tuples
+        path = tmp_path / "sparse.json"
+        path.write_text('{"kind":"set","n":12,"d":2,"tuples":[[[],[]]]}', encoding="utf-8")
+        start = time.perf_counter()
+        rc, doc = run_cli(capsys, "saturate", "--flavor", "set", "--debug", "--in", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2 and doc["status"] == "usage"
+        assert "4096 tuples after each of 4095 steps" in doc["error"]
+
+    @pytest.mark.parametrize(
         "params, unknown",
         # budget=N used to bind construct's budget and lift the tuple guard
         [(["a=1", "b=1", "n=5"], "a, b"), (["n=17", "budget=1000000"], "budget")],
@@ -567,6 +600,66 @@ class TestCli:
         assert rc == 0
         assert doc["value"] == "5"
         assert "." not in doc["value"] and "." not in doc["bound"]
+
+
+# ---------------------------------------------------------------------------
+# the report encoder against json
+
+
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "😀", "a"])),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(10**39, 10**40 - 1).flatmap(lambda v: st.sampled_from([v, -v])),
+    _TEXT,
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def emitted(doc) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli_io._emit(doc)
+    return out.getvalue()
+
+
+class TestReportEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_REPORTS)
+    def test_emit_writes_what_json_writes(self, doc):
+        assert emitted(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_empty_and_nested_containers(self):
+        doc = {"a": {}, "b": [], "c": (), "d": [{}, [[]], {"e": ({"f": None},)}], "": True}
+        assert emitted(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_serialize_writes_what_json_writes(self):
+        for system in (complement_chain(3), embed(complement_chain(2))):
+            assert serialize(system) == json.dumps(system_to_doc(system), indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, {1: "x"}, {"x": {2}}, [b"x"], {"x": Fraction(1, 2)}])
+    def test_other_types_are_refused(self, doc):
+        with pytest.raises(TypeError):
+            cli_io._dumps(doc)
+
+    def test_golden_reports_reencode_to_their_bytes(self):
+        golden = sorted((Path(__file__).parent / "golden").glob("*.out"))
+        assert golden
+        for path in golden:
+            body = path.read_text(encoding="utf-8").split("\n", 2)[2]
+            assert emitted(json.loads(body)) == body, path.name
 
 
 # ---------------------------------------------------------------------------

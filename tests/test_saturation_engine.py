@@ -320,6 +320,42 @@ class TestSaturationSizeGuard:
             saturate(SetSystem.from_sets(3, [((), ())]), "set")
 
 
+class TestDebugRecountGuard:
+    """``debug`` recounts the whole system after every step; steps x final
+    tuples is bounded by ``DEBUG_RECOUNT_BUDGET`` before the first step."""
+
+    def test_step_count_is_exact(self, monkeypatch, compatible_pair_corpus):
+        line = coordinate_subspace(3, QQ, [2])
+        cases = [
+            (SetSystem(3, 1, ((0,),)), "set"),
+            (SetSystem.from_sets(3, [((), ())]), "set"),
+            (SetSystem.from_sets(3, [({1}, ()), ({2}, {1})]), "set"),
+            (SetSystem(3, 3, ((0, 0, 0),)), "set"),
+            (SubspaceSystem(3, QQ, 2, ((line, zero_subspace(3, QQ)),)), "tuple"),
+        ]
+        cases += [(s, "pair") for s in compatible_pair_corpus[:4]]
+        for system, flavor in cases:
+            trace = saturate(system, flavor)
+            cost = len(trace.steps) * trace.final.m
+            monkeypatch.setattr(saturation_engine, "DEBUG_RECOUNT_BUDGET", cost)
+            assert saturate(system, flavor, debug=True) == trace
+            monkeypatch.setattr(saturation_engine, "DEBUG_RECOUNT_BUDGET", cost - 1)
+            with pytest.raises(BudgetError, match=f"{len(trace.steps)} steps, {cost} tuple"):
+                saturate(system, flavor, debug=True)
+
+    def test_budget_admits_n7_d3_and_refuses_n12_d2(self):
+        # one empty triple on 7 points: 1093 steps to 2187 tuples
+        assert 1093 * 2187 <= saturation_engine.DEBUG_RECOUNT_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as raised:
+            saturate(SetSystem.from_sets(12, [((), ())]), "set", debug=True)
+        assert time.perf_counter() - start < 1.0
+        assert str(raised.value) == (
+            "debug saturation would recount 4096 tuples after each of 4095 steps, "
+            f"16773120 tuple operations; the budget is {2**22}"
+        )
+
+
 class TestSaturate:
     def test_minimal_weak_example(self):
         s = SetSystem.from_sets(1, [((), ())], d=2)
@@ -543,6 +579,21 @@ class TestLocalChecksFire:
         )
         with pytest.raises(BollobasError, match=r"^potential failed to increase at step 1$"):
             saturate(SetSystem.from_sets(2, [({1}, ())]), "set")
+
+    def test_invariance_broken_by_one_part_in_10_to_the_30(self, monkeypatch):
+        # the integer ledger compares terms scaled by the lcm of their
+        # denominators: a term off by 1/10^30 still breaks it
+        honest = saturation_engine.term
+
+        def skewed(profile, functional):
+            return honest(profile, functional) + (Fraction(1, 10**30) if profile == (1, 0) else 0)
+
+        monkeypatch.setattr(saturation_engine, "term", skewed)
+        with pytest.raises(
+            BollobasError,
+            match=rf"^weight invariance broken at step 1: 1 -> {10**30 + 1}/{10**30}$",
+        ):
+            saturate(SetSystem.from_sets(1, [((), ())]), "set")
 
     @pytest.mark.parametrize("debug, where", [(False, "at the end"), (True, "at step 1")])
     def test_whole_system_check(self, monkeypatch, debug, where):

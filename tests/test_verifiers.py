@@ -30,7 +30,14 @@ from bollobas import (
 )
 from bollobas.verifiers import ClauseTable, ConditionKind, component_clause_ok, cross_nontrivial
 
-from conftest import components_ok, oracle_set_verify, reference_verify, set_tuple_lists
+from conftest import (
+    components_ok,
+    oracle_set_verify,
+    reference_element_bitsets,
+    reference_row,
+    reference_verify,
+    set_tuple_lists,
+)
 
 
 class TestVerify:
@@ -314,15 +321,22 @@ def flavors_for(d: int) -> tuple[str, ...]:
     return ("bollobas", "skew", "weak") if d == 2 else ("skew", "weak")
 
 
+def set_masks(n: int):
+    """Masks over [n]: any, or of at most three elements."""
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(lambda es: sum(1 << e for e in es))
+    return st.one_of(st.integers(0, (1 << n) - 1), sparse)
+
+
 @st.composite
-def systems_with_violations(draw):
+def systems_with_violations(draw, wide: bool = False):
     """A seeded random valid system of either kind, then extra tuples (any
     components, so clause (i) may fail) and copies of its own tuples, each
-    inserted at a drawn position."""
-    kind = draw(st.sampled_from(["set", "subspace"]))
+    inserted at a drawn position.  ``wide`` draws set systems with n > 64."""
+    kind = "set" if wide else draw(st.sampled_from(["set", "subspace"]))
     if kind == "set":
-        n, d, field = draw(st.integers(1, 6)), draw(st.integers(1, 4)), None
-        component = st.integers(0, (1 << n) - 1)
+        n = draw(st.integers(65, 70) if wide else st.integers(1, 6))
+        d, field = draw(st.integers(1, 4)), None
+        component = set_masks(n)
     else:
         n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         field = draw(st.sampled_from([PrimeField(2), PrimeField(3), QQ]))
@@ -387,13 +401,22 @@ class TestMeetsByDimensionCount:
         assert component_clause_ok(t[:2]) == components_ok(t[:2])
 
 
+def assert_verify_matches_reference(system) -> None:
+    for flavor in flavors_for(system.d):
+        report = verify(system, flavor)
+        assert (report.verdict, report.first_violation) == reference_verify(system, flavor)
+
+
 class TestClauseTableMatchesPairwiseVerify:
     @settings(max_examples=300, deadline=None)
     @given(systems_with_violations())
     def test_verdict_and_first_violation(self, system):
-        for flavor in flavors_for(system.d):
-            report = verify(system, flavor)
-            assert (report.verdict, report.first_violation) == reference_verify(system, flavor)
+        assert_verify_matches_reference(system)
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems_with_violations(wide=True))
+    def test_verdict_and_first_violation_past_64_elements(self, system):
+        assert_verify_matches_reference(system)
 
     def test_hit_read_from_an_earlier_index_is_rebuilt(self):
         # verify reads hits from index i + 1 on; a later read from 0 must not
@@ -424,3 +447,59 @@ class TestClauseTableMatchesPairwiseVerify:
             report = verify(system, flavor)
             assert (report.verdict, report.first_violation) == expected
             assert reference_verify(system, flavor) == expected
+
+
+# ---------------------------------------------------------------------------
+# the clause table's element bitsets, however the table was built
+
+
+@st.composite
+def set_columns(draw):
+    """(flavor, n, d, tuples, chunk sizes): n up to 70, m crossing the 8- and
+    64-bit boundaries of the packed columns and of the tuple bitsets."""
+    n = draw(st.one_of(st.integers(1, 70), st.sampled_from([8, 9, 63, 64, 65, 70])))
+    d = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def mask() -> int:
+        if rng.random() < 0.5:
+            return rng.getrandbits(n)
+        return sum(1 << rng.randrange(n) for _ in range(rng.randrange(4)))
+
+    tuples = [tuple(mask() for _ in range(d)) for _ in range(m)]
+    chunks = draw(st.lists(st.integers(1, 70), max_size=6))
+    return draw(st.sampled_from(flavors_for(d))), n, d, tuples, chunks
+
+
+def clause_table_builds(flavor: str, d: int, tuples: list, chunks: list[int]) -> list:
+    """The table over ``tuples`` built at once, by ``extend`` in chunks of the
+    drawn sizes (the rest in one chunk), and one tuple at a time."""
+    at_once = ClauseTable(flavor, d, tuples)
+    chunked = ClauseTable(flavor, d)
+    start = 0
+    for size in chunks + [len(tuples)]:
+        chunked.extend(tuples[start : start + size])
+        start += size
+    one_by_one = ClauseTable(flavor, d)
+    for t in tuples:
+        one_by_one.extend((t,))
+    return [at_once, chunked, one_by_one]
+
+
+class TestClauseTableBuilds:
+    @settings(max_examples=60, deadline=None)
+    @given(set_columns())
+    def test_hits_and_rows_match_the_per_element_reference(self, case):
+        flavor, n, d, tuples, chunks = case
+        tables = clause_table_builds(flavor, d, tuples, chunks)
+        need = (1 << len(tuples)) - 1
+        for q in range(d):
+            reference = reference_element_bitsets(tuples, q)
+            for e in range(n):
+                for table in tables:
+                    assert table.hit(1 << e, q) == reference.get(e, 0)
+        for t in tuples[:20]:
+            expected = reference_row(flavor, t, tuples)
+            for table in tables:
+                assert table.row(t, need) & need == expected
