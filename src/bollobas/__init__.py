@@ -35,7 +35,6 @@ from .subspace_algebra import (
     extension_vector,
     full_space,
     intersection,
-    is_direct_sum,
     zero_subspace,
 )
 from .systems_model import (
@@ -53,7 +52,6 @@ from .verifiers import (
     check_cardinality_lemmas,
     check_partitioned_uniform_bound,
     check_uniform_pair_bound,
-    is_skew_implies_weak_check,
     verify,
 )
 from .weight_functionals import (

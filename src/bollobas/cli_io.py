@@ -15,6 +15,15 @@ Subsets are sorted 1-based integer lists; subspaces are row matrices of
 scalar strings ("num/den" over the rationals, "r mod p" over GF(p)), the zero
 subspace being the empty matrix.  Non-canonical rows are accepted and
 canonicalized on load, after which serialize-parse round-trips exactly.
+Components of one document with the same entry texts are parsed once, to
+one shared ``Subspace``.
+
+A scalar may be a bare JSON number.  A bare integer is read as it is.  A
+bare number with a fraction or an exponent is kept as the float ``json``
+gives only when that float's text is the same rational as the literal, so
+that it reads as its quoted text would; otherwise the document is refused
+with a message to quote it (``0.1000000000000000000001`` has lost digits as
+a float, ``1e400`` has overflowed).  ``NaN`` and ``Infinity`` are refused.
 
 Reports are JSON with every number an exact string, written as the
 standard ``json`` module writes them with an indent of 2.  Exit status 0
@@ -49,6 +58,7 @@ from .exact_arith import (
     FieldTag,
     ProbabilityVector,
     field_from_str,
+    rational_from_str,
     rational_to_str,
 )
 from .extremal_search import (
@@ -224,13 +234,15 @@ def system_from_doc(doc: Any) -> System:
         field = field_from_str(str(field_name))
     except ValueError as exc:
         raise DocumentError(str(exc), "field") from exc
+    # equal components of one document parse once, to one Subspace
+    memo: dict[tuple, Subspace] = {}
     packed_subs = []
     for i, t in enumerate(tuples):
         if not isinstance(t, list) or len(t) != d:
             raise DocumentError(f"expected a {d}-tuple of subspaces", f"tuples[{i}]")
         subs = []
         for l, rows in enumerate(t):
-            subs.append(_subspace_from_rows(rows, n, field, f"tuples[{i}][{l}]"))
+            subs.append(_subspace_from_rows(rows, n, field, f"tuples[{i}][{l}]", memo))
         packed_subs.append(tuple(subs))
     decomposition = None
     if "decomposition" in doc:
@@ -238,7 +250,7 @@ def system_from_doc(doc: Any) -> System:
         if not isinstance(blocks_doc, list):
             raise DocumentError("decomposition must be a list of block bases", "decomposition")
         blocks = tuple(
-            _subspace_from_rows(rows, n, field, f"decomposition[{k}]")
+            _subspace_from_rows(rows, n, field, f"decomposition[{k}]", memo)
             for k, rows in enumerate(blocks_doc)
         )
         try:
@@ -260,24 +272,54 @@ def _expect_int(doc: dict, key: str, cap: int) -> int:
     return value
 
 
-def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str) -> Subspace:
+def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: dict) -> Subspace:
+    """The subspace spanned by a document's rows.  ``memo`` maps the entry
+    texts handed to ``parse_row`` to the subspace they gave, so a component
+    that repeats an earlier one's texts is that same object.  The texts are
+    the key, not the JSON values: ``true`` and ``1`` are equal in Python but
+    only "1" parses."""
     if not isinstance(rows, list):
         raise DocumentError("subspace must be a list of rows", where)
-    parsed = []
+    texts = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"row must have {n} entries", f"{where}[{r}]")
-        try:
-            parsed.append(field.parse_row([str(x) for x in row]))
-        except ValueError as exc:
-            raise DocumentError(str(exc), f"{where}[{r}]") from exc
-    # non-RREF input is legal; canonicalization restores the invariant
-    return canonicalize(n, field, parsed)
+        texts.append(tuple([str(x) for x in row]))
+    key = tuple(texts)
+    found = memo.get(key)
+    if found is None:
+        parsed = []
+        for r, row in enumerate(texts):
+            try:
+                parsed.append(field.parse_row(row))
+            except ValueError as exc:
+                raise DocumentError(str(exc), f"{where}[{r}]") from exc
+        # non-RREF input is legal; canonicalization restores the invariant
+        found = memo[key] = canonicalize(n, field, parsed)
+    return found
+
+
+def _bare_float(text: str) -> float:
+    """A bare JSON number with a fraction or exponent, kept as the float
+    ``json`` would give when that float's text is the same rational as
+    ``text``; refused otherwise, since the float has lost digits."""
+    value = float(text)
+    try:
+        exact = rational_from_str(repr(value)) == rational_from_str(text)
+    except ValueError:  # inf, or an exponent past the digit limit
+        exact = False
+    if not exact:
+        raise DocumentError(f"the bare number {text} is not exact as a float; quote it: \"{text}\"")
+    return value
+
+
+def _bare_constant(text: str):
+    raise DocumentError(f"{text} is not a number a document may hold")
 
 
 def parse(text: str) -> System:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_bare_float, parse_constant=_bare_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
     return system_from_doc(doc)

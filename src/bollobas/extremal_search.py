@@ -400,6 +400,8 @@ def random_valid_system(
     that the clause table admits after every existing tuple.
 
     Deterministic for a fixed seed; may return fewer than ``target_m`` tuples.
+    Proposals stop once a tuple that no later tuple can follow is appended
+    (``ClauseTable.dead``): the table would refuse the rest of the budget.
     The result verifies its condition by construction.  A ``target_m`` above
     ``DEFAULT_TUPLE_BUDGET`` is refused with ``BudgetError``.
     """
@@ -421,6 +423,8 @@ def random_valid_system(
                 continue
         if table.admits(t):
             table.extend((t,))
+            if table.dead(t):
+                break
     if kind == "set":
         return SetSystem(n, d, tuple(table.tuples))
     return SubspaceSystem(n, field, d, tuple(table.tuples))
@@ -437,7 +441,8 @@ def random_compatible_pair_system(
 
     Each appended pair is assembled block by block with trivially-intersecting
     components, so compatibility and clause (i) hold by construction;
-    skewness is enforced by the same append rule as the other generators.
+    skewness is enforced by the same append rule, and stop rule, as the
+    other generators.
     """
     _check_target(target_m)
     rng = random.Random(seed)
@@ -469,6 +474,8 @@ def random_compatible_pair_system(
         t = (_sum_all(a_parts, n), _sum_all(b_parts, n))
         if table.admits(t):
             table.extend((t,))
+            if table.dead(t):
+                break
     return SubspaceSystem(n, QQ, 2, tuple(table.tuples), decomp)
 
 

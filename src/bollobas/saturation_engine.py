@@ -476,7 +476,10 @@ def saturate(
                 f"the budget is {DEBUG_RECOUNT_BUDGET}"
             )
 
-    terms: dict[tuple, Fraction] = {}  # the weight term of each profile met
+    # the weight term of each profile met, keyed by the profile alone: a hit
+    # in ``term``'s own cache would also hash and compare the functional,
+    # whose tuza entries are Fractions, at every step
+    terms: dict[tuple, Fraction] = {}
 
     def weight_term(t: tuple) -> Fraction:
         key = record.profile(t, facts(t))

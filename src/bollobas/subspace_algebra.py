@@ -16,6 +16,15 @@ over QQ, ``int`` residues over GF(p) -- is a view derived on demand for
 serialization and display.  Intersections use Zassenhaus' sum/intersection
 elimination of ``[u | u]`` over ``[w | 0]``, never orthogonal complements
 (which are field-sensitive).
+
+Two certificates read sums and meets off the canonical rows exactly, with no
+elimination.  Rows whose pivot columns (first nonzero entries) are pairwise
+distinct are independent, so when the parts' pivot masks
+(:attr:`Subspace.pivot_mask`) are pairwise disjoint, :func:`dim_of_sum` is
+the sum of their dims.  A canonical row that two subspaces share is a
+nonzero vector of both, so their meet is nontrivial and their sum is not
+direct (:func:`share_a_row`).  Where neither settles a question, the rows
+are eliminated.
 """
 
 from __future__ import annotations
@@ -133,6 +142,14 @@ class Subspace:
         return hash((self.n, self.field, self.rows))
 
     @cached_property
+    def pivot_mask(self) -> int:
+        """Bit c set for each pivot column c of the canonical rows."""
+        mask = 0
+        for row in self.rows:
+            mask |= 1 << next(c for c, x in enumerate(row) if x)
+        return mask
+
+    @cached_property
     def basis(self) -> tuple:
         """The RREF basis as scalars: each row over its pivot as ``Fraction``
         entries over QQ, the rows themselves (int residues) over GF(p)."""
@@ -225,20 +242,35 @@ def component(u: Subspace, v_k: Subspace) -> Subspace:
 
 
 def dim_of_sum(parts: Sequence[Subspace]) -> int:
-    """dim(U_1 + ... + U_t) from one rank computation on the stacked rows."""
+    """dim(U_1 + ... + U_t): the sum of the dims when the parts' pivot masks
+    are pairwise disjoint, otherwise one rank computation on the stacked
+    rows."""
     if not parts:
         raise ValueError("dim_of_sum needs at least one subspace")
     first = parts[0]
-    rows = []
+    seen = 0
+    disjoint = True
     for part in parts:
         _check_same_space(first, part)
-        rows.extend(part.rows)
+        mask = part.pivot_mask
+        if mask & seen:
+            disjoint = False
+        seen |= mask
+    if disjoint:
+        return sum(part.dim for part in parts)
+    rows = [row for part in parts for row in part.rows]
     return len(_eliminate(rows, first.n, _modulus(first.field))[1])
 
 
-def is_direct_sum(parts: Sequence[Subspace]) -> bool:
-    """True iff dim(sum of parts) equals the sum of the dims."""
-    return dim_of_sum(parts) == sum(p.dim for p in parts)
+def share_a_row(u: Subspace, w: Subspace) -> bool:
+    """Whether U and W have a canonical row in common.  True certifies that
+    U ∩ W is nontrivial and U + W is not direct; False settles nothing."""
+    _check_same_space(u, w)
+    rows = w.rows
+    for row in u.rows:
+        if row in rows:
+            return True
+    return False
 
 
 def contains(u: Subspace, v: Sequence) -> bool:

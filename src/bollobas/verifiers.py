@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .errors import PreconditionError, ShapeError
 from .exact_arith import PrimeField, Rational, binomial, rational_to_str
-from .subspace_algebra import Subspace, dim_of_sum
+from .subspace_algebra import Subspace, dim_of_sum, share_a_row
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
@@ -102,8 +103,8 @@ def _is_gfp(system: System) -> bool:
 
 def component_clause_ok(t) -> bool:
     """Clause (i): pairwise disjoint subsets / dimension-additive subspaces.
-    A sum has dimension at most n, so subspace dims adding up past n fail
-    with no elimination."""
+    A sum has dimension at most n, so subspace dims adding up past n fail,
+    as do two components sharing a canonical row, with no elimination."""
     if not t or isinstance(t[0], int):
         seen = 0
         for mask in t:
@@ -112,17 +113,22 @@ def component_clause_ok(t) -> bool:
             seen |= mask
         return True
     total = sum(sub.dim for sub in t)
-    return total <= t[0].n and dim_of_sum(list(t)) == total
+    if total > t[0].n or any(share_a_row(u, w) for u, w in combinations(t, 2)):
+        return False
+    return dim_of_sum(t) == total
 
 
 def cross_nontrivial(x: Subspace, y: Subspace) -> bool:
     """Positive intersection dimension of two subspaces of the same space:
-    dim(U ∩ W) = dim U + dim W - dim(U + W), and dim(U + W) <= n, so dims
-    adding up past n settle the meet with no elimination."""
+    dim(U ∩ W) = dim U + dim W - dim(U + W).  Three exact certificates
+    settle most meets with no elimination: dims adding up past n mean a
+    nontrivial meet, since dim(U + W) <= n; so does a canonical row of
+    both, a common nonzero vector; and pairwise distinct pivot columns
+    (``dim_of_sum``) mean a trivial one.  The rest are eliminated."""
     if x.dim == 0 or y.dim == 0:
         return False
     total = x.dim + y.dim
-    return total > x.n or total > dim_of_sum([x, y])
+    return total > x.n or share_a_row(x, y) or total > dim_of_sum((x, y))
 
 
 # _BIT_DIGITS[b] maps a byte to b"1" where bit b is set, to b"0" elsewhere
@@ -242,6 +248,13 @@ class ClauseTable:
             bits &= self._cover(t, self._backward, need)
         return bits
 
+    def dead(self, t: tuple) -> bool:
+        """Whether no tuple placed after t can satisfy clause (ii) with it:
+        the components of t that the flavor's pairs read against a later
+        tuple are all empty (the first d - 1 for skew, all d for weak, A for
+        bollobas).  With d = 1 there are no pairs, and any t is dead."""
+        return not any(t[p] if isinstance(t[p], int) else t[p].dim for p, _ in self._forward)
+
     def admits(self, t: tuple) -> bool:
         """Whether t placed after every tuple of the table satisfies clause (ii)."""
         need = (1 << len(self.tuples)) - 1
@@ -289,15 +302,6 @@ def verify(system: System, flavor: str | ConditionKind) -> VerificationReport:
         if missing:
             return violated(i, (missing & -missing).bit_length() - 1, CLAUSE_CROSS)
     return VerificationReport(True, None, condition, caveat)
-
-
-def is_skew_implies_weak_check(system: System) -> bool:
-    """skew verified => weak verified; holds for every system (property hook)."""
-    if system.d < 2:
-        return True
-    if not verify(system, "skew").verdict:
-        return True
-    return verify(system, "weak").verdict
 
 
 def is_monotone_pair_profile(system: System) -> bool:

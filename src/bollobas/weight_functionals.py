@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -115,9 +116,12 @@ def _require_context(system: System, name: str) -> None:
         raise ShapeError(f"{name} needs a partition/decomposition on the system")
 
 
+@lru_cache(maxsize=1 << 12)
 def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
     """The weight of one tuple of the given profile; every functional is the
-    sum of these terms over the tuples of a system.
+    sum of these terms over the tuples of a system.  Terms are memoized per
+    process: saturation, ``omega`` and the search ask for the same few
+    profiles over and over.
 
     The profile is the size/dimension vector (a_1, ..., a_d), or for the
     ``partitioned_*`` functionals the per-block pairs ((a_1, b_1), ...,

@@ -8,12 +8,18 @@ element at a time, weights from a per-tuple loop that writes each
 functional's term out, verification and the search optimum from pairwise
 clause checks (subspace meets by textbook elimination), the search optimum
 by a recursive DFS that sums ``Fraction`` weights, potentials from meets by
-Zassenhaus on scalars, and saturation from whole-system passes that rescan,
-rebuild and re-weigh the system at every step.
+Zassenhaus on scalars, saturation from whole-system passes that rescan,
+rebuild and re-weigh the system at every step, and the random generators'
+outputs from full-budget loops that draw the package's proposals and admit
+them by pairwise clause checks.  ``is_direct_sum`` and
+``is_skew_implies_weak_check`` are not oracles: they state properties over
+the package's own ``dim_of_sum`` and ``verify`` for the tests that check
+them.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,10 +28,13 @@ from math import comb
 import pytest
 
 from bollobas import (
+    QQ,
     FillUpStep,
     SaturationTrace,
     canonicalize,
     component,
+    coordinate_decomposition,
+    coordinate_subspace,
     dim_of_sum,
     extension_vector,
     fill_up_set_tuple,
@@ -43,8 +52,14 @@ from bollobas import (
     random_compatible_pair_system,
     random_valid_system,
     tuza,
+    verify,
 )
-from bollobas.extremal_search import enumerate_candidates
+from bollobas.extremal_search import (
+    _random_block_subspace,
+    _random_set_tuple,
+    _random_subspace,
+    enumerate_candidates,
+)
 from bollobas.systems_model import (
     elements_of_mask,
     has_context,
@@ -186,6 +201,25 @@ def oracle_set_verify(system: SetSystem, flavor: str) -> bool:
                 if not any(hits):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# predicates over the package's own operations, for tests that state them
+
+
+def is_direct_sum(parts) -> bool:
+    """True iff dim(sum of parts), by ``dim_of_sum``, equals the sum of the
+    dims."""
+    return dim_of_sum(parts) == sum(p.dim for p in parts)
+
+
+def is_skew_implies_weak_check(system) -> bool:
+    """skew verified => weak verified, by ``verify``; holds for every system."""
+    if system.d < 2:
+        return True
+    if not verify(system, "skew").verdict:
+        return True
+    return verify(system, "weak").verdict
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +531,64 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
         assert phis[-2] < phis[-1] <= bound and len(steps) <= bound
         current = new
     return SaturationTrace(flavor, functional, tuple(steps), tuple(omegas), tuple(phis), current)
+
+
+# ---------------------------------------------------------------------------
+# random generators without the stop at a dead tuple
+
+
+def reference_random(kind, n, d, flavor, target_m, seed, field=None):
+    """``random_valid_system`` as a full-budget loop: the same proposals from
+    the same seed, each appended when ``cross_ok`` holds against every
+    tuple chosen before it, until the target or the budget is reached."""
+    rng = random.Random(seed)
+    chosen = []
+    for _ in range(60 * max(target_m, 1)):
+        if len(chosen) >= target_m:
+            break
+        if kind == "set":
+            t = _random_set_tuple(rng, n, d)
+        else:
+            t = tuple(_random_subspace(rng, n, field) for _ in range(d))
+            if not components_ok(t):
+                continue
+        if all(cross_ok(flavor, ti, t) for ti in chosen):
+            chosen.append(t)
+    if kind == "set":
+        return SetSystem(n, d, tuple(chosen))
+    return SubspaceSystem(n, field, d, tuple(chosen))
+
+
+def reference_compatible_pairs(n, blocks, target_m, seed):
+    """``random_compatible_pair_system`` as a full-budget loop, appending by
+    ``cross_ok`` like ``reference_random``."""
+    rng = random.Random(seed)
+    decomp = coordinate_decomposition(n, QQ, blocks)
+    chosen = []
+    for _ in range(80 * max(target_m, 1)):
+        if len(chosen) >= target_m:
+            break
+        a_parts, b_parts = [], []
+        for coords in blocks:
+            if rng.random() < 0.5:
+                split = [rng.randrange(3) for _ in coords]
+                a_k = coordinate_subspace(n, QQ, [c for c, s in zip(coords, split) if s == 1])
+                b_k = coordinate_subspace(n, QQ, [c for c, s in zip(coords, split) if s == 2])
+            else:
+                a_k = _random_block_subspace(rng, n, coords)
+                b_k = _random_block_subspace(rng, n, coords)
+            if meets(a_k, b_k):
+                break
+            a_parts.append(a_k)
+            b_parts.append(b_k)
+        else:
+            t = tuple(
+                canonicalize(n, QQ, [row for part in parts for row in part.rows])
+                for parts in (a_parts, b_parts)
+            )
+            if all(cross_ok("skew", ti, t) for ti in chosen):
+                chosen.append(t)
+    return SubspaceSystem(n, QQ, 2, tuple(chosen), decomp)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,56 @@ class TestDocuments:
             system_from_doc(doc)
         assert "tuples[0][0]" in str(err.value)
 
+    def test_repeated_components_parse_once_to_one_object(self):
+        line, e3 = [["1", "1", "0"]], [["0", "0", "1"]]
+        doc = {
+            "kind": "subspace", "n": 3, "d": 2,
+            "tuples": [[line, e3], [e3, line]],
+            "decomposition": [[["1", "0", "0"], ["0", "1", "0"]], e3],
+        }
+        # the same subspaces, no two components written with the same texts
+        fresh = {
+            "kind": "subspace", "n": 3, "d": 2,
+            "tuples": [
+                [[["2", "2", "0"]], [["0", "0", "3"]]],
+                [[["0", "0", "1/2"]], [["-1", "-1", "0"]]],
+            ],
+            "decomposition": [[["1", "1", "0"], ["1", "-1", "0"]], [["0", "0", "5"]]],
+        }
+        s, t = system_from_doc(doc), system_from_doc(fresh)
+        assert s == t
+        assert s.tuples[0][0] is s.tuples[1][1]
+        assert s.tuples[0][1] is s.tuples[1][0] is s.decomposition.blocks[1]
+        assert t.tuples[0][0] == t.tuples[1][1] and t.tuples[0][0] is not t.tuples[1][1]
+        assert t.tuples[0][1] is not t.tuples[1][0]
+
+    @pytest.mark.parametrize(
+        "first, second, where",
+        [
+            ([[1, 0]], [[True, 0]], "tuples[0][1][0]"),
+            ([[True, 0]], [[1, 0]], "tuples[0][0][0]"),
+            ([["1", "0"]], [[True, 0]], "tuples[0][1][0]"),
+        ],
+    )
+    def test_a_bool_row_is_refused_after_an_equal_int_row(self, first, second, where):
+        doc = {"kind": "subspace", "n": 2, "d": 2, "tuples": [[first, second]]}
+        with pytest.raises(DocumentError) as err:
+            system_from_doc(doc)
+        assert str(err.value) == f"{where}: not a rational: 'True'"
+
+    def test_entries_with_one_text_share_one_parse(self):
+        doc = {"kind": "subspace", "n": 2, "d": 3, "tuples": [[[["1", "0"]], [[1, 0]], [[1.0, 0]]]]}
+        quoted, bare, decimal = system_from_doc(doc).tuples[0]
+        assert bare is quoted
+        assert decimal == quoted and decimal is not quoted
+
+    def test_a_malformed_component_fails_at_its_first_copy(self):
+        bad = [["1", "x"]]
+        doc = {"kind": "subspace", "n": 2, "d": 2, "tuples": [[[["1", "0"]], bad], [bad, []]]}
+        with pytest.raises(DocumentError) as err:
+            system_from_doc(doc)
+        assert str(err.value) == "tuples[0][1][0]: not a rational: 'x'"
+
     def test_bad_field(self):
         doc = {"kind": "subspace", "n": 1, "d": 2, "field": "gf(6)", "tuples": []}
         with pytest.raises(DocumentError):
@@ -127,6 +177,41 @@ class TestDocuments:
         doc = {"kind": "set", "n": 2, "d": 2, "tuples": [[[1]]]}
         with pytest.raises(DocumentError):
             system_from_doc(doc)
+
+
+def _one_row_doc(entry: str) -> str:
+    """A one-component subspace document whose row holds ``entry`` as JSON
+    text, bare or quoted."""
+    return '{"kind": "subspace", "n": 2, "d": 1, "tuples": [[[[%s, "1"]]]]}' % entry
+
+
+class TestBareNumbers:
+    @pytest.mark.parametrize("text", ["0.5", "-2.5e-3", "1e22", "1E+2", "0.30000000000000004", "-0.0"])
+    def test_an_exact_bare_number_parses_like_its_quoted_text(self, text):
+        assert parse(_one_row_doc(text)) == parse(_one_row_doc(f'"{text}"'))
+
+    @pytest.mark.parametrize(
+        "text", ["0.1000000000000000000001", "1e400", "1e-400", "123456789012345678.5", "1e-100000000"]
+    )
+    def test_a_bare_number_a_float_cannot_hold_is_refused(self, text):
+        with pytest.raises(DocumentError) as err:
+            parse(_one_row_doc(text))
+        assert str(err.value) == f'the bare number {text} is not exact as a float; quote it: "{text}"'
+
+    def test_its_quoted_text_is_exact(self):
+        row = parse(_one_row_doc('"0.1000000000000000000001"')).tuples[0][0].rows[0]
+        assert row == (10**21 + 1, 10**22)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constants_are_refused(self, text):
+        with pytest.raises(DocumentError) as err:
+            parse(_one_row_doc(text))
+        assert str(err.value) == f"{text} is not a number a document may hold"
+
+    def test_a_non_integer_set_element_keeps_its_message(self):
+        with pytest.raises(DocumentError) as err:
+            parse('{"kind": "set", "n": 2, "d": 1, "tuples": [[[1.5]]]}')
+        assert str(err.value) == "tuples[0][0]: unsupported operand type(s) for <<: 'int' and 'float'"
 
 
 class TestCli:

@@ -37,7 +37,12 @@ from bollobas import extremal_search, verifiers
 from bollobas.extremal_search import subspace_count
 from bollobas.weight_functionals import FunctionalKind
 
-from conftest import oracle_set_verify, reference_search
+from conftest import (
+    oracle_set_verify,
+    reference_compatible_pairs,
+    reference_random,
+    reference_search,
+)
 
 
 def oracle_max_m_sequences(n: int, d: int, flavor: str) -> int:
@@ -407,6 +412,69 @@ class TestRandomValidSystem:
                 "subspace", 3, 2, "weak", target_m=3, seed=seed, field=QQ
             )
             assert verify(s, "weak").verdict
+
+
+@st.composite
+def generator_args(draw):
+    """Arguments of ``random_valid_system``: set and GF(2)/GF(3)/QQ kinds,
+    d in {1, 2, 3}, every flavor the arity admits."""
+    field = draw(st.sampled_from([None, PrimeField(2), PrimeField(3), QQ]))
+    d = draw(st.integers(1, 3))
+    flavor = draw(st.sampled_from(("skew", "weak", "bollobas") if d == 2 else ("skew", "weak")))
+    n = draw(st.integers(1, 4 if field is None else 3))
+    kind = "set" if field is None else "subspace"
+    return kind, n, d, flavor, draw(st.integers(0, 8)), draw(st.integers(0, 2**20)), field
+
+
+class TestRandomStopsAtADeadTuple:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_args())
+    def test_output_is_that_of_the_full_budget(self, args):
+        assert random_valid_system(*args) == reference_random(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**20),
+        st.integers(0, 6),
+        st.sampled_from([[[1], [2]], [[1, 2], [3]], [[1], [2, 3]]]),
+    )
+    def test_compatible_pairs_are_those_of_the_full_budget(self, seed, target_m, blocks):
+        n = sum(map(len, blocks))
+        got = random_compatible_pair_system(n, blocks, target_m, seed)
+        assert got == reference_compatible_pairs(n, blocks, target_m, seed)
+
+    @pytest.mark.parametrize(
+        "flavor, d, t, dead",
+        [
+            ("skew", 1, ({1},), True),
+            ("skew", 2, ((), {1, 2}), True),
+            ("skew", 2, ({1}, ()), False),
+            ("skew", 3, ((), (), {1}), True),
+            ("skew", 3, ((), {1}, ()), False),
+            ("weak", 1, ({1},), True),
+            ("weak", 2, ((), {1}), False),
+            ("weak", 2, ((), ()), True),
+            ("bollobas", 2, ((), {1}), True),
+            ("bollobas", 2, ({1}, ()), False),
+        ],
+    )
+    def test_dead_tuples(self, flavor, d, t, dead):
+        masks = SetSystem.from_sets(2, [t], d=d).tuples[0]
+        assert verifiers.ClauseTable(flavor, d).dead(masks) is dead
+        embedded = embed(SetSystem(2, d, (masks,))).tuples[0]
+        assert verifiers.ClauseTable(flavor, d).dead(embedded) is dead
+
+    def test_generation_stops_at_the_dead_tuple(self, monkeypatch):
+        calls = []
+        real = extremal_search._random_set_tuple
+
+        def counted(rng, n, d):
+            calls.append(1)
+            return real(rng, n, d)
+
+        monkeypatch.setattr(extremal_search, "_random_set_tuple", counted)
+        s = random_valid_system("set", 1, 1, "skew", target_m=5, seed=0)
+        assert s.m == 1 and len(calls) == 1
 
 
 class TestRandomCompatiblePairs:

@@ -55,6 +55,12 @@ def _one_entry(entry: str, field: str = "rational") -> dict:
     }
 
 
+def _one_entry_text(entry: str) -> str:
+    """``_one_entry`` as JSON text with ``entry`` written as it is, so that
+    it can be a bare number."""
+    return json.dumps(_one_entry("@")).replace('"@"', entry)
+
+
 @cache
 def _inputs() -> dict[str, object]:
     blocks = [[1, 2], [3, 4]]
@@ -103,9 +109,16 @@ def _inputs() -> dict[str, object]:
         "bad_scalar_word": _one_entry("x"),
         "bad_scalar_zero_den": _one_entry("1/0"),
         "bad_scalar_modulus": _one_entry("2 mod 7", "gf(5)"),
+        # JSON text: a bare number a float holds exactly, one it cannot, the
+        # same digits quoted, and bare numbers past the float range
+        "bare_exact": _one_entry_text("0.5"),
+        "bare_inexact": _one_entry_text("0.1000000000000000000001"),
+        "quoted_inexact": _one_entry_text('"0.1000000000000000000001"'),
+        "bare_overflow": _one_entry_text("1e400"),
+        "bare_nan": _one_entry_text("NaN"),
     }
     return {
-        name: doc if isinstance(doc, dict) else system_to_doc(doc)
+        name: doc if isinstance(doc, (dict, str)) else system_to_doc(doc)
         for name, doc in docs.items()
     }
 
@@ -153,8 +166,10 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "saturate_tuple_gf3_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@gf3_rows"),
         "saturate_tuple_qq_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@qq_rows"),
     }
-    for doc in ("bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus"):
+    for doc in ("bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan"):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
+    for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
+        cases[f"saturate_tuple_{doc}"] = ("saturate", "--flavor", "tuple", "--in", f"@{doc}")
     for doc in ("pchain", "pchain_embedded"):
         for args in FUNCTIONAL_ARGS:
             cases[f"weight_{args[0]}_{doc}"] = ("weight", "--functional", *args, "--in", f"@{doc}")
@@ -178,7 +193,9 @@ def render(name: str, workdir: Path) -> str:
         if arg.startswith("@"):
             path = workdir / f"{arg[1:]}.json"
             if not path.exists():
-                path.write_text(json.dumps(_inputs()[arg[1:]]), encoding="utf-8")
+                doc = _inputs()[arg[1:]]
+                text = doc if isinstance(doc, str) else json.dumps(doc)
+                path.write_text(text, encoding="utf-8")
             argv.append(str(path))
         else:
             argv.append(arg)

@@ -25,12 +25,17 @@ from bollobas import (
     extension_vector,
     full_space,
     intersection,
-    is_direct_sum,
     zero_subspace,
 )
 from bollobas.extremal_search import all_subspaces
 
-from conftest import fractions_to_int_rows, gf2_subspaces_bruteforce, rational_rank, scalar_rref
+from conftest import (
+    fractions_to_int_rows,
+    gf2_subspaces_bruteforce,
+    is_direct_sum,
+    rational_rank,
+    scalar_rref,
+)
 
 
 def qspan(n, *rows):

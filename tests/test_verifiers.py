@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import (
+    FieldMismatchError,
     PreconditionError,
     PrimeField,
     QQ,
@@ -23,15 +24,17 @@ from bollobas import (
     embed,
     full_tuza_tuples,
     intersection,
-    is_skew_implies_weak_check,
     random_valid_system,
     verify,
     zero_subspace,
 )
+from bollobas import subspace_algebra
+from bollobas.subspace_algebra import _eliminate, dim_of_sum
 from bollobas.verifiers import ClauseTable, ConditionKind, component_clause_ok, cross_nontrivial
 
 from conftest import (
     components_ok,
+    is_skew_implies_weak_check,
     oracle_set_verify,
     reference_element_bitsets,
     reference_row,
@@ -399,6 +402,80 @@ class TestMeetsByDimensionCount:
             assert meet
         assert component_clause_ok(t) == components_ok(t)
         assert component_clause_ok(t[:2]) == components_ok(t[:2])
+
+
+@st.composite
+def certificate_cases(draw):
+    """(mode, x, y, z) over QQ, GF(2) or GF(3), n <= 5, with x and y nonzero
+    and dim x + dim y <= n, where only an elimination or a certificate can
+    tell whether they meet.  Mode "row": y is spanned by some of x's
+    canonical rows, so they share a row.  Mode "pivot": y has a row leading
+    in one of x's pivot columns.  Mode "any": y is drawn alone.  z is a
+    third part for sums of three."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    n = draw(st.integers(2, 5))
+    x = draw(subspace_of_dim(n, field, draw(st.integers(1, n - 1))))
+    mode = draw(st.sampled_from(["row", "pivot", "any"]))
+    room = n - x.dim
+    if mode == "row":
+        rows = draw(st.lists(st.sampled_from(x.rows), min_size=1, max_size=min(x.dim, room)))
+        y = canonicalize(n, field, rows)
+    elif mode == "pivot":
+        pivots = [c for c in range(n) if x.pivot_mask >> c & 1]
+        entries = st.integers(-2, 2) if field == QQ else st.integers(0, field.p - 1)
+        c = draw(st.sampled_from(pivots))
+        row = [0] * c + [1] + draw(st.lists(entries, min_size=n - c - 1, max_size=n - c - 1))
+        y = canonicalize(n, field, [row])
+    else:
+        y = draw(subspace_of_dim(n, field, draw(st.integers(1, room))))
+    z = draw(subspace_of_dim(n, field, draw(st.integers(0, n))))
+    return mode, x, y, z
+
+
+def eliminated_rank(parts) -> int:
+    first = parts[0]
+    p = first.field.p if isinstance(first.field, PrimeField) else 0
+    return len(_eliminate([row for part in parts for row in part.rows], first.n, p)[1])
+
+
+class TestMeetsByRowCertificates:
+    @settings(max_examples=400, deadline=None)
+    @given(certificate_cases())
+    def test_certificates_match_elimination(self, case):
+        mode, x, y, z = case
+        if mode == "row":
+            assert set(x.rows) & set(y.rows)
+        if mode == "pivot":
+            assert x.pivot_mask & y.pivot_mask
+        assert cross_nontrivial(x, y) == (intersection(x, y).dim > 0)
+        for parts in ([x], [x, y], [y, z], [x, y, z]):
+            assert dim_of_sum(parts) == eliminated_rank(parts)
+        assert component_clause_ok((x, y, z)) == components_ok((x, y, z))
+
+    @pytest.mark.parametrize(
+        "x, y, meet",
+        [
+            ([[1, 1, 0]], [[1, 1, 0], [0, 0, 1]], True),  # a shared row
+            ([[1, 0, 0]], [[0, 1, 1]], False),  # disjoint pivots
+        ],
+    )
+    def test_certificates_settle_with_no_elimination(self, monkeypatch, x, y, meet):
+        x, y = canonicalize(3, QQ, x), canonicalize(3, QQ, y)
+
+        def refuse(*args):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(subspace_algebra, "_eliminate", refuse)
+        assert cross_nontrivial(x, y) is meet
+        assert component_clause_ok((x, y)) is not meet
+
+    @pytest.mark.parametrize("rows", [[[1, 0]], [[0, 1]]])
+    def test_parts_of_other_spaces_are_refused(self, rows):
+        x, y = canonicalize(2, QQ, [[1, 0]]), canonicalize(2, PrimeField(2), rows)
+        with pytest.raises(FieldMismatchError):
+            cross_nontrivial(x, y)
+        with pytest.raises(FieldMismatchError):
+            component_clause_ok((x, y))
 
 
 def assert_verify_matches_reference(system) -> None:
