@@ -20,10 +20,11 @@ one shared ``Subspace``.
 
 A scalar may be a bare JSON number.  A bare integer is read as it is.  A
 bare number with a fraction or an exponent is kept as the float ``json``
-gives only when that float's text is the same rational as the literal, so
-that it reads as its quoted text would; otherwise the document is refused
-with a message to quote it (``0.1000000000000000000001`` has lost digits as
-a float, ``1e400`` has overflowed).  ``NaN`` and ``Infinity`` are refused.
+gives only when that float's shortest text (its ``repr``) is the same
+rational as the literal, so that it reads as its quoted text would: ``0.1``
+reads as 1/10, although no binary float is 1/10.  Otherwise the document is
+refused with a message to quote it (``0.1000000000000000000001`` reads as the
+float ``0.1``, ``1e400`` as ``inf``).  ``NaN`` and ``Infinity`` are refused.
 
 Reports are JSON with every number an exact string, written as the
 standard ``json`` module writes them with an indent of 2.  Exit status 0
@@ -277,16 +278,20 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: di
     texts handed to ``parse_row`` to the subspace they gave, so a component
     that repeats an earlier one's texts is that same object.  The texts are
     the key, not the JSON values: ``true`` and ``1`` are equal in Python but
-    only "1" parses."""
+    only "1" parses.  The first bad row is reported, whether its length or
+    an entry is wrong: rows before a row of the wrong length are parsed
+    before that row is refused."""
     if not isinstance(rows, list):
         raise DocumentError("subspace must be a list of rows", where)
     texts = []
+    short = None
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise DocumentError(f"row must have {n} entries", f"{where}[{r}]")
+            short = r
+            break
         texts.append(tuple([str(x) for x in row]))
     key = tuple(texts)
-    found = memo.get(key)
+    found = None if short is not None else memo.get(key)
     if found is None:
         parsed = []
         for r, row in enumerate(texts):
@@ -294,6 +299,8 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: di
                 parsed.append(field.parse_row(row))
             except ValueError as exc:
                 raise DocumentError(str(exc), f"{where}[{r}]") from exc
+        if short is not None:
+            raise DocumentError(f"row must have {n} entries", f"{where}[{short}]")
         # non-RREF input is legal; canonicalization restores the invariant
         found = memo[key] = canonicalize(n, field, parsed)
     return found
@@ -301,15 +308,19 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: di
 
 def _bare_float(text: str) -> float:
     """A bare JSON number with a fraction or exponent, kept as the float
-    ``json`` would give when that float's text is the same rational as
-    ``text``; refused otherwise, since the float has lost digits."""
+    ``json`` would give when that float's shortest text (its ``repr``) is
+    the same rational as ``text``; refused otherwise, since the float reads
+    as another number."""
     value = float(text)
     try:
-        exact = rational_from_str(repr(value)) == rational_from_str(text)
+        same = rational_from_str(repr(value)) == rational_from_str(text)
     except ValueError:  # inf, or an exponent past the digit limit
-        exact = False
-    if not exact:
-        raise DocumentError(f"the bare number {text} is not exact as a float; quote it: \"{text}\"")
+        same = False
+    if not same:
+        raise DocumentError(
+            f"the bare number {text} reads as the float {value!r}, another number; "
+            f"quote it: \"{text}\""
+        )
     return value
 
 

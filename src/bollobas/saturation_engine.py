@@ -476,16 +476,8 @@ def saturate(
                 f"the budget is {DEBUG_RECOUNT_BUDGET}"
             )
 
-    # the weight term of each profile met, keyed by the profile alone: a hit
-    # in ``term``'s own cache would also hash and compare the functional,
-    # whose tuza entries are Fractions, at every step
-    terms: dict[tuple, Fraction] = {}
-
     def weight_term(t: tuple) -> Fraction:
-        key = record.profile(t, facts(t))
-        if key not in terms:
-            terms[key] = term(key, functional)
-        return terms[key]
+        return term(record.profile(t, facts(t)), functional)
 
     def potential_of(t: tuple) -> int:
         return record.potential(t, facts(t))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .errors import PreconditionError, ShapeError
@@ -103,8 +102,11 @@ def _is_gfp(system: System) -> bool:
 
 def component_clause_ok(t) -> bool:
     """Clause (i): pairwise disjoint subsets / dimension-additive subspaces.
-    A sum has dimension at most n, so subspace dims adding up past n fail,
-    as do two components sharing a canonical row, with no elimination."""
+    A sum has dimension at most n, so subspace dims adding up past n fail
+    with no elimination, and ``dim_of_sum`` adds pairwise disjoint pivot
+    masks with none.  The shared-row test of ``cross_nontrivial`` is left
+    out: a valid tuple never has a shared row, and on the search's
+    candidates the pairs it tests cost more than the eliminations it saves."""
     if not t or isinstance(t[0], int):
         seen = 0
         for mask in t:
@@ -113,7 +115,7 @@ def component_clause_ok(t) -> bool:
             seen |= mask
         return True
     total = sum(sub.dim for sub in t)
-    if total > t[0].n or any(share_a_row(u, w) for u, w in combinations(t, 2)):
+    if total > t[0].n:
         return False
     return dim_of_sum(t) == total
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -76,6 +76,15 @@ class FunctionalKind:
     def __str__(self) -> str:
         return self.name if self.p is None else f"{self.name}(p={self.p})"
 
+    @cached_property
+    def p_key(self) -> tuple | None:
+        """p as (numerator, denominator) pairs, or None: a key for
+        :func:`term`'s cache that hashes and compares without a ``Fraction``
+        method call."""
+        if self.p is None:
+            return None
+        return tuple((e.numerator, e.denominator) for e in self.p.entries)
+
 
 def tuza(p: ProbabilityVector | tuple) -> FunctionalKind:
     if not isinstance(p, ProbabilityVector):
@@ -116,12 +125,11 @@ def _require_context(system: System, name: str) -> None:
         raise ShapeError(f"{name} needs a partition/decomposition on the system")
 
 
-@lru_cache(maxsize=1 << 12)
 def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
     """The weight of one tuple of the given profile; every functional is the
     sum of these terms over the tuples of a system.  Terms are memoized per
-    process: saturation, ``omega`` and the search ask for the same few
-    profiles over and over.
+    process, keyed on the profile, the name and the ints of p: saturation,
+    ``omega`` and the search ask for the same few profiles over and over.
 
     The profile is the size/dimension vector (a_1, ..., a_d), or for the
     ``partitioned_*`` functionals the per-block pairs ((a_1, b_1), ...,
@@ -129,15 +137,21 @@ def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
     one block: 1 / C(a+b, a), times 1 / (1+a+b) for the yue kinds (C(a+b, b)
     is the same binomial).  The tuza term is prod_l p_l^(a_l).
     """
-    kind = _as_kind(kind)
-    name = kind.name
-    if name == "tuza_sum":
-        assert kind.p is not None
-        if kind.p.d != len(profile):
-            raise ShapeError(f"p has {kind.p.d} entries, system arity is {len(profile)}")
+    if isinstance(kind, FunctionalKind):
+        return _term(profile, kind.name, kind.p_key)
+    return _term(profile, kind, None)
+
+
+@lru_cache(maxsize=1 << 12)
+def _term(profile: tuple, name: str, p_key: tuple | None) -> Fraction:
+    if p_key is None:
+        FunctionalKind(name)  # refuses an unknown name, and tuza_sum with no p
+    else:  # a FunctionalKind with a p is tuza_sum
+        if len(p_key) != len(profile):
+            raise ShapeError(f"p has {len(p_key)} entries, system arity is {len(profile)}")
         value = Fraction(1)
-        for p_l, size in zip(kind.p.entries, profile):
-            value *= p_l**size
+        for (num, den), size in zip(p_key, profile):
+            value *= Fraction(num, den) ** size
         return value
     if name.startswith("partitioned_"):
         if not all(isinstance(block, tuple) for block in profile):

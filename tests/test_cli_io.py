@@ -168,6 +168,21 @@ class TestDocuments:
             system_from_doc(doc)
         assert str(err.value) == "tuples[0][1][0]: not a rational: 'x'"
 
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([["x", "0"], ["1"]], "[0]: not a rational: 'x'"),
+            ([["1", "0"], ["1"], ["x", "0"]], "[1]: row must have 2 entries"),
+            ([["1", "0"], "row"], "[1]: row must have 2 entries"),
+        ],
+    )
+    def test_the_first_bad_row_is_reported(self, rows, where):
+        # a copy of a good component first, so the bad one is looked up too
+        doc = {"kind": "subspace", "n": 2, "d": 2, "tuples": [[[["1", "0"]], rows]]}
+        with pytest.raises(DocumentError) as err:
+            system_from_doc(doc)
+        assert str(err.value) == f"tuples[0][1]{where}"
+
     def test_bad_field(self):
         doc = {"kind": "subspace", "n": 1, "d": 2, "field": "gf(6)", "tuples": []}
         with pytest.raises(DocumentError):
@@ -186,7 +201,7 @@ def _one_row_doc(entry: str) -> str:
 
 
 class TestBareNumbers:
-    @pytest.mark.parametrize("text", ["0.5", "-2.5e-3", "1e22", "1E+2", "0.30000000000000004", "-0.0"])
+    @pytest.mark.parametrize("text", ["0.5", "-2.5e-3", "1e22", "1E+2", "0.1", "0.30000000000000004", "-0.0"])
     def test_an_exact_bare_number_parses_like_its_quoted_text(self, text):
         assert parse(_one_row_doc(text)) == parse(_one_row_doc(f'"{text}"'))
 
@@ -196,7 +211,9 @@ class TestBareNumbers:
     def test_a_bare_number_a_float_cannot_hold_is_refused(self, text):
         with pytest.raises(DocumentError) as err:
             parse(_one_row_doc(text))
-        assert str(err.value) == f'the bare number {text} is not exact as a float; quote it: "{text}"'
+        assert str(err.value) == (
+            f'the bare number {text} reads as the float {float(text)!r}, another number; quote it: "{text}"'
+        )
 
     def test_its_quoted_text_is_exact(self):
         row = parse(_one_row_doc('"0.1000000000000000000001"')).tuples[0][0].rows[0]

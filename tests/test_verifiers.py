@@ -452,22 +452,25 @@ class TestMeetsByRowCertificates:
             assert dim_of_sum(parts) == eliminated_rank(parts)
         assert component_clause_ok((x, y, z)) == components_ok((x, y, z))
 
-    @pytest.mark.parametrize(
-        "x, y, meet",
-        [
-            ([[1, 1, 0]], [[1, 1, 0], [0, 0, 1]], True),  # a shared row
-            ([[1, 0, 0]], [[0, 1, 1]], False),  # disjoint pivots
-        ],
-    )
-    def test_certificates_settle_with_no_elimination(self, monkeypatch, x, y, meet):
-        x, y = canonicalize(3, QQ, x), canonicalize(3, QQ, y)
-
+    @staticmethod
+    def refuse_elimination(monkeypatch):
         def refuse(*args):
             raise AssertionError("eliminated")
 
         monkeypatch.setattr(subspace_algebra, "_eliminate", refuse)
-        assert cross_nontrivial(x, y) is meet
-        assert component_clause_ok((x, y)) is not meet
+
+    def test_a_shared_row_settles_a_meet_with_no_elimination(self, monkeypatch):
+        x = canonicalize(3, QQ, [[1, 1, 0]])
+        y = canonicalize(3, QQ, [[1, 1, 0], [0, 0, 1]])
+        assert component_clause_ok((x, y)) is False  # clause (i) eliminates
+        self.refuse_elimination(monkeypatch)
+        assert cross_nontrivial(x, y) is True
+
+    def test_disjoint_pivots_settle_with_no_elimination(self, monkeypatch):
+        x, y = canonicalize(3, QQ, [[1, 0, 0]]), canonicalize(3, QQ, [[0, 1, 1]])
+        self.refuse_elimination(monkeypatch)
+        assert cross_nontrivial(x, y) is False
+        assert component_clause_ok((x, y)) is True
 
     @pytest.mark.parametrize("rows", [[[1, 0]], [[0, 1]]])
     def test_parts_of_other_spaces_are_refused(self, rows):

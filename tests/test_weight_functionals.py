@@ -387,3 +387,17 @@ class TestOmegaMatchesReference:
             term((1, 1), "partitioned_yue_sum")  # sizes where block pairs are needed
         with pytest.raises(ShapeError):
             term((1, 1, 1), tuza((Fraction(1, 2), Fraction(1, 2))))
+
+    @pytest.mark.parametrize("kind", ["tuza_sum", "no_such_sum", None])
+    def test_term_refuses_a_kind_it_cannot_build(self, kind):
+        with pytest.raises(ValueError):
+            term((1, 1), kind)
+
+    def test_equal_kinds_share_one_term(self):
+        # the cache keys on p's ints, so an equal kind built afresh is a hit
+        profile = (3, 0, 5)
+        first = term(profile, tuza((Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))))
+        again = term(profile, tuza((Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))))
+        assert again is first
+        assert first == Fraction(1, 7) ** 3 * Fraction(4, 7) ** 5
+        assert term(profile, tuza((Fraction(4, 7), Fraction(2, 7), Fraction(1, 7)))) != first
