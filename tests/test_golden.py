@@ -73,6 +73,7 @@ def _inputs() -> dict[str, object]:
     incompatible = SubspaceSystem(
         2, QQ, 2, ((diag, zero_subspace(2, QQ)),), coordinate_decomposition(2, QQ, [[1], [2]])
     )
+    weak_not_skew = SetSystem.from_sets(3, [({1}, {2}), ({2}, {3})])
     docs: dict[str, object] = {
         "chain": chain,
         "embedded": embed(chain),
@@ -85,6 +86,10 @@ def _inputs() -> dict[str, object]:
         "uniform_embedded": embed(uniform),
         "incompatible": incompatible,
         "chain3_embedded": embed(complement_chain(3)),
+        "ptriple": SetSystem.from_sets(4, [({1}, {2}, {3})], partition=blocks),
+        "weak_not_skew": weak_not_skew,
+        "weak_not_skew_embedded": embed(weak_not_skew),
+        "not_weak": SetSystem.from_sets(4, [({1}, {2}), ({3}, {4})]),
         "empty_set_pair": SetSystem.from_sets(3, [((), ())]),
         "empty_subspace_pair": embed(SetSystem.from_sets(2, [((), ())])),
         "overlap": {"kind": "set", "n": 3, "d": 2, "tuples": [], "partition": [[1], [2], [2, 3]]},
@@ -165,6 +170,22 @@ def _cases() -> dict[str, tuple[str, ...]]:
         ),
         "saturate_tuple_gf3_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@gf3_rows"),
         "saturate_tuple_qq_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@qq_rows"),
+        # weight refusals: each licensing rule's failure text
+        "weight_partitioned_yue_ptriple": (
+            "weight", "--functional", "partitioned_yue", "--in", "@ptriple",
+        ),
+        "weight_partitioned_yue_incompatible": (
+            "weight", "--functional", "partitioned_yue", "--in", "@incompatible",
+        ),
+        "weight_tuza_weak_not_skew": (
+            "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@weak_not_skew",
+        ),
+        "weight_tuza_weak_not_skew_embedded": (
+            "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@weak_not_skew_embedded",
+        ),
+        "weight_tuza_not_weak": (
+            "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@not_weak",
+        ),
     }
     for doc in ("bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan"):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
