@@ -42,7 +42,6 @@ from .systems_model import (
     SubspaceSystem,
     embed,
     is_decomposition_compatible,
-    profile,
 )
 from .verifiers import (
     Certificate,

@@ -54,11 +54,9 @@ from .subspace_algebra import (
     canonicalize,
     coordinate_decomposition,
     coordinate_subspace,
-    intersection,
-    zero_subspace,
 )
 from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
-from .verifiers import FLAVORS, ClauseTable, component_clause_ok
+from .verifiers import FLAVORS, ClauseTable, component_clause_ok, cross_nontrivial
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -452,8 +450,8 @@ def random_compatible_pair_system(
     for _ in range(80 * max(target_m, 1)):
         if len(table.tuples) >= target_m:
             break
-        a_parts: list[Subspace] = []
-        b_parts: list[Subspace] = []
+        a_rows: list[tuple] = []
+        b_rows: list[tuple] = []
         ok = True
         for coords in block_coords:
             if rng.random() < 0.5:
@@ -464,26 +462,19 @@ def random_compatible_pair_system(
             else:
                 a_k = _random_block_subspace(rng, n, coords)
                 b_k = _random_block_subspace(rng, n, coords)
-            if intersection(a_k, b_k).dim != 0:
+            if cross_nontrivial(a_k, b_k):
                 ok = False
                 break
-            a_parts.append(a_k)
-            b_parts.append(b_k)
+            a_rows += a_k.rows
+            b_rows += b_k.rows
         if not ok:
             continue
-        t = (_sum_all(a_parts, n), _sum_all(b_parts, n))
+        t = (canonicalize(n, QQ, a_rows), canonicalize(n, QQ, b_rows))
         if table.admits(t):
             table.extend((t,))
             if table.dead(t):
                 break
     return SubspaceSystem(n, QQ, 2, tuple(table.tuples), decomp)
-
-
-def _sum_all(parts: Sequence[Subspace], n: int) -> Subspace:
-    total = zero_subspace(n, QQ)
-    for p in parts:
-        total = total + p
-    return total
 
 
 def _random_block_subspace(rng: random.Random, n: int, coords: Sequence[int]) -> Subspace:

@@ -58,7 +58,6 @@ from .errors import (
     ShapeError,
 )
 from .exact_arith import (
-    PrimeField,
     ProbabilityVector,
     Rational,
     binomial,
@@ -75,7 +74,7 @@ from .systems_model import (
     sizes_of,
     with_tuples,
 )
-from .verifiers import Certificate, ClassCount, verify
+from .verifiers import Certificate, ClassCount, is_gfp, verify
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
 
@@ -572,7 +571,7 @@ def certify_full_system(
         profile = record.profile(t, f)
         classes.setdefault(record.class_key(system, i, profile), [0, profile])[0] += 1
 
-    caveat = isinstance(system, SubspaceSystem) and isinstance(system.field, PrimeField)
+    caveat = is_gfp(system)
     class_counts = []
     findings = []
     term_total = Fraction(0)

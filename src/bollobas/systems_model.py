@@ -30,9 +30,11 @@ from .subspace_algebra import (
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
+    """Bitmask of the elements, each an int in [1, n]; a bool is refused,
+    though Python counts True as 1."""
     mask = 0
     for p in elements:
-        if not 1 <= p <= n:
+        if p is True or not 1 <= p <= n:
             raise ValueError(f"element {p} outside [1, {n}]")
         mask |= 1 << (p - 1)
     return mask
@@ -173,11 +175,6 @@ def block_sizes(system: System) -> tuple[int, ...]:
     return system.decomposition.block_dims()
 
 
-def tuple_sizes(system: System, i: int) -> tuple[int, ...]:
-    """Sizes |A_i^(l)| (or dims) of tuple i, 1-based."""
-    return sizes_of(_tuple_at(system, i))
-
-
 def sizes_of(t: tuple) -> tuple[int, ...]:
     """Sizes (or dims) of the components of one set or subspace tuple."""
     if t and isinstance(t[0], int):
@@ -185,16 +182,12 @@ def sizes_of(t: tuple) -> tuple[int, ...]:
     return tuple(x.dim for x in t)
 
 
-def pair_block_profile(system: System, i: int) -> tuple[tuple[int, int], ...]:
-    """Per-block profile ((a_{i,1}, b_{i,1}), ..., (a_{i,r}, b_{i,r})) of pair i."""
+def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]:
+    """Per-block profile ((a_1, b_1), ..., (a_r, b_r)) of ``pair`` under the
+    pair system's partition or decomposition; the pair need not be one of the
+    system's tuples."""
     if system.d != 2:
         raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
-    return block_profile_of(system, _tuple_at(system, i))
-
-
-def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]:
-    """Per-block profile of ``pair`` under the system's partition or
-    decomposition; the pair need not be one of the system's tuples."""
     a, b = pair
     if isinstance(system, SetSystem):
         if system.partition is None:
@@ -224,20 +217,6 @@ def _block_components(system: SubspaceSystem, pair: tuple) -> Iterable[tuple[Sub
     a, b = pair
     components = system.decomposition.components
     return zip(components(a), components(b))
-
-
-def profile(system: System, i: int):
-    """Type vector of tuple i: per-block (a, b) matrix for pairs with context,
-    plain size/dimension vector otherwise."""
-    if system.d == 2 and has_context(system):
-        return pair_block_profile(system, i)
-    return tuple_sizes(system, i)
-
-
-def _tuple_at(system: System, i: int):
-    if not 1 <= i <= system.m:
-        raise IndexError(f"tuple index {i} outside [1, {system.m}]")
-    return system.tuples[i - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
+    block_profile_of,
     block_sizes,
     has_context,
     is_decomposition_compatible,
-    pair_block_profile,
-    tuple_sizes,
+    sizes_of,
 )
 
 FLAVORS = ("bollobas", "skew", "weak")
@@ -91,7 +91,8 @@ class VerificationReport:
             raise ValueError("verdict and witness are inconsistent")
 
 
-def _is_gfp(system: System) -> bool:
+def is_gfp(system: System) -> bool:
+    """True for a subspace system over GF(p): its verdicts carry the field caveat."""
     return isinstance(system, SubspaceSystem) and isinstance(system.field, PrimeField)
 
 
@@ -282,7 +283,7 @@ def verify(system: System, flavor: str | ConditionKind) -> VerificationReport:
             raise ShapeError(f"condition {condition} does not match the system shape")
     else:
         condition = condition_for(system, flavor)
-    caveat = _is_gfp(system)
+    caveat = is_gfp(system)
 
     def violated(i: int, j: int, clause: str) -> VerificationReport:
         return VerificationReport(False, (i + 1, j + 1, clause), condition, caveat)
@@ -310,7 +311,7 @@ def is_monotone_pair_profile(system: System) -> bool:
     """a_1 <= ... <= a_m and b_1 >= ... >= b_m for a pair system."""
     if system.d != 2:
         raise ShapeError("monotone profile is defined for pair systems")
-    sizes = [tuple_sizes(system, i) for i in range(1, system.m + 1)]
+    sizes = [sizes_of(t) for t in system.tuples]
     return all(s[0] <= t[0] for s, t in zip(sizes, sizes[1:])) and all(
         s[1] >= t[1] for s, t in zip(sizes, sizes[1:])
     )
@@ -366,7 +367,7 @@ def check_uniform_pair_bound(system: System) -> Certificate:
     if system.d != 2:
         raise ShapeError("uniform pair bound needs a pair system")
     report = _require_verified(system, "skew", "uniform pair bound")
-    sizes = {tuple_sizes(system, i) for i in range(1, system.m + 1)}
+    sizes = set(map(sizes_of, system.tuples))
     if len(sizes) > 1:
         raise PreconditionError(f"sizes are not uniform: {sorted(sizes)}")
     a, b = sizes.pop() if sizes else (0, 0)
@@ -403,7 +404,7 @@ def check_partitioned_uniform_bound(system: System) -> Certificate:
     if isinstance(system, SubspaceSystem) and not is_decomposition_compatible(system):
         raise PreconditionError("system is not decomposition-compatible")
     report = _require_verified(system, "skew", f"{name} uniform bound")
-    profiles = {pair_block_profile(system, i) for i in range(1, system.m + 1)}
+    profiles = {block_profile_of(system, t) for t in system.tuples}
     if len(profiles) > 1:
         raise PreconditionError(f"{uneven} not uniform across pairs")
     profile = profiles.pop() if profiles else tuple((0, 0) for _ in block_sizes(system))
@@ -431,7 +432,7 @@ def check_cardinality_lemmas(system: System) -> Certificate:
     finding with the caveat flag, never as an error.
     """
     lines: list[tuple[str, Rational, Rational]] = []
-    caveat = _is_gfp(system)
+    caveat = is_gfp(system)
     m = system.m
     if isinstance(system, SubspaceSystem):
         report = verify(system, "skew")
@@ -456,7 +457,7 @@ def check_cardinality_lemmas(system: System) -> Certificate:
                 )
             )
             if system.d == 2 and m > 0:
-                sizes = {tuple_sizes(system, i) for i in range(1, m + 1)}
+                sizes = set(map(sizes_of, system.tuples))
                 if len(sizes) == 1:
                     a, b = sizes.pop()
                     # (a+b)^(a+b) / (a^a * b^b), with 0^0 = 1

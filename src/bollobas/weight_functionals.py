@@ -6,7 +6,9 @@ the bound has been verified, because several of these sums exceed their
 bounds on systems that merely look similar (the plain binomial sum, for one,
 can exceed 1 on skew systems without the monotonicity assumption).
 
-Pair functionals, with a_i = |A_i| (or dim A_i) and b_i likewise:
+Each functional is one :class:`Rule` in ``RULES``: how its per-tuple term
+is read and which condition licenses its bound.  Pair functionals, with
+a_i = |A_i| (or dim A_i) and b_i likewise:
 
 * ``bollobas_sum``       sum_i 1 / C(a_i + b_i, a_i)             <= 1 under bollobas
 * ``scott_wilmer_sum``   same sum                                <= 1 under skew + monotone profile
@@ -20,6 +22,9 @@ Tuple functional, any arity, with a probability vector p:
 * ``tuza_sum``  sum_i prod_l p_l^(size of component l)  <= 1 under weak (sets)
   or skew (subspaces); the weak subspace case is open and is refused.
 
+bollobas_sum is also licensed by skew on a size-monotone profile, and the
+partitioned bounds need a decomposition-compatible subspace system.
+
 The saturation potentials live with the flavors they terminate, in
 :mod:`bollobas.saturation_engine`.
 """
@@ -30,32 +35,54 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-from typing import Sequence
+from math import lcm, prod
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import LicensingError, PreconditionError, ShapeError
-from .exact_arith import PrimeField, ProbabilityVector, Rational, binomial
+from .exact_arith import ProbabilityVector, Rational, binomial
 from .systems_model import (
     SetSystem,
-    SubspaceSystem,
     System,
+    block_profile_of,
     block_sizes,
     has_context,
     is_decomposition_compatible,
-    pair_block_profile,
-    tuple_sizes,
+    sizes_of,
 )
-from .verifiers import ConditionKind, condition_for, is_monotone_pair_profile, verify
+from .verifiers import ConditionKind, condition_for, is_gfp, is_monotone_pair_profile, verify
 
-PAIR_FUNCTIONALS = (
-    "bollobas_sum",
-    "scott_wilmer_sum",
-    "hegedus_frankl_sum",
-    "yue_sum",
-    "partitioned_yue_sum",
-    "partitioned_bollobas_sum",
-)
-FUNCTIONALS = PAIR_FUNCTIONALS + ("tuza_sum",)
+
+class Rule(NamedTuple):
+    """One functional's term and license.
+
+    ``blocks``: the term reads the per-block (a_k, b_k) profile, and the
+    bound needs a context; ``yue``: each block's term carries the extra
+    1 / (1 + a + b); ``flavor``: the condition that licenses the bound, and
+    ``set_flavor`` its override on set systems; ``monotone``: the bound also
+    needs a size-monotone pair profile; ``bound``: the bound, from the system.
+    A tuple functional's term reads p instead of a pair profile.
+    """
+
+    flavor: str = "skew"
+    set_flavor: str | None = None
+    blocks: bool = False
+    yue: bool = False
+    monotone: bool = False
+    bound: Callable[[System], int] = lambda system: 1
+
+
+RULES = {
+    "bollobas_sum": Rule(flavor="bollobas"),
+    "scott_wilmer_sum": Rule(monotone=True),
+    "hegedus_frankl_sum": Rule(bound=lambda system: system.n + 1),
+    "yue_sum": Rule(yue=True),
+    "partitioned_yue_sum": Rule(blocks=True, yue=True),
+    "partitioned_bollobas_sum": Rule(
+        blocks=True, bound=lambda system: prod(1 + n_k for n_k in block_sizes(system))
+    ),
+    "tuza_sum": Rule(set_flavor="weak"),
+}
+FUNCTIONALS = tuple(RULES)
 
 
 @dataclass(frozen=True)
@@ -153,7 +180,8 @@ def _term(profile: tuple, name: str, p_key: tuple | None) -> Fraction:
         for (num, den), size in zip(p_key, profile):
             value *= Fraction(num, den) ** size
         return value
-    if name.startswith("partitioned_"):
+    rule = RULES[name]
+    if rule.blocks:
         if not all(isinstance(block, tuple) for block in profile):
             raise ShapeError(f"{name} needs a per-block (a_k, b_k) profile")
         blocks = profile
@@ -161,10 +189,9 @@ def _term(profile: tuple, name: str, p_key: tuple | None) -> Fraction:
         raise ShapeError(f"{len(profile)}-tuple system where a pair system is needed")
     else:
         blocks = (profile,)
-    yue = name in ("yue_sum", "partitioned_yue_sum")
     den = 1
     for a, b in blocks:
-        den *= binomial(a + b, a) * (1 + a + b if yue else 1)
+        den *= binomial(a + b, a) * (1 + a + b if rule.yue else 1)
     return Fraction(1, den)
 
 
@@ -180,19 +207,18 @@ def omega(system: System, kind: str | FunctionalKind) -> Rational:
     profile, and each profile adds count x :func:`term`.  An empty system
     weighs 0."""
     kind = _as_kind(kind)
-    name = kind.name
-    if name == "scott_wilmer_sum" and not is_monotone_pair_profile(system):
+    rule = RULES[kind.name]
+    if rule.monotone and not is_monotone_pair_profile(system):
         raise PreconditionError(
-            "scott_wilmer_sum needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
+            f"{kind.name} needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
         )
-    if name.startswith("partitioned_"):
-        _require_context(system, name)
-        profile_of = pair_block_profile
+    if rule.blocks:
+        _require_context(system, kind.name)
+        counts = Counter(block_profile_of(system, t) for t in system.tuples)
         zero: tuple = tuple((0, 0) for _ in block_sizes(system))
     else:
-        profile_of = tuple_sizes
+        counts = Counter(map(sizes_of, system.tuples))
         zero = (0,) * system.d
-    counts = Counter(profile_of(system, i) for i in range(1, system.m + 1))
     # an empty system still has its shape checked, on the all-zero profile
     return sum(
         (count * term(key, kind) for key, count in (counts.items() or [(zero, 0)])),
@@ -205,70 +231,31 @@ def omega(system: System, kind: str | FunctionalKind) -> Rational:
 
 
 def _license(system: System, kind: FunctionalKind) -> ConditionKind:
-    """Verify and return the condition licensing the bound, or refuse."""
+    """Verify and return the condition licensing the bound, or refuse.
+    :func:`omega` has already checked the context and the monotone profile
+    that the rule needs."""
     name = kind.name
+    rule = RULES[name]
     is_set = isinstance(system, SetSystem)
-
+    if rule.blocks and not is_set and not is_decomposition_compatible(system):
+        raise LicensingError(f"{name} bound needs a decomposition-compatible system")
+    flavor = rule.set_flavor if is_set and rule.set_flavor else rule.flavor
+    report = verify(system, flavor)
+    if report.verdict:
+        return condition_for(system, flavor, rule.monotone)
     if name == "bollobas_sum":
-        report = verify(system, "bollobas")
-        if report.verdict:
-            return report.condition
         if is_monotone_pair_profile(system) and verify(system, "skew").verdict:
             return condition_for(system, "skew", monotone=True)
         raise LicensingError(
             "bollobas_sum <= 1 needs the full bollobas condition or a "
             "size-monotone skew system; it fails for general skew systems"
         )
-    if name == "scott_wilmer_sum":
-        if not is_monotone_pair_profile(system):
-            raise PreconditionError(
-                "scott_wilmer_sum needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
-            )
-        report = verify(system, "skew")
-        if report.verdict:
-            return condition_for(system, "skew", monotone=True)
-        raise LicensingError(f"skew condition violated at {report.first_violation}")
-    if name in ("hegedus_frankl_sum", "yue_sum"):
-        report = verify(system, "skew")
-        if report.verdict:
-            return report.condition
-        raise LicensingError(f"skew condition violated at {report.first_violation}")
-    if name in ("partitioned_yue_sum", "partitioned_bollobas_sum"):
-        _require_context(system, name)
-        if isinstance(system, SubspaceSystem) and not is_decomposition_compatible(system):
-            raise LicensingError(
-                f"{name} bound needs a decomposition-compatible system"
-            )
-        report = verify(system, "skew")
-        if report.verdict:
-            return report.condition
-        raise LicensingError(f"skew condition violated at {report.first_violation}")
-    if name == "tuza_sum":
-        if is_set:
-            report = verify(system, "weak")
-            if report.verdict:
-                return report.condition
-            raise LicensingError(f"weak condition violated at {report.first_violation}")
-        report = verify(system, "skew")
-        if report.verdict:
-            return report.condition
+    if name == "tuza_sum" and not is_set:
         raise LicensingError(
             "tuza_sum <= 1 for subspaces is licensed by the skew condition only; "
             "whether it holds for weak subspace systems is open"
         )
-    raise AssertionError(f"unhandled functional {name}")
-
-
-def _bound(system: System, kind: FunctionalKind) -> Rational:
-    name = kind.name
-    if name == "hegedus_frankl_sum":
-        return Fraction(system.n + 1)
-    if name == "partitioned_bollobas_sum":
-        bound = Fraction(1)
-        for n_k in block_sizes(system):
-            bound *= 1 + n_k
-        return bound
-    return Fraction(1)
+    raise LicensingError(f"{flavor} condition violated at {report.first_violation}")
 
 
 def evaluate_inequality(system: System, kind: str | FunctionalKind) -> InequalityVerdict:
@@ -280,15 +267,14 @@ def evaluate_inequality(system: System, kind: str | FunctionalKind) -> Inequalit
     kind = _as_kind(kind)
     value = omega(system, kind)  # also validates shape/arity
     licensed_by = _license(system, kind)
-    bound = _bound(system, kind)
-    caveat = isinstance(system, SubspaceSystem) and isinstance(system.field, PrimeField)
+    bound = Fraction(RULES[kind.name].bound(system))
     return InequalityVerdict(
         value=value,
         bound=bound,
         holds=value <= bound,
         tight=value == bound,
         licensed_by=licensed_by,
-        field_caveat=caveat,
+        field_caveat=is_gfp(system),
     )
 
 

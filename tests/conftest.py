@@ -61,10 +61,10 @@ from bollobas.extremal_search import (
     enumerate_candidates,
 )
 from bollobas.systems_model import (
+    block_profile_of,
     elements_of_mask,
     has_context,
-    pair_block_profile,
-    tuple_sizes,
+    sizes_of,
 )
 from bollobas.exact_arith import PrimeField
 from bollobas.verifiers import is_monotone_pair_profile
@@ -331,14 +331,13 @@ def reference_omega(system, kind) -> Fraction:
     if not isinstance(kind, FunctionalKind):
         kind = FunctionalKind(kind)
     name = kind.name
-    tuples = range(1, system.m + 1)
     if name == "tuza_sum":
         if kind.p.d != system.d:
             raise ShapeError("p and the system arity differ")
         total = Fraction(0)
-        for i in tuples:
+        for t in system.tuples:
             value = Fraction(1)
-            for p_l, size in zip(kind.p.entries, tuple_sizes(system, i)):
+            for p_l, size in zip(kind.p.entries, sizes_of(t)):
                 value *= p_l**size
             total += value
         return total
@@ -348,9 +347,9 @@ def reference_omega(system, kind) -> Fraction:
         if not has_context(system):
             raise ShapeError(f"{name} needs a context")
         total = Fraction(0)
-        for i in tuples:
+        for t in system.tuples:
             value = Fraction(1)
-            for a_k, b_k in pair_block_profile(system, i):
+            for a_k, b_k in block_profile_of(system, t):
                 value /= comb(a_k + b_k, a_k)
                 if name == "partitioned_yue_sum":
                     value /= 1 + a_k + b_k
@@ -359,8 +358,8 @@ def reference_omega(system, kind) -> Fraction:
     if system.d != 2:
         raise ShapeError(f"{name} needs a pair system")
     total = Fraction(0)
-    for i in tuples:
-        a, b = tuple_sizes(system, i)
+    for t in system.tuples:
+        a, b = sizes_of(t)
         if name in ("bollobas_sum", "scott_wilmer_sum"):
             total += Fraction(1, comb(a + b, a))
         elif name == "hegedus_frankl_sum":

@@ -42,7 +42,7 @@ from bollobas import (
 )
 from bollobas.saturation_engine import SaturationTrace
 from bollobas.subspace_algebra import component, dim_of_sum
-from bollobas.systems_model import tuple_sizes
+from bollobas.systems_model import sizes_of
 
 
 def _pair_deficit_product(system: SubspaceSystem, i: int) -> int:
@@ -57,7 +57,7 @@ def _pair_deficit_product(system: SubspaceSystem, i: int) -> int:
 def _replay_set_trace(system: SetSystem, trace: SaturationTrace) -> None:
     current = system
     for step in trace.steps:
-        s_sum = sum(tuple_sizes(current, step.index))
+        s_sum = sum(sizes_of(current.tuples[step.index - 1]))
         before = phi(current, "set")
         current = fill_up_set_tuple(current, step.index, step.x)
         assert phi(current, "set") - before == (current.d - 1) * s_sum + current.d

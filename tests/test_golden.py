@@ -32,7 +32,8 @@ from bollobas import (
     random_compatible_pair_system,
     zero_subspace,
 )
-from bollobas.cli_io import main, system_to_doc
+from bollobas.cli_io import _functional_name, main, system_to_doc
+from bollobas.weight_functionals import RULES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,6 +122,9 @@ def _inputs() -> dict[str, object]:
         "quoted_inexact": _one_entry_text('"0.1000000000000000000001"'),
         "bare_overflow": _one_entry_text("1e400"),
         "bare_nan": _one_entry_text("NaN"),
+        # JSON true is an int to Python, but never a set element
+        "bool_element": {"kind": "set", "n": 2, "d": 1, "tuples": [[[True]]], "partition": [[True, 2]]},
+        "bool_block": {"kind": "set", "n": 2, "d": 1, "tuples": [[[1]]], "partition": [[True, 2]]},
     }
     return {
         name: doc if isinstance(doc, (dict, str)) else system_to_doc(doc)
@@ -187,7 +191,10 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@not_weak",
         ),
     }
-    for doc in ("bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan"):
+    for doc in (
+        "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
+        "bool_element", "bool_block",
+    ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
         cases[f"saturate_tuple_{doc}"] = ("saturate", "--flavor", "tuple", "--in", f"@{doc}")
@@ -235,6 +242,14 @@ def test_golden_report(name, tmp_path):
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+def test_every_weight_rule_has_golden_reports():
+    """``FUNCTIONAL_ARGS`` names each functional of ``RULES`` once, by the
+    short form the CLI resolves, so a new rule ships with its reports."""
+    names = [_functional_name(args[0]) for args in FUNCTIONAL_ARGS]
+    assert names == [f"{args[0]}_sum" for args in FUNCTIONAL_ARGS]
+    assert sorted(names) == sorted(RULES)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from bollobas import (
 )
 from bollobas import saturation_engine
 from bollobas.saturation_engine import default_flavor, first_non_full, is_full_tuple
-from bollobas.systems_model import tuple_sizes
+from bollobas.systems_model import sizes_of
 from bollobas.weight_functionals import FunctionalKind
 
 from conftest import reference_phi, reference_saturate
@@ -98,7 +98,7 @@ class TestFillUpSetTuple:
             for mask in sys.tuples[i - 1]:
                 covered |= mask
             x = next(e for e in range(1, sys.n + 1) if not covered & (1 << (e - 1)))
-            s_sum = sum(tuple_sizes(sys, i))
+            s_sum = sum(sizes_of(sys.tuples[i - 1]))
             new = fill_up_set_tuple(sys, i, x)
             assert phi(new, "set") - phi(sys, "set") == (sys.d - 1) * s_sum + sys.d
 

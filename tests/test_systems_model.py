@@ -14,16 +14,15 @@ from bollobas import (
     coordinate_subspace,
     embed,
     is_decomposition_compatible,
-    profile,
     random_valid_system,
     zero_subspace,
 )
 from bollobas.systems_model import (
+    block_profile_of,
     elements_of_mask,
     mask_from_elements,
     mask_size,
-    pair_block_profile,
-    tuple_sizes,
+    sizes_of,
 )
 
 
@@ -33,6 +32,8 @@ def test_mask_round_trip():
     assert mask_size(0b1011) == 3
     with pytest.raises(ValueError):
         mask_from_elements([4], 3)
+    with pytest.raises(ValueError, match="element True outside"):
+        mask_from_elements([True], 3)
     with pytest.raises(ValueError):
         mask_from_elements([0], 3)
 
@@ -68,15 +69,15 @@ class TestSetSystem:
 class TestProfile:
     def test_pair_with_partition(self):
         s = SetSystem.from_sets(2, [({1}, {2})], partition=[[1], [2]])
-        assert profile(s, 1) == ((1, 0), (0, 1))
+        assert block_profile_of(s, s.tuples[0]) == ((1, 0), (0, 1))
 
     def test_empty_pair_profile(self):
         s = SetSystem.from_sets(2, [((), ())], partition=[[1], [2]])
-        assert profile(s, 1) == ((0, 0), (0, 0))
+        assert block_profile_of(s, s.tuples[0]) == ((0, 0), (0, 0))
 
     def test_pair_without_partition_gives_sizes(self):
         s = SetSystem.from_sets(3, [({1, 2}, {3})])
-        assert profile(s, 1) == (2, 1)
+        assert sizes_of(s.tuples[0]) == (2, 1)
 
     def test_subspace_pair_profile(self):
         decomp = coordinate_decomposition(3, QQ, [[1, 2], [3]])
@@ -87,14 +88,7 @@ class TestProfile:
             ((coordinate_subspace(3, QQ, [1, 3]), coordinate_subspace(3, QQ, [2])),),
             decomp,
         )
-        assert profile(sys, 1) == ((1, 1), (1, 0))
-
-    def test_index_range_checked(self):
-        s = SetSystem.from_sets(2, [({1}, {2})])
-        with pytest.raises(IndexError):
-            profile(s, 2)
-        with pytest.raises(IndexError):
-            profile(s, 0)
+        assert block_profile_of(sys, sys.tuples[0]) == ((1, 1), (1, 0))
 
 
 class TestEmbed:
@@ -115,8 +109,8 @@ class TestEmbed:
             n = 2 + seed % 3
             s = random_valid_system("set", n, 2, "skew", target_m=3, seed=seed)
             e = embed(s)
-            for i in range(1, s.m + 1):
-                assert tuple_sizes(s, i) == tuple_sizes(e, i)
+            for t, u in zip(s.tuples, e.tuples):
+                assert sizes_of(t) == sizes_of(u)
 
     def test_block_profiles_preserved(self):
         s = SetSystem.from_sets(
@@ -125,8 +119,8 @@ class TestEmbed:
             partition=[[1, 2], [3, 4]],
         )
         e = embed(s)
-        for i in (1, 2):
-            assert pair_block_profile(s, i) == pair_block_profile(e, i)
+        for t, u in zip(s.tuples, e.tuples):
+            assert block_profile_of(s, t) == block_profile_of(e, u)
 
     def test_embedded_system_is_compatible(self):
         s = SetSystem.from_sets(3, [({1}, {2, 3})], partition=[[1, 2], [3]])
