@@ -168,6 +168,18 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "search", "--objective", "max-weight", "--n", "3", "--d", "2",
             "--condition", "weak", "--functional", "tuza", "--p", "1/2,1/2",
         ),
+        # max-m searches whose pruned leaves dominate; two end on the node budget
+        "search_max_m_skew_n5": (
+            "search", "--objective", "max-m", "--n", "5", "--d", "2", "--condition", "skew",
+        ),
+        "search_max_m_skew_n6_budget": (
+            "search", "--objective", "max-m", "--n", "6", "--d", "2", "--condition", "skew",
+            "--budget", "20000",
+        ),
+        "search_max_m_weak_d3_budget": (
+            "search", "--objective", "max-m", "--n", "4", "--d", "3", "--condition", "weak",
+            "--budget", "30000",
+        ),
         "random_subspace_gf3": (
             "random", "--kind", "subspace", "--field", "gf(3)",
             "--seed", "3", "--m", "4", "--n", "3", "--d", "2",
