@@ -95,6 +95,7 @@ from .verifiers import (
 )
 from .weight_functionals import (
     FUNCTIONALS,
+    RULES,
     FunctionalKind,
     InequalityVerdict,
     evaluate_inequality,
@@ -207,7 +208,7 @@ def system_from_doc(doc: Any) -> System:
                     raise DocumentError("subset must be an integer list", f"tuples[{i}][{l}]")
                 try:
                     masks.append(mask_from_elements(subset, n))
-                except (ValueError, TypeError) as exc:
+                except ValueError as exc:
                     raise DocumentError(str(exc), f"tuples[{i}][{l}]") from exc
             packed.append(tuple(masks))
         partition = None
@@ -478,10 +479,10 @@ def _functional_name(raw: str) -> str:
 
 def _parse_functional(args) -> FunctionalKind:
     name = _functional_name(args.functional)
-    if name == "tuza_sum":
+    if RULES[name].takes_p:
         if not args.p:
-            raise ShapeError("tuza_sum needs --p")
-        return FunctionalKind("tuza_sum", ProbabilityVector.parse(args.p))
+            raise ShapeError(f"{name} needs --p")
+        return FunctionalKind(name, ProbabilityVector.parse(args.p))
     if args.p:
         raise ShapeError(f"{name} takes no --p")
     return FunctionalKind(name)

@@ -29,6 +29,16 @@ the tuza sum at uniform p is at most 1 on every weak set system, hence on
 every system the set search can build.  No theorem covers GF(p) grounds, so
 weight pruning never applies there.  A budget-exhausted search returns its
 best-found value with the exhaustive flag cleared, never an error.
+
+The prune refuses most of the nodes a max-m set search enters, and these
+leaves are counted in bulk.  The candidates are grouped by weight, one bitmask
+per distinct weight (at most n + 1).  A child at depth at most best cannot
+raise best, and the prune refuses it on entry exactly when its weight lies in
+a band fixed by its frame's weight and best: the band is the prune's own test.
+So when a frame resumes, the run of children before the next one to enter is
+the unvisited children in the band's classes, counted with one ``bit_count``;
+the same children are entered in the same order, and the result, the witness
+and the node count are those of a visit to each leaf.
 """
 
 from __future__ import annotations
@@ -280,8 +290,12 @@ def search_max(problem: SearchProblem) -> SearchResult:
         scale, weights = _scaled([term(sizes_of(t), uniform) for t in candidates])
     headroom_prune = max_m and weights is not None
     ceiling_prune = not max_m and problem.prune
+    # the bitmask of the candidates of each distinct weight: at most n + 1
+    classes: dict[int, int] = {}
     if headroom_prune:
         step = min(weights)
+        for i, w in enumerate(weights):
+            classes[w] = classes.get(w, 0) | 1 << i
     elif ceiling_prune:
         step = max(weights, default=0)
 
@@ -323,20 +337,40 @@ def search_max(problem: SearchProblem) -> SearchResult:
             stack.append([allowed, allowed, weight])
         elif chosen:
             chosen.pop()
-        # move to the next unvisited child, lowest index first
-        while stack and not stack[-1][0]:
+        # move to the next unvisited child, lowest index first.  Where the
+        # children cannot raise best, the headroom prune refuses exactly those
+        # of weight in [hi - (best - depth) * step, hi]: the run of them before
+        # the next child to enter is counted, not entered.
+        while stack:
+            frame = stack[-1]
+            rest = frame[0]
+            if classes and len(chosen) < best:
+                hi = scale - frame[2]
+                lo = hi - (best - len(chosen) - 1) * step
+                band = 0
+                for w, mask in classes.items():
+                    if lo <= w <= hi:
+                        band |= mask
+                kept = rest & ~band
+                run = rest & ((kept & -kept) - 1)
+                nodes += run.bit_count()
+                rest ^= run
+                frame[0] = rest
+            if rest or nodes > problem.node_budget:
+                break
             stack.pop()
             if chosen:
                 chosen.pop()
-        if not stack:
-            break
-        frame = stack[-1]
-        rest = frame[0]
-        low = rest & -rest
-        frame[0] = rest ^ low
-        nodes += 1
+        if stack:
+            low = rest & -rest
+            frame[0] = rest ^ low
+            nodes += 1
         if nodes > problem.node_budget:
+            # also when the budget ran out inside a run of refused children
+            nodes = problem.node_budget + 1
             budget_exhausted = True
+            break
+        if not stack:
             break
         chosen.append(low.bit_length() - 1)
         allowed = frame[1]

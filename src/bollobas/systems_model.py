@@ -30,12 +30,12 @@ from .subspace_algebra import (
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
-    """Bitmask of the elements, each an int in [1, n]; a bool is refused,
-    though Python counts True as 1."""
+    """Bitmask of the elements, each an int in [1, n]; anything else is
+    refused, a bool too, though Python counts True as 1."""
     mask = 0
     for p in elements:
-        if p is True or not 1 <= p <= n:
-            raise ValueError(f"element {p} outside [1, {n}]")
+        if type(p) is not int or not 1 <= p <= n:
+            raise ValueError(f"element {p!r} outside [1, {n}]")
         mask |= 1 << (p - 1)
     return mask
 

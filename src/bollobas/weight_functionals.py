@@ -59,8 +59,9 @@ class Rule(NamedTuple):
     bound needs a context; ``yue``: each block's term carries the extra
     1 / (1 + a + b); ``flavor``: the condition that licenses the bound, and
     ``set_flavor`` its override on set systems; ``monotone``: the bound also
-    needs a size-monotone pair profile; ``bound``: the bound, from the system.
-    A tuple functional's term reads p instead of a pair profile.
+    needs a size-monotone pair profile; ``bound``: the bound, from the system;
+    ``takes_p``: the functional is a tuple functional, whose term reads a
+    probability vector p instead of a pair profile.
     """
 
     flavor: str = "skew"
@@ -69,6 +70,7 @@ class Rule(NamedTuple):
     yue: bool = False
     monotone: bool = False
     bound: Callable[[System], int] = lambda system: 1
+    takes_p: bool = False
 
 
 RULES = {
@@ -80,14 +82,15 @@ RULES = {
     "partitioned_bollobas_sum": Rule(
         blocks=True, bound=lambda system: prod(1 + n_k for n_k in block_sizes(system))
     ),
-    "tuza_sum": Rule(set_flavor="weak"),
+    "tuza_sum": Rule(set_flavor="weak", takes_p=True),
 }
 FUNCTIONALS = tuple(RULES)
 
 
 @dataclass(frozen=True)
 class FunctionalKind:
-    """A functional name plus, for tuza_sum, its probability vector."""
+    """A functional name plus, for a functional that takes p (tuza_sum),
+    its probability vector."""
 
     name: str
     p: ProbabilityVector | None = None
@@ -95,9 +98,10 @@ class FunctionalKind:
     def __post_init__(self):
         if self.name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {self.name!r}; choose from {FUNCTIONALS}")
-        if self.name == "tuza_sum" and self.p is None:
-            raise ValueError("tuza_sum needs a probability vector")
-        if self.name != "tuza_sum" and self.p is not None:
+        takes_p = RULES[self.name].takes_p
+        if takes_p and self.p is None:
+            raise ValueError(f"{self.name} needs a probability vector")
+        if not takes_p and self.p is not None:
             raise ValueError(f"{self.name} takes no probability vector")
 
     def __str__(self) -> str:

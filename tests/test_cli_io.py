@@ -228,7 +228,7 @@ class TestBareNumbers:
     def test_a_non_integer_set_element_keeps_its_message(self):
         with pytest.raises(DocumentError) as err:
             parse('{"kind": "set", "n": 2, "d": 1, "tuples": [[[1.5]]]}')
-        assert str(err.value) == "tuples[0][0]: unsupported operand type(s) for <<: 'int' and 'float'"
+        assert str(err.value) == "tuples[0][0]: element 1.5 outside [1, 2]"
 
 
 class TestCli:

@@ -298,6 +298,12 @@ class TestSearchMatchesReferenceDfs:
             SearchProblem(kind="set", n=3, d=3, flavor="weak"),
             SearchProblem(kind="set", n=3, d=2, flavor="skew", prune=False),
             SearchProblem(kind="set", n=4, d=2, flavor="bollobas"),
+            # budgets that run out inside a run of children the prune refuses;
+            # 1719 is the last node of the 1720-node exhaustive search
+            SearchProblem(kind="set", n=4, d=2, flavor="skew", node_budget=1000),
+            SearchProblem(kind="set", n=4, d=2, flavor="skew", node_budget=1719),
+            SearchProblem(kind="set", n=3, d=3, flavor="weak", node_budget=2000),
+            SearchProblem(kind="set", n=4, d=2, flavor="weak", node_budget=700),
             SearchProblem(
                 kind="set", n=4, d=2, flavor="skew", objective="max_weight",
                 functional=FunctionalKind("yue_sum"), node_budget=800,

@@ -125,6 +125,9 @@ def _inputs() -> dict[str, object]:
         # JSON true is an int to Python, but never a set element
         "bool_element": {"kind": "set", "n": 2, "d": 1, "tuples": [[[True]]], "partition": [[True, 2]]},
         "bool_block": {"kind": "set", "n": 2, "d": 1, "tuples": [[[1]]], "partition": [[True, 2]]},
+        # nor is a float or a string, whatever number it spells
+        "float_element": {"kind": "set", "n": 3, "d": 1, "tuples": [[[1.0]]]},
+        "str_element": {"kind": "set", "n": 3, "d": 1, "tuples": [[["1"]]]},
     }
     return {
         name: doc if isinstance(doc, (dict, str)) else system_to_doc(doc)
@@ -205,7 +208,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
     }
     for doc in (
         "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
-        "bool_element", "bool_block",
+        "bool_element", "bool_block", "float_element", "str_element",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
