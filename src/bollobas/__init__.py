@@ -65,9 +65,7 @@ from .saturation_engine import (
     FillUpStep,
     SaturationTrace,
     certify_full_system,
-    fill_up_set_tuple,
-    fill_up_subspace_pair,
-    fill_up_subspace_tuple,
+    fill_up,
     phi,
     phi_upper_bound,
     saturate,
@@ -84,7 +82,6 @@ from .extremal_search import (
     search_max,
 )
 from .constructions import (
-    FamilyKind,
     complement_chain,
     construct,
     full_tuza_tuples,

@@ -43,7 +43,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
-from .constructions import FAMILY_NAMES, FamilyKind, construct
+from .constructions import FAMILY_NAMES, construct
 from .errors import (
     BollobasError,
     BudgetError,
@@ -86,6 +86,7 @@ from .systems_model import (
     mask_from_elements,
 )
 from .verifiers import (
+    FLAVORS as CONDITIONS,
     Certificate,
     VerificationReport,
     check_cardinality_lemmas,
@@ -595,8 +596,7 @@ def _cmd_construct(args) -> int:
     params = _parse_params(args.params or [])
     _check_sizes({k: v for k, v in params.items() if k in ("n", "a", "b", "d")}, "--params ")
     embedded = params.pop("embedded", False)
-    # a FamilyKind keeps every param a param: budget=N is refused, not bound
-    system = construct(FamilyKind(args.family, tuple(params.items()), embedded))
+    system = construct(args.family, params, embedded)
     _emit(system_to_doc(system))
     return 0
 
@@ -675,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a condition, reporting the first violation")
     add_infile(p)
-    p.add_argument("--kind", required=True, choices=("bollobas", "skew", "weak"))
+    p.add_argument("--kind", required=True, choices=CONDITIONS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("weight", help="evaluate a functional and its licensed bound")
@@ -722,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="set", choices=("set", "subspace"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--condition", default="skew", choices=("bollobas", "skew", "weak"))
+    p.add_argument("--condition", default="skew", choices=CONDITIONS)
     p.add_argument("--field", default=None, help="subspace searches: gf(p)")
     p.add_argument("--functional", default=None)
     p.add_argument("--p", default=None)
@@ -759,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--condition", default="skew", choices=("bollobas", "skew", "weak"))
+    p.add_argument("--condition", default="skew", choices=CONDITIONS)
     p.add_argument("--kind", default="set", choices=("set", "subspace"))
     p.add_argument("--field", default=None)
     p.add_argument(

@@ -19,7 +19,6 @@ order is skew-valid, but a fixed one keeps fixtures byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -41,16 +40,6 @@ FAMILY_PARAMS = {
     "full_tuza_tuples": ("n", "d"),
 }
 FAMILY_NAMES = tuple(FAMILY_PARAMS)
-
-
-@dataclass(frozen=True)
-class FamilyKind:
-    """A family name with its parameters; ``embedded`` maps the result through
-    the coordinate-subspace embedding."""
-
-    name: str
-    params: tuple[tuple[str, object], ...]
-    embedded: bool = False
 
 
 def _guard(count: int, budget: int) -> None:
@@ -118,16 +107,12 @@ _FAMILIES = {
 }
 
 
-def construct(kind: FamilyKind | str, budget: int = DEFAULT_TUPLE_BUDGET, **params) -> System:
+def construct(
+    name: str, params: dict, embedded: bool = False, budget: int = DEFAULT_TUPLE_BUDGET
+) -> System:
     """Dispatch a family by name; the CLI entry point for fixtures.  A param
-    the family does not take is refused."""
-    if isinstance(kind, FamilyKind):
-        params = dict(kind.params)
-        embedded = kind.embedded
-        name = kind.name
-    else:
-        name = kind
-        embedded = bool(params.pop("embedded", False))
+    the family does not take, ``budget`` among them, is refused; ``embedded``
+    maps the result through the coordinate-subspace embedding."""
     if name not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     missing = [key for key in FAMILY_PARAMS[name] if key not in params]

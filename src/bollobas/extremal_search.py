@@ -540,6 +540,8 @@ def explore_weak_subspace_conjecture(
     rationals.  A result above 1 is a finding about the chosen field, not a
     refutation for real vector spaces; callers report it as such.
     """
+    if budget <= 0:
+        raise ValueError("node budget must be positive")
     if isinstance(field, PrimeField):
         problem = SearchProblem(
             kind="subspace",

@@ -134,8 +134,9 @@ class Flavor:
         return multinomial(key)
 
 
-# A step takes a non-full tuple t (number i, for messages) and its facts,
-# and returns (block, x, replacements).
+# A step takes a non-full tuple t (number i, for messages), its facts and,
+# from ``fill_up`` only, an ``at`` to use in place of its own choice of x or
+# block; it returns (block, x, replacements).
 
 
 class _SetFlavor(Flavor):
@@ -169,6 +170,8 @@ class _SetFlavor(Flavor):
         covered = facts[0]
         if x is None:
             x = (~covered & (covered + 1)).bit_length()
+        elif not 1 <= x <= system.n:
+            raise ValueError(f"ground element {x} outside [1, {system.n}]")
         elif covered & (1 << (x - 1)):
             raise PreconditionError(f"element {x} is already covered by tuple {i}")
         bit = 1 << (x - 1)
@@ -221,6 +224,8 @@ class _PairFlavor(Flavor):
         blocks = system.decomposition.blocks
         if k is None:
             k = next(k for k, ((_, _, s_k), v_k) in enumerate(zip(dims, blocks), 1) if s_k < v_k.dim)
+        elif not 1 <= k <= len(blocks):
+            raise IndexError(f"block index {k} outside [1, {len(blocks)}]")
         a, b = t
         components = system.decomposition.components
         filled = components(a)[k - 1] + components(b)[k - 1]
@@ -264,9 +269,11 @@ class _TupleFlavor(Flavor):
     def deficit(self, system: SubspaceSystem, span: Subspace) -> int:
         return system.n - span.dim
 
-    def step(self, system: SubspaceSystem, t: tuple, i: int, span: Subspace):
+    def step(self, system: SubspaceSystem, t: tuple, i: int, span: Subspace, at: None = None):
         """The first canonical x outside the component span joins each
         coordinate in turn."""
+        if at is not None:
+            raise ShapeError("the tuple flavor's fill-up takes no element or block")
         x_span = canonicalize(
             system.n, system.field, (extension_vector(full_space(system.n, system.field), span),)
         )
@@ -351,57 +358,24 @@ def _duplicate(i: int, x: object) -> DuplicateTupleError:
     )
 
 
-def _spliced(system: System, i: int, replacements: tuple) -> System:
-    return with_tuples(system, system.tuples[: i - 1] + replacements + system.tuples[i:])
-
-
-def fill_up_set_tuple(system: SetSystem, i: int, x: int) -> SetSystem:
-    """Replace tuple i by the d tuples adding ground element x to one
-    coordinate each, in place and in coordinate order."""
-    if not isinstance(system, SetSystem):
-        raise ShapeError("set fill-up needs a set system")
+def fill_up(system: System, i: int, at: int | None = None, flavor: str | None = None) -> System:
+    """Replace non-full tuple i, in place, by the flavor's d fuller tuples
+    of the same weight: the step ``saturate`` takes there.  ``at`` names the
+    set flavor's ground element x or the pair flavor's block k, in place of
+    the lowest uncovered element or deficient block; the tuple flavor takes
+    none.  ``flavor`` defaults to the system's (``default_flavor``)."""
+    record = _lookup(system, flavor)
     if not 1 <= i <= system.m:
         raise IndexError(f"tuple index {i} outside [1, {system.m}]")
-    if not 1 <= x <= system.n:
-        raise ValueError(f"ground element {x} outside [1, {system.n}]")
-    record, t = FLAVORS["set"], system.tuples[i - 1]
-    _, _, replacements = record.step(system, t, i, record.facts(system, t), x)
+    t = system.tuples[i - 1]
+    facts = record.facts(system, t)
+    if not record.deficit(system, facts):
+        raise PreconditionError(f"tuple {i} is already full")
+    _, x, replacements = record.step(system, t, i, facts, at)
     others = set(system.tuples[: i - 1] + system.tuples[i:])
     if any(rep in others for rep in replacements):
         raise _duplicate(i, x)
-    return _spliced(system, i, replacements)
-
-
-def fill_up_subspace_pair(system: SubspaceSystem, i: int, k: int) -> SubspaceSystem:
-    """Replace pair i by (A + <x>, B) then (A, B + <x>) for the first
-    canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k)."""
-    if not isinstance(system, SubspaceSystem) or system.d != 2:
-        raise ShapeError("pair fill-up needs a subspace pair system")
-    if system.decomposition is None:
-        raise ShapeError("pair fill-up needs a decomposition")
-    if not 1 <= i <= system.m:
-        raise IndexError(f"tuple index {i} outside [1, {system.m}]")
-    blocks = system.decomposition.blocks
-    if not 1 <= k <= len(blocks):
-        raise IndexError(f"block index {k} outside [1, {len(blocks)}]")
-    record, t = FLAVORS["pair"], system.tuples[i - 1]
-    _, _, replacements = record.step(system, t, i, record.facts(system, t), k)
-    return _spliced(system, i, replacements)
-
-
-def fill_up_subspace_tuple(system: SubspaceSystem, i: int) -> SubspaceSystem:
-    """Replace tuple i by the d tuples adding <x> to one coordinate each,
-    for the first canonical x outside the component sum."""
-    if not isinstance(system, SubspaceSystem):
-        raise ShapeError("tuple fill-up needs a subspace system")
-    if not 1 <= i <= system.m:
-        raise IndexError(f"tuple index {i} outside [1, {system.m}]")
-    record, t = FLAVORS["tuple"], system.tuples[i - 1]
-    span = record.facts(system, t)
-    if not record.deficit(system, span):
-        raise PreconditionError(f"tuple {i} already spans the whole space")
-    _, _, replacements = record.step(system, t, i, span)
-    return _spliced(system, i, replacements)
+    return with_tuples(system, system.tuples[: i - 1] + replacements + system.tuples[i:])
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,8 @@ class ClauseTable:
     """
 
     def __init__(self, flavor: str, d: int, tuples: Iterable[tuple] = ()):
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
         if flavor == "bollobas":
             if d != 2:
                 raise ShapeError("the bollobas condition is defined for pairs only")
@@ -271,37 +273,31 @@ class ClauseTable:
 # verification
 
 
-def verify(system: System, flavor: str | ConditionKind) -> VerificationReport:
-    """Check the named condition, reporting the first violation in
-    lexicographic (i, j) order: clause (i) at (i, i), and for bollobas the
-    tuples B_j that A_i misses, below i first, then above."""
-    if isinstance(flavor, ConditionKind):
-        condition = flavor
-        if condition.d != system.d or condition.kind != (
-            "set" if isinstance(system, SetSystem) else "subspace"
-        ):
-            raise ShapeError(f"condition {condition} does not match the system shape")
-    else:
-        condition = condition_for(system, flavor)
+def verify(system: System, flavor: str) -> VerificationReport:
+    """Check the condition named by ``flavor``, one of ``FLAVORS``, reporting
+    the first violation in lexicographic (i, j) order: clause (i) at (i, i),
+    and clause (ii) at the first tuple j that t_i's forward cover misses,
+    among every j != i for bollobas (the B_j that A_i misses) and every
+    j > i otherwise."""
+    condition = condition_for(system, flavor)
     caveat = is_gfp(system)
 
     def violated(i: int, j: int, clause: str) -> VerificationReport:
         return VerificationReport(False, (i + 1, j + 1, clause), condition, caveat)
 
-    table = ClauseTable(condition.flavor, system.d, system.tuples)
+    table = ClauseTable(flavor, system.d, system.tuples)
     everyone = (1 << system.m) - 1
-    both_sides = condition.flavor == "bollobas"
     for i, t in enumerate(system.tuples):
         bit = 1 << i
-        if both_sides:
-            missing = everyone & ~table.hit(t[0], 1) & ~bit
-            if missing & (bit - 1):
-                return violated(i, (missing & -missing).bit_length() - 1, CLAUSE_CROSS)
+        if flavor == "bollobas":
+            need, low = everyone & ~bit, 0
+        else:
+            need, low = everyone & -(bit << 1), i + 1
+        missing = need & ~table._cover(t, table._forward, need, low)
+        if missing & (bit - 1):
+            return violated(i, (missing & -missing).bit_length() - 1, CLAUSE_CROSS)
         if not component_clause_ok(t):
             return violated(i, i, CLAUSE_COMPONENT)
-        if not both_sides:
-            need = everyone & -(bit << 1)
-            missing = need & ~table.row(t, need, i + 1)
         if missing:
             return violated(i, (missing & -missing).bit_length() - 1, CLAUSE_CROSS)
     return VerificationReport(True, None, condition, caveat)

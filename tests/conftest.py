@@ -37,9 +37,7 @@ from bollobas import (
     coordinate_subspace,
     dim_of_sum,
     extension_vector,
-    fill_up_set_tuple,
-    fill_up_subspace_pair,
-    fill_up_subspace_tuple,
+    fill_up,
     full_space,
     phi_upper_bound,
     PreconditionError,
@@ -472,9 +470,9 @@ def reference_search(problem: SearchProblem) -> tuple:
 def reference_saturate(system, flavor: str, functional: FunctionalKind) -> SaturationTrace:
     """``saturate`` as whole-system passes: each step rescans from tuple 1 for
     the first non-full tuple, picks x (and the pair's block) itself, rebuilds
-    the system through the public ``fill_up_*`` function, and recomputes
-    omega and phi over every tuple.  The input must satisfy the flavor's
-    condition; the invariants are asserted."""
+    the system through the public ``fill_up`` step, and recomputes omega and
+    phi over every tuple.  The input must satisfy the flavor's condition;
+    the invariants are asserted."""
 
     def full(t) -> bool:
         if flavor == "set":
@@ -506,7 +504,7 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
             for mask in t:
                 covered |= mask
             x = next(e for e in range(1, system.n + 1) if not covered & (1 << (e - 1)))
-            new = fill_up_set_tuple(current, i, x)
+            new = fill_up(current, i, x, flavor)
         elif flavor == "pair":
             a, b = t
             block, v_k = next(
@@ -515,11 +513,11 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
                 if dim_of_sum([component(a, blk), component(b, blk)]) != blk.dim
             )
             x = extension_vector(v_k, component(a, v_k) + component(b, v_k))
-            new = fill_up_subspace_pair(current, i, block)
+            new = fill_up(current, i, block, flavor)
         else:
             span = canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
             x = extension_vector(full_space(system.n, system.field), span)
-            new = fill_up_subspace_tuple(current, i)
+            new = fill_up(current, i, flavor=flavor)
         if flavor != "set":
             # a step reports x as the scalar row of its span
             x = canonicalize(system.n, system.field, (x,)).basis[0]

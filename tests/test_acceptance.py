@@ -24,8 +24,7 @@ from bollobas import (
     coordinate_subspace,
     embed,
     evaluate_inequality,
-    fill_up_set_tuple,
-    fill_up_subspace_pair,
+    fill_up,
     full_tuza_tuples,
     omega,
     partitioned_complement_chain,
@@ -59,7 +58,7 @@ def _replay_set_trace(system: SetSystem, trace: SaturationTrace) -> None:
     for step in trace.steps:
         s_sum = sum(sizes_of(current.tuples[step.index - 1]))
         before = phi(current, "set")
-        current = fill_up_set_tuple(current, step.index, step.x)
+        current = fill_up(current, step.index, step.x)
         assert phi(current, "set") - before == (current.d - 1) * s_sum + current.d
     assert current == trace.final
 
@@ -69,7 +68,7 @@ def _replay_pair_trace(system: SubspaceSystem, trace: SaturationTrace) -> None:
     for step in trace.steps:
         expected = 3 * _pair_deficit_product(current, step.index)
         before = phi(current, "pair")
-        current = fill_up_subspace_pair(current, step.index, step.block)
+        current = fill_up(current, step.index, step.block)
         assert phi(current, "pair") - before == expected
     assert current == trace.final
 
@@ -314,7 +313,7 @@ def test_acceptance_7_order_sensitivity_regressions():
         ((coordinate_subspace(2, QQ, [1]), zero_subspace(2, QQ)),),
         coordinate_decomposition(2, QQ, [[1, 2]]),
     )
-    filled = fill_up_subspace_pair(base, 1, 1)
+    filled = fill_up(base, 1, 1)
     assert verify(filled, "skew").verdict
     swapped = SubspaceSystem(
         2, QQ, 2, (filled.tuples[1], filled.tuples[0]), base.decomposition

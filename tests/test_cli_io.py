@@ -36,6 +36,9 @@ from bollobas import (
 from bollobas import cli_io
 from bollobas.cli_io import main, system_from_doc, system_to_doc
 from bollobas.constructions import FAMILY_PARAMS
+from bollobas.verifiers import FLAVORS
+
+from test_golden import FUNCTIONAL_ARGS
 
 
 def run_cli(capsys, *argv):
@@ -427,6 +430,14 @@ class TestCli:
             ),
             (["explore", "--n", "2", "--d", "17", "--p", "1/2,1/2", "--field", "gf(2)"], "--d=17 is outside [1, 16]"),
             (["random", "--seed", "0", "--m", "2", "--n", "-3"], "--n=-3 is outside [0, 64]"),
+            (
+                ["explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", "rational", "--budget", "-5"],
+                "node budget must be positive",
+            ),
+            (
+                ["explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)", "--budget", "0"],
+                "node budget must be positive",
+            ),
         ],
     )
     def test_argv_sizes_are_checked_at_the_boundary(self, capsys, argv, message):
@@ -819,9 +830,10 @@ def run_quietly(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-# raw argv lists for construct, search and random: small ints, and in half
-# the lists bad ints, non-ints, budget= and --uniform of any length; n <= 4
-# and budgets <= 2000 keep each run short
+# raw argv lists for construct, search, random and explore: small ints, and
+# in half the lists bad ints, non-ints, budget= and --uniform of any length;
+# n <= 4 (n <= 3 for explore) and budgets <= 2000 keep each run short: at the
+# default budget, a rational explore takes seconds
 _JUNK = st.sampled_from(["x", "", "1.5", "1e3", "-1", "99999", "1|2", "-"])
 
 
@@ -846,7 +858,7 @@ def raw_argv(draw):
     value = bad(st.integers(0, 4).map(str))
     ints = st.lists(value, min_size=1, max_size=3).map(",".join)
     blocks = st.lists(ints, min_size=1, max_size=3).map("|".join)
-    command = draw(st.sampled_from(["construct", "search", "random"]))
+    command = draw(st.sampled_from(["construct", "search", "random", "explore"]))
     if command == "construct":
         family = draw(st.sampled_from([*cli_io.FAMILY_NAMES, *([] if clean else ["nosuch"])]))
         keys = list(FAMILY_PARAMS.get(family, ()))
@@ -854,6 +866,15 @@ def raw_argv(draw):
             keys += draw(st.lists(st.sampled_from(["n", "d", "embedded", "budget", "x"]), max_size=2))
         params = [f"{k}={draw(blocks if k == 'blocks' else value)}" for k in keys]
         return ["construct", "--family", family, "--params", *params]
+    if command == "explore":
+        return ["explore", *options(
+            n=bad(st.integers(0, 3).map(str)),
+            d=bad(st.sampled_from(["1", "2", "3"])),
+            p=st.sampled_from(["1", "1/2,1/2", "1/3,1/3,1/3"]),
+            field=bad(st.sampled_from(["gf(2)", "gf(3)", "rational"])),
+            budget=st.integers(-1, 2000).map(str),
+            seed=maybe(value),
+        )]
     kind = draw(st.sampled_from(["set", "set", "subspace"]))
     # subspace grounds stay at n <= 2: GF(3)^4 pairs take seconds to list
     common = options(
@@ -878,15 +899,19 @@ def raw_argv(draw):
     )]
 
 
+def assert_a_json_report(argv):
+    rc, out, err = run_quietly(argv)
+    assert rc in (0, 1, 2)
+    report = json.loads(out)
+    assert isinstance(report, dict) and report.get("status") != "internal"
+    assert err == ""
+
+
 class TestCliFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argv=raw_argv())
     def test_raw_argv_ends_in_a_json_report(self, argv):
-        rc, out, err = run_quietly(argv)
-        assert rc in (0, 1, 2)
-        report = json.loads(out)
-        assert isinstance(report, dict) and report.get("status") != "internal"
-        assert err == ""
+        assert_a_json_report(argv)
 
     @settings(max_examples=150, deadline=None)
     @given(doc=st.one_of(set_documents(), pair_documents()), data=st.data())
@@ -900,8 +925,18 @@ class TestCliFuzz:
             argv.append("--debug")
         certify = ["certify", "--in", str(path)]
         for command in (argv, certify, certify + ["--flavor", flavor]):
-            rc, out, err = run_quietly(command)
-            assert rc in (0, 1, 2)
-            report = json.loads(out)
-            assert isinstance(report, dict) and report.get("status") != "internal"
-            assert err == ""
+            assert_a_json_report(command)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.one_of(set_documents(), pair_documents()))
+    def test_document_commands_end_in_a_json_report(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        commands = [
+            *(["verify", "--kind", kind] for kind in FLAVORS),
+            *(["weight", "--functional", *args] for args in FUNCTIONAL_ARGS),
+            *(["check", "--bound", bound] for bound in ("uniform-pair", "partitioned-uniform", "cardinality")),
+            ["embed"],
+        ]
+        for command in commands:
+            assert_a_json_report([*command, "--in", str(path)])

@@ -7,7 +7,6 @@ import pytest
 
 from bollobas import (
     BudgetError,
-    FamilyKind,
     SetSystem,
     ShapeError,
     binomial,
@@ -142,28 +141,27 @@ class TestFullTuzaTuples:
 
 class TestConstructDispatch:
     def test_by_name(self):
-        s = construct("complement_chain", n=2)
+        s = construct("complement_chain", {"n": 2})
         assert isinstance(s, SetSystem) and s.m == 4
 
     def test_embedded_variant(self):
-        e = construct("complement_chain", n=2, embedded=True)
+        e = construct("complement_chain", {"n": 2}, embedded=True)
         assert verify(e, "skew").verdict
         assert e == embed(complement_chain(2))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            construct("mystery_family", n=2)
+            construct("mystery_family", {"n": 2})
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            construct("complement_chain", n=20)
+            construct("complement_chain", {"n": 20})
         with pytest.raises(BudgetError):
-            construct("full_tuza_tuples", n=8, d=4)
+            construct("full_tuza_tuples", {"n": 8, "d": 4})
 
     def test_params_the_family_does_not_take_are_refused(self):
         with pytest.raises(ShapeError, match="^family 'complement_chain' takes no params a, b$"):
-            construct("complement_chain", a=1, b=1, n=5)
-        # a family kind's budget is a param like any other, not the guard's
-        kind = FamilyKind("complement_chain", (("n", 17), ("budget", 10**6)))
+            construct("complement_chain", {"a": 1, "b": 1, "n": 5})
+        # a budget among the params is a param like any other, not the guard's
         with pytest.raises(ShapeError, match="takes no params budget$"):
-            construct(kind)
+            construct("complement_chain", {"n": 17, "budget": 10**6})

@@ -404,6 +404,9 @@ class TestRandomValidSystem:
             random_valid_system("set", 2, 2, "skew", target_m=-1, seed=0)
         with pytest.raises(ShapeError, match="^target m=-1 is negative$"):
             random_compatible_pair_system(2, [[1], [2]], target_m=-1, seed=0)
+        # an unknown flavor used to build a skew table
+        with pytest.raises(ValueError, match="^unknown flavor 'wek'$"):
+            random_valid_system("set", 3, 2, "wek", 6, 0)
 
     def test_gf_subspace_generation(self):
         for seed in range(10):

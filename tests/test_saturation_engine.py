@@ -32,9 +32,7 @@ from bollobas import (
     coordinate_decomposition,
     coordinate_subspace,
     embed,
-    fill_up_set_tuple,
-    fill_up_subspace_pair,
-    fill_up_subspace_tuple,
+    fill_up,
     full_tuza_tuples,
     omega,
     phi,
@@ -71,7 +69,7 @@ HALF = tuza((Fraction(1, 2), Fraction(1, 2)))
 class TestFillUpSetTuple:
     def test_spec_example_weights(self):
         s = SetSystem.from_sets(2, [({1}, ())])
-        new = fill_up_set_tuple(s, 1, 2)
+        new = fill_up(s, 1, 2)
         assert new.tuples == ((0b11, 0b00), (0b01, 0b10))
         assert omega(s, HALF) == Fraction(1, 2)
         assert omega(new, HALF) == Fraction(1, 4) + Fraction(1, 4)
@@ -80,7 +78,7 @@ class TestFillUpSetTuple:
         # the replaced tuple has size-sum s = 1 and d = 2, so the potential
         # grows by (d-1)*s + d = 3: from 1 to 4 (each new tuple has sum 2)
         s = SetSystem.from_sets(2, [({1}, ())])
-        new = fill_up_set_tuple(s, 1, 2)
+        new = fill_up(s, 1, 2)
         assert phi(s, "set") == 1
         assert phi(new, "set") == 4
 
@@ -99,36 +97,36 @@ class TestFillUpSetTuple:
                 covered |= mask
             x = next(e for e in range(1, sys.n + 1) if not covered & (1 << (e - 1)))
             s_sum = sum(sizes_of(sys.tuples[i - 1]))
-            new = fill_up_set_tuple(sys, i, x)
+            new = fill_up(sys, i, x)
             assert phi(new, "set") - phi(sys, "set") == (sys.d - 1) * s_sum + sys.d
 
     def test_weight_invariance_for_any_p(self):
         s = SetSystem.from_sets(3, [({1}, {2})])
-        new = fill_up_set_tuple(s, 1, 3)
+        new = fill_up(s, 1, 3)
         for p in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 5), Fraction(4, 5))):
             assert omega(s, tuza(p)) == omega(new, tuza(p))
 
     def test_covered_element_rejected(self):
         s = SetSystem.from_sets(2, [({1}, {2})])
         with pytest.raises(PreconditionError):
-            fill_up_set_tuple(s, 1, 1)
+            fill_up(s, 1, 1)
         with pytest.raises(PreconditionError):
-            fill_up_set_tuple(s, 1, 2)
+            fill_up(s, 1, 2)
 
     def test_replacement_order_is_coordinate_order(self):
         s = SetSystem.from_sets(2, [((), (), ())], d=3)
-        new = fill_up_set_tuple(s, 1, 1)
+        new = fill_up(s, 1, 1)
         assert new.tuples == ((0b1, 0, 0), (0, 0b1, 0), (0, 0, 0b1))
 
     def test_duplicate_detection(self):
         # not a weak system: the would-be replacement already exists
         s = SetSystem.from_sets(2, [({1}, ()), ({1, 2}, ())])
         with pytest.raises(DuplicateTupleError):
-            fill_up_set_tuple(s, 1, 2)
+            fill_up(s, 1, 2)
 
     def test_insertion_preserves_surrounding_order(self):
         s = SetSystem.from_sets(3, [({1}, {2}), ({3}, {1}), ({2}, {3})])
-        new = fill_up_set_tuple(s, 2, 2)
+        new = fill_up(s, 2, 2)
         assert new.tuples[0] == s.tuples[0]
         assert new.tuples[3] == s.tuples[2]
         assert new.tuples[1] == (0b110, 0b001)  # ({2,3}, {1})
@@ -143,7 +141,7 @@ class TestFillUpSetTuple:
             for mask in sys.tuples[i - 1]:
                 covered |= mask
             x = next(e for e in range(1, sys.n + 1) if not covered & (1 << (e - 1)))
-            new = fill_up_set_tuple(sys, i, x)  # must not raise
+            new = fill_up(sys, i, x)  # must not raise
             assert new.m == sys.m + sys.d - 1
 
 
@@ -157,7 +155,7 @@ class TestFillUpSubspacePair:
         )
 
     def test_spec_example(self):
-        new = fill_up_subspace_pair(self.s, 1, 1)
+        new = fill_up(self.s, 1, 1)
         assert new.m == 2
         a1, b1 = new.tuples[0]
         a2, b2 = new.tuples[1]
@@ -167,7 +165,7 @@ class TestFillUpSubspacePair:
         assert omega(new, "partitioned_yue_sum") == Fraction(1, 3) + Fraction(1, 6)
 
     def test_potential_increment_exact(self):
-        new = fill_up_subspace_pair(self.s, 1, 1)
+        new = fill_up(self.s, 1, 1)
         assert phi(self.s, "pair") == 2
         assert phi(new, "pair") == 8
         assert phi(new, "pair") - phi(self.s, "pair") == 3 * pair_deficit_product(self.s, 1)
@@ -175,13 +173,13 @@ class TestFillUpSubspacePair:
     def test_result_is_skew_and_compatible(self):
         from bollobas import is_decomposition_compatible
 
-        new = fill_up_subspace_pair(self.s, 1, 1)
+        new = fill_up(self.s, 1, 1)
         assert verify(new, "skew").verdict
         assert is_decomposition_compatible(new)
 
     def test_swapped_insertion_order_breaks_skew(self):
         # build the reversed replacement by hand: (A, B+<x>) before (A+<x>, B)
-        new = fill_up_subspace_pair(self.s, 1, 1)
+        new = fill_up(self.s, 1, 1)
         swapped = SubspaceSystem(
             2, QQ, 2, (new.tuples[1], new.tuples[0]), self.decomp
         )
@@ -196,7 +194,7 @@ class TestFillUpSubspacePair:
             coordinate_decomposition(2, QQ, [[1, 2]]),
         )
         with pytest.raises(PreconditionError):
-            fill_up_subspace_pair(full, 1, 1)
+            fill_up(full, 1, 1)
 
     def test_weight_invariance_randomized(self, compatible_pair_corpus):
         for sys in compatible_pair_corpus:
@@ -208,7 +206,7 @@ class TestFillUpSubspacePair:
                 for k, blk in enumerate(sys.decomposition.blocks, start=1)
                 if pair_block_deficit(sys, i, k) > 0
             )
-            new = fill_up_subspace_pair(sys, i, k)
+            new = fill_up(sys, i, k)
             assert omega(new, "partitioned_yue_sum") == omega(sys, "partitioned_yue_sum")
             assert phi(new, "pair") - phi(sys, "pair") == 3 * pair_deficit_product(sys, i)
 
@@ -227,7 +225,7 @@ class TestFillUpSubspaceTuple:
             2, QQ, 2, ((coordinate_subspace(2, QQ, [1]), zero_subspace(2, QQ)),)
         )
         p = tuza((Fraction(1, 3), Fraction(2, 3)))
-        new = fill_up_subspace_tuple(s, 1)
+        new = fill_up(s, 1)
         assert omega(s, p) == Fraction(1, 3)
         assert omega(new, p) == Fraction(1, 9) + Fraction(2, 9)
         # potential: definition gives 1 -> 4 (each new tuple has dim-sum 2)
@@ -240,13 +238,53 @@ class TestFillUpSubspaceTuple:
             ((coordinate_subspace(2, QQ, [1]), coordinate_subspace(2, QQ, [2])),),
         )
         with pytest.raises(PreconditionError):
-            fill_up_subspace_tuple(s, 1)
+            fill_up(s, 1)
 
     def test_skewness_preserved(self):
         z = zero_subspace(2, QQ)
         s = SubspaceSystem(2, QQ, 2, ((coordinate_subspace(2, QQ, [1]), z),))
-        new = fill_up_subspace_tuple(s, 1)
+        new = fill_up(s, 1)
         assert verify(new, "skew").verdict
+
+
+_Z, _E1 = zero_subspace(2, QQ), coordinate_subspace(2, QQ, [1])
+_SET = SetSystem.from_sets(2, [({1}, ())])
+# two blocks: without its range check, k = 0 would fill the last one
+_PAIR = SubspaceSystem(2, QQ, 2, ((_Z, _Z),), coordinate_decomposition(2, QQ, [[1], [2]]))
+_TUPLE = SubspaceSystem(2, QQ, 2, ((_E1, _Z),))
+
+
+@pytest.mark.parametrize(
+    "system, i, at, flavor, error, message",
+    [
+        pytest.param(_TUPLE, 1, 1, "set", ShapeError, "needs a set system", id="set-shape"),
+        pytest.param(_SET, 1, 1, "pair", ShapeError, "needs a subspace pair", id="pair-shape"),
+        pytest.param(_TUPLE, 1, 1, "pair", ShapeError, "needs a decomposition", id="pair-blocks"),
+        pytest.param(_SET, 1, None, "tuple", ShapeError, "needs a subspace system", id="tuple-shape"),
+        pytest.param(_SET, 0, 2, None, IndexError, r"^tuple index 0 outside \[1, 1\]$", id="i=0"),
+        pytest.param(_PAIR, 2, 1, None, IndexError, r"^tuple index 2 outside \[1, 1\]$", id="i=m+1"),
+        pytest.param(_SET, 1, 0, None, ValueError, r"^ground element 0 outside \[1, 2\]$", id="x=0"),
+        pytest.param(_SET, 1, 3, None, ValueError, r"^ground element 3 outside \[1, 2\]$", id="x=n+1"),
+        pytest.param(_PAIR, 1, 0, None, IndexError, r"^block index 0 outside \[1, 2\]$", id="k=0"),
+        pytest.param(_PAIR, 1, 3, None, IndexError, r"^block index 3 outside \[1, 2\]$", id="k=r+1"),
+        pytest.param(_TUPLE, 1, 1, None, ShapeError, "takes no element or block", id="tuple-at"),
+        pytest.param(
+            SetSystem.from_sets(2, [({1}, {2})]), 1, None, None,
+            PreconditionError, "^tuple 1 is already full$", id="full",
+        ),
+        pytest.param(
+            SubspaceSystem(2, QQ, 2, ((_Z, _Z), (_E1, _Z)), _PAIR.decomposition), 1, 1, None,
+            DuplicateTupleError, "reproduces an existing tuple", id="pair-duplicate",
+        ),
+        pytest.param(
+            SubspaceSystem(2, QQ, 2, ((_E1, _Z), (_E1, coordinate_subspace(2, QQ, [2])))),
+            1, None, None, DuplicateTupleError, "reproduces an existing tuple", id="tuple-duplicate",
+        ),
+    ],
+)
+def test_refusals_of_fill_up(system, i, at, flavor, error, message):
+    with pytest.raises(error, match=message):
+        fill_up(system, i, at, flavor)
 
 
 @st.composite

@@ -30,7 +30,7 @@ from bollobas import (
 )
 from bollobas import subspace_algebra
 from bollobas.subspace_algebra import _eliminate, dim_of_sum
-from bollobas.verifiers import ClauseTable, ConditionKind, component_clause_ok, cross_nontrivial
+from bollobas.verifiers import ClauseTable, component_clause_ok, cross_nontrivial
 
 from conftest import (
     components_ok,
@@ -146,11 +146,6 @@ class TestVerify:
                 ti, tj = set_tuple_lists(s, i), set_tuple_lists(s, j)
                 assert not (ti[0] & tj[1])
         assert found > 20  # the random corpus must actually exercise violations
-
-    def test_condition_kind_mismatch_rejected(self):
-        s = SetSystem.from_sets(2, [({1}, {2})])
-        with pytest.raises(ShapeError):
-            verify(s, ConditionKind("skew", "subspace", 2))
 
     def test_gfp_verdicts_carry_caveat(self):
         field = PrimeField(2)
