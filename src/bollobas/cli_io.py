@@ -141,7 +141,7 @@ def system_to_doc(system: System) -> dict:
 
 
 def _subspace_rows(sub: Subspace) -> list[list[str]]:
-    return [[sub.field.scalar_to_str(x) for x in row] for row in sub.basis]
+    return [sub.field.format_row(row) for row in sub.rows]
 
 
 def serialize(system: System) -> str:

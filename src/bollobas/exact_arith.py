@@ -8,8 +8,8 @@ Rationals are ``fractions.Fraction`` (always lowest terms, positive
 denominator), re-exported as :data:`Rational`; prime-field elements are plain
 ``int`` residues in [0, p).  A field is named by a tag value --
 :class:`RationalField` or :class:`PrimeField` -- that parses document entries
-("num/den" or "r mod p") straight into ``int`` rows and formats scalars back;
-it builds no scalar objects of its own.
+("num/den" or "r mod p") straight into ``int`` rows and formats scalars and
+canonical rows back; it builds no scalar objects of its own.
 """
 
 from __future__ import annotations
@@ -172,6 +172,18 @@ class RationalField:
     def scalar_to_str(self, x: Rational) -> str:
         return rational_to_str(x)
 
+    def format_row(self, row: Sequence[int]) -> list[str]:
+        """The texts of a canonical row's RREF entries: each entry x over the
+        row's pivot c (its first nonzero entry, positive) written as
+        ``rational_to_str(Fraction(x, c))`` would, reduced by ``math.gcd``
+        with no ``Fraction`` built."""
+        c = next(x for x in row if x)
+        out = []
+        for x in row:
+            g = math.gcd(x, c)
+            out.append(str(x // g) if g == c else f"{x // g}/{c // g}")
+        return out
+
     def __str__(self) -> str:
         return "rational"
 
@@ -191,6 +203,11 @@ class PrimeField:
 
     def scalar_to_str(self, x: int) -> str:
         return f"{x} mod {self.p}"
+
+    def format_row(self, row: Sequence[int]) -> list[str]:
+        """The texts of a canonical row: its residues as "x mod p"."""
+        p = self.p
+        return [f"{x} mod {p}" for x in row]
 
     def __str__(self) -> str:
         return f"gf({self.p})"

@@ -66,7 +66,7 @@ from .subspace_algebra import (
     coordinate_subspace,
 )
 from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
-from .verifiers import FLAVORS, ClauseTable, component_clause_ok, cross_nontrivial
+from .verifiers import ClauseTable, check_flavor, component_clause_ok, cross_nontrivial
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -102,10 +102,7 @@ class SearchProblem:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "bollobas" and self.d != 2:
-            raise ShapeError("the bollobas condition is defined for pairs only")
+        check_flavor(self.flavor, self.d)
         if self.uniform_sizes is not None and len(self.uniform_sizes) != self.d:
             raise ShapeError(
                 f"uniform sizes have {len(self.uniform_sizes)} entries, arity is {self.d}"

@@ -7,13 +7,16 @@ itself, residues in [0, p) with pivot 1; over QQ it is the RREF row scaled to
 be primitive (gcd 1) with a positive pivot.  RREF is the unique canonical
 representative of a row space, so structural equality and hashing of two
 :class:`Subspace` values coincide with equality of the subspaces themselves,
-and serialization is deterministic.
+and serialization is deterministic.  Beside its rows a value carries its
+``dim`` and ``pivot_mask``, fixed when it is made, and its hash, computed on
+first use; meets, components and clause tests read these on every call.
 
 All arithmetic is exact and runs on these rows directly: over GF(p) on
 residues mod p, over QQ fraction-free (Bareiss-style cross multiplication,
-each new row divided by its gcd).  The scalar basis -- ``Fraction`` entries
-over QQ, ``int`` residues over GF(p) -- is a view derived on demand for
-serialization and display.  Intersections use Zassenhaus' sum/intersection
+each new row divided by its gcd).  The field tag writes a canonical row's
+RREF entries as text straight from the ints (``format_row``); the scalar
+basis -- ``Fraction`` entries over QQ, ``int`` residues over GF(p) -- is a
+view derived on demand.  Intersections use Zassenhaus' sum/intersection
 elimination of ``[u | u]`` over ``[w | 0]``, never orthogonal complements
 (which are field-sensitive).
 
@@ -32,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -118,38 +120,64 @@ def rref(rows: Iterable[Sequence[int]], width: int, field: FieldTag) -> tuple:
     return _canonical(*_eliminate(work, width, p), p)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of F^n, stored as its canonical int rows (see the module
     docstring); the zero subspace has none.  Values are immutable and
-    hashable; equality is subspace equality."""
+    hashable; equality is subspace equality.
 
-    n: int
-    field: FieldTag
-    rows: tuple[tuple[int, ...], ...]
+    ``dim`` and ``pivot_mask`` (bit c set for each pivot column c) are plain
+    attributes, fixed when the value is made; the hash is computed on first
+    use and kept: the search keys its clause table by subspaces.
+    """
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    __slots__ = ("n", "field", "rows", "dim", "pivot_mask", "_hash")
+
+    def __init__(self, n: int, field: FieldTag, rows: tuple[tuple[int, ...], ...]):
+        mask = 0
+        for row in rows:
+            c = 0
+            while not row[c]:  # a canonical row is never zero
+                c += 1
+            mask |= 1 << c
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "field", field)
+        init(self, "rows", rows)
+        init(self, "dim", len(rows))
+        init(self, "pivot_mask", mask)
+        init(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Subspace, (self.n, self.field, self.rows)
+
+    def __repr__(self) -> str:
+        return f"Subspace(n={self.n!r}, field={self.field!r}, rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.n == other.n
+            and (self.field is other.field or self.field == other.field)
+        )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.field, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the fields, computed once per value: the search keys
-        its clause table by subspaces."""
-        return hash((self.n, self.field, self.rows))
-
-    @cached_property
-    def pivot_mask(self) -> int:
-        """Bit c set for each pivot column c of the canonical rows."""
-        mask = 0
-        for row in self.rows:
-            mask |= 1 << next(c for c, x in enumerate(row) if x)
-        return mask
-
-    @cached_property
+    @property
     def basis(self) -> tuple:
         """The RREF basis as scalars: each row over its pivot as ``Fraction``
         entries over QQ, the rows themselves (int residues) over GF(p)."""
@@ -176,15 +204,12 @@ class Subspace:
         return all(contains(other, row) for row in self.rows)
 
     def __str__(self) -> str:
-        rows = "; ".join(
-            "(" + ", ".join(self.field.scalar_to_str(x) for x in row) + ")"
-            for row in self.basis
-        )
+        rows = "; ".join("(" + ", ".join(self.field.format_row(row)) + ")" for row in self.rows)
         return f"<dim {self.dim} of F^{self.n}: {rows or '0'}>"
 
 
 def _check_same_space(u: Subspace, w: Subspace) -> None:
-    if u.n != w.n or u.field != w.field:
+    if u.n != w.n or (u.field is not w.field and u.field != w.field):
         raise FieldMismatchError(
             f"ambient/field mismatch: F^{u.n} over {u.field} vs F^{w.n} over {w.field}"
         )

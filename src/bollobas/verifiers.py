@@ -47,6 +47,16 @@ from .systems_model import (
 
 FLAVORS = ("bollobas", "skew", "weak")
 
+
+def check_flavor(flavor: str, d: int) -> None:
+    """Refuse a flavor outside :data:`FLAVORS`, and the bollobas condition
+    at any arity but 2."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor == "bollobas" and d != 2:
+        raise ShapeError("the bollobas condition is defined for pairs only")
+
+
 CLAUSE_COMPONENT = "component"  # clause (i): within-tuple disjointness/independence
 CLAUSE_CROSS = "cross"  # clause (ii): cross-tuple intersection requirement
 
@@ -62,12 +72,9 @@ class ConditionKind:
     monotone: bool = False
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        check_flavor(self.flavor, self.d)
         if self.kind not in ("set", "subspace"):
             raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.flavor == "bollobas" and self.d != 2:
-            raise ShapeError("the bollobas condition is defined for pairs only")
 
     def __str__(self) -> str:
         mono = ", monotone" if self.monotone else ""
@@ -177,11 +184,8 @@ class ClauseTable:
     """
 
     def __init__(self, flavor: str, d: int, tuples: Iterable[tuple] = ()):
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
+        check_flavor(flavor, d)
         if flavor == "bollobas":
-            if d != 2:
-                raise ShapeError("the bollobas condition is defined for pairs only")
             pairs = [(0, 1)]
         else:
             pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]

@@ -804,15 +804,27 @@ def set_documents(draw):
     return doc
 
 
+# per field, entries it reads and entries it refuses
+_PAIR_ENTRIES = {
+    "rational": (["0", "1", "-1", "2", "1/2"], ["1 mod 3", "x", "1/0"]),
+    "gf(2)": (["0", "1", "-1", "3", "1 mod 2"], ["1/2", "1 mod 3", "x"]),
+    "gf(3)": (["0", "1", "2", "-1", "2 mod 3"], ["1/2", "1 mod 2", "x"]),
+}
+
+
 @st.composite
 def pair_documents(draw):
-    """Rational pair documents with n <= 3, any rows, and a coordinate or an
-    arbitrary decomposition."""
+    """Pair documents over QQ, GF(2) or GF(3) with n <= 3, any rows, and a
+    coordinate or an arbitrary decomposition; in half of them the entries
+    include some the field refuses."""
     n = draw(st.integers(1, 3))
-    row = st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]), min_size=n, max_size=n)
+    field = draw(st.sampled_from(sorted(_PAIR_ENTRIES)))
+    valid, invalid = _PAIR_ENTRIES[field]
+    entries = valid if draw(st.booleans()) else valid + invalid
+    row = st.lists(st.sampled_from(entries), min_size=n, max_size=n)
     subspace = st.lists(row, max_size=n)
     tuples = draw(st.lists(st.lists(subspace, min_size=2, max_size=2), max_size=3))
-    doc = {"kind": "subspace", "n": n, "d": 2, "field": "rational", "tuples": tuples}
+    doc = {"kind": "subspace", "n": n, "d": 2, "field": field, "tuples": tuples}
     if draw(st.booleans()):
         if draw(st.booleans()):
             cut = draw(st.integers(1, n))

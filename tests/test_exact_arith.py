@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bollobas import (
     PrimeField,
@@ -145,6 +147,42 @@ def test_rational_row_clears_denominators():
     assert QQ.parse_row([]) == []
     assert QQ.scalar_to_str(Fraction(-2, 4)) == "-1/2"
     assert QQ.scalar_to_str(3) == "3"
+
+
+BIG = 10**30
+
+
+@st.composite
+def canonical_rational_rows(draw):
+    """A canonical QQ row: leading zeros, a positive pivot, then entries of
+    either sign up to 30 digits, divided by the gcd of the row."""
+    lead = draw(st.integers(0, 3))
+    pivot = draw(st.one_of(st.integers(1, 12), st.integers(1, BIG)))
+    rest = draw(st.lists(st.one_of(st.integers(-12, 12), st.integers(-BIG, BIG)), max_size=5))
+    row = [0] * lead + [pivot] + rest
+    g = gcd(*row)
+    return tuple(x // g for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_rational_rows())
+def test_rational_row_text_is_the_fraction_text(row):
+    pivot = next(x for x in row if x)
+    assert QQ.format_row(row) == [rational_to_str(Fraction(x, pivot)) for x in row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_prime_row_text_is_the_scalar_text(p, data):
+    field = PrimeField(p)
+    row = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    assert field.format_row(row) == [field.scalar_to_str(x) for x in row]
+
+
+def test_rational_row_text_cases():
+    assert QQ.format_row((0, 2, -3, 0, 4)) == ["0", "1", "-3/2", "0", "2"]
+    assert QQ.format_row((1, -7, 0)) == ["1", "-7", "0"]
+    assert QQ.format_row((0, 6, 4, -9)) == ["0", "1", "2/3", "-3/2"]
 
 
 def test_rational_row_integer_entries_stay_int():

@@ -1,7 +1,10 @@
 """Canonical subspaces and lattice operations, cross-checked against
 fraction-free rank and GF(2) closure-enumeration oracles."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,6 +19,7 @@ from bollobas import (
     PreconditionError,
     PrimeField,
     QQ,
+    Subspace,
     canonicalize,
     component,
     contains,
@@ -497,3 +501,85 @@ class TestCanonicalRows:
         if s == w:
             assert hash(s) == hash(w)
         assert canonicalize(n, field, s.rows) == s
+
+
+class TestSubspaceValue:
+    """A subspace is a value: equal however it was built, immutable,
+    copyable, and never equal to a tuple."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+    def test_equal_however_built(self, field):
+        e12 = ((1, 0, 0), (0, 1, 0))
+        built = [
+            Subspace(3, field, e12),
+            canonicalize(3, field, [[1, 1, 0], [0, 1, 0], [1, 0, 0]]),
+            coordinate_subspace(3, field, [2, 1]),
+            intersection(full_space(3, field), coordinate_subspace(3, field, [1, 2])),
+            intersection(
+                canonicalize(3, field, [[1, 0, 1], [0, 1, 0], [1, 0, 0]]),
+                coordinate_subspace(3, field, [1, 2]),
+            ),
+        ]
+        for s in built:
+            assert s == built[0] and hash(s) == hash(built[0])
+            assert s.rows == e12 and s.dim == 2 and s.pivot_mask == 0b011
+            assert hash(s) == hash((s.n, s.field, s.rows))
+
+    def test_equal_fields_need_not_be_one_object(self):
+        rows = ((1, 2),)
+        assert Subspace(2, PrimeField(3), rows) == Subspace(2, PrimeField(3), rows)
+        assert Subspace(2, PrimeField(3), rows) != Subspace(2, PrimeField(5), rows)
+        assert Subspace(2, QQ, rows) != Subspace(2, PrimeField(3), rows)
+        assert zero_subspace(2, QQ) != zero_subspace(3, QQ)
+
+    def test_never_equals_a_tuple(self):
+        s = coordinate_subspace(2, QQ, [1])
+        for other in (s.rows, (2, QQ, s.rows), (s.n, s.field, s.rows, s.dim), ()):
+            assert s != other and other != s
+            assert s.__eq__(other) is NotImplemented
+        assert zero_subspace(0, QQ) != ()
+
+    def test_assignment_raises(self):
+        s = coordinate_subspace(2, QQ, [1])
+        hash(s)
+        for name in ("n", "field", "rows", "dim", "pivot_mask", "_hash", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(s, name)
+        assert s == coordinate_subspace(2, QQ, [1]) and s.dim == 1
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(qspan(2, [2, 2])) == "Subspace(n=2, field=RationalField(), rows=((1, 1),))"
+        assert repr(zero_subspace(1, PrimeField(3))) == "Subspace(n=1, field=PrimeField(p=3), rows=())"
+
+    def test_str_writes_the_rref_entries(self):
+        assert str(qspan(3, [2, 1, 0], [0, -4, 6])) == "<dim 2 of F^3: (1, 0, 3/4); (0, 1, -3/2)>"
+        assert str(canonicalize(2, PrimeField(3), [[2, 1]])) == "<dim 1 of F^2: (1 mod 3, 2 mod 3)>"
+        assert str(zero_subspace(2, QQ)) == "<dim 0 of F^2: 0>"
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+    def test_copy_and_pickle_round_trip(self, field):
+        s = canonicalize(3, field, [[1, 2, 0], [0, 1, 1]])
+        fresh = canonicalize(3, field, [[1, 2, 0], [0, 1, 1]])
+        hash(s)  # one with its hash kept, one without
+        for value in (s, fresh):
+            for twin in (
+                copy.copy(value),
+                copy.deepcopy(value),
+                pickle.loads(pickle.dumps(value)),
+                pickle.loads(pickle.dumps(value, protocol=0)),
+            ):
+                assert twin == s and hash(twin) == hash(s)
+                assert (twin.dim, twin.pivot_mask) == (s.dim, s.pivot_mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_rows())
+    def test_dim_and_pivot_mask_follow_the_rows(self, drawn):
+        field, n, _, rows = drawn
+        s = canonicalize(n, field, rows)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in s.rows]
+        assert s.dim == len(s.rows)
+        assert s.pivot_mask == sum(1 << c for c in pivots)
+        twin = Subspace(n, field, s.rows)
+        assert (twin.dim, twin.pivot_mask) == (s.dim, s.pivot_mask)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import (
+    ConditionKind,
     FieldMismatchError,
     PreconditionError,
     PrimeField,
     QQ,
+    SearchProblem,
     SetSystem,
     ShapeError,
     SubspaceSystem,
@@ -578,3 +580,30 @@ class TestClauseTableBuilds:
             expected = reference_row(flavor, t, tuples)
             for table in tables:
                 assert table.row(t, need) & need == expected
+
+
+FLAVOR_ENTRY_POINTS = {
+    "ConditionKind": lambda flavor, d: ConditionKind(flavor, "set", d),
+    "ClauseTable": lambda flavor, d: ClauseTable(flavor, d),
+    "SearchProblem": lambda flavor, d: SearchProblem(kind="set", n=2, d=d, flavor=flavor),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLAVOR_ENTRY_POINTS))
+class TestFlavorRules:
+    """Every entry point that takes a flavor refuses the same inputs with the
+    same exception and text."""
+
+    def test_unknown_flavor(self, entry):
+        with pytest.raises(ValueError, match="^unknown flavor 'wek'$") as info:
+            FLAVOR_ENTRY_POINTS[entry]("wek", 2)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bollobas_needs_pairs(self, entry, d):
+        with pytest.raises(ShapeError, match="^the bollobas condition is defined for pairs only$"):
+            FLAVOR_ENTRY_POINTS[entry]("bollobas", d)
+
+    @pytest.mark.parametrize("flavor, d", [("bollobas", 2), ("skew", 1), ("skew", 3), ("weak", 3)])
+    def test_accepted(self, entry, flavor, d):
+        FLAVOR_ENTRY_POINTS[entry](flavor, d)
