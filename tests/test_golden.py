@@ -183,6 +183,18 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "search", "--objective", "max-m", "--n", "4", "--d", "3", "--condition", "weak",
             "--budget", "30000",
         ),
+        # the costliest max-m searches of the benchmark's search workload
+        "search_max_m_skew_n4_uniform": (
+            "search", "--objective", "max-m", "--n", "4", "--d", "2", "--condition", "skew",
+            "--uniform", "2,2",
+        ),
+        "search_max_m_bollobas_n4": (
+            "search", "--objective", "max-m", "--n", "4", "--d", "2", "--condition", "bollobas",
+        ),
+        "search_max_m_gf2_weak_n3_budget": (
+            "search", "--objective", "max-m", "--kind", "subspace", "--field", "gf(2)",
+            "--n", "3", "--d", "2", "--condition", "weak", "--budget", "600",
+        ),
         "random_subspace_gf3": (
             "random", "--kind", "subspace", "--field", "gf(3)",
             "--seed", "3", "--m", "4", "--n", "3", "--d", "2",
