@@ -335,6 +335,8 @@ def parse(text: str) -> System:
         doc = json.loads(text, parse_float=_bare_float, parse_constant=_bare_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level
+        raise DocumentError("document nests too deeply") from exc
     return system_from_doc(doc)
 
 
@@ -630,20 +632,32 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    _check_sizes({"n": args.n, "d": args.d}, "--")
-    field = field_from_str(args.field) if args.field else None
     if args.compatible_blocks:
+        # the mode fixes d = 2, the skew condition and subspaces over QQ
+        given = [
+            flag
+            for flag, value in (
+                ("--d", args.d), ("--condition", args.condition),
+                ("--kind", args.kind), ("--field", args.field),
+            )
+            if value is not None
+        ]
+        if given:
+            raise ShapeError(f"--compatible-blocks takes no {', '.join(given)}")
+        _check_sizes({"n": args.n}, "--")
         blocks = _int_blocks(args.compatible_blocks, "--compatible-blocks")
         system: System = random_compatible_pair_system(args.n, blocks, args.m, args.seed)
     else:
+        d = 2 if args.d is None else args.d
+        _check_sizes({"n": args.n, "d": d}, "--")
         system = random_valid_system(
-            args.kind,
+            args.kind or "set",
             args.n,
-            args.d,
-            args.condition,
+            d,
+            args.condition or "skew",
             target_m=args.m,
             seed=args.seed,
-            field=field,
+            field=field_from_str(args.field) if args.field else None,
         )
     _emit(system_to_doc(system))
     return 0
@@ -758,14 +772,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--condition", default="skew", choices=CONDITIONS)
-    p.add_argument("--kind", default="set", choices=("set", "subspace"))
+    # None stands for "not given", which --compatible-blocks requires
+    p.add_argument("--d", type=int, default=None, help="arity (default 2)")
+    p.add_argument("--condition", default=None, choices=CONDITIONS, help="(default skew)")
+    p.add_argument("--kind", default=None, choices=("set", "subspace"), help="(default set)")
     p.add_argument("--field", default=None)
     p.add_argument(
         "--compatible-blocks",
         default=None,
-        help="emit a decomposition-compatible rational pair system over these blocks (1,2|3,4)",
+        help="emit a decomposition-compatible rational skew pair system over these "
+        "blocks (1,2|3,4); takes no --d, --condition, --kind or --field",
     )
     p.set_defaults(func=_cmd_random)
 

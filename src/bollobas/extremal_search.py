@@ -24,6 +24,14 @@ depth is not bounded by the interpreter's recursion limit.  Weights are
 integers, each term scaled by the least common multiple of the term
 denominators; a reported weight is rebuilt as one exact fraction.
 
+Each candidate's row is read from the table once per search, over the whole
+candidate list, the first time the candidate is expanded; a node ANDs the
+kept row into its allowed bitset, which gives what a row read for that bitset
+gives, since a row is exact on the bits it is asked for.  The prune band below
+is likewise built once per (frame weight, best - depth).  Rows and bands are
+bitsets over the candidates, and they are kept only while their bits stay
+within ``CLAUSE_TABLE_GUARD``; past that, each is computed where it is needed.
+
 Weight pruning for the maximum-size objective uses a licensed inequality:
 the tuza sum at uniform p is at most 1 on every weak set system, hence on
 every system the set search can build.  No theorem covers GF(p) grounds, so
@@ -303,7 +311,14 @@ def search_max(problem: SearchProblem) -> SearchResult:
     chosen: list[int] = []
     # one frame per expanded node on the path: [unvisited children, allowed, weight]
     stack: list[list[int]] = []
-    allowed, weight = (1 << count) - 1, 0
+    full = (1 << count) - 1
+    allowed, weight = full, 0
+    # each candidate's full row, and the prune band of each (frame weight,
+    # best - depth): `count`-bit values kept while `room` lasts, so within
+    # CLAUSE_TABLE_GUARD bits
+    rows: list[int | None] = [None] * count
+    bands: dict[tuple[int, int], int] = {}
+    room = CLAUSE_TABLE_GUARD // max(count, 1)
     while True:
         # enter the node `chosen`; `allowed` is still its parent's
         depth = len(chosen)
@@ -330,7 +345,14 @@ def search_max(problem: SearchProblem) -> SearchResult:
                 if order_free:
                     allowed &= -(2 << last)  # only candidates after `last`
                 # clause (i) keeps `last` out of its own row: it is not chosen again
-                allowed &= table.row(candidates[last], allowed)
+                row = rows[last]
+                if row is None:
+                    if room:
+                        row = rows[last] = table.row(candidates[last], full)
+                        room -= 1
+                    else:
+                        row = table.row(candidates[last], allowed)
+                allowed &= row
             stack.append([allowed, allowed, weight])
         elif chosen:
             chosen.pop()
@@ -342,12 +364,18 @@ def search_max(problem: SearchProblem) -> SearchResult:
             frame = stack[-1]
             rest = frame[0]
             if classes and len(chosen) < best:
-                hi = scale - frame[2]
-                lo = hi - (best - len(chosen) - 1) * step
-                band = 0
-                for w, mask in classes.items():
-                    if lo <= w <= hi:
-                        band |= mask
+                key = (frame[2], best - len(chosen))
+                band = bands.get(key)
+                if band is None:
+                    hi = scale - frame[2]
+                    lo = hi - (best - len(chosen) - 1) * step
+                    band = 0
+                    for w, mask in classes.items():
+                        if lo <= w <= hi:
+                            band |= mask
+                    if room:
+                        bands[key] = band
+                        room -= 1
                 kept = rest & ~band
                 run = rest & ((kept & -kept) - 1)
                 nodes += run.bit_count()

@@ -103,6 +103,14 @@ class TestDocuments:
             parse('{"kind": "set",')
         assert "line" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["[" * 1000, '{"a": ' * 1000 + "0" + "}" * 1000])
+    def test_nesting_past_the_recursion_limit(self, text):
+        # RecursionError used to escape json.loads, with no report
+        with pytest.raises(DocumentError, match="^document nests too deeply$"):
+            parse(text)
+        with pytest.raises(DocumentError, match="^document nests too deeply$"):
+            parse('{"kind": "set", "n": 2, "d": 2, "tuples": [[' + text + "]]}")
+
     def test_overlapping_partition_blocks(self):
         doc = {
             "kind": "set",
@@ -636,6 +644,23 @@ class TestCli:
         rc, doc = run_cli(capsys, "random", "--seed", "0", "--m", "-1", "--n", "2", *extra)
         assert rc == 2 and doc == {"error": "target m=-1 is negative", "status": "usage"}
 
+    COMPATIBLE = ("random", "--seed", "0", "--m", "3", "--n", "4", "--compatible-blocks", "1,2|3,4")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--d", "3"), ("--d", "2"), ("--condition", "weak"), ("--kind", "subspace"), ("--field", "gf(2)")],
+    )
+    def test_random_compatible_blocks_refuses_the_flags_it_ignores(self, capsys, extra):
+        # --d 3 --condition weak used to give a d=2 skew system at exit 0
+        rc, doc = run_cli(capsys, *self.COMPATIBLE, *extra)
+        assert rc == 2 and doc == {"error": f"--compatible-blocks takes no {extra[0]}", "status": "usage"}
+
+    def test_random_compatible_blocks_names_every_ignored_flag(self, capsys):
+        rc, doc = run_cli(capsys, *self.COMPATIBLE, "--d", "2", "--field", "rational")
+        assert rc == 2 and doc["error"] == "--compatible-blocks takes no --d, --field"
+        rc, doc = run_cli(capsys, *self.COMPATIBLE)
+        assert rc == 0 and (doc["kind"], doc["d"], doc["field"]) == ("subspace", 2, "rational")
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -835,6 +860,28 @@ def pair_documents(draw):
     return doc
 
 
+# slots a nested value fills: the whole document, a tuple, an element, a
+# partition block, a subspace row
+_NEST_SLOTS = (
+    "@",
+    '{"kind": "set", "n": 2, "d": 2, "tuples": [@]}',
+    '{"kind": "set", "n": 2, "d": 2, "tuples": [[[@], []]]}',
+    '{"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": [@]}',
+    '{"kind": "subspace", "n": 2, "d": 2, "field": "gf(2)", "tuples": [[[@], []]]}',
+)
+
+
+@st.composite
+def nested_documents(draw):
+    """JSON text nested from one level to past the decoder's recursion
+    limit: a run of arrays or objects, closed or cut off, in one slot of a
+    document."""
+    depth = draw(st.integers(1, 3000) | st.sampled_from([500, 900, 990, 1000]))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+    value = opener * depth + ("0" + closer * depth if draw(st.booleans()) else "")
+    return draw(st.sampled_from(_NEST_SLOTS)).replace("@", value)
+
+
 def run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -904,11 +951,15 @@ def raw_argv(draw):
             p=maybe(st.sampled_from(["1/2,1/2", "1/3,1/3,1/3"])),
             uniform=maybe(ints),
         )]
-    return ["random", "--kind", kind, *common, *options(
-        seed=value,
-        m=bad(st.integers(0, 12).map(str)),
-        compatible_blocks=maybe(blocks),
-    )]
+    random_options = options(seed=value, m=bad(st.integers(0, 12).map(str)))
+    if draw(st.integers(0, 3)) == 0:
+        # the compatible mode, in half the lists with the flags it refuses
+        if draw(st.booleans()):
+            shape = ["--kind", kind, *common]
+        else:
+            shape = options(n=bad(st.integers(0, 4).map(str)))
+        return ["random", *shape, *random_options, "--compatible-blocks", draw(blocks)]
+    return ["random", "--kind", kind, *common, *random_options]
 
 
 def assert_a_json_report(argv):
@@ -926,24 +977,24 @@ class TestCliFuzz:
         assert_a_json_report(argv)
 
     @settings(max_examples=150, deadline=None)
-    @given(doc=st.one_of(set_documents(), pair_documents()), data=st.data())
+    @given(doc=st.one_of(set_documents(), pair_documents(), nested_documents()), data=st.data())
     def test_saturate_and_certify_end_in_a_json_report(self, tmp_path_factory, doc, data):
         path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         flavor = data.draw(st.sampled_from(["set", "pair", "tuple"]))
         argv = ["saturate", "--flavor", flavor, "--in", str(path)]
         # --debug re-verifies the whole system at every step, O(steps * m^2)
-        if doc["n"] <= 3 and data.draw(st.booleans()):
+        if isinstance(doc, dict) and doc["n"] <= 3 and data.draw(st.booleans()):
             argv.append("--debug")
         certify = ["certify", "--in", str(path)]
         for command in (argv, certify, certify + ["--flavor", flavor]):
             assert_a_json_report(command)
 
     @settings(max_examples=200, deadline=None)
-    @given(doc=st.one_of(set_documents(), pair_documents()))
+    @given(doc=st.one_of(set_documents(), pair_documents(), nested_documents()))
     def test_document_commands_end_in_a_json_report(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         commands = [
             *(["verify", "--kind", kind] for kind in FLAVORS),
             *(["weight", "--functional", *args] for args in FUNCTIONAL_ARGS),

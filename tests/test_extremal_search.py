@@ -338,6 +338,54 @@ class TestSearchMatchesReferenceDfs:
             sys.setrecursionlimit(limit)
         assert (result.best_value, result.nodes, result.exhaustive) == (81, 71518, True)
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            SearchProblem(kind="set", n=4, d=2, flavor="skew"),
+            SearchProblem(kind="set", n=4, d=2, flavor="bollobas"),
+            # best keeps rising after bands are kept, and after the room is spent
+            SearchProblem(kind="set", n=4, d=3, flavor="weak", node_budget=3000),
+            SearchProblem(kind="subspace", n=3, d=2, flavor="weak", field=PrimeField(2), node_budget=3000),
+        ],
+    )
+    def test_memo_stays_within_the_guard(self, monkeypatch, problem):
+        """With the guard at the clause table's own worst case, the search
+        keeps a few rows and bands and computes the rest where they are
+        needed; the result is the reference's either way."""
+        candidates = list(extremal_search.enumerate_candidates(problem))
+        count = len(candidates)
+        guard = len({x for t in candidates for x in t}) * problem.d * count
+        monkeypatch.setattr(extremal_search, "CLAUSE_TABLE_GUARD", guard)
+        real_row = verifiers.ClauseTable.row
+        row_calls = []
+
+        def counted_row(table, t, need, low=0):
+            row_calls.append(need)
+            return real_row(table, t, need, low)
+
+        monkeypatch.setattr(verifiers.ClauseTable, "row", counted_row)
+        # the memo as it stands when the search returns: it only grows
+        kept = {}
+
+        def watch(frame, event, arg):
+            if event == "return" and frame.f_code is search_max.__code__:
+                kept.update(rows=frame.f_locals["rows"], bands=frame.f_locals["bands"])
+
+        sys.setprofile(watch)
+        try:
+            result = search_max(problem)
+        finally:
+            sys.setprofile(None)
+        got = (result.best_value, result.nodes, result.exhaustive, result.witness.tuples)
+        assert got == reference_search(problem)
+        rows = [row for row in kept["rows"] if row is not None]
+        values = rows + list(kept["bands"].values())
+        assert values and all(v.bit_length() <= count for v in values)
+        assert len(values) * count <= guard
+        # every kept row was read once, with the whole candidate list asked for
+        assert row_calls.count((1 << count) - 1) >= len(rows)
+        assert len(row_calls) > len(rows)  # some rows were read per node
+
     def test_clause_table_guard_refuses_before_any_row(self, monkeypatch):
         # set n=2, d=2: 4 component values x 2 positions x 9 candidates = 72 bits;
         # GF(2)^1 pairs: 2 values x 2 positions x 3 candidates = 12 bits

@@ -128,6 +128,8 @@ def _inputs() -> dict[str, object]:
         # nor is a float or a string, whatever number it spells
         "float_element": {"kind": "set", "n": 3, "d": 1, "tuples": [[[1.0]]]},
         "str_element": {"kind": "set", "n": 3, "d": 1, "tuples": [[["1"]]]},
+        # deeper than the JSON decoder can recurse
+        "nested": "[" * 1000,
     }
     return {
         name: doc if isinstance(doc, (dict, str)) else system_to_doc(doc)
@@ -220,7 +222,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
     }
     for doc in (
         "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
-        "bool_element", "bool_block", "float_element", "str_element",
+        "bool_element", "bool_block", "float_element", "str_element", "nested",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
