@@ -634,14 +634,7 @@ def _cmd_embed(args) -> int:
 def _cmd_random(args) -> int:
     if args.compatible_blocks:
         # the mode fixes d = 2, the skew condition and subspaces over QQ
-        given = [
-            flag
-            for flag, value in (
-                ("--d", args.d), ("--condition", args.condition),
-                ("--kind", args.kind), ("--field", args.field),
-            )
-            if value is not None
-        ]
+        given = [f"--{k}" for k in ("d", "condition", "kind", "field") if getattr(args, k) is not None]
         if given:
             raise ShapeError(f"--compatible-blocks takes no {', '.join(given)}")
         _check_sizes({"n": args.n}, "--")
