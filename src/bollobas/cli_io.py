@@ -76,7 +76,7 @@ from .saturation_engine import (
     certify_full_system,
     saturate,
 )
-from .subspace_algebra import Decomposition, Subspace, canonicalize
+from .subspace_algebra import Decomposition, Subspace, rref
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
@@ -303,8 +303,8 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: di
                 raise DocumentError(str(exc), f"{where}[{r}]") from exc
         if short is not None:
             raise DocumentError(f"row must have {n} entries", f"{where}[{short}]")
-        # non-RREF input is legal; canonicalization restores the invariant
-        found = memo[key] = canonicalize(n, field, parsed)
+        # non-RREF input is legal; rref restores the invariant
+        found = memo[key] = Subspace(n, field, rref(parsed, n, field))
     return found
 
 
@@ -639,6 +639,10 @@ def _cmd_random(args) -> int:
             raise ShapeError(f"--compatible-blocks takes no {', '.join(given)}")
         _check_sizes({"n": args.n}, "--")
         blocks = _int_blocks(args.compatible_blocks, "--compatible-blocks")
+        # read as sets, the blocks must be a partition of [1, n]
+        if sorted(c for b in blocks for c in set(b)) != list(range(1, args.n + 1)):
+            text = args.compatible_blocks
+            raise ShapeError(f"--compatible-blocks {text!r} is not a partition of [1, {args.n}]")
         system: System = random_compatible_pair_system(args.n, blocks, args.m, args.seed)
     else:
         d = 2 if args.d is None else args.d

@@ -69,9 +69,9 @@ from .exact_arith import (
 )
 from .subspace_algebra import (
     Subspace,
-    canonicalize,
     coordinate_decomposition,
     coordinate_subspace,
+    rref,
 )
 from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
 from .verifiers import ClauseTable, check_flavor, component_clause_ok, cross_nontrivial
@@ -434,14 +434,16 @@ def _check_target(target_m: int) -> None:
         raise BudgetError(f"target m={target_m} is above the tuple budget {DEFAULT_TUPLE_BUDGET}")
 
 
-def _random_subspace(rng: random.Random, n: int, field: FieldTag) -> Subspace:
+def _random_subspace(rng: random.Random, n: int, field: FieldTag, coords: Sequence[int]) -> Subspace:
+    """A random subspace supported on the given 1-based coordinates."""
+    p = field.p if isinstance(field, PrimeField) else 0
     rows = []
-    for _ in range(rng.randrange(n + 1)):
-        if isinstance(field, PrimeField):
-            rows.append([rng.randrange(field.p) for _ in range(n)])
-        else:
-            rows.append([rng.randint(-2, 2) for _ in range(n)])
-    return canonicalize(n, field, rows)
+    for _ in range(rng.randrange(len(coords) + 1)):
+        row = [0] * n
+        for c in coords:
+            row[c - 1] = rng.randrange(p) if p else rng.randint(-2, 2)
+        rows.append(row)
+    return Subspace(n, field, rref(rows, n, field))
 
 
 def random_valid_system(
@@ -475,7 +477,7 @@ def random_valid_system(
         if kind == "set":
             t: tuple = _random_set_tuple(rng, n, d)
         else:
-            t = tuple(_random_subspace(rng, n, field) for _ in range(d))
+            t = tuple(_random_subspace(rng, n, field, range(1, n + 1)) for _ in range(d))
             if not component_clause_ok(t):
                 continue
         if table.admits(t):
@@ -519,8 +521,8 @@ def random_compatible_pair_system(
                 a_k = coordinate_subspace(n, QQ, [c for c, s in zip(coords, split) if s == 1])
                 b_k = coordinate_subspace(n, QQ, [c for c, s in zip(coords, split) if s == 2])
             else:
-                a_k = _random_block_subspace(rng, n, coords)
-                b_k = _random_block_subspace(rng, n, coords)
+                a_k = _random_subspace(rng, n, QQ, coords)
+                b_k = _random_subspace(rng, n, QQ, coords)
             if cross_nontrivial(a_k, b_k):
                 ok = False
                 break
@@ -528,23 +530,12 @@ def random_compatible_pair_system(
             b_rows += b_k.rows
         if not ok:
             continue
-        t = (canonicalize(n, QQ, a_rows), canonicalize(n, QQ, b_rows))
+        t = (Subspace(n, QQ, rref(a_rows, n, QQ)), Subspace(n, QQ, rref(b_rows, n, QQ)))
         if table.admits(t):
             table.extend((t,))
             if table.dead(t):
                 break
     return SubspaceSystem(n, QQ, 2, tuple(table.tuples), decomp)
-
-
-def _random_block_subspace(rng: random.Random, n: int, coords: Sequence[int]) -> Subspace:
-    """A random subspace supported on the given 1-based coordinates."""
-    rows = []
-    for _ in range(rng.randrange(len(coords) + 1)):
-        row = [0] * n
-        for c in coords:
-            row[c - 1] = rng.randint(-2, 2)
-        rows.append(row)
-    return canonicalize(n, QQ, rows)
 
 
 # ---------------------------------------------------------------------------

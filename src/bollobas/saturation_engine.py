@@ -64,7 +64,7 @@ from .exact_arith import (
     multinomial,
     rational_to_str,
 )
-from .subspace_algebra import Subspace, canonicalize, extension_vector, full_space
+from .subspace_algebra import Subspace, extension_vector, full_space, rref
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
@@ -231,7 +231,8 @@ class _PairFlavor(Flavor):
         filled = components(a)[k - 1] + components(b)[k - 1]
         if filled.dim == blocks[k - 1].dim:
             raise PreconditionError(f"pair {i} is already full in block {k}")
-        x_span = canonicalize(system.n, system.field, (extension_vector(blocks[k - 1], filled),))
+        # x is a canonical row of V_k, so (x,) is already <x> in canonical form
+        x_span = Subspace(system.n, system.field, (extension_vector(blocks[k - 1], filled),))
         return k, x_span.basis[0], ((a + x_span, b), (a, b + x_span))
 
     def bound(self, system: SubspaceSystem) -> int:
@@ -264,7 +265,8 @@ class _TupleFlavor(Flavor):
 
     def facts(self, system: SubspaceSystem, t: tuple) -> Subspace:
         """The sum of the components, from one elimination."""
-        return canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
+        rows = [row for sub in t for row in sub.rows]
+        return Subspace(system.n, system.field, rref(rows, system.n, system.field))
 
     def deficit(self, system: SubspaceSystem, span: Subspace) -> int:
         return system.n - span.dim
@@ -274,9 +276,8 @@ class _TupleFlavor(Flavor):
         coordinate in turn."""
         if at is not None:
             raise ShapeError("the tuple flavor's fill-up takes no element or block")
-        x_span = canonicalize(
-            system.n, system.field, (extension_vector(full_space(system.n, system.field), span),)
-        )
+        x = extension_vector(full_space(system.n, system.field), span)
+        x_span = Subspace(system.n, system.field, (x,))
         replacements = tuple(
             tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
             for pos in range(len(t))

@@ -106,18 +106,10 @@ def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int], p: int) -> 
 
 def rref(rows: Iterable[Sequence[int]], width: int, field: FieldTag) -> tuple:
     """Canonical int rows of the row space of ``rows``, zero and dependent
-    rows dropped.  Entries must be ints (``TypeError`` otherwise): over GF(p)
-    any integers, taken mod p; over QQ a row with fractions is given times a
-    common denominator."""
+    rows dropped.  Unchecked: the rows are the package's own, ``width`` ints
+    each, residues over GF(p); outside rows enter by :func:`canonicalize`."""
     p = _modulus(field)
-    work = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row of length {len(row)}, expected {width}")
-        if not all(isinstance(x, int) for x in row):
-            raise TypeError(f"rows must hold int entries, got {row!r}")
-        work.append([x % p for x in row] if p else row)
-    return _canonical(*_eliminate(work, width, p), p)
+    return _canonical(*_eliminate(list(rows), width, p), p)
 
 
 class Subspace:
@@ -193,7 +185,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         """Subspace sum U + W."""
         _check_same_space(self, other)
-        return canonicalize(self.n, self.field, self.rows + other.rows)
+        return Subspace(self.n, self.field, rref(self.rows + other.rows, self.n, self.field))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Subspace intersection U & W."""
@@ -216,10 +208,20 @@ def _check_same_space(u: Subspace, w: Subspace) -> None:
 
 
 def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[int]]) -> Subspace:
-    """Row space of the int ``rows`` (see :func:`rref`) in canonical form."""
+    """Row space of ``rows`` in canonical form, checked: each row must hold
+    n ints, over GF(p) any integers (taken mod p), over QQ a row with
+    fractions times a common denominator."""
     if n < 0:
         raise ValueError(f"ambient dimension must be >= 0, got {n}")
-    return Subspace(n, field, rref(rows, n, field))
+    p = _modulus(field)
+    work = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"row of length {len(row)}, expected {n}")
+        if not all(isinstance(x, int) for x in row):
+            raise TypeError(f"rows must hold int entries, got {row!r}")
+        work.append([x % p for x in row] if p else row)
+    return Subspace(n, field, rref(work, n, field))
 
 
 def zero_subspace(n: int, field: FieldTag) -> Subspace:

@@ -53,7 +53,6 @@ from bollobas import (
     verify,
 )
 from bollobas.extremal_search import (
-    _random_block_subspace,
     _random_set_tuple,
     _random_subspace,
     enumerate_candidates,
@@ -546,7 +545,7 @@ def reference_random(kind, n, d, flavor, target_m, seed, field=None):
         if kind == "set":
             t = _random_set_tuple(rng, n, d)
         else:
-            t = tuple(_random_subspace(rng, n, field) for _ in range(d))
+            t = tuple(_random_subspace(rng, n, field, range(1, n + 1)) for _ in range(d))
             if not components_ok(t):
                 continue
         if all(cross_ok(flavor, ti, t) for ti in chosen):
@@ -572,8 +571,8 @@ def reference_compatible_pairs(n, blocks, target_m, seed):
                 a_k = coordinate_subspace(n, QQ, [c for c, s in zip(coords, split) if s == 1])
                 b_k = coordinate_subspace(n, QQ, [c for c, s in zip(coords, split) if s == 2])
             else:
-                a_k = _random_block_subspace(rng, n, coords)
-                b_k = _random_block_subspace(rng, n, coords)
+                a_k = _random_subspace(rng, n, QQ, coords)
+                b_k = _random_subspace(rng, n, QQ, coords)
             if meets(a_k, b_k):
                 break
             a_parts.append(a_k)

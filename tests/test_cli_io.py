@@ -661,6 +661,27 @@ class TestCli:
         rc, doc = run_cli(capsys, *self.COMPATIBLE)
         assert rc == 0 and (doc["kind"], doc["d"], doc["field"]) == ("subspace", 2, "rational")
 
+    ON_TWO = ("random", "--seed", "0", "--m", "2", "--n", "2", "--compatible-blocks")
+
+    @pytest.mark.parametrize("blocks", ["1|1", "0", "1", "1|2|3", "1,2|2"])
+    def test_random_compatible_blocks_must_partition_the_ground(self, capsys, blocks):
+        # a repeat across blocks, a coordinate outside [1, 2] and a missing
+        # coordinate used to reach "usage" only through main's ValueError catch
+        rc, doc = run_cli(capsys, *self.ON_TWO, blocks)
+        assert rc == 2 and doc == {
+            "error": f"--compatible-blocks {blocks!r} is not a partition of [1, 2]",
+            "status": "usage",
+        }
+
+    @pytest.mark.parametrize("blocks, decomposition", [
+        ("1,1|2", [[["1", "0"]], [["0", "1"]]]),
+        ("1,2|", [[["1", "0"], ["0", "1"]], []]),
+    ])
+    def test_random_compatible_blocks_read_as_sets(self, capsys, blocks, decomposition):
+        # a repeat inside a block and an empty block still partition [1, 2]
+        rc, doc = run_cli(capsys, *self.ON_TWO, blocks)
+        assert rc == 0 and doc["decomposition"] == decomposition
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -953,12 +974,22 @@ def raw_argv(draw):
         )]
     random_options = options(seed=value, m=bad(st.integers(0, 12).map(str)))
     if draw(st.integers(0, 3)) == 0:
-        # the compatible mode, in half the lists with the flags it refuses
+        # the compatible mode, in half the lists with the flags it refuses;
+        # the blocks mostly label each coordinate of [1, n] with a block
         if draw(st.booleans()):
             shape = ["--kind", kind, *common]
         else:
             shape = options(n=bad(st.integers(0, 4).map(str)))
-        return ["random", *shape, *random_options, "--compatible-blocks", draw(blocks)]
+        n = shape[shape.index("--n") + 1] if "--n" in shape else None
+        if n in ("0", "1", "2", "3", "4") and draw(st.integers(0, 3)):
+            labels = draw(st.lists(st.integers(1, 3), min_size=int(n), max_size=int(n)))
+            parts = [[] for _ in range(max(labels, default=1))]
+            for c, k in enumerate(labels, 1):
+                parts[k - 1].append(str(c))
+            text = "|".join(map(",".join, parts))
+        else:
+            text = draw(blocks)
+        return ["random", *shape, *random_options, "--compatible-blocks", text]
     return ["random", "--kind", kind, *common, *random_options]
 
 

@@ -130,6 +130,8 @@ def _inputs() -> dict[str, object]:
         "str_element": {"kind": "set", "n": 3, "d": 1, "tuples": [[["1"]]]},
         # deeper than the JSON decoder can recurse
         "nested": "[" * 1000,
+        # refused by the system's own shape check, as a set document is
+        "negative_n_subspace": {"kind": "subspace", "n": -1, "d": 2, "tuples": [[[], []]]},
     }
     return {
         name: doc if isinstance(doc, (dict, str)) else system_to_doc(doc)
@@ -223,6 +225,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
     for doc in (
         "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
         "bool_element", "bool_block", "float_element", "str_element", "nested",
+        "negative_n_subspace",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):

@@ -74,6 +74,15 @@ class TestCanonicalize:
         with pytest.raises(TypeError, match="int entries"):
             canonicalize(2, PrimeField(3), [[1, Fraction(1, 2)]])
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+    def test_wrong_length_and_negative_n_refused(self, field):
+        with pytest.raises(ValueError, match=r"^row of length 3, expected 2$"):
+            canonicalize(2, field, [[1, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match=r"^row of length 0, expected 2$"):
+            canonicalize(2, field, [[]])
+        with pytest.raises(ValueError, match=r"^ambient dimension must be >= 0, got -1$"):
+            canonicalize(-1, field, [])
+
     def test_empty_rows_give_zero_subspace(self):
         s = canonicalize(3, QQ, [])
         assert s.dim == 0
@@ -501,6 +510,15 @@ class TestCanonicalRows:
         if s == w:
             assert hash(s) == hash(w)
         assert canonicalize(n, field, s.rows) == s
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_rows())
+    def test_a_canonical_row_spans_itself_in_canonical_form(self, drawn):
+        # the saturation steps build <x> from a canonical row x unreduced
+        field, n, _, rows = drawn
+        for x in canonicalize(n, field, rows).rows:
+            assert Subspace(n, field, (x,)) == canonicalize(n, field, [x])
 
 
 class TestSubspaceValue:
