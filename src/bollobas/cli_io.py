@@ -45,7 +45,6 @@ from typing import Any, Sequence
 
 from .constructions import FAMILY_NAMES, construct
 from .errors import (
-    BollobasError,
     BudgetError,
     DocumentError,
     DuplicateTupleError,
@@ -337,6 +336,9 @@ def parse(text: str) -> System:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
     except RecursionError as exc:  # the decoder recurses once per level
         raise DocumentError("document nests too deeply") from exc
+    except ValueError as exc:  # an int literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"an integer literal has more than {limit} digits") from exc
     return system_from_doc(doc)
 
 
@@ -379,12 +381,14 @@ def report_certificate(cert: Certificate) -> dict:
 
 
 def report_trace(trace: SaturationTrace, include_steps: bool) -> dict:
+    weight = rational_to_str(trace.omega)
     doc = {
         "flavor": trace.flavor,
         "functional": str(trace.functional),
         "steps": len(trace.steps),
-        "omega": rational_to_str(trace.omegas[0]),
-        "omega_constant": len(set(trace.omegas)) == 1,
+        "omega": weight,
+        # saturate raises at any step that moves the weight
+        "omega_constant": True,
         "phi_initial": trace.phis[0],
         "phi_final": trace.phis[-1],
         "final_system": system_to_doc(trace.final),
@@ -395,10 +399,10 @@ def report_trace(trace: SaturationTrace, include_steps: bool) -> dict:
                 "index": s.index,
                 "block": s.block,
                 "x": _x_to_doc(s.x, trace.final),
-                "omega": rational_to_str(om),
+                "omega": weight,
                 "phi": ph,
             }
-            for s, om, ph in zip(trace.steps, trace.omegas[1:], trace.phis[1:])
+            for s, ph in zip(trace.steps, trace.phis[1:])
         ]
     return doc
 
@@ -425,14 +429,17 @@ def report_search(result: SearchResult) -> dict:
 
 
 def _read_system(args) -> System:
-    if args.infile and args.infile != "-":
-        try:
+    try:
+        if args.infile and args.infile != "-":
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read input: {exc.strerror or exc}", args.infile) from exc
-        return parse(text)
-    return parse(sys.stdin.read())
+        else:
+            text = sys.stdin.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read input: {exc.strerror or exc}", args.infile) from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not {exc.encoding} text: {exc.reason}", f"byte {exc.start}") from exc
+    return parse(text)
 
 
 def _emit(doc: dict) -> None:
@@ -799,7 +806,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (LicensingError, PreconditionError, DuplicateTupleError) as exc:
         _emit({"error": str(exc), "status": "refused"})
         return 1
-    except BollobasError as exc:  # internal invariant failures
+    except Exception as exc:  # internal invariant failures and faults in the program
         _emit({"error": str(exc), "status": "internal"})
         return 2
 

@@ -19,6 +19,7 @@ order is skew-valid, but a fixed one keeps fixtures byte-stable.
 
 from __future__ import annotations
 
+from inspect import signature
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -27,32 +28,21 @@ from .exact_arith import binomial
 from .systems_model import SetSystem, System, elements_of_mask, embed, mask_from_elements
 
 DEFAULT_TUPLE_BUDGET = 4096
-# Largest steps x final tuples that ``saturate(..., debug=True)`` recounts:
-# it re-weighs and re-verifies the whole system after every step.  It admits
-# n = 7, d = 3 from one empty triple (1093 steps x 2187 tuples).
-DEBUG_RECOUNT_BUDGET = 2**22
-
-# each family's required parameters, in its signature's order
-FAMILY_PARAMS = {
-    "uniform_bollobas": ("a", "b"),
-    "complement_chain": ("n",),
-    "partitioned_complement_chain": ("n", "blocks"),
-    "full_tuza_tuples": ("n", "d"),
-}
-FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
-def _guard(count: int, budget: int) -> None:
-    if count > budget:
-        raise BudgetError(f"family would have {count} tuples, budget is {budget}")
+def _guard(count: int) -> None:
+    if count > DEFAULT_TUPLE_BUDGET:
+        raise BudgetError(
+            f"family would have {count} tuples, budget is {DEFAULT_TUPLE_BUDGET}"
+        )
 
 
-def uniform_bollobas(a: int, b: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetSystem:
+def uniform_bollobas(a: int, b: int) -> SetSystem:
     """All a-subsets of [a+b] paired with their complements, in lex order."""
     if a < 0 or b < 0:
         raise ValueError("parameters must be nonnegative")
     n = a + b
-    _guard(binomial(n, a), budget)
+    _guard(binomial(n, a))
     full = (1 << n) - 1
     tuples = []
     for chosen in combinations(range(1, n + 1), a):
@@ -68,28 +58,26 @@ def _chain_masks(n: int) -> list[int]:
     return masks
 
 
-def complement_chain(n: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetSystem:
+def complement_chain(n: int) -> SetSystem:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _guard(1 << n, budget)
+    _guard(1 << n)
     full = (1 << n) - 1
     tuples = tuple((s, full & ~s) for s in _chain_masks(n))
     return SetSystem(n, 2, tuples)
 
 
-def partitioned_complement_chain(
-    n: int, blocks: Sequence[Iterable[int]], budget: int = DEFAULT_TUPLE_BUDGET
-) -> SetSystem:
-    chain = complement_chain(n, budget)
+def partitioned_complement_chain(n: int, blocks: Sequence[Iterable[int]]) -> SetSystem:
+    chain = complement_chain(n)
     partition = tuple(mask_from_elements(b, n) for b in blocks)
     return SetSystem(n, 2, chain.tuples, partition)
 
 
-def full_tuza_tuples(n: int, d: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetSystem:
+def full_tuza_tuples(n: int, d: int) -> SetSystem:
     """All d^n assignments of [n] onto d labelled parts, assignment-lex order."""
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    _guard(d**n, budget)
+    _guard(d**n)
     tuples = []
     for assignment in product(range(d), repeat=n):
         parts = [0] * d
@@ -100,19 +88,18 @@ def full_tuza_tuples(n: int, d: int, budget: int = DEFAULT_TUPLE_BUDGET) -> SetS
 
 
 _FAMILIES = {
-    "uniform_bollobas": uniform_bollobas,
-    "complement_chain": complement_chain,
-    "partitioned_complement_chain": partitioned_complement_chain,
-    "full_tuza_tuples": full_tuza_tuples,
+    f.__name__: f
+    for f in (uniform_bollobas, complement_chain, partitioned_complement_chain, full_tuza_tuples)
 }
+# each family's required parameters, in its signature's order
+FAMILY_PARAMS = {name: tuple(signature(f).parameters) for name, f in _FAMILIES.items()}
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
-def construct(
-    name: str, params: dict, embedded: bool = False, budget: int = DEFAULT_TUPLE_BUDGET
-) -> System:
+def construct(name: str, params: dict, embedded: bool = False) -> System:
     """Dispatch a family by name; the CLI entry point for fixtures.  A param
-    the family does not take, ``budget`` among them, is refused; ``embedded``
-    maps the result through the coordinate-subspace embedding."""
+    the family does not take is refused; ``embedded`` maps the result
+    through the coordinate-subspace embedding."""
     if name not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     missing = [key for key in FAMILY_PARAMS[name] if key not in params]
@@ -121,7 +108,7 @@ def construct(
     unknown = [key for key in params if key not in FAMILY_PARAMS[name]]
     if unknown:
         raise ShapeError(f"family {name!r} takes no params {', '.join(unknown)}")
-    system = _FAMILIES[name](**params, budget=budget)
+    system = _FAMILIES[name](**params)
     if embedded:
         assert isinstance(system, SetSystem)
         return embed(system)

@@ -119,6 +119,8 @@ class SearchProblem:
             raise ValueError("node budget must be positive")
         if self.kind == "subspace" and self.field is None:
             raise ShapeError("subspace search needs a field")
+        if self.kind == "set" and self.field is not None:
+            raise ShapeError("set search takes no field")
         if self.objective in ("max_weight", "counterexample") and self.functional is None:
             raise ShapeError(f"{self.objective} needs a functional")
         if self.objective == "counterexample" and not self._counterexample_allowed():
@@ -469,6 +471,8 @@ def random_valid_system(
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "subspace" and field is None:
         raise ShapeError("subspace generation needs a field")
+    if kind == "set" and field is not None:
+        raise ShapeError("set generation takes no field")
     rng = random.Random(seed)
     table = ClauseTable(flavor, d)
     for _ in range(60 * max(target_m, 1)):

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Any, Callable
 
-from .constructions import DEBUG_RECOUNT_BUDGET, DEFAULT_TUPLE_BUDGET
+from .constructions import DEFAULT_TUPLE_BUDGET
 from .errors import (
     BollobasError,
     BudgetError,
@@ -77,6 +77,11 @@ from .systems_model import (
 from .verifiers import Certificate, ClassCount, is_gfp, verify
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
+# Largest steps x final tuples that ``saturate(..., debug=True)`` recounts:
+# it re-weighs and re-verifies the whole system after every step.  It admits
+# n = 7, d = 3 from one empty triple (1093 steps x 2187 tuples).
+DEBUG_RECOUNT_BUDGET = 2**22
+
 
 @dataclass(frozen=True)
 class FillUpStep:
@@ -91,13 +96,13 @@ class FillUpStep:
 
 @dataclass(frozen=True)
 class SaturationTrace:
-    """A full fill-up run: ω is constant along ``omegas``, ``phis`` strictly
-    increases and stays within the flavor's bound."""
+    """A full fill-up run: every step keeps the weight ``omega``, and
+    ``phis`` strictly increases and stays within the flavor's bound."""
 
     flavor: str
     functional: FunctionalKind
     steps: tuple[FillUpStep, ...]
-    omegas: tuple[Rational, ...]
+    omega: Rational
     phis: tuple[int, ...]
     final: System
 
@@ -459,7 +464,6 @@ def saturate(
     bound = record.bound(system)
     weight = omega(system, functional)
     potential = sum(map(potential_of, system.tuples))
-    omegas = [weight]
     phis = [potential]
     steps: list[FillUpStep] = []
 
@@ -490,7 +494,6 @@ def saturate(
         if gain <= 0:
             raise BollobasError(f"potential failed to increase at step {len(steps)}")
         potential += gain
-        omegas.append(weight)
         phis.append(potential)
         if potential > bound:
             raise BollobasError(f"potential exceeded its bound {bound}")
@@ -509,7 +512,7 @@ def saturate(
         flavor=record.name,
         functional=functional,
         steps=tuple(steps),
-        omegas=tuple(omegas),
+        omega=weight,
         phis=tuple(phis),
         final=final,
     )

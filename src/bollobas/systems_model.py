@@ -51,10 +51,6 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_size(mask: int) -> int:
-    return mask.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # systems
 
@@ -169,7 +165,7 @@ def block_sizes(system: System) -> tuple[int, ...]:
     if isinstance(system, SetSystem):
         if system.partition is None:
             raise ShapeError("set system has no partition")
-        return tuple(mask_size(b) for b in system.partition)
+        return tuple(b.bit_count() for b in system.partition)
     if system.decomposition is None:
         raise ShapeError("subspace system has no decomposition")
     return system.decomposition.block_dims()
@@ -192,9 +188,7 @@ def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]
     if isinstance(system, SetSystem):
         if system.partition is None:
             raise ShapeError("set system has no partition")
-        return tuple(
-            (mask_size(a & blk), mask_size(b & blk)) for blk in system.partition
-        )
+        return tuple(((a & blk).bit_count(), (b & blk).bit_count()) for blk in system.partition)
     return tuple((a_k.dim, b_k.dim) for a_k, b_k in _block_components(system, pair))
 
 

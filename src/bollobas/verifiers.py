@@ -249,10 +249,10 @@ class ClauseTable:
             bits |= self.hit(t[p], q, low)
         return bits
 
-    def row(self, t: tuple, need: int, low: int = 0) -> int:
+    def row(self, t: tuple, need: int) -> int:
         """Tuples j such that t placed before t_j satisfies clause (ii):
-        exact on the bits of ``need`` from index ``low`` on."""
-        bits = self._cover(t, self._forward, need, low)
+        exact on the bits of ``need``."""
+        bits = self._cover(t, self._forward, need)
         if self.flavor == "bollobas":
             bits &= self._cover(t, self._backward, need)
         return bits

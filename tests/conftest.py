@@ -488,7 +488,7 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
         return dim_of_sum(list(t)) == system.n
 
     bound = phi_upper_bound(system, flavor)
-    omegas = [omega(system, functional)]
+    weight = omega(system, functional)
     phis = [reference_phi(system, flavor)]
     steps = []
     current = system
@@ -521,12 +521,11 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
             # a step reports x as the scalar row of its span
             x = canonicalize(system.n, system.field, (x,)).basis[0]
         steps.append(FillUpStep(i, block, x, new.tuples[i - 1 : i - 1 + new.d]))
-        omegas.append(omega(new, functional))
         phis.append(reference_phi(new, flavor))
-        assert omegas[-1] == omegas[-2]
+        assert omega(new, functional) == weight
         assert phis[-2] < phis[-1] <= bound and len(steps) <= bound
         current = new
-    return SaturationTrace(flavor, functional, tuple(steps), tuple(omegas), tuple(phis), current)
+    return SaturationTrace(flavor, functional, tuple(steps), weight, tuple(phis), current)
 
 
 # ---------------------------------------------------------------------------

@@ -54,21 +54,27 @@ def _pair_deficit_product(system: SubspaceSystem, i: int) -> int:
 
 
 def _replay_set_trace(system: SetSystem, trace: SaturationTrace) -> None:
+    weight = omega(system, trace.functional)
+    assert trace.omega == weight
     current = system
     for step in trace.steps:
         s_sum = sum(sizes_of(current.tuples[step.index - 1]))
         before = phi(current, "set")
         current = fill_up(current, step.index, step.x)
+        assert omega(current, trace.functional) == weight  # (a) exact weight invariance
         assert phi(current, "set") - before == (current.d - 1) * s_sum + current.d
     assert current == trace.final
 
 
 def _replay_pair_trace(system: SubspaceSystem, trace: SaturationTrace) -> None:
+    weight = omega(system, trace.functional)
+    assert trace.omega == weight
     current = system
     for step in trace.steps:
         expected = 3 * _pair_deficit_product(current, step.index)
         before = phi(current, "pair")
         current = fill_up(current, step.index, step.block)
+        assert omega(current, trace.functional) == weight  # (a) exact weight invariance
         assert phi(current, "pair") - before == expected
     assert current == trace.final
 
@@ -109,7 +115,7 @@ def test_acceptance_2_tuza_tightness_and_subspace_analogue():
     z = zero_subspace(3, QQ)
     start = SubspaceSystem(3, QQ, 3, ((z, z, z),))
     trace = saturate(start, "tuple", p=p)
-    assert set(trace.omegas) == {Fraction(1)}
+    assert trace.omega == 1
     assert trace.final.m == 27
     cert = certify_full_system(trace.final, "tuple", p=p)
     assert cert.holds
@@ -134,9 +140,8 @@ def test_acceptance_3_proof_engine_invariance():
         )
         p = ProbabilityVector.uniform(2)
         trace = saturate(system, "set", p=p)
-        assert len(set(trace.omegas)) == 1  # (a) exact weight invariance
         assert all(x < y for x, y in zip(trace.phis, trace.phis[1:]))  # (b) strict
-        _replay_set_trace(system, trace)  # (b) exact increments
+        _replay_set_trace(system, trace)  # (a) weight recounted, (b) exact increments
         assert len(trace.steps) <= phi_upper_bound(system, "set")  # (c)
         assert trace.phis[-1] <= phi_upper_bound(system, "set")
         cert = certify_full_system(trace.final, "set", p=p)  # (d)
@@ -152,9 +157,8 @@ def test_acceptance_3_proof_engine_invariance():
             n, blocks_by_n[n], target_m=1 + seed % 4, seed=1000 + seed
         )
         trace = saturate(system, "pair", debug=(seed % 10 == 0))
-        assert len(set(trace.omegas)) == 1  # (a)
         assert all(x < y for x, y in zip(trace.phis, trace.phis[1:]))  # (b)
-        _replay_pair_trace(system, trace)  # (b) exact increments
+        _replay_pair_trace(system, trace)  # (a) weight recounted, (b) exact increments
         assert len(trace.steps) <= phi_upper_bound(system, "pair")  # (c)
         assert trace.phis[-1] <= phi_upper_bound(system, "pair")
         cert = certify_full_system(trace.final, "pair")  # (d)

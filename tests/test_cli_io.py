@@ -452,6 +452,39 @@ class TestCli:
         rc, doc = run_cli(capsys, *argv)
         assert rc == 2 and doc == {"error": message, "status": "usage"}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                # the counterexample precondition once passed on the field alone
+                [
+                    "search", "--objective", "counterexample", "--kind", "set", "--field", "gf(2)",
+                    "--n", "2", "--d", "2", "--condition", "weak", "--functional", "tuza",
+                    "--p", "1/2,1/2",
+                ],
+                "set search takes no field",
+            ),
+            (["random", "--seed", "0", "--m", "2", "--n", "2", "--field", "gf(2)"], "set generation takes no field"),
+        ],
+    )
+    def test_set_runs_refuse_a_field(self, capsys, argv, message):
+        rc, doc = run_cli(capsys, *argv)
+        assert rc == 2 and doc == {"error": message, "status": "usage"}
+
+    def test_a_fault_outside_the_package_is_internal(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(cli_io, "construct", broken)
+        rc, out, err = run_quietly(["construct", "--family", "complement_chain", "--params", "n=2"])
+        assert rc == 2 and err == ""
+        assert json.loads(out) == {"error": "injected", "status": "internal"}
+
+    def test_document_read_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(complement_chain(2))))
+        rc, doc = run_cli(capsys, "verify", "--kind", "skew")
+        assert rc == 0 and doc["verdict"] is True
+
     def test_unknown_flag_is_usage_error(self, capsys):
         rc, doc = run_cli(capsys, "verify", "--kind", "skew", "--nonsense")
         assert rc == 2 and doc["status"] == "usage" and "--nonsense" in doc["error"]

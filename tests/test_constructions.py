@@ -21,8 +21,6 @@ from bollobas import (
     uniform_bollobas,
     verify,
 )
-from bollobas.systems_model import mask_size
-
 
 class TestUniformBollobas:
     def test_minimal_example(self):
@@ -44,7 +42,7 @@ class TestUniformBollobas:
         full = (1 << 3) - 1
         for a_mask, b_mask in s.tuples:
             assert a_mask | b_mask == full and a_mask & b_mask == 0
-            assert mask_size(a_mask) == 2
+            assert a_mask.bit_count() == 2
 
 
 class TestComplementChain:
@@ -67,10 +65,10 @@ class TestComplementChain:
 
     def test_order_is_non_increasing_size_then_lex(self):
         s = complement_chain(3)
-        sizes = [mask_size(a) for a, _ in s.tuples]
+        sizes = [a.bit_count() for a, _ in s.tuples]
         assert sizes == sorted(sizes, reverse=True)
         # within |S| = 2: {1,2} < {1,3} < {2,3}
-        two_blocks = [a for a, _ in s.tuples if mask_size(a) == 2]
+        two_blocks = [a for a, _ in s.tuples if a.bit_count() == 2]
         assert two_blocks == [0b011, 0b101, 0b110]
 
     def test_reversed_chain_fails_skew_with_witness(self):

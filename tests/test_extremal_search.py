@@ -359,9 +359,9 @@ class TestSearchMatchesReferenceDfs:
         real_row = verifiers.ClauseTable.row
         row_calls = []
 
-        def counted_row(table, t, need, low=0):
+        def counted_row(table, t, need):
             row_calls.append(need)
-            return real_row(table, t, need, low)
+            return real_row(table, t, need)
 
         monkeypatch.setattr(verifiers.ClauseTable, "row", counted_row)
         # the memo as it stands when the search returns: it only grows
@@ -430,6 +430,15 @@ class TestRandomValidSystem:
                 assert verify(s, flavor).verdict
                 assert oracle_set_verify(s, flavor)
                 assert s.m <= 6
+
+    @pytest.mark.parametrize("field", [PrimeField(2), QQ])
+    def test_a_set_run_takes_no_field(self, field):
+        # the field was dropped without a word, and a prime one licensed a
+        # counterexample search on set systems
+        with pytest.raises(ShapeError, match="^set generation takes no field$"):
+            random_valid_system("set", 2, 2, "skew", target_m=2, seed=0, field=field)
+        with pytest.raises(ShapeError, match="^set search takes no field$"):
+            SearchProblem(kind="set", n=2, d=2, flavor="weak", field=field)
 
     def test_reproducible(self):
         a = random_valid_system("set", 4, 2, "skew", target_m=6, seed=9)

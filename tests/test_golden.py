@@ -132,9 +132,22 @@ def _inputs() -> dict[str, object]:
         "nested": "[" * 1000,
         # refused by the system's own shape check, as a set document is
         "negative_n_subspace": {"kind": "subspace", "n": -1, "d": 2, "tuples": [[[], []]]},
+        # one refusal each of the reader's shape checks
+        "kind_graph": {"kind": "graph", "n": 2, "d": 2, "tuples": []},
+        "tuples_not_list": {"kind": "set", "n": 2, "d": 2, "tuples": {}},
+        "subset_not_list": {"kind": "set", "n": 2, "d": 2, "tuples": [[1, [2]]]},
+        "partition_not_list": {"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": 1},
+        "subspace_tuple_arity": {"kind": "subspace", "n": 2, "d": 2, "tuples": [[[]]]},
+        "decomposition_not_list": {"kind": "subspace", "n": 2, "d": 2, "tuples": [], "decomposition": {}},
+        "n_not_int": {"kind": "set", "n": "2", "d": 2, "tuples": []},
+        "subspace_not_rows": {"kind": "subspace", "n": 2, "d": 2, "tuples": [[1, []]]},
+        "zero_d_set": {"kind": "set", "n": 2, "d": 0, "tuples": []},
+        # a Latin-1 file, and an int literal past the interpreter's digit limit
+        "latin1": '{"kind": "set", "n": 1, "d": 1, "tuples": [], "note": "\u00e9"}'.encode("latin-1"),
+        "long_int": '{"kind": "set", "n": ' + "1" * 4301 + ', "d": 1, "tuples": []}',
     }
     return {
-        name: doc if isinstance(doc, (dict, str)) else system_to_doc(doc)
+        name: doc if isinstance(doc, (dict, str, bytes)) else system_to_doc(doc)
         for name, doc in docs.items()
     }
 
@@ -221,11 +234,14 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "weight_tuza_not_weak": (
             "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@not_weak",
         ),
+        "construct_params_no_equals": ("construct", "--family", "complement_chain", "--params", "n"),
     }
     for doc in (
         "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
         "bool_element", "bool_block", "float_element", "str_element", "nested",
-        "negative_n_subspace",
+        "negative_n_subspace", "kind_graph", "tuples_not_list", "subset_not_list",
+        "partition_not_list", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
+        "subspace_not_rows", "zero_d_set", "latin1", "long_int",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
@@ -254,8 +270,9 @@ def render(name: str, workdir: Path) -> str:
             path = workdir / f"{arg[1:]}.json"
             if not path.exists():
                 doc = _inputs()[arg[1:]]
-                text = doc if isinstance(doc, str) else json.dumps(doc)
-                path.write_text(text, encoding="utf-8")
+                if isinstance(doc, dict):
+                    doc = json.dumps(doc)
+                path.write_bytes(doc if isinstance(doc, bytes) else doc.encode("utf-8"))
             argv.append(str(path))
         else:
             argv.append(arg)

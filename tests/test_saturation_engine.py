@@ -399,7 +399,7 @@ class TestSaturate:
         s = SetSystem.from_sets(1, [((), ())], d=2)
         trace = saturate(s, "set")
         assert trace.final.tuples == ((0b1, 0), (0, 0b1))
-        assert set(trace.omegas) == {Fraction(1)}
+        assert trace.omega == 1
         assert len(trace.steps) == 1
 
     def test_already_full_is_identity(self):
@@ -416,7 +416,7 @@ class TestSaturate:
         )
         trace = saturate(s, "pair", debug=True)
         assert len(trace.steps) == 1
-        assert set(trace.omegas) == {Fraction(1, 2)}
+        assert trace.omega == Fraction(1, 2)
         assert trace.phis == (2, 8)
         assert all(is_full_tuple(trace.final, i, "pair") for i in (1, 2))
 

@@ -21,7 +21,6 @@ from bollobas.systems_model import (
     block_profile_of,
     elements_of_mask,
     mask_from_elements,
-    mask_size,
     sizes_of,
 )
 
@@ -29,7 +28,6 @@ from bollobas.systems_model import (
 def test_mask_round_trip():
     assert mask_from_elements([1, 3], 3) == 0b101
     assert elements_of_mask(0b101) == (1, 3)
-    assert mask_size(0b1011) == 3
     with pytest.raises(ValueError):
         mask_from_elements([4], 3)
     with pytest.raises(ValueError, match="element True outside"):
