@@ -208,7 +208,7 @@ def system_from_doc(doc: Any) -> System:
                     raise DocumentError("subset must be an integer list", f"tuples[{i}][{l}]")
                 try:
                     masks.append(mask_from_elements(subset, n))
-                except ValueError as exc:
+                except ShapeError as exc:
                     raise DocumentError(str(exc), f"tuples[{i}][{l}]") from exc
             packed.append(tuple(masks))
         partition = None
@@ -220,7 +220,7 @@ def system_from_doc(doc: Any) -> System:
             for k, b in enumerate(blocks):
                 try:
                     masks.append(mask_from_elements(b, n))
-                except (ValueError, TypeError) as exc:
+                except (ShapeError, TypeError) as exc:
                     raise DocumentError(str(exc), f"partition[{k}]") from exc
             partition = tuple(masks)
         try:
@@ -228,13 +228,13 @@ def system_from_doc(doc: Any) -> System:
         except PartitionError as exc:
             where = "partition" if exc.block is None else f"partition[{exc.block}]"
             raise DocumentError(str(exc), where) from exc
-        except (ValueError, ShapeError) as exc:
+        except ShapeError as exc:
             raise DocumentError(str(exc)) from exc
 
     field_name = doc.get("field", "rational")
     try:
         field = field_from_str(str(field_name))
-    except ValueError as exc:
+    except ShapeError as exc:
         raise DocumentError(str(exc), "field") from exc
     # equal components of one document parse once, to one Subspace
     memo: dict[tuple, Subspace] = {}
@@ -257,11 +257,11 @@ def system_from_doc(doc: Any) -> System:
         )
         try:
             decomposition = Decomposition(n, field, blocks)
-        except (ValueError, FieldMismatchError) as exc:
+        except (ShapeError, FieldMismatchError) as exc:
             raise DocumentError(str(exc), "decomposition") from exc
     try:
         return SubspaceSystem(n, field, d, tuple(packed_subs), decomposition)
-    except (ValueError, ShapeError) as exc:
+    except ShapeError as exc:
         raise DocumentError(str(exc)) from exc
 
 
@@ -298,7 +298,7 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: di
         for r, row in enumerate(texts):
             try:
                 parsed.append(field.parse_row(row))
-            except ValueError as exc:
+            except ShapeError as exc:
                 raise DocumentError(str(exc), f"{where}[{r}]") from exc
         if short is not None:
             raise DocumentError(f"row must have {n} entries", f"{where}[{short}]")
@@ -315,7 +315,7 @@ def _bare_float(text: str) -> float:
     value = float(text)
     try:
         same = rational_from_str(repr(value)) == rational_from_str(text)
-    except ValueError:  # inf, or an exponent past the digit limit
+    except ShapeError:  # inf, or an exponent past the digit limit
         same = False
     if not same:
         raise DocumentError(
@@ -800,7 +800,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (DocumentError, ShapeError, FieldMismatchError, BudgetError, ValueError) as exc:
+    except (DocumentError, ShapeError, FieldMismatchError, BudgetError) as exc:
         _emit({"error": str(exc), "status": "usage"})
         return 2
     except (LicensingError, PreconditionError, DuplicateTupleError) as exc:
@@ -813,3 +813,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

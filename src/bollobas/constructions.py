@@ -40,7 +40,7 @@ def _guard(count: int) -> None:
 def uniform_bollobas(a: int, b: int) -> SetSystem:
     """All a-subsets of [a+b] paired with their complements, in lex order."""
     if a < 0 or b < 0:
-        raise ValueError("parameters must be nonnegative")
+        raise ShapeError("parameters must be nonnegative")
     n = a + b
     _guard(binomial(n, a))
     full = (1 << n) - 1
@@ -60,7 +60,7 @@ def _chain_masks(n: int) -> list[int]:
 
 def complement_chain(n: int) -> SetSystem:
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ShapeError("n must be nonnegative")
     _guard(1 << n)
     full = (1 << n) - 1
     tuples = tuple((s, full & ~s) for s in _chain_masks(n))
@@ -76,7 +76,7 @@ def partitioned_complement_chain(n: int, blocks: Sequence[Iterable[int]]) -> Set
 def full_tuza_tuples(n: int, d: int) -> SetSystem:
     """All d^n assignments of [n] onto d labelled parts, assignment-lex order."""
     if n < 0 or d < 1:
-        raise ValueError("need n >= 0 and d >= 1")
+        raise ShapeError("need n >= 0 and d >= 1")
     _guard(d**n)
     tuples = []
     for assignment in product(range(d), repeat=n):
@@ -101,7 +101,7 @@ def construct(name: str, params: dict, embedded: bool = False) -> System:
     the family does not take is refused; ``embedded`` maps the result
     through the coordinate-subspace embedding."""
     if name not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+        raise ShapeError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     missing = [key for key in FAMILY_PARAMS[name] if key not in params]
     if missing:
         raise ShapeError(f"family {name!r} needs params {', '.join(missing)}")

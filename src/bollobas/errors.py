@@ -9,8 +9,10 @@ class FieldMismatchError(BollobasError):
     """Operands live in different ambient spaces or over different fields."""
 
 
-class ShapeError(BollobasError):
-    """A system's kind, arity, or context does not fit the requested operation."""
+class ShapeError(BollobasError, ValueError):
+    """Refused input: a system kind, arity or context that does not fit the
+    operation, a size or budget outside its range, or text that does not
+    parse.  A ``ValueError`` too, for callers that catch one."""
 
 
 class PreconditionError(BollobasError):
@@ -37,7 +39,7 @@ class BudgetError(BollobasError):
     """An enumeration or search exceeded its configured budget or guard."""
 
 
-class PartitionError(BollobasError, ValueError):
+class PartitionError(ShapeError):
     """Partition blocks overlap or leave part of the ground set uncovered.
 
     ``block`` is the 0-based index of the first block meeting an earlier one,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .errors import ShapeError
+
 Rational = Fraction
 
 
@@ -34,7 +36,7 @@ def binomial(n: int, k: int) -> int:
     vanishing coefficient means an impossible configuration, not an error.
     """
     if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
+        raise ShapeError(f"binomial needs n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -50,7 +52,7 @@ def multinomial(parts: Iterable[int]) -> int:
     out = 1
     for p in parts:
         if p < 0:
-            raise ValueError(f"multinomial parts must be nonnegative, got {p}")
+            raise ShapeError(f"multinomial parts must be nonnegative, got {p}")
         total += p
         out *= math.comb(total, p)
     return out
@@ -93,7 +95,7 @@ def rational_from_str(s: str) -> Rational:
                 raise ValueError(f"more than {limit} digits")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
+        raise ShapeError(f"not a rational: {s!r}") from exc
 
 
 def residue_from_str(s: str, p: int) -> int:
@@ -105,14 +107,14 @@ def residue_from_str(s: str, p: int) -> int:
         try:
             r, mod = int(left), int(right)
         except ValueError as exc:
-            raise ValueError(f"not a prime-field scalar: {s!r}") from exc
+            raise ShapeError(f"not a prime-field scalar: {s!r}") from exc
         if mod != p:
-            raise ValueError(f"scalar {s!r} does not match field GF({p})")
+            raise ShapeError(f"scalar {s!r} does not match field GF({p})")
         return r % p
     try:
         return int(text) % p
     except ValueError as exc:
-        raise ValueError(f"not a prime-field scalar: {s!r}") from exc
+        raise ShapeError(f"not a prime-field scalar: {s!r}") from exc
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly for
@@ -123,11 +125,11 @@ MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 def is_prime(p: int) -> bool:
     """Deterministic primality for p < MR_EXACT_BELOW; larger p is refused
-    with ``ValueError`` rather than answered by a probabilistic test."""
+    with ``ShapeError`` rather than answered by a probabilistic test."""
     if p < 2:
         return False
     if p >= MR_EXACT_BELOW:
-        raise ValueError(f"primality of {p} is not decided: moduli must be below {MR_EXACT_BELOW}")
+        raise ShapeError(f"primality of {p} is not decided: moduli must be below {MR_EXACT_BELOW}")
     for b in MR_BASES:
         if p % b == 0:
             return p == b
@@ -196,7 +198,7 @@ class PrimeField:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise ShapeError(f"{self.p} is not prime")
 
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         return [residue_from_str(text, self.p) for text in texts]
@@ -226,9 +228,9 @@ def field_from_str(s: str) -> FieldTag:
         try:
             p = int(text[3:-1])
         except ValueError as exc:
-            raise ValueError(f"bad field name: {s!r}") from exc
+            raise ShapeError(f"bad field name: {s!r}") from exc
         return PrimeField(p)
-    raise ValueError(f"bad field name: {s!r} (expected 'rational' or 'gf(p)')")
+    raise ShapeError(f"bad field name: {s!r} (expected 'rational' or 'gf(p)')")
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +247,12 @@ class ProbabilityVector:
         entries = tuple(Fraction(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
-            raise ValueError("probability vector needs at least one entry")
+            raise ShapeError("probability vector needs at least one entry")
         if any(e <= 0 for e in entries):
-            raise ValueError(f"probabilities must be positive: {entries}")
+            raise ShapeError(f"probabilities must be positive: {entries}")
         total = sum(entries, Fraction(0))
         if total != 1:
-            raise ValueError(f"probabilities must sum to 1 exactly, got {total}")
+            raise ShapeError(f"probabilities must sum to 1 exactly, got {total}")
 
     @property
     def d(self) -> int:

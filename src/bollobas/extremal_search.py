@@ -107,16 +107,16 @@ class SearchProblem:
 
     def __post_init__(self):
         if self.kind not in ("set", "subspace"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise ShapeError(f"unknown kind {self.kind!r}")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+            raise ShapeError(f"unknown objective {self.objective!r}")
         check_flavor(self.flavor, self.d)
         if self.uniform_sizes is not None and len(self.uniform_sizes) != self.d:
             raise ShapeError(
                 f"uniform sizes have {len(self.uniform_sizes)} entries, arity is {self.d}"
             )
         if self.node_budget <= 0:
-            raise ValueError("node budget must be positive")
+            raise ShapeError("node budget must be positive")
         if self.kind == "subspace" and self.field is None:
             raise ShapeError("subspace search needs a field")
         if self.kind == "set" and self.field is not None:
@@ -468,7 +468,7 @@ def random_valid_system(
     """
     _check_target(target_m)
     if kind not in ("set", "subspace"):
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ShapeError(f"unknown kind {kind!r}")
     if kind == "subspace" and field is None:
         raise ShapeError("subspace generation needs a field")
     if kind == "set" and field is not None:
@@ -561,7 +561,7 @@ def explore_weak_subspace_conjecture(
     refutation for real vector spaces; callers report it as such.
     """
     if budget <= 0:
-        raise ValueError("node budget must be positive")
+        raise ShapeError("node budget must be positive")
     if isinstance(field, PrimeField):
         problem = SearchProblem(
             kind="subspace",

@@ -176,7 +176,7 @@ class _SetFlavor(Flavor):
         if x is None:
             x = (~covered & (covered + 1)).bit_length()
         elif not 1 <= x <= system.n:
-            raise ValueError(f"ground element {x} outside [1, {system.n}]")
+            raise ShapeError(f"ground element {x} outside [1, {system.n}]")
         elif covered & (1 << (x - 1)):
             raise PreconditionError(f"element {x} is already covered by tuple {i}")
         bit = 1 << (x - 1)
@@ -311,7 +311,7 @@ def _lookup(system: System, flavor: str | None) -> Flavor:
         flavor = default_flavor(system)
     record = FLAVORS.get(flavor)
     if record is None:
-        raise ValueError(f"unknown flavor {flavor!r}; choose from {tuple(FLAVORS)}")
+        raise ShapeError(f"unknown flavor {flavor!r}; choose from {tuple(FLAVORS)}")
     record.shape(system)
     return record
 

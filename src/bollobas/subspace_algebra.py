@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import FieldMismatchError, PreconditionError
+from .errors import FieldMismatchError, PreconditionError, ShapeError
 from .exact_arith import FieldTag, PrimeField
 
 
@@ -212,12 +212,12 @@ def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[int]]) -> Subs
     n ints, over GF(p) any integers (taken mod p), over QQ a row with
     fractions times a common denominator."""
     if n < 0:
-        raise ValueError(f"ambient dimension must be >= 0, got {n}")
+        raise ShapeError(f"ambient dimension must be >= 0, got {n}")
     p = _modulus(field)
     work = []
     for row in rows:
         if len(row) != n:
-            raise ValueError(f"row of length {len(row)}, expected {n}")
+            raise ShapeError(f"row of length {len(row)}, expected {n}")
         if not all(isinstance(x, int) for x in row):
             raise TypeError(f"rows must hold int entries, got {row!r}")
         work.append([x % p for x in row] if p else row)
@@ -237,7 +237,7 @@ def coordinate_subspace(n: int, field: FieldTag, coords: Iterable[int]) -> Subsp
     rows = []
     for p in sorted(set(coords)):
         if not 1 <= p <= n:
-            raise ValueError(f"coordinate {p} outside [1, {n}]")
+            raise ShapeError(f"coordinate {p} outside [1, {n}]")
         rows.append((0,) * (p - 1) + (1,) + (0,) * (n - p))
     return Subspace(n, field, tuple(rows))
 
@@ -271,9 +271,9 @@ def component(u: Subspace, v_k: Subspace) -> Subspace:
 def dim_of_sum(parts: Sequence[Subspace]) -> int:
     """dim(U_1 + ... + U_t): the sum of the dims when the parts' pivot masks
     are pairwise disjoint, otherwise one rank computation on the stacked
-    rows."""
+    rows.  The sum of no parts is the zero space."""
     if not parts:
-        raise ValueError("dim_of_sum needs at least one subspace")
+        return 0
     first = parts[0]
     seen = 0
     disjoint = True
@@ -306,7 +306,7 @@ def contains(u: Subspace, v: Sequence) -> bool:
     rows weighted by its own pivot entries.  Over QQ, v may hold ints or
     fractions; over GF(p), ints."""
     if len(v) != u.n:
-        raise ValueError(f"vector of length {len(v)}, expected {u.n}")
+        raise ShapeError(f"vector of length {len(v)}, expected {u.n}")
     p = _modulus(u.field)
     pivots = [next(c for c, x in enumerate(row) if x) for row in u.rows]
     # over QQ the rows are scaled by their pivot entries; clear those
@@ -354,16 +354,14 @@ class Decomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
-            raise ValueError("decomposition needs at least one block")
         for b in self.blocks:
             if b.n != self.n or b.field != self.field:
                 raise FieldMismatchError("decomposition block in wrong ambient space/field")
         total = sum(b.dim for b in self.blocks)
         if total != self.n:
-            raise ValueError(f"block dims sum to {total}, ambient is {self.n}")
+            raise ShapeError(f"block dims sum to {total}, ambient is {self.n}")
         if dim_of_sum(self.blocks) != self.n:
-            raise ValueError("blocks are not independent: stacked rank below ambient dim")
+            raise ShapeError("blocks are not independent: stacked rank below ambient dim")
 
     @property
     def r(self) -> int:

@@ -35,7 +35,7 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     mask = 0
     for p in elements:
         if type(p) is not int or not 1 <= p <= n:
-            raise ValueError(f"element {p!r} outside [1, {n}]")
+            raise ShapeError(f"element {p!r} outside [1, {n}]")
         mask |= 1 << (p - 1)
     return mask
 
@@ -72,14 +72,14 @@ class SetSystem:
     def __post_init__(self):
         object.__setattr__(self, "tuples", tuple(tuple(t) for t in self.tuples))
         if self.n < 0 or self.d < 1:
-            raise ValueError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
+            raise ShapeError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
         full = (1 << self.n) - 1
         for t in self.tuples:
             if len(t) != self.d:
                 raise ShapeError(f"tuple arity {len(t)} != d={self.d}")
             for mask in t:
                 if mask < 0 or mask & ~full:
-                    raise ValueError(f"subset mask {mask} outside ground set [1, {self.n}]")
+                    raise ShapeError(f"subset mask {mask} outside ground set [1, {self.n}]")
         if self.partition is not None:
             blocks = tuple(self.partition)
             object.__setattr__(self, "partition", blocks)
@@ -109,7 +109,7 @@ class SetSystem:
         )
         if d is None:
             if not packed:
-                raise ValueError("empty system needs an explicit arity d")
+                raise ShapeError("empty system needs an explicit arity d")
             d = len(packed[0])
         blocks = None
         if partition is not None:
@@ -130,7 +130,7 @@ class SubspaceSystem:
     def __post_init__(self):
         object.__setattr__(self, "tuples", tuple(tuple(t) for t in self.tuples))
         if self.n < 0 or self.d < 1:
-            raise ValueError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
+            raise ShapeError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
         for t in self.tuples:
             if len(t) != self.d:
                 raise ShapeError(f"tuple arity {len(t)} != d={self.d}")

@@ -52,7 +52,7 @@ def check_flavor(flavor: str, d: int) -> None:
     """Refuse a flavor outside :data:`FLAVORS`, and the bollobas condition
     at any arity but 2."""
     if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
+        raise ShapeError(f"unknown flavor {flavor!r}")
     if flavor == "bollobas" and d != 2:
         raise ShapeError("the bollobas condition is defined for pairs only")
 
@@ -74,7 +74,7 @@ class ConditionKind:
     def __post_init__(self):
         check_flavor(self.flavor, self.d)
         if self.kind not in ("set", "subspace"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
+            raise ShapeError(f"unknown system kind {self.kind!r}")
 
     def __str__(self) -> str:
         mono = ", monotone" if self.monotone else ""

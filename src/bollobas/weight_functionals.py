@@ -97,12 +97,12 @@ class FunctionalKind:
 
     def __post_init__(self):
         if self.name not in FUNCTIONALS:
-            raise ValueError(f"unknown functional {self.name!r}; choose from {FUNCTIONALS}")
+            raise ShapeError(f"unknown functional {self.name!r}; choose from {FUNCTIONALS}")
         takes_p = RULES[self.name].takes_p
         if takes_p and self.p is None:
-            raise ValueError(f"{self.name} needs a probability vector")
+            raise ShapeError(f"{self.name} needs a probability vector")
         if not takes_p and self.p is not None:
-            raise ValueError(f"{self.name} takes no probability vector")
+            raise ShapeError(f"{self.name} takes no probability vector")
 
     def __str__(self) -> str:
         return self.name if self.p is None else f"{self.name}(p={self.p})"
@@ -218,6 +218,8 @@ def omega(system: System, kind: str | FunctionalKind) -> Rational:
         )
     if rule.blocks:
         _require_context(system, kind.name)
+        if system.d != 2:  # refused here too when no tuple reaches block_profile_of
+            raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
         counts = Counter(block_profile_of(system, t) for t in system.tuples)
         zero: tuple = tuple((0, 0) for _ in block_sizes(system))
     else:

@@ -343,6 +343,8 @@ def reference_omega(system, kind) -> Fraction:
     if name in ("partitioned_yue_sum", "partitioned_bollobas_sum"):
         if not has_context(system):
             raise ShapeError(f"{name} needs a context")
+        if system.d != 2:
+            raise ShapeError(f"{name} needs a pair system")
         total = Fraction(0)
         for t in system.tuples:
             value = Fraction(1)

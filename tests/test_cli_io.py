@@ -446,6 +446,8 @@ class TestCli:
                 ["explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)", "--budget", "0"],
                 "node budget must be positive",
             ),
+            (["search", "--objective", "max-m", "--n", "2", "--budget", "0"], "node budget must be positive"),
+            (["search", "--objective", "max-m", "--n", "2", "--budget", "-1"], "node budget must be positive"),
         ],
     )
     def test_argv_sizes_are_checked_at_the_boundary(self, capsys, argv, message):
@@ -472,13 +474,36 @@ class TestCli:
         assert rc == 2 and doc == {"error": message, "status": "usage"}
 
     def test_a_fault_outside_the_package_is_internal(self, capsys, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("injected")
+        # a ValueError too: only package errors are usage refusals
+        for error in (TypeError, ValueError):
+            def broken(*args, **kwargs):
+                raise error("injected")
 
-        monkeypatch.setattr(cli_io, "construct", broken)
-        rc, out, err = run_quietly(["construct", "--family", "complement_chain", "--params", "n=2"])
-        assert rc == 2 and err == ""
-        assert json.loads(out) == {"error": "injected", "status": "internal"}
+            monkeypatch.setattr(cli_io, "construct", broken)
+            rc, out, err = run_quietly(["construct", "--family", "complement_chain", "--params", "n=2"])
+            assert rc == 2 and err == ""
+            assert json.loads(out) == {"error": "injected", "status": "internal"}
+
+    def test_module_runs_as_a_script(self):
+        src = os.path.dirname(os.path.dirname(cli_io.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bollobas.cli_io", "verify", "--kind", "skew"],
+            input=serialize(complement_chain(2)),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        # stderr holds runpy's warning that the package imported cli_io first
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {
+            "command": "verify",
+            "kind": "skew",
+            "verdict": True,
+            "first_violation": None,
+            "condition": "skew set 2-tuples",
+            "field_caveat": False,
+        }
 
     def test_document_read_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(complement_chain(2))))
@@ -944,10 +969,12 @@ def run_quietly(argv):
 
 
 # raw argv lists for construct, search, random and explore: small ints, and
-# in half the lists bad ints, non-ints, budget= and --uniform of any length;
+# in half the lists bad ints, non-ints, budget=, --uniform of any length and
+# --p text that does not parse or sum to 1;
 # n <= 4 (n <= 3 for explore) and budgets <= 2000 keep each run short: at the
 # default budget, a rational explore takes seconds
 _JUNK = st.sampled_from(["x", "", "1.5", "1e3", "-1", "99999", "1|2", "-"])
+_JUNK_P = st.sampled_from(["1/2", "x", "0,1", "1/0"])
 
 
 @st.composite
@@ -956,6 +983,9 @@ def raw_argv(draw):
 
     def bad(strategy):
         return strategy if clean else st.one_of(strategy, _JUNK)
+
+    def bad_p(strategy):
+        return strategy if clean else st.one_of(strategy, _JUNK_P)
 
     def options(**flags):
         out = []
@@ -983,7 +1013,7 @@ def raw_argv(draw):
         return ["explore", *options(
             n=bad(st.integers(0, 3).map(str)),
             d=bad(st.sampled_from(["1", "2", "3"])),
-            p=st.sampled_from(["1", "1/2,1/2", "1/3,1/3,1/3"]),
+            p=bad_p(st.sampled_from(["1", "1/2,1/2", "1/3,1/3,1/3"])),
             field=bad(st.sampled_from(["gf(2)", "gf(3)", "rational"])),
             budget=st.integers(-1, 2000).map(str),
             seed=maybe(value),
@@ -1002,7 +1032,7 @@ def raw_argv(draw):
             objective=st.sampled_from(["max-m", "max-m", "max-weight", "counterexample"]),
             budget=bad(st.integers(1, 2000).map(str)),
             functional=maybe(st.sampled_from(["yue", "tuza", "tuza", "partitioned_yue"])),
-            p=maybe(st.sampled_from(["1/2,1/2", "1/3,1/3,1/3"])),
+            p=maybe(bad_p(st.sampled_from(["1/2,1/2", "1/3,1/3,1/3"]))),
             uniform=maybe(ints),
         )]
     random_options = options(seed=value, m=bad(st.integers(0, 12).map(str)))

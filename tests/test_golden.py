@@ -75,6 +75,7 @@ def _inputs() -> dict[str, object]:
         2, QQ, 2, ((diag, zero_subspace(2, QQ)),), coordinate_decomposition(2, QQ, [[1], [2]])
     )
     weak_not_skew = SetSystem.from_sets(3, [({1}, {2}), ({2}, {3})])
+    n0 = SetSystem(0, 1, (), partition=())
     docs: dict[str, object] = {
         "chain": chain,
         "embedded": embed(chain),
@@ -142,6 +143,9 @@ def _inputs() -> dict[str, object]:
         "n_not_int": {"kind": "set", "n": "2", "d": 2, "tuples": []},
         "subspace_not_rows": {"kind": "subspace", "n": 2, "d": 2, "tuples": [[1, []]]},
         "zero_d_set": {"kind": "set", "n": 2, "d": 0, "tuples": []},
+        # no tuples on no ground: the partition and decomposition have no block
+        "n0": n0,
+        "n0_embedded": embed(n0),
         # a Latin-1 file, and an int literal past the interpreter's digit limit
         "latin1": '{"kind": "set", "n": 1, "d": 1, "tuples": [], "note": "\u00e9"}'.encode("latin-1"),
         "long_int": '{"kind": "set", "n": ' + "1" * 4301 + ', "d": 1, "tuples": []}',
@@ -235,7 +239,43 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@not_weak",
         ),
         "construct_params_no_equals": ("construct", "--family", "complement_chain", "--params", "n"),
+        # construct blocks that are not a partition of [1, n]
+        "refuse_blocks_overlap": (
+            "construct", "--family", "partitioned_complement_chain", "--params", "n=2", "blocks=1|1",
+        ),
+        "refuse_blocks_zero": (
+            "construct", "--family", "partitioned_complement_chain", "--params", "n=2", "blocks=0|1,2",
+        ),
+        "refuse_budget_search": ("search", "--objective", "max-m", "--n", "2", "--budget", "0"),
+        "refuse_budget_explore": (
+            "explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)", "--budget", "0",
+        ),
+        # the empty system on the empty ground set, embedded and verified
+        "embed_n0": ("embed", "--in", "@n0"),
+        "verify_n0": ("verify", "--kind", "skew", "--in", "@n0"),
+        "verify_n0_embedded": ("verify", "--kind", "skew", "--in", "@n0_embedded"),
     }
+    # argv text refused by the package's parsers: a --p that does not parse
+    # or sum to 1, a --field that names no prime field
+    for label, p in (("sum", "1/2"), ("word", "x"), ("zero", "0,1")):
+        cases[f"refuse_p_{label}_weight"] = ("weight", "--functional", "tuza", "--p", p, "--in", "@full")
+        cases[f"refuse_p_{label}_saturate"] = ("saturate", "--flavor", "set", "--p", p, "--in", "@full")
+        cases[f"refuse_p_{label}_certify"] = ("certify", "--p", p, "--in", "@full")
+        cases[f"refuse_p_{label}_search"] = (
+            "search", "--objective", "max-weight", "--n", "2", "--condition", "weak",
+            "--functional", "tuza", "--p", p,
+        )
+        cases[f"refuse_p_{label}_explore"] = ("explore", "--n", "2", "--d", "2", "--p", p, "--field", "gf(2)")
+    for label, field in (("gf4", "gf(4)"), ("word", "foo"), ("huge", "gf(618970019642690137449562111)")):
+        cases[f"refuse_field_{label}_search"] = (
+            "search", "--objective", "max-m", "--kind", "subspace", "--n", "2", "--field", field,
+        )
+        cases[f"refuse_field_{label}_explore"] = (
+            "explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", field,
+        )
+        cases[f"refuse_field_{label}_random"] = (
+            "random", "--kind", "subspace", "--seed", "0", "--m", "2", "--n", "2", "--field", field,
+        )
     for doc in (
         "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
         "bool_element", "bool_block", "float_element", "str_element", "nested",

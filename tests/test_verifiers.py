@@ -595,9 +595,9 @@ class TestFlavorRules:
     same exception and text."""
 
     def test_unknown_flavor(self, entry):
-        with pytest.raises(ValueError, match="^unknown flavor 'wek'$") as info:
+        with pytest.raises(ShapeError, match="^unknown flavor 'wek'$") as info:
             FLAVOR_ENTRY_POINTS[entry]("wek", 2)
-        assert type(info.value) is ValueError
+        assert type(info.value) is ShapeError
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_bollobas_needs_pairs(self, entry, d):

@@ -119,6 +119,18 @@ class TestOmegaValues:
         with pytest.raises(ShapeError):
             omega(s, "partitioned_yue_sum")
 
+    @pytest.mark.parametrize("name", ["partitioned_yue_sum", "partitioned_bollobas_sum"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("embedded", [False, True], ids=["set", "subspace"])
+    def test_block_rules_refuse_an_empty_non_pair_system(self, name, d, embedded):
+        # the refusal a one-tuple system of the same arity gets
+        s = SetSystem(2, d, (), partition=(1, 2))
+        if embedded:
+            s = embed(s)
+        for entry in (omega, evaluate_inequality):
+            with pytest.raises(ShapeError, match=f"^block profile needs a pair system, arity is {d}$"):
+                entry(s, name)
+
     def test_scott_wilmer_monotone_precondition(self):
         ok = SetSystem.from_sets(2, [({1}, {2}), ({1, 2}, ())])
         assert omega(ok, "scott_wilmer_sum") == Fraction(1, 2) + 1
