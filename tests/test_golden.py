@@ -143,6 +143,21 @@ def _inputs() -> dict[str, object]:
         "n_not_int": {"kind": "set", "n": "2", "d": 2, "tuples": []},
         "subspace_not_rows": {"kind": "subspace", "n": 2, "d": 2, "tuples": [[1, []]]},
         "zero_d_set": {"kind": "set", "n": 2, "d": 0, "tuples": []},
+        # n out of range, refused for its n whatever the document holds
+        "negative_n_set_element": {"kind": "set", "n": -1, "d": 2, "tuples": [[[1], []]]},
+        "negative_n_subspace_row": {"kind": "subspace", "n": -1, "d": 2, "tuples": [[[["1"]], []]]},
+        "negative_n_decomposition": {"kind": "subspace", "n": -1, "d": 2, "tuples": [], "decomposition": []},
+        "n_above_cap": {"kind": "set", "n": 65, "d": 2, "tuples": []},
+        # empty pairs whose fill-up vectors x have non-unit entries: over QQ
+        # the x of block 1 prints -1/6 and 1/3
+        "qq_pair_fractional_x": {
+            "kind": "subspace", "n": 3, "d": 2, "field": "rational", "tuples": [[[], []]],
+            "decomposition": [[["2", "1", "0"], ["0", "3", "1"]], [["0", "0", "1"]]],
+        },
+        "gf3_pair": {
+            "kind": "subspace", "n": 3, "d": 2, "field": "gf(3)", "tuples": [[[], []]],
+            "decomposition": [[["2", "1", "0"]], [["0", "2", "1"]], [["0", "0", "1"]]],
+        },
         # no tuples on no ground: the partition and decomposition have no block
         "n0": n0,
         "n0_embedded": embed(n0),
@@ -222,6 +237,10 @@ def _cases() -> dict[str, tuple[str, ...]]:
         ),
         "saturate_tuple_gf3_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@gf3_rows"),
         "saturate_tuple_qq_rows": ("saturate", "--flavor", "tuple", "--trace", "--in", "@qq_rows"),
+        "saturate_pair_qq_fractional_x": (
+            "saturate", "--flavor", "pair", "--trace", "--in", "@qq_pair_fractional_x",
+        ),
+        "saturate_pair_gf3": ("saturate", "--flavor", "pair", "--trace", "--in", "@gf3_pair"),
         # weight refusals: each licensing rule's failure text
         "weight_partitioned_yue_ptriple": (
             "weight", "--functional", "partitioned_yue", "--in", "@ptriple",
@@ -250,6 +269,15 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "refuse_budget_explore": (
             "explore", "--n", "2", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)", "--budget", "0",
         ),
+        "refuse_p_pair_saturate": ("saturate", "--flavor", "pair", "--p", "1/2,1/2", "--in", "@pair"),
+        "refuse_max_weight_no_functional": ("search", "--objective", "max-weight", "--n", "2", "--d", "2"),
+        # GF(2)^5 is above the exhaustive guard
+        "refuse_gf_guard_search": (
+            "search", "--objective", "max-m", "--kind", "subspace", "--field", "gf(2)",
+            "--n", "5", "--d", "2",
+        ),
+        "refuse_gf_guard_explore": ("explore", "--n", "5", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)"),
+        "refuse_functional_word": ("weight", "--functional", "foo", "--in", "@chain"),
         # the empty system on the empty ground set, embedded and verified
         "embed_n0": ("embed", "--in", "@n0"),
         "verify_n0": ("verify", "--kind", "skew", "--in", "@n0"),
@@ -282,6 +310,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "negative_n_subspace", "kind_graph", "tuples_not_list", "subset_not_list",
         "partition_not_list", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
         "subspace_not_rows", "zero_d_set", "latin1", "long_int",
+        "negative_n_set_element", "negative_n_subspace_row", "negative_n_decomposition", "n_above_cap",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
