@@ -27,7 +27,6 @@ from .subspace_algebra import (
     Decomposition,
     Subspace,
     canonicalize,
-    component,
     contains,
     coordinate_decomposition,
     coordinate_subspace,

@@ -408,11 +408,11 @@ def report_trace(trace: SaturationTrace, include_steps: bool) -> dict:
 
 
 def _x_to_doc(x, system: System) -> Any:
-    """A set step's ground element as it is; a subspace step's vector as
-    scalar strings of the system's field."""
+    """A set step's ground element as it is; a subspace step's vector, a
+    canonical row, as its field's entry texts."""
     if isinstance(x, int):
         return x
-    return [system.field.scalar_to_str(v) for v in x]
+    return system.field.format_row(x)
 
 
 def report_search(result: SearchResult) -> dict:

@@ -52,8 +52,8 @@ class PartitionError(ShapeError):
 
 
 class DocumentError(BollobasError):
-    """A system document failed to parse or validate."""
+    """A system document failed to parse or validate; the message starts
+    with the location, when one is given."""
 
     def __init__(self, message: str, location: str | None = None):
-        self.location = location
         super().__init__(message if location is None else f"{location}: {message}")

@@ -8,8 +8,8 @@ Rationals are ``fractions.Fraction`` (always lowest terms, positive
 denominator), re-exported as :data:`Rational`; prime-field elements are plain
 ``int`` residues in [0, p).  A field is named by a tag value --
 :class:`RationalField` or :class:`PrimeField` -- that parses document entries
-("num/den" or "r mod p") straight into ``int`` rows and formats scalars and
-canonical rows back; it builds no scalar objects of its own.
+("num/den" or "r mod p") straight into ``int`` rows and formats canonical
+rows back; it builds no scalar objects of its own.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def multinomial(parts: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar serialization: rationals as "num/den" (den omitted when 1),
-# prime-field scalars as "r mod p"
+# scalar text: rationals as "num/den" (den omitted when 1), prime-field
+# residues as "r mod p"
 
 
 def rational_to_str(q: Rational) -> str:
@@ -171,9 +171,6 @@ class RationalField:
         den = math.lcm(*[q.denominator for q in qs])
         return [q.numerator * (den // q.denominator) for q in qs]
 
-    def scalar_to_str(self, x: Rational) -> str:
-        return rational_to_str(x)
-
     def format_row(self, row: Sequence[int]) -> list[str]:
         """The texts of a canonical row's RREF entries: each entry x over the
         row's pivot c (its first nonzero entry, positive) written as
@@ -202,9 +199,6 @@ class PrimeField:
 
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         return [residue_from_str(text, self.p) for text in texts]
-
-    def scalar_to_str(self, x: int) -> str:
-        return f"{x} mod {self.p}"
 
     def format_row(self, row: Sequence[int]) -> list[str]:
         """The texts of a canonical row: its residues as "x mod p"."""

@@ -85,13 +85,14 @@ DEBUG_RECOUNT_BUDGET = 2**22
 
 @dataclass(frozen=True)
 class FillUpStep:
-    """One replacement: tuple ``index`` (1-based) rewritten using element or
-    vector ``x``; for the pair flavor, ``block`` names the deficient V_k."""
+    """One replacement: tuple ``index`` (1-based) rewritten using ``x``, the
+    set flavor's ground element or a subspace flavor's vector as its
+    canonical int row; for the pair flavor, ``block`` names the deficient
+    V_k."""
 
     index: int
     block: int | None
-    x: object
-    replacements: tuple
+    x: int | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -237,8 +238,9 @@ class _PairFlavor(Flavor):
         if filled.dim == blocks[k - 1].dim:
             raise PreconditionError(f"pair {i} is already full in block {k}")
         # x is a canonical row of V_k, so (x,) is already <x> in canonical form
-        x_span = Subspace(system.n, system.field, (extension_vector(blocks[k - 1], filled),))
-        return k, x_span.basis[0], ((a + x_span, b), (a, b + x_span))
+        x = extension_vector(blocks[k - 1], filled)
+        x_span = Subspace(system.n, system.field, (x,))
+        return k, x, ((a + x_span, b), (a, b + x_span))
 
     def bound(self, system: SubspaceSystem) -> int:
         return 4**system.n
@@ -287,7 +289,7 @@ class _TupleFlavor(Flavor):
             tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
             for pos in range(len(t))
         )
-        return None, x_span.basis[0], replacements
+        return None, x, replacements
 
     def bound(self, system: SubspaceSystem) -> int:
         return system.n * system.d**system.n
@@ -482,7 +484,7 @@ def saturate(
         present.discard(old)
         present.update(replacements)
         tuples[cursor : cursor + 1] = replacements
-        steps.append(FillUpStep(index=cursor + 1, block=block, x=x, replacements=replacements))
+        steps.append(FillUpStep(index=cursor + 1, block=block, x=x))
 
         scale, (removed, *added) = _scaled([weight_term(old), *map(weight_term, replacements)])
         if sum(added) != removed:

@@ -13,10 +13,9 @@ first use; meets, components and clause tests read these on every call.
 
 All arithmetic is exact and runs on these rows directly: over GF(p) on
 residues mod p, over QQ fraction-free (Bareiss-style cross multiplication,
-each new row divided by its gcd).  The field tag writes a canonical row's
-RREF entries as text straight from the ints (``format_row``); the scalar
-basis -- ``Fraction`` entries over QQ, ``int`` residues over GF(p) -- is a
-view derived on demand.  Intersections use Zassenhaus' sum/intersection
+each new row divided by its gcd).  The layer builds no scalar objects: the
+field tag writes a canonical row's RREF entries as text straight from the
+ints (``format_row``).  Intersections use Zassenhaus' sum/intersection
 elimination of ``[u | u]`` over ``[w | 0]``, never orthogonal complements
 (which are field-sensitive).
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, PreconditionError, ShapeError
@@ -169,27 +167,10 @@ class Subspace:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
-    def basis(self) -> tuple:
-        """The RREF basis as scalars: each row over its pivot as ``Fraction``
-        entries over QQ, the rows themselves (int residues) over GF(p)."""
-        if isinstance(self.field, PrimeField):
-            return self.rows
-        zero = Fraction(0)
-        out = []
-        for row in self.rows:
-            pivot = next(x for x in row if x)
-            out.append(tuple(Fraction(x, pivot) if x else zero for x in row))
-        return tuple(out)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         """Subspace sum U + W."""
         _check_same_space(self, other)
         return Subspace(self.n, self.field, rref(self.rows + other.rows, self.n, self.field))
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        """Subspace intersection U & W."""
-        return intersection(self, other)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         _check_same_space(self, other)
@@ -261,11 +242,6 @@ def intersection(u: Subspace, w: Subspace) -> Subspace:
     split = sum(c < n for c in pivots)
     meet = [row[n:] for row in reduced[split:]]
     return Subspace(n, u.field, _canonical(meet, [c - n for c in pivots[split:]], p))
-
-
-def component(u: Subspace, v_k: Subspace) -> Subspace:
-    """U ∩ V_k, named for decomposition contexts."""
-    return intersection(u, v_k)
 
 
 def dim_of_sum(parts: Sequence[Subspace]) -> int:
@@ -363,10 +339,6 @@ class Decomposition:
         if dim_of_sum(self.blocks) != self.n:
             raise ShapeError("blocks are not independent: stacked rank below ambient dim")
 
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
-
     def block_dims(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.blocks)
 
@@ -374,7 +346,7 @@ class Decomposition:
         """(U ∩ V_1, ..., U ∩ V_r), computed on the first call for U."""
         found = self._components.get(u)
         if found is None:
-            found = self._components[u] = tuple(component(u, blk) for blk in self.blocks)
+            found = self._components[u] = tuple(intersection(u, blk) for blk in self.blocks)
         return found
 
 

@@ -32,13 +32,13 @@ from bollobas import (
     FillUpStep,
     SaturationTrace,
     canonicalize,
-    component,
     coordinate_decomposition,
     coordinate_subspace,
     dim_of_sum,
     extension_vector,
     fill_up,
     full_space,
+    intersection,
     phi_upper_bound,
     PreconditionError,
     ProbabilityVector,
@@ -144,6 +144,19 @@ def scalar_rref(rows, width: int, p: int = 0) -> tuple[tuple, ...]:
                 m[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return tuple(tuple(row) for row in m[:rank])
+
+
+def scalar_basis(sub) -> tuple[tuple, ...]:
+    """The RREF basis of a subspace as scalars: each canonical row divided
+    by its pivot, ``Fraction`` entries over QQ; the rows themselves (pivot
+    1, residues) over GF(p)."""
+    if isinstance(sub.field, PrimeField):
+        return sub.rows
+    out = []
+    for row in sub.rows:
+        pivot = next(x for x in row if x)
+        out.append(tuple(Fraction(x, pivot) for x in row))
+    return tuple(out)
 
 
 def gf2_subspaces_bruteforce(n: int) -> list[frozenset[tuple[int, ...]]]:
@@ -484,7 +497,7 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
         if flavor == "pair":
             a, b = t
             return all(
-                dim_of_sum([component(a, blk), component(b, blk)]) == blk.dim
+                dim_of_sum([intersection(a, blk), intersection(b, blk)]) == blk.dim
                 for blk in system.decomposition.blocks
             )
         return dim_of_sum(list(t)) == system.n
@@ -511,18 +524,18 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
             block, v_k = next(
                 (k, blk)
                 for k, blk in enumerate(system.decomposition.blocks, start=1)
-                if dim_of_sum([component(a, blk), component(b, blk)]) != blk.dim
+                if dim_of_sum([intersection(a, blk), intersection(b, blk)]) != blk.dim
             )
-            x = extension_vector(v_k, component(a, v_k) + component(b, v_k))
+            x = extension_vector(v_k, intersection(a, v_k) + intersection(b, v_k))
             new = fill_up(current, i, block, flavor)
         else:
             span = canonicalize(system.n, system.field, [row for sub in t for row in sub.rows])
             x = extension_vector(full_space(system.n, system.field), span)
             new = fill_up(current, i, flavor=flavor)
         if flavor != "set":
-            # a step reports x as the scalar row of its span
-            x = canonicalize(system.n, system.field, (x,)).basis[0]
-        steps.append(FillUpStep(i, block, x, new.tuples[i - 1 : i - 1 + new.d]))
+            # a step reports x as the canonical row of its span
+            x = canonicalize(system.n, system.field, (x,)).rows[0]
+        steps.append(FillUpStep(i, block, x))
         phis.append(reference_phi(new, flavor))
         assert omega(new, functional) == weight
         assert phis[-2] < phis[-1] <= bound and len(steps) <= bound

@@ -40,7 +40,7 @@ from bollobas import (
     SearchProblem,
 )
 from bollobas.saturation_engine import SaturationTrace
-from bollobas.subspace_algebra import component, dim_of_sum
+from bollobas.subspace_algebra import dim_of_sum, intersection
 from bollobas.systems_model import sizes_of
 
 
@@ -48,7 +48,7 @@ def _pair_deficit_product(system: SubspaceSystem, i: int) -> int:
     a, b = system.tuples[i - 1]
     out = 1
     for blk in system.decomposition.blocks:
-        filled = dim_of_sum([component(a, blk), component(b, blk)])
+        filled = dim_of_sum([intersection(a, blk), intersection(b, blk)])
         out *= 2**filled
     return out
 

@@ -53,12 +53,12 @@ from conftest import reference_phi, reference_saturate
 
 def pair_deficit_product(system: SubspaceSystem, i: int) -> int:
     """prod_j 2^(n_j - d_ij) recomputed from components."""
-    from bollobas.subspace_algebra import component, dim_of_sum
+    from bollobas.subspace_algebra import dim_of_sum, intersection
 
     a, b = system.tuples[i - 1]
     out = 1
     for blk in system.decomposition.blocks:
-        filled = dim_of_sum([component(a, blk), component(b, blk)])
+        filled = dim_of_sum([intersection(a, blk), intersection(b, blk)])
         out *= 2**filled
     return out
 
@@ -212,11 +212,11 @@ class TestFillUpSubspacePair:
 
 
 def pair_block_deficit(system: SubspaceSystem, i: int, k: int) -> int:
-    from bollobas.subspace_algebra import component, dim_of_sum
+    from bollobas.subspace_algebra import dim_of_sum, intersection
 
     a, b = system.tuples[i - 1]
     blk = system.decomposition.blocks[k - 1]
-    return blk.dim - dim_of_sum([component(a, blk), component(b, blk)])
+    return blk.dim - dim_of_sum([intersection(a, blk), intersection(b, blk)])
 
 
 class TestFillUpSubspaceTuple:
