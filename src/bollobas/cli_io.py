@@ -191,8 +191,8 @@ def system_from_doc(doc: Any) -> System:
     kind = doc.get("kind")
     if kind not in ("set", "subspace"):
         raise DocumentError(f"kind must be 'set' or 'subspace', got {kind!r}", "kind")
-    n = _expect_int(doc, "n", MAX_N)
-    d = _expect_int(doc, "d", MAX_D)
+    n = _expect_int(doc, "n")
+    d = _expect_int(doc, "d")
     tuples = doc.get("tuples")
     if not isinstance(tuples, list):
         raise DocumentError("tuples must be a list", "tuples")
@@ -265,12 +265,15 @@ def system_from_doc(doc: Any) -> System:
         raise DocumentError(str(exc)) from exc
 
 
-def _expect_int(doc: dict, key: str, cap: int) -> int:
+def _expect_int(doc: dict, key: str) -> int:
+    """A document's n or d: an integer in its ``_check_sizes`` range."""
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(f"{key} must be an integer", key)
-    if value > cap:
-        raise DocumentError(f"{key}={value} is above the cap {cap}", key)
+    try:
+        _check_sizes({key: value}, "")
+    except ShapeError as exc:
+        raise DocumentError(str(exc), key) from exc
     return value
 
 
@@ -465,7 +468,8 @@ def _check_sizes(sizes: dict[str, int], prefix: str) -> None:
     """Refuse a size argument outside its range before any work is sized by
     it: a ground dimension or family parameter n, a, b outside [0, MAX_N],
     an arity d outside [1, MAX_D].  ``prefix`` makes the flag the message
-    names: "--" for --n, "--params " for a construct param."""
+    names: "--" for --n, "--params " for a construct param, "" for a
+    document's n or d."""
     for key, value in sizes.items():
         low, cap = (1, MAX_D) if key == "d" else (0, MAX_N)
         if not low <= value <= cap:

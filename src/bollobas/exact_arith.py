@@ -243,7 +243,7 @@ class ProbabilityVector:
         if len(entries) < 1:
             raise ShapeError("probability vector needs at least one entry")
         if any(e <= 0 for e in entries):
-            raise ShapeError(f"probabilities must be positive: {entries}")
+            raise ShapeError(f"probabilities must be positive: {self}")
         total = sum(entries, Fraction(0))
         if total != 1:
             raise ShapeError(f"probabilities must sum to 1 exactly, got {total}")

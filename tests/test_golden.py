@@ -131,7 +131,7 @@ def _inputs() -> dict[str, object]:
         "str_element": {"kind": "set", "n": 3, "d": 1, "tuples": [[["1"]]]},
         # deeper than the JSON decoder can recurse
         "nested": "[" * 1000,
-        # refused by the system's own shape check, as a set document is
+        # refused for its n by the reader, before the system's own shape check
         "negative_n_subspace": {"kind": "subspace", "n": -1, "d": 2, "tuples": [[[], []]]},
         # one refusal each of the reader's shape checks
         "kind_graph": {"kind": "graph", "n": 2, "d": 2, "tuples": []},
@@ -143,7 +143,7 @@ def _inputs() -> dict[str, object]:
         "n_not_int": {"kind": "set", "n": "2", "d": 2, "tuples": []},
         "subspace_not_rows": {"kind": "subspace", "n": 2, "d": 2, "tuples": [[1, []]]},
         "zero_d_set": {"kind": "set", "n": 2, "d": 0, "tuples": []},
-        # n out of range, refused for its n whatever the document holds
+        # n out of range, refused for its n whatever else the document holds
         "negative_n_set_element": {"kind": "set", "n": -1, "d": 2, "tuples": [[[1], []]]},
         "negative_n_subspace_row": {"kind": "subspace", "n": -1, "d": 2, "tuples": [[[["1"]], []]]},
         "negative_n_decomposition": {"kind": "subspace", "n": -1, "d": 2, "tuples": [], "decomposition": []},

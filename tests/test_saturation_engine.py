@@ -268,6 +268,15 @@ _TUPLE = SubspaceSystem(2, QQ, 2, ((_E1, _Z),))
         pytest.param(_PAIR, 1, 0, None, IndexError, r"^block index 0 outside \[1, 2\]$", id="k=0"),
         pytest.param(_PAIR, 1, 3, None, IndexError, r"^block index 3 outside \[1, 2\]$", id="k=r+1"),
         pytest.param(_TUPLE, 1, 1, None, ShapeError, "takes no element or block", id="tuple-at"),
+        # a tuple that is not full, asked to fill where it already is
+        pytest.param(
+            _SET, 1, 1, None, PreconditionError, "^element 1 is already covered by tuple 1$",
+            id="x-covered",
+        ),
+        pytest.param(
+            SubspaceSystem(2, QQ, 2, ((_E1, _Z),), _PAIR.decomposition), 1, 1, None,
+            PreconditionError, "^pair 1 is already full in block 1$", id="k-full",
+        ),
         pytest.param(
             SetSystem.from_sets(2, [({1}, {2})]), 1, None, None,
             PreconditionError, "^tuple 1 is already full$", id="full",
