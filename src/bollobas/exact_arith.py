@@ -59,8 +59,8 @@ def multinomial(parts: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar text: rationals as "num/den" (den omitted when 1), prime-field
-# residues as "r mod p"
+# scalar serialization: rationals as "num/den" (den omitted when 1),
+# prime-field scalars as "r mod p"
 
 
 def rational_to_str(q: Rational) -> str:
