@@ -76,6 +76,7 @@ def _inputs() -> dict[str, object]:
     )
     weak_not_skew = SetSystem.from_sets(3, [({1}, {2}), ({2}, {3})])
     n0 = SetSystem(0, 1, (), partition=())
+    empty_two_blocks = SetSystem(2, 2, (), partition=(0b01, 0b10))
     docs: dict[str, object] = {
         "chain": chain,
         "embedded": embed(chain),
@@ -161,6 +162,10 @@ def _inputs() -> dict[str, object]:
         # no tuples on no ground: the partition and decomposition have no block
         "n0": n0,
         "n0_embedded": embed(n0),
+        # no tuples over two one-element blocks: the block reports read the
+        # zero profile and the bound off the blocks alone
+        "empty_two_blocks": empty_two_blocks,
+        "empty_two_blocks_embedded": embed(empty_two_blocks),
         # a Latin-1 file, and an int literal past the interpreter's digit limit
         "latin1": '{"kind": "set", "n": 1, "d": 1, "tuples": [], "note": "\u00e9"}'.encode("latin-1"),
         "long_int": '{"kind": "set", "n": ' + "1" * 4301 + ', "d": 1, "tuples": []}',
@@ -278,6 +283,23 @@ def _cases() -> dict[str, tuple[str, ...]]:
         ),
         "refuse_gf_guard_explore": ("explore", "--n", "5", "--d", "2", "--p", "1/2,1/2", "--field", "gf(2)"),
         "refuse_functional_word": ("weight", "--functional", "foo", "--in", "@chain"),
+        # block readers on a system with no blocks, and on one with no tuples
+        "weight_partitioned_yue_no_partition": (
+            "weight", "--functional", "partitioned_yue", "--in", "@chain",
+        ),
+        "weight_partitioned_bollobas_no_decomposition": (
+            "weight", "--functional", "partitioned_bollobas", "--in", "@embedded",
+        ),
+        "saturate_pair_no_decomposition": ("saturate", "--flavor", "pair", "--in", "@embedded"),
+        "weight_partitioned_yue_empty_two_blocks": (
+            "weight", "--functional", "partitioned_yue", "--in", "@empty_two_blocks",
+        ),
+        "weight_partitioned_bollobas_empty_two_blocks_embedded": (
+            "weight", "--functional", "partitioned_bollobas", "--in", "@empty_two_blocks_embedded",
+        ),
+        "certify_pair_empty_two_blocks_embedded": (
+            "certify", "--flavor", "pair", "--in", "@empty_two_blocks_embedded",
+        ),
         # the empty system on the empty ground set, embedded and verified
         "embed_n0": ("embed", "--in", "@n0"),
         "verify_n0": ("verify", "--kind", "skew", "--in", "@n0"),
@@ -321,6 +343,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
     for doc in (
         "uniform", "uniform_embedded", "pchain", "pchain_embedded",
         "incompatible", "chain", "embedded", "tuples",
+        "empty_two_blocks", "empty_two_blocks_embedded",
     ):
         cases[f"check_partitioned_uniform_{doc}"] = (
             "check", "--bound", "partitioned-uniform", "--in", f"@{doc}",
