@@ -64,13 +64,12 @@ from .exact_arith import (
     multinomial,
     rational_to_str,
 )
-from .subspace_algebra import Subspace, extension_vector, full_space, rref
+from .subspace_algebra import Subspace, dim_of_sum, extension_vector, full_space, rref
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
     is_decomposition_compatible,
-    pair_block_dims,
     sizes_of,
     with_tuples,
 )
@@ -211,8 +210,15 @@ class _PairFlavor(Flavor):
         return FunctionalKind("partitioned_yue_sum")
 
     def facts(self, system: SubspaceSystem, t: tuple) -> tuple:
-        """(a_k, b_k, s_k) per block: see ``pair_block_dims``."""
-        return pair_block_dims(system, t)
+        """Per block V_k, (a_k, b_k, s_k) = (dim(A ∩ V_k), dim(B ∩ V_k),
+        dim((A ∩ V_k) + (B ∩ V_k))), from the decomposition's component memo:
+        the pair's deficit, potential and profile read from this one pass."""
+        a, b = t
+        components = system.decomposition.components
+        return tuple(
+            (a_k.dim, b_k.dim, dim_of_sum([a_k, b_k]) if a_k.dim and b_k.dim else a_k.dim + b_k.dim)
+            for a_k, b_k in zip(components(a), components(b))
+        )
 
     def deficit(self, system: SubspaceSystem, dims: tuple) -> int:
         return system.n - sum(s_k for _, _, s_k in dims)
@@ -247,7 +253,7 @@ class _PairFlavor(Flavor):
 
     def class_key(self, system: SubspaceSystem, i: int, profile: tuple) -> tuple:
         """A full pair's per-block dims (a_1, ..., a_r)."""
-        n_ks = system.decomposition.block_dims()
+        n_ks = sizes_of(system.decomposition.blocks)
         # fullness + zero intersection force a_k + b_k = n_k per block
         if any(a_k + b_k != n_k for (a_k, b_k), n_k in zip(profile, n_ks)):
             raise BollobasError(f"full pair {i} has a_k + b_k != n_k in some block (bug)")
@@ -255,7 +261,7 @@ class _PairFlavor(Flavor):
 
     def class_bound(self, system: SubspaceSystem, key: tuple) -> int:
         bound = 1
-        for a_k, n_k in zip(key, system.decomposition.block_dims()):
+        for a_k, n_k in zip(key, sizes_of(system.decomposition.blocks)):
             bound *= binomial(n_k, a_k)
         return bound
 

@@ -339,9 +339,6 @@ class Decomposition:
         if dim_of_sum(self.blocks) != self.n:
             raise ShapeError("blocks are not independent: stacked rank below ambient dim")
 
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(b.dim for b in self.blocks)
-
     def components(self, u: Subspace) -> tuple[Subspace, ...]:
         """(U ∩ V_1, ..., U ∩ V_r), computed on the first call for U."""
         found = self._components.get(u)

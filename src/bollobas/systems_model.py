@@ -18,12 +18,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import PartitionError, ShapeError
 from .exact_arith import QQ, FieldTag
-from .subspace_algebra import (
-    Decomposition,
-    Subspace,
-    coordinate_subspace,
-    dim_of_sum,
-)
+from .subspace_algebra import Decomposition, Subspace, coordinate_subspace
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
@@ -154,25 +149,17 @@ def with_tuples(system: System, tuples) -> System:
     return replace(system, tuples=tuple(tuples))
 
 
-def has_context(system: System) -> bool:
+def blocks_of(system: System) -> tuple | None:
+    """The block masks of a set system's partition, or the block subspaces
+    of a subspace system's decomposition; None when it has neither."""
     if isinstance(system, SetSystem):
-        return system.partition is not None
-    return system.decomposition is not None
-
-
-def block_sizes(system: System) -> tuple[int, ...]:
-    """Block sizes n_k of the attached partition/decomposition."""
-    if isinstance(system, SetSystem):
-        if system.partition is None:
-            raise ShapeError("set system has no partition")
-        return tuple(b.bit_count() for b in system.partition)
-    if system.decomposition is None:
-        raise ShapeError("subspace system has no decomposition")
-    return system.decomposition.block_dims()
+        return system.partition
+    return None if system.decomposition is None else system.decomposition.blocks
 
 
 def sizes_of(t: tuple) -> tuple[int, ...]:
-    """Sizes (or dims) of the components of one set or subspace tuple."""
+    """Sizes (or dims) of the components of one set or subspace tuple, or of
+    a system's blocks."""
     if t and isinstance(t[0], int):
         return tuple(map(int.bit_count, t))
     return tuple(x.dim for x in t)
@@ -184,33 +171,14 @@ def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]
     system's tuples."""
     if system.d != 2:
         raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
+    blocks = blocks_of(system)
+    if blocks is None:
+        raise ShapeError("system has no partition or decomposition")
     a, b = pair
     if isinstance(system, SetSystem):
-        if system.partition is None:
-            raise ShapeError("set system has no partition")
-        return tuple(((a & blk).bit_count(), (b & blk).bit_count()) for blk in system.partition)
-    return tuple((a_k.dim, b_k.dim) for a_k, b_k in _block_components(system, pair))
-
-
-def pair_block_dims(system: SubspaceSystem, pair: tuple) -> tuple[tuple[int, int, int], ...]:
-    """Per block V_k of the decomposition, (dim(A ∩ V_k), dim(B ∩ V_k),
-    dim((A ∩ V_k) + (B ∩ V_k))) for the pair (A, B), which need not be one of
-    the system's tuples.  A pair's deficits and potential read from this one
-    pass over the blocks; saturation takes its profile from it too."""
-    return tuple(
-        (a_k.dim, b_k.dim, dim_of_sum([a_k, b_k]) if a_k.dim and b_k.dim else a_k.dim + b_k.dim)
-        for a_k, b_k in _block_components(system, pair)
-    )
-
-
-def _block_components(system: SubspaceSystem, pair: tuple) -> Iterable[tuple[Subspace, Subspace]]:
-    """(A ∩ V_k, B ∩ V_k) for each block V_k of the decomposition, from its
-    component memo."""
-    if system.decomposition is None:
-        raise ShapeError("subspace system has no decomposition")
-    a, b = pair
+        return tuple(((a & blk).bit_count(), (b & blk).bit_count()) for blk in blocks)
     components = system.decomposition.components
-    return zip(components(a), components(b))
+    return tuple((a_k.dim, b_k.dim) for a_k, b_k in zip(components(a), components(b)))
 
 
 # ---------------------------------------------------------------------------

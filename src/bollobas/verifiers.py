@@ -39,8 +39,7 @@ from .systems_model import (
     SubspaceSystem,
     System,
     block_profile_of,
-    block_sizes,
-    has_context,
+    blocks_of,
     is_decomposition_compatible,
     sizes_of,
 )
@@ -399,7 +398,8 @@ def check_partitioned_uniform_bound(system: System) -> Certificate:
         uneven = "per-component dims are"
     if system.d != 2:
         raise ShapeError("needs a pair system")
-    if not has_context(system):
+    blocks = blocks_of(system)
+    if blocks is None:
         raise ShapeError(f"needs a {context}")
     if isinstance(system, SubspaceSystem) and not is_decomposition_compatible(system):
         raise PreconditionError("system is not decomposition-compatible")
@@ -407,7 +407,7 @@ def check_partitioned_uniform_bound(system: System) -> Certificate:
     profiles = {block_profile_of(system, t) for t in system.tuples}
     if len(profiles) > 1:
         raise PreconditionError(f"{uneven} not uniform across pairs")
-    profile = profiles.pop() if profiles else tuple((0, 0) for _ in block_sizes(system))
+    profile = profiles.pop() if profiles else ((0, 0),) * len(blocks)
     bound = 1
     for a_k, b_k in profile:
         bound *= binomial(a_k + b_k, a_k)

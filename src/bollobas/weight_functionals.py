@@ -44,8 +44,7 @@ from .systems_model import (
     SetSystem,
     System,
     block_profile_of,
-    block_sizes,
-    has_context,
+    blocks_of,
     is_decomposition_compatible,
     sizes_of,
 )
@@ -80,7 +79,7 @@ RULES = {
     "yue_sum": Rule(yue=True),
     "partitioned_yue_sum": Rule(blocks=True, yue=True),
     "partitioned_bollobas_sum": Rule(
-        blocks=True, bound=lambda system: prod(1 + n_k for n_k in block_sizes(system))
+        blocks=True, bound=lambda system: prod(1 + n_k for n_k in sizes_of(blocks_of(system)))
     ),
     "tuza_sum": Rule(set_flavor="weak", takes_p=True),
 }
@@ -151,11 +150,6 @@ class InequalityVerdict:
 # values
 
 
-def _require_context(system: System, name: str) -> None:
-    if not has_context(system):
-        raise ShapeError(f"{name} needs a partition/decomposition on the system")
-
-
 def term(profile: tuple, kind: str | FunctionalKind) -> Fraction:
     """The weight of one tuple of the given profile; every functional is the
     sum of these terms over the tuples of a system.  Terms are memoized per
@@ -217,11 +211,13 @@ def omega(system: System, kind: str | FunctionalKind) -> Rational:
             f"{kind.name} needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
         )
     if rule.blocks:
-        _require_context(system, kind.name)
+        blocks = blocks_of(system)
+        if blocks is None:
+            raise ShapeError(f"{kind.name} needs a partition/decomposition on the system")
         if system.d != 2:  # refused here too when no tuple reaches block_profile_of
             raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
         counts = Counter(block_profile_of(system, t) for t in system.tuples)
-        zero: tuple = tuple((0, 0) for _ in block_sizes(system))
+        zero: tuple = ((0, 0),) * len(blocks)
     else:
         counts = Counter(map(sizes_of, system.tuples))
         zero = (0,) * system.d

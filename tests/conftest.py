@@ -59,8 +59,8 @@ from bollobas.extremal_search import (
 )
 from bollobas.systems_model import (
     block_profile_of,
+    blocks_of,
     elements_of_mask,
-    has_context,
     sizes_of,
 )
 from bollobas.exact_arith import PrimeField
@@ -354,7 +354,7 @@ def reference_omega(system, kind) -> Fraction:
     if name == "scott_wilmer_sum" and not is_monotone_pair_profile(system):
         raise PreconditionError("scott_wilmer_sum needs a monotone profile")
     if name in ("partitioned_yue_sum", "partitioned_bollobas_sum"):
-        if not has_context(system):
+        if blocks_of(system) is None:
             raise ShapeError(f"{name} needs a context")
         if system.d != 2:
             raise ShapeError(f"{name} needs a pair system")

@@ -6,13 +6,17 @@ move.  Inputs are built from fixed constructions and written next to the
 run, so a case names them as ``@name`` in its argv.
 
 To record the files again after a deliberate report change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff; with a
+directory argument the files are written there instead.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from functools import cache
 from pathlib import Path
@@ -381,6 +385,18 @@ def test_golden_report(name, tmp_path):
     assert render(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("seed", ["1", "777"])
+def test_golden_reports_under_hash_seed(seed, tmp_path):
+    """Every case, recorded again in a fresh interpreter under the given
+    ``PYTHONHASHSEED``, matches its file byte for byte: no report depends on
+    the order of a set or dict of hashed values."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
+    golden = sorted(GOLDEN.glob("*.out"))
+    assert [p.name for p in golden if (tmp_path / p.name).read_bytes() != p.read_bytes()] == []
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
 
@@ -396,7 +412,8 @@ def test_every_weight_rule_has_golden_reports():
 if __name__ == "__main__":
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
+    target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    target.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            (GOLDEN / f"{case}.out").write_text(render(case, Path(tmp)), encoding="utf-8")
+            (target / f"{case}.out").write_text(render(case, Path(tmp)), encoding="utf-8")

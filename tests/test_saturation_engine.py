@@ -106,13 +106,6 @@ class TestFillUpSetTuple:
         for p in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 5), Fraction(4, 5))):
             assert omega(s, tuza(p)) == omega(new, tuza(p))
 
-    def test_covered_element_rejected(self):
-        s = SetSystem.from_sets(2, [({1}, {2})])
-        with pytest.raises(PreconditionError):
-            fill_up(s, 1, 1)
-        with pytest.raises(PreconditionError):
-            fill_up(s, 1, 2)
-
     def test_replacement_order_is_coordinate_order(self):
         s = SetSystem.from_sets(2, [((), (), ())], d=3)
         new = fill_up(s, 1, 1)
@@ -186,15 +179,6 @@ class TestFillUpSubspacePair:
         report = verify(swapped, "skew")
         assert not report.verdict
         assert report.first_violation == (1, 2, "cross")
-
-    def test_full_pair_rejected(self):
-        full = SubspaceSystem(
-            2, QQ, 2,
-            ((coordinate_subspace(2, QQ, [1]), coordinate_subspace(2, QQ, [2])),),
-            coordinate_decomposition(2, QQ, [[1, 2]]),
-        )
-        with pytest.raises(PreconditionError):
-            fill_up(full, 1, 1)
 
     def test_weight_invariance_randomized(self, compatible_pair_corpus):
         for sys in compatible_pair_corpus:

@@ -31,6 +31,7 @@ from bollobas import (
     zero_subspace,
 )
 from bollobas.extremal_search import all_subspaces
+from bollobas.systems_model import sizes_of
 
 from conftest import (
     fractions_to_int_rows,
@@ -270,7 +271,7 @@ class TestDecomposition:
     def test_valid(self):
         d = coordinate_decomposition(3, QQ, [[1, 2], [3]])
         assert len(d.blocks) == 2
-        assert d.block_dims() == (2, 1)
+        assert sizes_of(d.blocks) == (2, 1)
 
     def test_dims_must_sum_to_ambient(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,9 @@ import pytest
 
 from bollobas import (
     QQ,
+    Decomposition,
+    FieldMismatchError,
+    PrimeField,
     SetSystem,
     ShapeError,
     SubspaceSystem,
@@ -19,6 +22,7 @@ from bollobas import (
 )
 from bollobas.systems_model import (
     block_profile_of,
+    blocks_of,
     elements_of_mask,
     mask_from_elements,
     sizes_of,
@@ -87,6 +91,47 @@ class TestProfile:
             decomp,
         )
         assert block_profile_of(sys, sys.tuples[0]) == ((1, 1), (1, 0))
+
+    def test_refused_off_a_pair_system(self):
+        s = SetSystem.from_sets(3, [({1}, {2}, {3})], partition=[[1], [2, 3]])
+        with pytest.raises(ShapeError, match=r"^block profile needs a pair system, arity is 3$"):
+            block_profile_of(s, s.tuples[0])
+
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_refused_without_blocks(self, embedded):
+        s = SetSystem.from_sets(2, [({1}, {2})])
+        if embedded:
+            s = embed(s)
+        with pytest.raises(ShapeError, match=r"^system has no partition or decomposition$"):
+            block_profile_of(s, s.tuples[0])
+
+
+class TestBlocks:
+    def test_set_system(self):
+        s = SetSystem.from_sets(3, [], partition=[[1, 3], [2]], d=2)
+        assert blocks_of(s) == (0b101, 0b010)
+        assert sizes_of(blocks_of(s)) == (2, 1)
+        assert blocks_of(SetSystem.from_sets(3, [], d=2)) is None
+
+    def test_subspace_system(self):
+        decomp = coordinate_decomposition(3, QQ, [[1, 3], [2]])
+        s = SubspaceSystem(3, QQ, 2, (), decomp)
+        assert blocks_of(s) == decomp.blocks
+        assert sizes_of(blocks_of(s)) == (2, 1)
+        assert blocks_of(SubspaceSystem(3, QQ, 2, ())) is None
+
+    @pytest.mark.parametrize("n, field", [(2, QQ), (3, PrimeField(3))])
+    def test_decomposition_of_another_space_refused(self, n, field):
+        decomp = coordinate_decomposition(n, field, [[p] for p in range(1, n + 1)])
+        with pytest.raises(ShapeError, match=r"^decomposition in wrong ambient space or field$"):
+            SubspaceSystem(3, QQ, 2, (), decomp)
+
+    def test_block_of_another_field_refused(self):
+        blocks = (coordinate_subspace(2, QQ, [1]), coordinate_subspace(2, PrimeField(3), [2]))
+        with pytest.raises(
+            FieldMismatchError, match=r"^decomposition block in wrong ambient space/field$"
+        ):
+            Decomposition(2, QQ, blocks)
 
 
 class TestEmbed:
