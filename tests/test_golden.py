@@ -34,6 +34,7 @@ from bollobas import (
     full_tuza_tuples,
     partitioned_complement_chain,
     random_compatible_pair_system,
+    uniform_bollobas,
     zero_subspace,
 )
 from bollobas.cli_io import _functional_name, main, system_to_doc
@@ -170,6 +171,7 @@ def _inputs() -> dict[str, object]:
         # zero profile and the bound off the blocks alone
         "empty_two_blocks": empty_two_blocks,
         "empty_two_blocks_embedded": embed(empty_two_blocks),
+        "uniform_bollobas": uniform_bollobas(2, 1),
         # a Latin-1 file, and an int literal past the interpreter's digit limit
         "latin1": '{"kind": "set", "n": 1, "d": 1, "tuples": [], "note": "\u00e9"}'.encode("latin-1"),
         "long_int": '{"kind": "set", "n": ' + "1" * 4301 + ', "d": 1, "tuples": []}',
@@ -183,6 +185,7 @@ def _inputs() -> dict[str, object]:
 def _cases() -> dict[str, tuple[str, ...]]:
     cases = {
         "readme_construct": ("construct", "--family", "complement_chain", "--params", "n=4"),
+        "construct_uniform_bollobas": ("construct", "--family", "uniform_bollobas", "--params", "a=2", "b=1"),
         "readme_verify": ("verify", "--kind", "skew", "--in", "@chain"),
         "readme_weight_yue": ("weight", "--functional", "yue_sum", "--in", "@chain"),
         "readme_weight_tuza": (
@@ -206,6 +209,12 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "certify_pair": ("certify", "--flavor", "pair", "--in", "@pchain_embedded"),
         "certify_tuple": ("certify", "--flavor", "tuple", "--in", "@chain3_embedded"),
         "certify_not_full": ("certify", "--flavor", "set", "--in", "@empty_set_pair"),
+        # no --flavor: the system's default flavor, set and pair
+        "certify_default_set": ("certify", "--in", "@full"),
+        "certify_default_pair": ("certify", "--in", "@pchain_embedded"),
+        # the uniform pair certificate, and its refusal of sizes that vary
+        "check_uniform_pair_uniform_bollobas": ("check", "--bound", "uniform-pair", "--in", "@uniform_bollobas"),
+        "check_uniform_pair_chain": ("check", "--bound", "uniform-pair", "--in", "@chain"),
         "partition_overlap": ("verify", "--kind", "skew", "--in", "@overlap"),
         "partition_noncover": ("verify", "--kind", "skew", "--in", "@noncover"),
         "search_max_weight_yue": (
@@ -295,6 +304,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "weight", "--functional", "partitioned_bollobas", "--in", "@embedded",
         ),
         "saturate_pair_no_decomposition": ("saturate", "--flavor", "pair", "--in", "@embedded"),
+        "saturate_pair_incompatible": ("saturate", "--flavor", "pair", "--in", "@incompatible"),
         "weight_partitioned_yue_empty_two_blocks": (
             "weight", "--functional", "partitioned_yue", "--in", "@empty_two_blocks",
         ),
