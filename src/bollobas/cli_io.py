@@ -44,16 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 from .constructions import FAMILY_NAMES, construct
-from .errors import (
-    BudgetError,
-    DocumentError,
-    DuplicateTupleError,
-    FieldMismatchError,
-    LicensingError,
-    PartitionError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import DocumentError, PartitionError, PreconditionError, ShapeError
 from .exact_arith import (
     FieldTag,
     ProbabilityVector,
@@ -257,7 +248,7 @@ def system_from_doc(doc: Any) -> System:
         )
         try:
             decomposition = Decomposition(n, field, blocks)
-        except (ShapeError, FieldMismatchError) as exc:
+        except ShapeError as exc:
             raise DocumentError(str(exc), "decomposition") from exc
     try:
         return SubspaceSystem(n, field, d, tuple(packed_subs), decomposition)
@@ -339,6 +330,8 @@ def parse(text: str) -> System:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
     except RecursionError as exc:  # the decoder recurses once per level
         raise DocumentError("document nests too deeply") from exc
+    except DocumentError:  # from the bare-number hooks
+        raise
     except ValueError as exc:  # an int literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise DocumentError(f"an integer literal has more than {limit} digits") from exc
@@ -804,10 +797,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (DocumentError, ShapeError, FieldMismatchError, BudgetError) as exc:
+    except ShapeError as exc:
         _emit({"error": str(exc), "status": "usage"})
         return 2
-    except (LicensingError, PreconditionError, DuplicateTupleError) as exc:
+    except PreconditionError as exc:
         _emit({"error": str(exc), "status": "refused"})
         return 1
     except Exception as exc:  # internal invariant failures and faults in the program

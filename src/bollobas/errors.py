@@ -1,25 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Every input refusal is a
+:class:`ShapeError`, which the CLI reports as usage (exit 2), or a
+:class:`PreconditionError`, reported as refused (exit 1)."""
 
 
 class BollobasError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class FieldMismatchError(BollobasError):
-    """Operands live in different ambient spaces or over different fields."""
+    """Base class for every error of this package; raised bare for a broken
+    invariant, which the CLI reports as internal."""
 
 
 class ShapeError(BollobasError, ValueError):
     """Refused input: a system kind, arity or context that does not fit the
     operation, a size or budget outside its range, or text that does not
-    parse.  A ``ValueError`` too, for callers that catch one."""
+    parse.  A ``ValueError`` too, for callers that catch one.  Subclasses:
+    :class:`FieldMismatchError`, :class:`BudgetError`,
+    :class:`PartitionError` and :class:`DocumentError`."""
 
 
 class PreconditionError(BollobasError):
-    """A documented operation precondition was violated by the input."""
+    """A documented operation precondition was violated by the input.
+    Subclasses: :class:`LicensingError` and :class:`DuplicateTupleError`."""
 
 
-class LicensingError(BollobasError):
+class FieldMismatchError(ShapeError):
+    """Operands live in different ambient spaces or over different fields."""
+
+
+class LicensingError(PreconditionError):
     """A bound was requested whose licensing condition is not verified.
 
     Weight values are always computable; inequality verdicts are refused
@@ -27,7 +33,7 @@ class LicensingError(BollobasError):
     """
 
 
-class DuplicateTupleError(BollobasError):
+class DuplicateTupleError(PreconditionError):
     """A fill-up step produced a tuple already present in the system.
 
     This cannot happen on inputs that verify their condition; raising instead
@@ -35,7 +41,7 @@ class DuplicateTupleError(BollobasError):
     """
 
 
-class BudgetError(BollobasError):
+class BudgetError(ShapeError):
     """An enumeration or search exceeded its configured budget or guard."""
 
 
@@ -51,7 +57,7 @@ class PartitionError(ShapeError):
         super().__init__(message)
 
 
-class DocumentError(BollobasError):
+class DocumentError(ShapeError):
     """A system document failed to parse or validate; the message starts
     with the location, when one is given."""
 

@@ -157,6 +157,8 @@ def is_prime(p: int) -> bool:
 class RationalField:
     """Tag for exact rational arithmetic."""
 
+    p = 0  # the modulus: none; a class constant, not a dataclass field
+
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         """Rational entries as one int row spanning the same line: each entry
         times the lcm of the denominators.  A plain integer entry stays an

@@ -214,7 +214,7 @@ def enumerate_subspace_candidates(
     product order over the canonical subspace list."""
     lattice = all_subspaces(n, field)
     for t in product(lattice, repeat=d):
-        if sum(s.dim for s in t) <= n and component_clause_ok(t):
+        if component_clause_ok(t):
             yield t
 
 
@@ -438,12 +438,11 @@ def _check_target(target_m: int) -> None:
 
 def _random_subspace(rng: random.Random, n: int, field: FieldTag, coords: Sequence[int]) -> Subspace:
     """A random subspace supported on the given 1-based coordinates."""
-    p = field.p if isinstance(field, PrimeField) else 0
     rows = []
     for _ in range(rng.randrange(len(coords) + 1)):
         row = [0] * n
         for c in coords:
-            row[c - 1] = rng.randrange(p) if p else rng.randint(-2, 2)
+            row[c - 1] = rng.randrange(field.p) if field.p else rng.randint(-2, 2)
         rows.append(row)
     return Subspace(n, field, rref(rows, n, field))
 

@@ -57,13 +57,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .exact_arith import (
-    ProbabilityVector,
-    Rational,
-    binomial,
-    multinomial,
-    rational_to_str,
-)
+from .exact_arith import ProbabilityVector, Rational, rational_to_str
 from .subspace_algebra import Subspace, dim_of_sum, extension_vector, full_space, rref
 from .systems_model import (
     SetSystem,
@@ -73,7 +67,7 @@ from .systems_model import (
     sizes_of,
     with_tuples,
 )
-from .verifiers import Certificate, ClassCount, is_gfp, verify
+from .verifiers import Certificate, ClassCount, count_bound, is_gfp, verify
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
 # Largest steps x final tuples that ``saturate(..., debug=True)`` recounts:
@@ -113,9 +107,9 @@ class Flavor:
     ``facts``, which a run computes once per tuple, the ``deficit`` (0 when
     full) and ``step`` read from them, and ``bound``, which caps the
     potential and the step count.  The defaults serve set and tuple: tuza
-    weights, size vectors as profiles (what :func:`term` weighs) and type
-    classes, multinomial class bounds; the set flavor reads its size vector
-    from its facts."""
+    weights, and size vectors as profiles (what :func:`term` weighs and
+    :func:`count_bound` bounds) and type classes; the set flavor reads its
+    size vector from its facts."""
 
     name: str
     condition: str  # verified before saturation and certification
@@ -134,9 +128,6 @@ class Flavor:
 
     def class_key(self, system: System, i: int, profile: tuple) -> tuple:
         return profile
-
-    def class_bound(self, system: System, key: tuple) -> int:
-        return multinomial(key)
 
 
 # A step takes a non-full tuple t (number i, for messages), its facts and,
@@ -216,7 +207,7 @@ class _PairFlavor(Flavor):
         a, b = t
         components = system.decomposition.components
         return tuple(
-            (a_k.dim, b_k.dim, dim_of_sum([a_k, b_k]) if a_k.dim and b_k.dim else a_k.dim + b_k.dim)
+            (a_k.dim, b_k.dim, dim_of_sum([a_k, b_k]))
             for a_k, b_k in zip(components(a), components(b))
         )
 
@@ -237,7 +228,7 @@ class _PairFlavor(Flavor):
         if k is None:
             k = next(k for k, ((_, _, s_k), v_k) in enumerate(zip(dims, blocks), 1) if s_k < v_k.dim)
         elif not 1 <= k <= len(blocks):
-            raise IndexError(f"block index {k} outside [1, {len(blocks)}]")
+            raise ShapeError(f"block index {k} outside [1, {len(blocks)}]")
         a, b = t
         components = system.decomposition.components
         filled = components(a)[k - 1] + components(b)[k - 1]
@@ -258,12 +249,6 @@ class _PairFlavor(Flavor):
         if any(a_k + b_k != n_k for (a_k, b_k), n_k in zip(profile, n_ks)):
             raise BollobasError(f"full pair {i} has a_k + b_k != n_k in some block (bug)")
         return tuple(a_k for a_k, _ in profile)
-
-    def class_bound(self, system: SubspaceSystem, key: tuple) -> int:
-        bound = 1
-        for a_k, n_k in zip(key, sizes_of(system.decomposition.blocks)):
-            bound *= binomial(n_k, a_k)
-        return bound
 
 
 class _TupleFlavor(Flavor):
@@ -380,7 +365,7 @@ def fill_up(system: System, i: int, at: int | None = None, flavor: str | None = 
     none.  ``flavor`` defaults to the system's (``default_flavor``)."""
     record = _lookup(system, flavor)
     if not 1 <= i <= system.m:
-        raise IndexError(f"tuple index {i} outside [1, {system.m}]")
+        raise ShapeError(f"tuple index {i} outside [1, {system.m}]")
     t = system.tuples[i - 1]
     facts = record.facts(system, t)
     if not record.deficit(system, facts):
@@ -536,7 +521,8 @@ def certify_full_system(
     p: ProbabilityVector | None = None,
 ) -> Certificate:
     """Group full tuples into type classes, check each class count against its
-    licensed bound, and re-derive ω <= 1 from those bounds.
+    licensed bound, the :func:`count_bound` of the class's profile, and
+    re-derive ω <= 1 from those bounds.
 
     Pair flavor: classes by per-block dims (a_1, ..., a_r), class bound
     prod_k C(n_k, a_k), weight term prod_k 1 / (C(n_k, a_k) (1 + n_k)); the
@@ -563,7 +549,7 @@ def certify_full_system(
     term_total = Fraction(0)
     for key in sorted(classes):
         count, profile = classes[key]
-        bound = record.class_bound(system, key)
+        bound = count_bound(profile)
         class_counts.append(ClassCount(profile=key, count=count, bound=bound))
         if count > bound:
             findings.append(

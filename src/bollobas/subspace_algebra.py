@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, PreconditionError, ShapeError
-from .exact_arith import FieldTag, PrimeField
+from .exact_arith import FieldTag
 
 
 def _eliminate(rows: list[Sequence[int]], width: int, p: int) -> tuple[list[Sequence[int]], list[int]]:
@@ -84,10 +84,6 @@ def _eliminate(rows: list[Sequence[int]], width: int, p: int) -> tuple[list[Sequ
     return rows[:rank], pivots
 
 
-def _modulus(field: FieldTag) -> int:
-    return field.p if isinstance(field, PrimeField) else 0
-
-
 def _canonical(rows: Sequence[Sequence[int]], pivots: Sequence[int], p: int) -> tuple:
     """Eliminated rows in canonical form: over GF(p) as they are; over QQ
     each divided by the gcd of its entries, signed to a positive pivot."""
@@ -106,7 +102,7 @@ def rref(rows: Iterable[Sequence[int]], width: int, field: FieldTag) -> tuple:
     """Canonical int rows of the row space of ``rows``, zero and dependent
     rows dropped.  Unchecked: the rows are the package's own, ``width`` ints
     each, residues over GF(p); outside rows enter by :func:`canonicalize`."""
-    p = _modulus(field)
+    p = field.p
     return _canonical(*_eliminate(list(rows), width, p), p)
 
 
@@ -194,7 +190,7 @@ def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[int]]) -> Subs
     fractions times a common denominator."""
     if n < 0:
         raise ShapeError(f"ambient dimension must be >= 0, got {n}")
-    p = _modulus(field)
+    p = field.p
     work = []
     for row in rows:
         if len(row) != n:
@@ -235,7 +231,7 @@ def intersection(u: Subspace, w: Subspace) -> Subspace:
     if u.dim == 0 or w.dim == 0:
         return zero_subspace(u.n, u.field)
     n = u.n
-    p = _modulus(u.field)
+    p = u.field.p
     stacked = [row + row for row in u.rows]
     stacked += [row + (0,) * n for row in w.rows]
     reduced, pivots = _eliminate(stacked, 2 * n, p)
@@ -262,7 +258,7 @@ def dim_of_sum(parts: Sequence[Subspace]) -> int:
     if disjoint:
         return sum(part.dim for part in parts)
     rows = [row for part in parts for row in part.rows]
-    return len(_eliminate(rows, first.n, _modulus(first.field))[1])
+    return len(_eliminate(rows, first.n, first.field.p)[1])
 
 
 def share_a_row(u: Subspace, w: Subspace) -> bool:
@@ -283,7 +279,7 @@ def contains(u: Subspace, v: Sequence) -> bool:
     fractions; over GF(p), ints."""
     if len(v) != u.n:
         raise ShapeError(f"vector of length {len(v)}, expected {u.n}")
-    p = _modulus(u.field)
+    p = u.field.p
     pivots = [next(c for c, x in enumerate(row) if x) for row in u.rows]
     # over QQ the rows are scaled by their pivot entries; clear those
     scale = math.lcm(*[row[c] for row, c in zip(u.rows, pivots)])

@@ -165,20 +165,27 @@ def sizes_of(t: tuple) -> tuple[int, ...]:
     return tuple(x.dim for x in t)
 
 
-def block_profile_of(system: System, pair: tuple) -> tuple[tuple[int, int], ...]:
-    """Per-block profile ((a_1, b_1), ..., (a_r, b_r)) of ``pair`` under the
-    pair system's partition or decomposition; the pair need not be one of the
-    system's tuples."""
+def block_profiles(system: System) -> tuple[tuple, tuple]:
+    """A pair system's blocks (as :func:`blocks_of` gives them) and each
+    tuple's per-block profile ((a_1, b_1), ..., (a_r, b_r)), in tuple order.
+    A system of another arity, or with no partition or decomposition, is
+    refused whether or not it has tuples."""
     if system.d != 2:
         raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
     blocks = blocks_of(system)
     if blocks is None:
-        raise ShapeError("system has no partition or decomposition")
-    a, b = pair
+        context = "partition" if isinstance(system, SetSystem) else "decomposition"
+        raise ShapeError(f"needs a {context}")
     if isinstance(system, SetSystem):
-        return tuple(((a & blk).bit_count(), (b & blk).bit_count()) for blk in blocks)
+        return blocks, tuple(
+            tuple(((a & blk).bit_count(), (b & blk).bit_count()) for blk in blocks)
+            for a, b in system.tuples
+        )
     components = system.decomposition.components
-    return tuple((a_k.dim, b_k.dim) for a_k, b_k in zip(components(a), components(b)))
+    return blocks, tuple(
+        tuple((a_k.dim, b_k.dim) for a_k, b_k in zip(components(a), components(b)))
+        for a, b in system.tuples
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,17 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .errors import PreconditionError, ShapeError
-from .exact_arith import PrimeField, Rational, binomial, rational_to_str
+from .exact_arith import PrimeField, Rational, multinomial, rational_to_str
 from .subspace_algebra import Subspace, dim_of_sum, share_a_row
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
-    block_profile_of,
-    blocks_of,
+    block_profiles,
     is_decomposition_compatible,
     sizes_of,
 )
@@ -320,6 +320,16 @@ def is_monotone_pair_profile(system: System) -> bool:
 # certificates
 
 
+def count_bound(profile: tuple) -> int:
+    """The counting lemma's bound on the full tuples of one type class: the
+    multinomial of a size vector (a_1, ..., a_d), so C(a + b, a) for a pair,
+    and prod_k C(a_k + b_k, a_k) for a per-block profile ((a_1, b_1), ...,
+    (a_r, b_r))."""
+    if profile and isinstance(profile[0], tuple):
+        return prod(map(multinomial, profile))
+    return multinomial(profile)
+
+
 @dataclass(frozen=True)
 class ClassCount:
     """One type class: its profile, how many tuples realize it, and the
@@ -370,7 +380,7 @@ def check_uniform_pair_bound(system: System) -> Certificate:
     if len(sizes) > 1:
         raise PreconditionError(f"sizes are not uniform: {sorted(sizes)}")
     a, b = sizes.pop() if sizes else (0, 0)
-    bound = binomial(a + b, a)
+    bound = count_bound((a, b))
     m = system.m
     return Certificate(
         check="uniform-skew-pair-count",
@@ -391,26 +401,18 @@ def check_partitioned_uniform_bound(system: System) -> Certificate:
     per-block profile is the same for every pair: a partitioned set system,
     or a decomposition-compatible subspace system."""
     if isinstance(system, SetSystem):
-        context, name, check = "partition", "partitioned", "partitioned"
-        uneven = "per-block profile is"
+        name, check, uneven = "partitioned", "partitioned", "per-block profile is"
     else:
-        context, name, check = "decomposition", "decomposition", "decomposed"
-        uneven = "per-component dims are"
-    if system.d != 2:
-        raise ShapeError("needs a pair system")
-    blocks = blocks_of(system)
-    if blocks is None:
-        raise ShapeError(f"needs a {context}")
+        name, check, uneven = "decomposition", "decomposed", "per-component dims are"
+    blocks, profiles = block_profiles(system)
     if isinstance(system, SubspaceSystem) and not is_decomposition_compatible(system):
         raise PreconditionError("system is not decomposition-compatible")
     report = _require_verified(system, "skew", f"{name} uniform bound")
-    profiles = {block_profile_of(system, t) for t in system.tuples}
+    profiles = set(profiles)
     if len(profiles) > 1:
         raise PreconditionError(f"{uneven} not uniform across pairs")
     profile = profiles.pop() if profiles else ((0, 0),) * len(blocks)
-    bound = 1
-    for a_k, b_k in profile:
-        bound *= binomial(a_k + b_k, a_k)
+    bound = count_bound(profile)
     return Certificate(
         check=f"{check}-uniform-skew-pair-count",
         holds=system.m <= bound,

@@ -39,16 +39,16 @@ from math import lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import LicensingError, PreconditionError, ShapeError
-from .exact_arith import ProbabilityVector, Rational, binomial
+from .exact_arith import ProbabilityVector, Rational
 from .systems_model import (
     SetSystem,
     System,
-    block_profile_of,
+    block_profiles,
     blocks_of,
     is_decomposition_compatible,
     sizes_of,
 )
-from .verifiers import ConditionKind, condition_for, is_gfp, is_monotone_pair_profile, verify
+from .verifiers import ConditionKind, condition_for, count_bound, is_gfp, is_monotone_pair_profile, verify
 
 
 class Rule(NamedTuple):
@@ -187,9 +187,9 @@ def _term(profile: tuple, name: str, p_key: tuple | None) -> Fraction:
         raise ShapeError(f"{len(profile)}-tuple system where a pair system is needed")
     else:
         blocks = (profile,)
-    den = 1
-    for a, b in blocks:
-        den *= binomial(a + b, a) * (1 + a + b if rule.yue else 1)
+    den = count_bound(blocks)
+    if rule.yue:
+        den *= prod(1 + a + b for a, b in blocks)
     return Fraction(1, den)
 
 
@@ -211,12 +211,10 @@ def omega(system: System, kind: str | FunctionalKind) -> Rational:
             f"{kind.name} needs a_1 <= ... <= a_m and b_1 >= ... >= b_m"
         )
     if rule.blocks:
-        blocks = blocks_of(system)
-        if blocks is None:
+        if blocks_of(system) is None:
             raise ShapeError(f"{kind.name} needs a partition/decomposition on the system")
-        if system.d != 2:  # refused here too when no tuple reaches block_profile_of
-            raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
-        counts = Counter(block_profile_of(system, t) for t in system.tuples)
+        blocks, profiles = block_profiles(system)
+        counts = Counter(profiles)
         zero: tuple = ((0, 0),) * len(blocks)
     else:
         counts = Counter(map(sizes_of, system.tuples))

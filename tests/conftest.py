@@ -58,7 +58,7 @@ from bollobas.extremal_search import (
     enumerate_candidates,
 )
 from bollobas.systems_model import (
-    block_profile_of,
+    block_profiles,
     blocks_of,
     elements_of_mask,
     sizes_of,
@@ -356,12 +356,10 @@ def reference_omega(system, kind) -> Fraction:
     if name in ("partitioned_yue_sum", "partitioned_bollobas_sum"):
         if blocks_of(system) is None:
             raise ShapeError(f"{name} needs a context")
-        if system.d != 2:
-            raise ShapeError(f"{name} needs a pair system")
         total = Fraction(0)
-        for t in system.tuples:
+        for profile in block_profiles(system)[1]:
             value = Fraction(1)
-            for a_k, b_k in block_profile_of(system, t):
+            for a_k, b_k in profile:
                 value /= comb(a_k + b_k, a_k)
                 if name == "partitioned_yue_sum":
                     value /= 1 + a_k + b_k

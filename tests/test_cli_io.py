@@ -33,13 +33,20 @@ from bollobas import (
     uniform_bollobas,
     zero_subspace,
 )
-from bollobas import cli_io
+from bollobas import cli_io, errors
 from bollobas.cli_io import main, system_from_doc, system_to_doc
 from bollobas.constructions import FAMILY_PARAMS
 from bollobas.verifiers import FLAVORS
 
 from conftest import scalar_basis
 from test_golden import FUNCTIONAL_ARGS
+
+
+# every error class of the package, as the status walk below reads them
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.BollobasError)
+]
 
 
 def run_cli(capsys, *argv):
@@ -485,6 +492,25 @@ class TestCli:
             assert rc == 2 and err == ""
             assert json.loads(out) == {"error": "injected", "status": "internal"}
 
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_has_one_status(self, capsys, monkeypatch, cls):
+        # a refused input is a ShapeError (usage) or a PreconditionError
+        # (refused); a bare BollobasError is a broken invariant (internal)
+        if cls is errors.BollobasError:
+            status, code = "internal", 2
+        elif issubclass(cls, errors.ShapeError):
+            status, code = "usage", 2
+        else:
+            assert issubclass(cls, errors.PreconditionError)
+            status, code = "refused", 1
+
+        def broken(*args, **kwargs):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli_io, "construct", broken)
+        rc, doc = run_cli(capsys, "construct", "--family", "complement_chain", "--params", "n=2")
+        assert (rc, doc) == (code, {"error": "injected", "status": status})
+
     def test_module_runs_as_a_script(self):
         src = os.path.dirname(os.path.dirname(cli_io.__file__))
         proc = subprocess.run(
@@ -631,7 +657,8 @@ class TestCli:
             "--field", "gf(5)", "--n", "4", "--d", "2",
         )
         assert time.perf_counter() - start < 2.0
-        assert rc == 2 and doc["status"] == "usage" and "clause table" in doc["error"]
+        assert rc == 2 and doc["status"] == "usage"
+        assert doc["error"].startswith("clause table of 29960 candidates ")
 
     def test_bollobas_search_needs_pairs(self, capsys):
         rc, doc = run_cli(

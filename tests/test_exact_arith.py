@@ -1,5 +1,6 @@
 """Exact scalar layer: coefficients, fields, probability vectors."""
 
+import dataclasses
 import random
 import sys
 import time
@@ -214,6 +215,14 @@ def test_exponent_past_the_digit_limit_refused_before_building():
     # one digit under the limit is still a number
     assert rational_from_str(f"1e{limit - 1}") == 10 ** (limit - 1)
     assert rational_from_str(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+
+
+class TestRationalField:
+    def test_modulus_is_zero_and_no_field(self):
+        # p is a class constant: the tag's equality, hash and repr have no field
+        assert QQ.p == 0
+        assert dataclasses.fields(QQ) == ()
+        assert repr(QQ) == "RationalField()" and QQ == type(QQ)() and hash(QQ) == hash(type(QQ)())
 
 
 class TestPrimeField:

@@ -245,12 +245,12 @@ _TUPLE = SubspaceSystem(2, QQ, 2, ((_E1, _Z),))
         pytest.param(_SET, 1, 1, "pair", ShapeError, "needs a subspace pair", id="pair-shape"),
         pytest.param(_TUPLE, 1, 1, "pair", ShapeError, "needs a decomposition", id="pair-blocks"),
         pytest.param(_SET, 1, None, "tuple", ShapeError, "needs a subspace system", id="tuple-shape"),
-        pytest.param(_SET, 0, 2, None, IndexError, r"^tuple index 0 outside \[1, 1\]$", id="i=0"),
-        pytest.param(_PAIR, 2, 1, None, IndexError, r"^tuple index 2 outside \[1, 1\]$", id="i=m+1"),
+        pytest.param(_SET, 0, 2, None, ShapeError, r"^tuple index 0 outside \[1, 1\]$", id="i=0"),
+        pytest.param(_PAIR, 2, 1, None, ShapeError, r"^tuple index 2 outside \[1, 1\]$", id="i=m+1"),
         pytest.param(_SET, 1, 0, None, ValueError, r"^ground element 0 outside \[1, 2\]$", id="x=0"),
         pytest.param(_SET, 1, 3, None, ValueError, r"^ground element 3 outside \[1, 2\]$", id="x=n+1"),
-        pytest.param(_PAIR, 1, 0, None, IndexError, r"^block index 0 outside \[1, 2\]$", id="k=0"),
-        pytest.param(_PAIR, 1, 3, None, IndexError, r"^block index 3 outside \[1, 2\]$", id="k=r+1"),
+        pytest.param(_PAIR, 1, 0, None, ShapeError, r"^block index 0 outside \[1, 2\]$", id="k=0"),
+        pytest.param(_PAIR, 1, 3, None, ShapeError, r"^block index 3 outside \[1, 2\]$", id="k=r+1"),
         pytest.param(_TUPLE, 1, 1, None, ShapeError, "takes no element or block", id="tuple-at"),
         # a tuple that is not full, asked to fill where it already is
         pytest.param(

@@ -21,7 +21,7 @@ from bollobas import (
     zero_subspace,
 )
 from bollobas.systems_model import (
-    block_profile_of,
+    block_profiles,
     blocks_of,
     elements_of_mask,
     mask_from_elements,
@@ -70,12 +70,16 @@ class TestSetSystem:
 
 class TestProfile:
     def test_pair_with_partition(self):
-        s = SetSystem.from_sets(2, [({1}, {2})], partition=[[1], [2]])
-        assert block_profile_of(s, s.tuples[0]) == ((1, 0), (0, 1))
+        s = SetSystem.from_sets(2, [({1}, {2}), ({2}, {1})], partition=[[1], [2]])
+        assert block_profiles(s) == ((0b01, 0b10), (((1, 0), (0, 1)), ((0, 1), (1, 0))))
 
     def test_empty_pair_profile(self):
         s = SetSystem.from_sets(2, [((), ())], partition=[[1], [2]])
-        assert block_profile_of(s, s.tuples[0]) == ((0, 0), (0, 0))
+        assert block_profiles(s)[1] == (((0, 0), (0, 0)),)
+
+    def test_empty_system_has_no_profiles(self):
+        s = SetSystem.from_sets(2, [], partition=[[1], [2]], d=2)
+        assert block_profiles(s) == ((0b01, 0b10), ())
 
     def test_pair_without_partition_gives_sizes(self):
         s = SetSystem.from_sets(3, [({1, 2}, {3})])
@@ -90,20 +94,21 @@ class TestProfile:
             ((coordinate_subspace(3, QQ, [1, 3]), coordinate_subspace(3, QQ, [2])),),
             decomp,
         )
-        assert block_profile_of(sys, sys.tuples[0]) == ((1, 1), (1, 0))
+        assert block_profiles(sys) == (decomp.blocks, (((1, 1), (1, 0)),))
 
-    def test_refused_off_a_pair_system(self):
-        s = SetSystem.from_sets(3, [({1}, {2}, {3})], partition=[[1], [2, 3]])
+    @pytest.mark.parametrize("tuples", [[({1}, {2}, {3})], []])
+    def test_refused_off_a_pair_system(self, tuples):
+        s = SetSystem.from_sets(3, tuples, partition=[[1], [2, 3]], d=3)
         with pytest.raises(ShapeError, match=r"^block profile needs a pair system, arity is 3$"):
-            block_profile_of(s, s.tuples[0])
+            block_profiles(s)
 
-    @pytest.mark.parametrize("embedded", [False, True])
-    def test_refused_without_blocks(self, embedded):
+    @pytest.mark.parametrize("embedded, context", [(False, "partition"), (True, "decomposition")])
+    def test_refused_without_blocks(self, embedded, context):
         s = SetSystem.from_sets(2, [({1}, {2})])
         if embedded:
             s = embed(s)
-        with pytest.raises(ShapeError, match=r"^system has no partition or decomposition$"):
-            block_profile_of(s, s.tuples[0])
+        with pytest.raises(ShapeError, match=f"^needs a {context}$"):
+            block_profiles(s)
 
 
 class TestBlocks:
@@ -161,9 +166,7 @@ class TestEmbed:
             [({1, 3}, {2}), ({2, 4}, {1, 3})],
             partition=[[1, 2], [3, 4]],
         )
-        e = embed(s)
-        for t, u in zip(s.tuples, e.tuples):
-            assert block_profile_of(s, t) == block_profile_of(e, u)
+        assert block_profiles(s)[1] == block_profiles(embed(s))[1]
 
     def test_embedded_system_is_compatible(self):
         s = SetSystem.from_sets(3, [({1}, {2, 3})], partition=[[1, 2], [3]])

@@ -1,6 +1,7 @@
 """Condition verification and counting-bound certificates."""
 
 import random
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from bollobas import (
 )
 from bollobas import subspace_algebra
 from bollobas.subspace_algebra import _eliminate, dim_of_sum
-from bollobas.verifiers import ClauseTable, component_clause_ok, cross_nontrivial
+from bollobas.verifiers import ClauseTable, component_clause_ok, count_bound, cross_nontrivial
 
 from conftest import (
     components_ok,
@@ -165,6 +166,19 @@ def test_skew_implies_weak_check(skew_set_pair_corpus):
     assert is_skew_implies_weak_check(bad)  # vacuous: not skew
     for s in skew_set_pair_corpus:
         assert is_skew_implies_weak_check(s)
+
+
+class TestCountBound:
+    @given(st.lists(st.integers(0, 6), max_size=4))
+    def test_size_vector_is_its_multinomial(self, sizes):
+        assert count_bound(tuple(sizes)) == factorial(sum(sizes)) // prod(map(factorial, sizes))
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+    def test_block_profile_is_the_product_of_block_binomials(self, profile):
+        assert count_bound(tuple(profile)) == prod(comb(a + b, a) for a, b in profile)
+
+    def test_pair_sizes_are_one_block(self):
+        assert count_bound((2, 1)) == count_bound(((2, 1),)) == 3
 
 
 class TestUniformPairBound:
