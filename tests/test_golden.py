@@ -88,6 +88,7 @@ def _inputs() -> dict[str, object]:
         "tuples": full_tuza_tuples(3, 3),
         "pair": random_compatible_pair_system(4, blocks, 2, seed=1),
         "full": full_tuza_tuples(3, 2),
+        "full_triples_embedded": embed(full_tuza_tuples(2, 3)),
         "pchain": pchain,
         "pchain_embedded": embed(pchain),
         "uniform": uniform,
@@ -314,6 +315,27 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "certify_pair_empty_two_blocks_embedded": (
             "certify", "--flavor", "pair", "--in", "@empty_two_blocks_embedded",
         ),
+        # the ground of a search or a random system: a subspace run with no
+        # field, a rational exhaustive search, and a set run given a field
+        # beside a second fault
+        "refuse_ground_search_no_field": ("search", "--objective", "max-m", "--n", "2", "--kind", "subspace"),
+        "refuse_ground_random_no_field": ("random", "--seed", "0", "--m", "2", "--n", "2", "--kind", "subspace"),
+        "refuse_ground_search_rational": (
+            "search", "--objective", "max-m", "--kind", "subspace", "--field", "rational", "--n", "2",
+        ),
+        "refuse_ground_search_field_and_budget": (
+            "search", "--objective", "max-m", "--kind", "set", "--field", "gf(2)", "--n", "2",
+            "--budget", "0",
+        ),
+        "refuse_ground_random_field_and_target": (
+            "random", "--seed", "0", "--m", "5000", "--n", "2", "--field", "gf(2)",
+        ),
+        # pair-only readers on a system of arity 3
+        "verify_bollobas_tuples": ("verify", "--kind", "bollobas", "--in", "@tuples"),
+        "weight_yue_tuples": ("weight", "--functional", "yue", "--in", "@tuples"),
+        "weight_scott_wilmer_tuples": ("weight", "--functional", "scott_wilmer", "--in", "@tuples"),
+        "check_uniform_pair_tuples": ("check", "--bound", "uniform-pair", "--in", "@tuples"),
+        "saturate_pair_triples_embedded": ("saturate", "--flavor", "pair", "--in", "@full_triples_embedded"),
         # the empty system on the empty ground set, embedded and verified
         "embed_n0": ("embed", "--in", "@n0"),
         "verify_n0": ("verify", "--kind", "skew", "--in", "@n0"),
