@@ -53,6 +53,7 @@ from .exact_arith import (
     rational_to_str,
 )
 from .extremal_search import (
+    DEFAULT_NODE_BUDGET,
     SearchProblem,
     SearchResult,
     explore_weak_subspace_conjecture,
@@ -209,9 +210,11 @@ def system_from_doc(doc: Any) -> System:
                 raise DocumentError("partition must be a list of blocks", "partition")
             masks = []
             for k, b in enumerate(blocks):
+                if not isinstance(b, list):
+                    raise DocumentError("subset must be an integer list", f"partition[{k}]")
                 try:
                     masks.append(mask_from_elements(b, n))
-                except (ShapeError, TypeError) as exc:
+                except ShapeError as exc:
                     raise DocumentError(str(exc), f"partition[{k}]") from exc
             partition = tuple(masks)
         try:
@@ -219,8 +222,6 @@ def system_from_doc(doc: Any) -> System:
         except PartitionError as exc:
             where = "partition" if exc.block is None else f"partition[{exc.block}]"
             raise DocumentError(str(exc), where) from exc
-        except ShapeError as exc:
-            raise DocumentError(str(exc)) from exc
 
     field_name = doc.get("field", "rational")
     try:
@@ -250,10 +251,7 @@ def system_from_doc(doc: Any) -> System:
             decomposition = Decomposition(n, field, blocks)
         except ShapeError as exc:
             raise DocumentError(str(exc), "decomposition") from exc
-    try:
-        return SubspaceSystem(n, field, d, tuple(packed_subs), decomposition)
-    except ShapeError as exc:
-        raise DocumentError(str(exc)) from exc
+    return SubspaceSystem(n, field, d, tuple(packed_subs), decomposition)
 
 
 def _expect_int(doc: dict, key: str) -> int:
@@ -541,16 +539,28 @@ def _cmd_check(args) -> int:
     return 0 if cert.holds else 1
 
 
+def _ground(args, run: str) -> FieldTag | None:
+    """The field of a search or generation run, None for the set ground:
+    ``--kind`` and ``--field`` name one ground and must agree."""
+    field = field_from_str(args.field) if args.field else None
+    if args.kind == "subspace" and field is None:
+        raise ShapeError(f"subspace {run} needs a field")
+    if args.kind != "subspace" and field is not None:
+        raise ShapeError(f"set {run} takes no field")
+    return field
+
+
 def _cmd_search(args) -> int:
     _check_sizes({"n": args.n, "d": args.d}, "--")
-    field = field_from_str(args.field) if args.field else None
+    field = _ground(args, "search")
     functional = _parse_functional(args) if args.functional else None
+    if args.p and functional is None:
+        raise ShapeError("--p needs --functional")
     uniform = None
     if args.uniform:
         uniform = tuple(_int(x, "--uniform") for x in args.uniform.split(","))
     objective = args.objective.replace("-", "_")
     problem = SearchProblem(
-        kind=args.kind,
         n=args.n,
         d=args.d,
         flavor=args.condition,
@@ -651,14 +661,9 @@ def _cmd_random(args) -> int:
     else:
         d = 2 if args.d is None else args.d
         _check_sizes({"n": args.n, "d": d}, "--")
+        field = _ground(args, "generation")
         system = random_valid_system(
-            args.kind or "set",
-            args.n,
-            d,
-            args.condition or "skew",
-            target_m=args.m,
-            seed=args.seed,
-            field=field_from_str(args.field) if args.field else None,
+            args.n, d, args.condition or "skew", target_m=args.m, seed=args.seed, field=field
         )
     _emit(system_to_doc(system))
     return 0
@@ -742,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", default=None)
     p.add_argument("--p", default=None)
     p.add_argument("--uniform", default=None, help="comma-separated component sizes")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--no-prune", action="store_true")
     p.set_defaults(func=_cmd_search)
 
@@ -751,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_explore)
 

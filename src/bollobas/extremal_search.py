@@ -8,9 +8,11 @@ For the weak and bollobas flavors clause (ii) is symmetric (respectively
 two-sided), so validity is order-independent and the search restricts to
 candidate-index-increasing sequences; the skew flavor explores orders.
 
-Candidates stream in a fixed canonical order -- assignment-lexicographic for
-set tuples, (dim, pivot columns, free entries) for GF(p) subspaces -- which
-makes results deterministic across runs and platforms.
+A ground is named by its field alone: the set [n] when the field is None,
+the space F^n over a field.  Candidates stream in a fixed canonical order --
+assignment-lexicographic for set tuples, (dim, pivot columns, free entries)
+for GF(p) subspaces -- which makes results deterministic across runs and
+platforms.
 
 The candidate list is fixed for a problem, so the cross clauses are read
 from ``verifiers.ClauseTable`` over it, as ``int`` bitset rows of the
@@ -92,9 +94,9 @@ OBJECTIVES = ("max_m", "max_weight", "counterexample")
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A search space (ground, arity, condition) plus objective and limits."""
+    """A search space (ground, arity, condition) plus objective and limits.
+    The ground is the set [n] when ``field`` is None and F^n over a field."""
 
-    kind: str  # "set" | "subspace"
     n: int
     d: int
     flavor: str  # "bollobas" | "skew" | "weak"
@@ -106,8 +108,6 @@ class SearchProblem:
     prune: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("set", "subspace"):
-            raise ShapeError(f"unknown kind {self.kind!r}")
         if self.objective not in OBJECTIVES:
             raise ShapeError(f"unknown objective {self.objective!r}")
         check_flavor(self.flavor, self.d)
@@ -117,11 +117,9 @@ class SearchProblem:
             )
         if self.node_budget <= 0:
             raise ShapeError("node budget must be positive")
-        if self.kind == "subspace" and self.field is None:
-            raise ShapeError("subspace search needs a field")
-        if self.kind == "set" and self.field is not None:
-            raise ShapeError("set search takes no field")
-        if self.objective in ("max_weight", "counterexample") and self.functional is None:
+        if self.objective == "max_m" and self.functional is not None:
+            raise ShapeError("max_m takes no functional")
+        if self.objective != "max_m" and self.functional is None:
             raise ShapeError(f"{self.objective} needs a functional")
         if self.objective == "counterexample" and not self._counterexample_allowed():
             raise PreconditionError(
@@ -133,7 +131,7 @@ class SearchProblem:
     def _counterexample_allowed(self) -> bool:
         if isinstance(self.field, PrimeField):
             return True
-        return self.kind == "subspace" and self.flavor == "weak"
+        return self.field is not None and self.flavor == "weak"
 
 
 @dataclass(frozen=True)
@@ -164,10 +162,14 @@ def enumerate_set_candidates(n: int, d: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def all_subspaces(n: int, field: PrimeField) -> tuple[Subspace, ...]:
-    """Every subspace of GF(p)^n, by dim, then pivot columns, then free entries."""
+def all_subspaces(n: int, field: FieldTag) -> tuple[Subspace, ...]:
+    """Every subspace of GF(p)^n, by dim, then pivot columns, then free
+    entries; any other field is refused."""
     if not isinstance(field, PrimeField):
-        raise ShapeError("subspace enumeration needs a prime field")
+        raise ShapeError(
+            "exhaustive subspace search needs a prime field; over the "
+            "rationals use the randomized explorer"
+        )
     if n > DEFAULT_GF_GUARD:
         raise BudgetError(f"GF ground n={n} above exhaustive guard {DEFAULT_GF_GUARD}")
     size = subspace_count(n, field.p)
@@ -208,7 +210,7 @@ def subspace_count(n: int, q: int) -> int:
 
 
 def enumerate_subspace_candidates(
-    n: int, field: PrimeField, d: int
+    n: int, field: FieldTag, d: int
 ) -> Iterator[tuple[Subspace, ...]]:
     """All clause-(i)-valid d-tuples over the GF(p) subspace lattice, in
     product order over the canonical subspace list."""
@@ -219,14 +221,9 @@ def enumerate_subspace_candidates(
 
 
 def enumerate_candidates(problem: SearchProblem) -> Iterator[tuple]:
-    if problem.kind == "set":
+    if problem.field is None:
         candidates: Iterator[tuple] = enumerate_set_candidates(problem.n, problem.d)
     else:
-        if not isinstance(problem.field, PrimeField):
-            raise ShapeError(
-                "exhaustive subspace search needs a prime field; over the "
-                "rationals use the randomized explorer"
-            )
         candidates = enumerate_subspace_candidates(problem.n, problem.field, problem.d)
     if problem.uniform_sizes is None:
         yield from candidates
@@ -241,11 +238,10 @@ def enumerate_candidates(problem: SearchProblem) -> Iterator[tuple]:
 # depth-first search
 
 
-def _make_system(problem: SearchProblem, tuples: Sequence[tuple]) -> System:
-    if problem.kind == "set":
-        return SetSystem(problem.n, problem.d, tuple(tuples))
-    assert problem.field is not None
-    return SubspaceSystem(problem.n, problem.field, problem.d, tuple(tuples))
+def _make_system(n: int, d: int, field: FieldTag | None, tuples: Sequence[tuple]) -> System:
+    if field is None:
+        return SetSystem(n, d, tuple(tuples))
+    return SubspaceSystem(n, field, d, tuple(tuples))
 
 
 def _listed(stream: Iterable[tuple]) -> tuple[tuple, ...]:
@@ -292,7 +288,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
     if not max_m:
         assert problem.functional is not None
         scale, weights = _scaled([term(sizes_of(t), problem.functional) for t in candidates])
-    elif problem.prune and problem.kind == "set" and candidates:
+    elif problem.prune and problem.field is None and candidates:
         uniform = tuza(ProbabilityVector.uniform(problem.d))
         scale, weights = _scaled([term(sizes_of(t), uniform) for t in candidates])
     headroom_prune = max_m and weights is not None
@@ -404,7 +400,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
         if weights is not None:
             weight = frame[2] + weights[chosen[-1]]
 
-    witness = _make_system(problem, [candidates[i] for i in best_witness])
+    witness = _make_system(problem.n, problem.d, problem.field, [candidates[i] for i in best_witness])
     return SearchResult(
         best_value=best if max_m else Fraction(best, scale),
         witness=witness,
@@ -448,7 +444,6 @@ def _random_subspace(rng: random.Random, n: int, field: FieldTag, coords: Sequen
 
 
 def random_valid_system(
-    kind: str,
     n: int,
     d: int,
     flavor: str,
@@ -457,7 +452,9 @@ def random_valid_system(
     field: FieldTag | None = None,
 ) -> System:
     """Random greedy generator: propose clause-(i)-valid tuples, append those
-    that the clause table admits after every existing tuple.
+    that the clause table admits after every existing tuple.  The tuples are
+    of subsets of [n] when ``field`` is None and of subspaces of F^n over a
+    field.
 
     Deterministic for a fixed seed; may return fewer than ``target_m`` tuples.
     Proposals stop once a tuple that no later tuple can follow is appended
@@ -466,18 +463,12 @@ def random_valid_system(
     ``DEFAULT_TUPLE_BUDGET`` is refused with ``BudgetError``.
     """
     _check_target(target_m)
-    if kind not in ("set", "subspace"):
-        raise ShapeError(f"unknown kind {kind!r}")
-    if kind == "subspace" and field is None:
-        raise ShapeError("subspace generation needs a field")
-    if kind == "set" and field is not None:
-        raise ShapeError("set generation takes no field")
     rng = random.Random(seed)
     table = ClauseTable(flavor, d)
     for _ in range(60 * max(target_m, 1)):
         if len(table.tuples) >= target_m:
             break
-        if kind == "set":
+        if field is None:
             t: tuple = _random_set_tuple(rng, n, d)
         else:
             t = tuple(_random_subspace(rng, n, field, range(1, n + 1)) for _ in range(d))
@@ -487,9 +478,7 @@ def random_valid_system(
             table.extend((t,))
             if table.dead(t):
                 break
-    if kind == "set":
-        return SetSystem(n, d, tuple(table.tuples))
-    return SubspaceSystem(n, field, d, tuple(table.tuples))
+    return _make_system(n, d, field, table.tuples)
 
 
 def random_compatible_pair_system(
@@ -563,7 +552,6 @@ def explore_weak_subspace_conjecture(
         raise ShapeError("node budget must be positive")
     if isinstance(field, PrimeField):
         problem = SearchProblem(
-            kind="subspace",
             n=n,
             d=d,
             flavor="weak",
@@ -582,7 +570,6 @@ def explore_weak_subspace_conjecture(
     samples = max(1, budget // 200)
     for _ in range(samples):
         system = random_valid_system(
-            "subspace",
             n,
             d,
             "weak",

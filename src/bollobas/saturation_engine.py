@@ -64,6 +64,7 @@ from .systems_model import (
     SubspaceSystem,
     System,
     is_decomposition_compatible,
+    require_pairs,
     sizes_of,
     with_tuples,
 )
@@ -186,8 +187,9 @@ class _PairFlavor(Flavor):
     condition = "skew"
 
     def shape(self, system: System) -> None:
-        if not isinstance(system, SubspaceSystem) or system.d != 2:
+        if not isinstance(system, SubspaceSystem):
             raise ShapeError("pair saturation needs a subspace pair system")
+        require_pairs(system.d, "pair saturation")
         if system.decomposition is None:
             raise ShapeError("pair saturation needs a decomposition")
 

@@ -165,13 +165,18 @@ def sizes_of(t: tuple) -> tuple[int, ...]:
     return tuple(x.dim for x in t)
 
 
+def require_pairs(d: int, what: str) -> None:
+    """Refuse an arity other than 2 for ``what``, a reader of pair systems."""
+    if d != 2:
+        raise ShapeError(f"{what} needs a pair system, arity is {d}")
+
+
 def block_profiles(system: System) -> tuple[tuple, tuple]:
     """A pair system's blocks (as :func:`blocks_of` gives them) and each
     tuple's per-block profile ((a_1, b_1), ..., (a_r, b_r)), in tuple order.
     A system of another arity, or with no partition or decomposition, is
     refused whether or not it has tuples."""
-    if system.d != 2:
-        raise ShapeError(f"block profile needs a pair system, arity is {system.d}")
+    require_pairs(system.d, "block profile")
     blocks = blocks_of(system)
     if blocks is None:
         context = "partition" if isinstance(system, SetSystem) else "decomposition"

@@ -41,6 +41,7 @@ from .systems_model import (
     System,
     block_profiles,
     is_decomposition_compatible,
+    require_pairs,
     sizes_of,
 )
 
@@ -52,8 +53,8 @@ def check_flavor(flavor: str, d: int) -> None:
     at any arity but 2."""
     if flavor not in FLAVORS:
         raise ShapeError(f"unknown flavor {flavor!r}")
-    if flavor == "bollobas" and d != 2:
-        raise ShapeError("the bollobas condition is defined for pairs only")
+    if flavor == "bollobas":
+        require_pairs(d, "the bollobas condition")
 
 
 CLAUSE_COMPONENT = "component"  # clause (i): within-tuple disjointness/independence
@@ -308,8 +309,7 @@ def verify(system: System, flavor: str) -> VerificationReport:
 
 def is_monotone_pair_profile(system: System) -> bool:
     """a_1 <= ... <= a_m and b_1 >= ... >= b_m for a pair system."""
-    if system.d != 2:
-        raise ShapeError("monotone profile is defined for pair systems")
+    require_pairs(system.d, "monotone profile")
     sizes = [sizes_of(t) for t in system.tuples]
     return all(s[0] <= t[0] for s, t in zip(sizes, sizes[1:])) and all(
         s[1] >= t[1] for s, t in zip(sizes, sizes[1:])
@@ -373,8 +373,7 @@ def _require_verified(system: System, flavor: str, check: str) -> VerificationRe
 
 def check_uniform_pair_bound(system: System) -> Certificate:
     """m <= C(a+b, a) for a verified skew pair system with uniform sizes."""
-    if system.d != 2:
-        raise ShapeError("uniform pair bound needs a pair system")
+    require_pairs(system.d, "uniform pair bound")
     report = _require_verified(system, "skew", "uniform pair bound")
     sizes = set(map(sizes_of, system.tuples))
     if len(sizes) > 1:

@@ -46,6 +46,7 @@ from .systems_model import (
     block_profiles,
     blocks_of,
     is_decomposition_compatible,
+    require_pairs,
     sizes_of,
 )
 from .verifiers import ConditionKind, condition_for, count_bound, is_gfp, is_monotone_pair_profile, verify
@@ -183,9 +184,8 @@ def _term(profile: tuple, name: str, p_key: tuple | None) -> Fraction:
         if not all(isinstance(block, tuple) for block in profile):
             raise ShapeError(f"{name} needs a per-block (a_k, b_k) profile")
         blocks = profile
-    elif len(profile) != 2:
-        raise ShapeError(f"{len(profile)}-tuple system where a pair system is needed")
     else:
+        require_pairs(len(profile), name)
         blocks = (profile,)
     den = count_bound(blocks)
     if rule.yue:

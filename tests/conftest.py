@@ -393,7 +393,7 @@ def reference_search(problem: SearchProblem) -> tuple:
     order_free = problem.flavor in ("weak", "bollobas")
 
     def term(t, functional) -> Fraction:
-        if problem.kind == "set":
+        if problem.field is None:
             return omega(SetSystem(problem.n, problem.d, (t,)), functional)
         return omega(SubspaceSystem(problem.n, problem.field, problem.d, (t,)), functional)
 
@@ -405,7 +405,7 @@ def reference_search(problem: SearchProblem) -> tuple:
             max_term = max(objective_terms)
     prune_terms = None
     prune_min = None
-    if problem.objective == "max_m" and problem.prune and problem.kind == "set" and candidates:
+    if problem.objective == "max_m" and problem.prune and problem.field is None and candidates:
         uniform = tuza(ProbabilityVector.uniform(problem.d))
         prune_terms = [term(t, uniform) for t in candidates]
         prune_min = min(prune_terms)
@@ -545,7 +545,7 @@ def reference_saturate(system, flavor: str, functional: FunctionalKind) -> Satur
 # random generators without the stop at a dead tuple
 
 
-def reference_random(kind, n, d, flavor, target_m, seed, field=None):
+def reference_random(n, d, flavor, target_m, seed, field=None):
     """``random_valid_system`` as a full-budget loop: the same proposals from
     the same seed, each appended when ``cross_ok`` holds against every
     tuple chosen before it, until the target or the budget is reached."""
@@ -554,7 +554,7 @@ def reference_random(kind, n, d, flavor, target_m, seed, field=None):
     for _ in range(60 * max(target_m, 1)):
         if len(chosen) >= target_m:
             break
-        if kind == "set":
+        if field is None:
             t = _random_set_tuple(rng, n, d)
         else:
             t = tuple(_random_subspace(rng, n, field, range(1, n + 1)) for _ in range(d))
@@ -562,7 +562,7 @@ def reference_random(kind, n, d, flavor, target_m, seed, field=None):
                 continue
         if all(cross_ok(flavor, ti, t) for ti in chosen):
             chosen.append(t)
-    if kind == "set":
+    if field is None:
         return SetSystem(n, d, tuple(chosen))
     return SubspaceSystem(n, field, d, tuple(chosen))
 
@@ -610,7 +610,7 @@ def skew_set_pair_corpus():
     for seed in range(60):
         n = 2 + seed % 4  # 2..5
         out.append(
-            random_valid_system("set", n, 2, "skew", target_m=2 + seed % 5, seed=seed)
+            random_valid_system(n, 2, "skew", target_m=2 + seed % 5, seed=seed)
         )
     return out
 
@@ -622,7 +622,7 @@ def weak_set_tuple_corpus():
         n = 2 + seed % 3
         d = 2 + seed % 3
         out.append(
-            random_valid_system("set", n, d, "weak", target_m=2 + seed % 4, seed=100 + seed)
+            random_valid_system(n, d, "weak", target_m=2 + seed % 4, seed=100 + seed)
         )
     return out
 

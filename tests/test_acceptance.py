@@ -135,9 +135,7 @@ def test_acceptance_3_proof_engine_invariance():
     # 100 random skew set-pair systems, n <= 5
     for seed in range(100):
         n = 2 + seed % 4
-        system = random_valid_system(
-            "set", n, 2, "skew", target_m=1 + seed % 5, seed=seed
-        )
+        system = random_valid_system(n, 2, "skew", target_m=1 + seed % 5, seed=seed)
         p = ProbabilityVector.uniform(2)
         trace = saturate(system, "set", p=p)
         assert all(x < y for x, y in zip(trace.phis, trace.phis[1:]))  # (b) strict
@@ -177,20 +175,16 @@ def test_acceptance_3_proof_engine_invariance():
 def test_acceptance_4_brute_force_optima():
     started = time.monotonic()
 
-    result = search_max(SearchProblem(kind="set", n=2, d=2, flavor="skew"))
+    result = search_max(SearchProblem(n=2, d=2, flavor="skew"))
     assert result.best_value == 4 and result.exhaustive
     assert verify(result.witness, "skew").verdict
 
-    uniform = search_max(
-        SearchProblem(kind="set", n=2, d=2, flavor="skew", uniform_sizes=(1, 1))
-    )
+    uniform = search_max(SearchProblem(n=2, d=2, flavor="skew", uniform_sizes=(1, 1)))
     assert uniform.best_value == 2 and uniform.exhaustive  # C(1+1, 1)
 
     for flavor in ("skew", "weak"):
-        pruned = search_max(SearchProblem(kind="set", n=2, d=2, flavor=flavor))
-        plain = search_max(
-            SearchProblem(kind="set", n=2, d=2, flavor=flavor, prune=False)
-        )
+        pruned = search_max(SearchProblem(n=2, d=2, flavor=flavor))
+        plain = search_max(SearchProblem(n=2, d=2, flavor=flavor, prune=False))
         assert pruned.best_value == plain.best_value
 
     elapsed = time.monotonic() - started
@@ -258,9 +252,7 @@ def test_acceptance_6_cardinality_lemmas_as_properties():
         )
     for seed in range(30):
         pair_systems.append(
-            random_valid_system(
-                "subspace", 2 + seed % 2, 2, "skew", target_m=4, seed=seed, field=QQ
-            )
+            random_valid_system(2 + seed % 2, 2, "skew", target_m=4, seed=seed, field=QQ)
         )
     pair_systems.append(embed(complement_chain(3)))
     for system in pair_systems:
@@ -270,16 +262,14 @@ def test_acceptance_6_cardinality_lemmas_as_properties():
     # skew subspace d-tuples over the rationals: m <= d^n
     for seed in range(30):
         d = 2 + seed % 2
-        system = random_valid_system(
-            "subspace", 2, d, "skew", target_m=5, seed=200 + seed, field=QQ
-        )
+        system = random_valid_system(2, d, "skew", target_m=5, seed=200 + seed, field=QQ)
         assert verify(system, "skew").verdict
         assert system.m <= d**system.n
 
     # full-system type classes respect their counting bounds
     p = ProbabilityVector.uniform(2)
     for seed in range(20):
-        base = random_valid_system("set", 3, 2, "skew", target_m=3, seed=400 + seed)
+        base = random_valid_system(3, 2, "skew", target_m=3, seed=400 + seed)
         final = saturate(base, "set", p=p).final
         cert = certify_full_system(final, "set", p=p)
         assert cert.holds
@@ -290,9 +280,7 @@ def test_acceptance_6_cardinality_lemmas_as_properties():
     field = PrimeField(2)
     findings = 0
     for seed in range(10):
-        system = random_valid_system(
-            "subspace", 2, 2, "skew", target_m=4, seed=600 + seed, field=field
-        )
+        system = random_valid_system(2, 2, "skew", target_m=4, seed=600 + seed, field=field)
         cert = check_cardinality_lemmas(system)
         assert cert.field_caveat
         findings += len(cert.findings)

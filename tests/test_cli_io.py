@@ -72,8 +72,8 @@ class TestDocuments:
             uniform_bollobas(1, 2),
             full_tuza_tuples(2, 3),
             embed(partitioned_complement_chain(2, [[1], [2]])),
-            random_valid_system("set", 4, 2, "skew", 5, seed=1),
-            random_valid_system("subspace", 2, 2, "skew", 3, seed=2, field=PrimeField(3)),
+            random_valid_system(4, 2, "skew", 5, seed=1),
+            random_valid_system(2, 2, "skew", 3, seed=2, field=PrimeField(3)),
             random_compatible_pair_system(3, [[1, 2], [3]], 3, seed=3),
             SetSystem.from_sets(2, [], d=2),
             SubspaceSystem(2, QQ, 2, ()),
@@ -475,10 +475,28 @@ class TestCli:
                 "set search takes no field",
             ),
             (["random", "--seed", "0", "--m", "2", "--n", "2", "--field", "gf(2)"], "set generation takes no field"),
+            # and subspace runs need one
+            (["search", "--objective", "max-m", "--n", "2", "--kind", "subspace"], "subspace search needs a field"),
+            (
+                ["random", "--seed", "0", "--m", "2", "--n", "2", "--kind", "subspace"],
+                "subspace generation needs a field",
+            ),
         ],
     )
     def test_set_runs_refuse_a_field(self, capsys, argv, message):
         rc, doc = run_cli(capsys, *argv)
+        assert rc == 2 and doc == {"error": message, "status": "usage"}
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # max-m never reads a functional, and --p is read only with one
+            (["--functional", "yue"], "max_m takes no functional"),
+            (["--p", "garbage"], "--p needs --functional"),
+        ],
+    )
+    def test_search_refuses_inputs_it_would_ignore(self, capsys, extra, message):
+        rc, doc = run_cli(capsys, "search", "--objective", "max-m", "--n", "2", "--d", "2", *extra)
         assert rc == 2 and doc == {"error": message, "status": "usage"}
 
     def test_a_fault_outside_the_package_is_internal(self, capsys, monkeypatch):

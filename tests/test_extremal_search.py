@@ -129,7 +129,7 @@ class TestEnumerateCandidates:
 
 class TestSearchMax:
     def test_skew_pairs_n2(self):
-        problem = SearchProblem(kind="set", n=2, d=2, flavor="skew")
+        problem = SearchProblem(n=2, d=2, flavor="skew")
         result = search_max(problem)
         assert result.best_value == 4
         assert result.exhaustive
@@ -141,19 +141,17 @@ class TestSearchMax:
         assert oracle_max_m_sequences(1, 2, "skew") == 2
         assert oracle_max_m_sequences(2, 2, "skew") == 4
         for n in (1, 2):
-            problem = SearchProblem(kind="set", n=n, d=2, flavor="skew")
+            problem = SearchProblem(n=n, d=2, flavor="skew")
             assert search_max(problem).best_value == oracle_max_m_sequences(n, 2, "skew")
 
     def test_weak_matches_orderings_oracle(self):
         assert oracle_max_m_sequences(1, 2, "weak") == 2
         for n in (1, 2):
-            problem = SearchProblem(kind="set", n=n, d=2, flavor="weak")
+            problem = SearchProblem(n=n, d=2, flavor="weak")
             assert search_max(problem).best_value == oracle_max_m_sequences(n, 2, "weak")
 
     def test_uniform_sizes(self):
-        problem = SearchProblem(
-            kind="set", n=2, d=2, flavor="skew", uniform_sizes=(1, 1)
-        )
+        problem = SearchProblem(n=2, d=2, flavor="skew", uniform_sizes=(1, 1))
         result = search_max(problem)
         assert result.best_value == 2  # C(1+1, 1)
         assert result.exhaustive
@@ -162,26 +160,23 @@ class TestSearchMax:
         # (1,) on pairs used to match no candidate and report best 0, exhaustive
         for sizes in [(1,), (1, 1, 0)]:
             with pytest.raises(ShapeError, match=f"have {len(sizes)} entries, arity is 2"):
-                SearchProblem(kind="set", n=2, d=2, flavor="skew", uniform_sizes=sizes)
+                SearchProblem(n=2, d=2, flavor="skew", uniform_sizes=sizes)
 
     def test_pruned_equals_unpruned(self):
         for flavor in ("skew", "weak", "bollobas"):
             for n in (1, 2):
-                pruned = search_max(SearchProblem(kind="set", n=n, d=2, flavor=flavor))
-                plain = search_max(
-                    SearchProblem(kind="set", n=n, d=2, flavor=flavor, prune=False)
-                )
+                pruned = search_max(SearchProblem(n=n, d=2, flavor=flavor))
+                plain = search_max(SearchProblem(n=n, d=2, flavor=flavor, prune=False))
                 assert pruned.best_value == plain.best_value
 
     def test_budget_exhaustion_returns_best_found(self):
-        problem = SearchProblem(kind="set", n=2, d=2, flavor="skew", node_budget=3)
+        problem = SearchProblem(n=2, d=2, flavor="skew", node_budget=3)
         result = search_max(problem)
         assert not result.exhaustive
         assert result.best_value >= 1
 
     def test_max_weight_objective(self):
         problem = SearchProblem(
-            kind="set",
             n=2,
             d=2,
             flavor="skew",
@@ -192,11 +187,16 @@ class TestSearchMax:
         assert result.best_value == 1  # licensed bound is tight on n=2
         assert omega(result.witness, tuza((Fraction(1, 2), Fraction(1, 2)))) == 1
 
-    @pytest.mark.parametrize("d, p", [(3, (1, 1)), (2, (1, 1, 1))])
+    def test_max_m_takes_no_functional(self):
+        # it was accepted and never read
+        with pytest.raises(ShapeError, match="^max_m takes no functional$"):
+            SearchProblem(n=2, d=2, flavor="skew", functional=FunctionalKind("yue_sum"))
+
+    @pytest.mark.parametrize("d, p",[(3, (1, 1)), (2, (1, 1, 1))])
     def test_tuza_p_must_match_the_arity(self, d, p):
         # a missing p_l used to be read as 1, and an extra one was dropped
         problem = SearchProblem(
-            kind="set", n=3, d=d, flavor="weak", objective="max_weight",
+            n=3, d=d, flavor="weak", objective="max_weight",
             functional=tuza(tuple(Fraction(x, len(p)) for x in p)),
         )
         with pytest.raises(ShapeError):
@@ -205,7 +205,6 @@ class TestSearchMax:
     def test_counterexample_requires_unlicensed_setting(self):
         with pytest.raises(PreconditionError):
             SearchProblem(
-                kind="set",
                 n=2,
                 d=2,
                 flavor="skew",
@@ -215,7 +214,6 @@ class TestSearchMax:
 
     def test_counterexample_over_gf2_weak_pairs(self):
         problem = SearchProblem(
-            kind="subspace",
             n=2,
             d=2,
             flavor="weak",
@@ -265,7 +263,6 @@ def search_problems(draw):
             .map(tuple)
         )
     return SearchProblem(
-        kind=kind,
         n=n,
         d=d,
         flavor=flavor,
@@ -295,26 +292,26 @@ class TestSearchMatchesReferenceDfs:
     @pytest.mark.parametrize(
         "problem",
         [
-            SearchProblem(kind="set", n=3, d=3, flavor="weak"),
-            SearchProblem(kind="set", n=3, d=2, flavor="skew", prune=False),
-            SearchProblem(kind="set", n=4, d=2, flavor="bollobas"),
+            SearchProblem(n=3, d=3, flavor="weak"),
+            SearchProblem(n=3, d=2, flavor="skew", prune=False),
+            SearchProblem(n=4, d=2, flavor="bollobas"),
             # budgets that run out inside a run of children the prune refuses;
             # 1719 is the last node of the 1720-node exhaustive search
-            SearchProblem(kind="set", n=4, d=2, flavor="skew", node_budget=1000),
-            SearchProblem(kind="set", n=4, d=2, flavor="skew", node_budget=1719),
-            SearchProblem(kind="set", n=3, d=3, flavor="weak", node_budget=2000),
-            SearchProblem(kind="set", n=4, d=2, flavor="weak", node_budget=700),
+            SearchProblem(n=4, d=2, flavor="skew", node_budget=1000),
+            SearchProblem(n=4, d=2, flavor="skew", node_budget=1719),
+            SearchProblem(n=3, d=3, flavor="weak", node_budget=2000),
+            SearchProblem(n=4, d=2, flavor="weak", node_budget=700),
             SearchProblem(
-                kind="set", n=4, d=2, flavor="skew", objective="max_weight",
+                n=4, d=2, flavor="skew", objective="max_weight",
                 functional=FunctionalKind("yue_sum"), node_budget=800,
             ),
             SearchProblem(
-                kind="set", n=3, d=2, flavor="weak", objective="max_weight",
+                n=3, d=2, flavor="weak", objective="max_weight",
                 functional=FunctionalKind("bollobas_sum"),
             ),
-            SearchProblem(kind="subspace", n=3, d=2, flavor="skew", field=PrimeField(2), node_budget=300),
+            SearchProblem(n=3, d=2, flavor="skew", field=PrimeField(2), node_budget=300),
             SearchProblem(
-                kind="subspace", n=2, d=2, flavor="weak", objective="max_weight",
+                n=2, d=2, flavor="weak", objective="max_weight",
                 functional=tuza((Fraction(1, 3), Fraction(2, 3))), field=PrimeField(3), prune=False,
             ),
         ],
@@ -333,7 +330,7 @@ class TestSearchMatchesReferenceDfs:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            result = search_max(SearchProblem(kind="set", n=4, d=3, flavor="weak"))
+            result = search_max(SearchProblem(n=4, d=3, flavor="weak"))
         finally:
             sys.setrecursionlimit(limit)
         assert (result.best_value, result.nodes, result.exhaustive) == (81, 71518, True)
@@ -341,11 +338,11 @@ class TestSearchMatchesReferenceDfs:
     @pytest.mark.parametrize(
         "problem",
         [
-            SearchProblem(kind="set", n=4, d=2, flavor="skew"),
-            SearchProblem(kind="set", n=4, d=2, flavor="bollobas"),
+            SearchProblem(n=4, d=2, flavor="skew"),
+            SearchProblem(n=4, d=2, flavor="bollobas"),
             # best keeps rising after bands are kept, and after the room is spent
-            SearchProblem(kind="set", n=4, d=3, flavor="weak", node_budget=3000),
-            SearchProblem(kind="subspace", n=3, d=2, flavor="weak", field=PrimeField(2), node_budget=3000),
+            SearchProblem(n=4, d=3, flavor="weak", node_budget=3000),
+            SearchProblem(n=3, d=2, flavor="weak", field=PrimeField(2), node_budget=3000),
         ],
     )
     def test_memo_stays_within_the_guard(self, monkeypatch, problem):
@@ -391,8 +388,8 @@ class TestSearchMatchesReferenceDfs:
         # GF(2)^1 pairs: 2 values x 2 positions x 3 candidates = 12 bits
         # set rows are built with no meet test, subspace rows by meet tests
         cases = [
-            (SearchProblem(kind="set", n=2, d=2, flavor="skew"), 72, 4, False),
-            (SearchProblem(kind="subspace", n=1, d=2, flavor="skew", field=PrimeField(2)), 12, 2, True),
+            (SearchProblem(n=2, d=2, flavor="skew"), 72, 4, False),
+            (SearchProblem(n=1, d=2, flavor="skew", field=PrimeField(2)), 12, 2, True),
         ]
         real_hit, real_meet = verifiers.ClauseTable.hit, verifiers.cross_nontrivial
         calls = Counter()
@@ -426,70 +423,56 @@ class TestRandomValidSystem:
     def test_postcondition_by_construction(self):
         for flavor in ("bollobas", "skew", "weak"):
             for seed in range(20):
-                s = random_valid_system("set", 4, 2, flavor, target_m=6, seed=seed)
+                s = random_valid_system(4, 2, flavor, target_m=6, seed=seed)
                 assert verify(s, flavor).verdict
                 assert oracle_set_verify(s, flavor)
                 assert s.m <= 6
 
-    @pytest.mark.parametrize("field", [PrimeField(2), QQ])
-    def test_a_set_run_takes_no_field(self, field):
-        # the field was dropped without a word, and a prime one licensed a
-        # counterexample search on set systems
-        with pytest.raises(ShapeError, match="^set generation takes no field$"):
-            random_valid_system("set", 2, 2, "skew", target_m=2, seed=0, field=field)
-        with pytest.raises(ShapeError, match="^set search takes no field$"):
-            SearchProblem(kind="set", n=2, d=2, flavor="weak", field=field)
-
     def test_reproducible(self):
-        a = random_valid_system("set", 4, 2, "skew", target_m=6, seed=9)
-        b = random_valid_system("set", 4, 2, "skew", target_m=6, seed=9)
+        a = random_valid_system(4, 2, "skew", target_m=6, seed=9)
+        b = random_valid_system(4, 2, "skew", target_m=6, seed=9)
         assert a == b
 
     def test_embedded_output_verifies(self):
         for seed in range(10):
-            s = random_valid_system("set", 3, 2, "weak", target_m=4, seed=seed)
+            s = random_valid_system(3, 2, "weak", target_m=4, seed=seed)
             assert verify(embed(s), "weak").verdict
 
     def test_degenerate_target(self):
-        s = random_valid_system("set", 3, 2, "skew", target_m=0, seed=1)
+        s = random_valid_system(3, 2, "skew", target_m=0, seed=1)
         assert s.m == 0
         assert omega(s, "yue_sum") == 0
 
     def test_negative_target_is_refused(self):
         # it used to return an empty system
         with pytest.raises(ShapeError, match="^target m=-1 is negative$"):
-            random_valid_system("set", 2, 2, "skew", target_m=-1, seed=0)
+            random_valid_system(2, 2, "skew", target_m=-1, seed=0)
         with pytest.raises(ShapeError, match="^target m=-1 is negative$"):
             random_compatible_pair_system(2, [[1], [2]], target_m=-1, seed=0)
         # an unknown flavor used to build a skew table
         with pytest.raises(ValueError, match="^unknown flavor 'wek'$"):
-            random_valid_system("set", 3, 2, "wek", 6, 0)
+            random_valid_system(3, 2, "wek", 6, 0)
 
     def test_gf_subspace_generation(self):
         for seed in range(10):
-            s = random_valid_system(
-                "subspace", 2, 2, "skew", target_m=3, seed=seed, field=PrimeField(3)
-            )
+            s = random_valid_system(2, 2, "skew", target_m=3, seed=seed, field=PrimeField(3))
             assert verify(s, "skew").verdict
 
     def test_rational_subspace_generation(self):
         for seed in range(10):
-            s = random_valid_system(
-                "subspace", 3, 2, "weak", target_m=3, seed=seed, field=QQ
-            )
+            s = random_valid_system(3, 2, "weak", target_m=3, seed=seed, field=QQ)
             assert verify(s, "weak").verdict
 
 
 @st.composite
 def generator_args(draw):
-    """Arguments of ``random_valid_system``: set and GF(2)/GF(3)/QQ kinds,
+    """Arguments of ``random_valid_system``: set and GF(2)/GF(3)/QQ grounds,
     d in {1, 2, 3}, every flavor the arity admits."""
     field = draw(st.sampled_from([None, PrimeField(2), PrimeField(3), QQ]))
     d = draw(st.integers(1, 3))
     flavor = draw(st.sampled_from(("skew", "weak", "bollobas") if d == 2 else ("skew", "weak")))
     n = draw(st.integers(1, 4 if field is None else 3))
-    kind = "set" if field is None else "subspace"
-    return kind, n, d, flavor, draw(st.integers(0, 8)), draw(st.integers(0, 2**20)), field
+    return n, d, flavor, draw(st.integers(0, 8)), draw(st.integers(0, 2**20)), field
 
 
 class TestRandomStopsAtADeadTuple:
@@ -539,7 +522,7 @@ class TestRandomStopsAtADeadTuple:
             return real(rng, n, d)
 
         monkeypatch.setattr(extremal_search, "_random_set_tuple", counted)
-        s = random_valid_system("set", 1, 1, "skew", target_m=5, seed=0)
+        s = random_valid_system(1, 1, "skew", target_m=5, seed=0)
         assert s.m == 1 and len(calls) == 1
 
 
@@ -580,9 +563,7 @@ class TestExploreConjecture:
     def test_skew_subfamilies_stay_licensed(self):
         # any skew subsystem over the rationals obeys the licensed bound
         for seed in range(10):
-            s = random_valid_system(
-                "subspace", 2, 2, "skew", target_m=3, seed=seed, field=QQ
-            )
+            s = random_valid_system(2, 2, "skew", target_m=3, seed=seed, field=QQ)
             assert evaluate_inequality(s, tuza(ProbabilityVector.uniform(2).entries)).holds
 
     def test_randomized_rational_mode(self):
@@ -600,6 +581,6 @@ class TestExploreConjecture:
             explore_weak_subspace_conjecture(2, 3, ProbabilityVector.uniform(2), field)
 
     def test_exhaustive_rational_subspace_search_refused(self):
-        problem = SearchProblem(kind="subspace", n=2, d=2, flavor="skew", field=QQ)
+        problem = SearchProblem(n=2, d=2, flavor="skew", field=QQ)
         with pytest.raises(ShapeError):
             search_max(problem)

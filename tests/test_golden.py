@@ -145,6 +145,8 @@ def _inputs() -> dict[str, object]:
         "tuples_not_list": {"kind": "set", "n": 2, "d": 2, "tuples": {}},
         "subset_not_list": {"kind": "set", "n": 2, "d": 2, "tuples": [[1, [2]]]},
         "partition_not_list": {"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": 1},
+        "partition_block_int": {"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": [3]},
+        "partition_block_str": {"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": [[1], "2"]},
         "subspace_tuple_arity": {"kind": "subspace", "n": 2, "d": 2, "tuples": [[[]]]},
         "decomposition_not_list": {"kind": "subspace", "n": 2, "d": 2, "tuples": [], "decomposition": {}},
         "n_not_int": {"kind": "set", "n": "2", "d": 2, "tuples": []},
@@ -366,7 +368,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
         "bool_element", "bool_block", "float_element", "str_element", "nested",
         "negative_n_subspace", "kind_graph", "tuples_not_list", "subset_not_list",
-        "partition_not_list", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
+        "partition_not_list", "partition_block_int", "partition_block_str", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
         "subspace_not_rows", "zero_d_set", "latin1", "long_int",
         "negative_n_set_element", "negative_n_subspace_row", "negative_n_decomposition", "n_above_cap",
     ):

@@ -85,7 +85,7 @@ class TestFillUpSetTuple:
     def test_increment_formula_randomized(self):
         rng = random.Random(31)
         for seed in range(40):
-            sys = random_valid_system("set", 2 + seed % 3, 2 + seed % 2, "weak", 3, seed=seed)
+            sys = random_valid_system(2 + seed % 3, 2 + seed % 2, "weak", 3, seed=seed)
             i = next(
                 (k for k in range(1, sys.m + 1) if not is_full_tuple(sys, k, "set")),
                 None,
@@ -525,11 +525,11 @@ def saturation_inputs(draw, pair_corpus, max_n=5):
     n = draw(st.sampled_from(range(1, (max_n if flavor == "set" else min(max_n, 4)) + 1)))
     k = draw(st.sampled_from(range(1, n + 1)))
     if flavor == "set":
-        drawn = random_valid_system("set", k, d, "weak", m, seed=seed)
+        drawn = random_valid_system(k, d, "weak", m, seed=seed)
         system = SetSystem(n, d, drawn.tuples)
     else:
         field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
-        drawn = random_valid_system("subspace", k, d, "skew", m, seed=seed, field=field)
+        drawn = random_valid_system(k, d, "skew", m, seed=seed, field=field)
         pad = (0,) * (n - k)
         system = SubspaceSystem(
             n,

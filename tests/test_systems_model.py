@@ -155,7 +155,7 @@ class TestEmbed:
         rng = random.Random(4)
         for seed in range(25):
             n = 2 + seed % 3
-            s = random_valid_system("set", n, 2, "skew", target_m=3, seed=seed)
+            s = random_valid_system(n, 2, "skew", target_m=3, seed=seed)
             e = embed(s)
             for t, u in zip(s.tuples, e.tuples):
                 assert sizes_of(t) == sizes_of(u)

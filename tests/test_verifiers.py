@@ -359,7 +359,6 @@ def systems_with_violations(draw, wide: bool = False):
     tuples = []
     if d >= 2 and draw(st.booleans()):
         base = random_valid_system(
-            kind,
             n,
             d,
             draw(st.sampled_from(flavors_for(d))),
@@ -599,7 +598,7 @@ class TestClauseTableBuilds:
 FLAVOR_ENTRY_POINTS = {
     "ConditionKind": lambda flavor, d: ConditionKind(flavor, "set", d),
     "ClauseTable": lambda flavor, d: ClauseTable(flavor, d),
-    "SearchProblem": lambda flavor, d: SearchProblem(kind="set", n=2, d=d, flavor=flavor),
+    "SearchProblem": lambda flavor, d: SearchProblem(n=2, d=d, flavor=flavor),
 }
 
 
@@ -615,7 +614,7 @@ class TestFlavorRules:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_bollobas_needs_pairs(self, entry, d):
-        with pytest.raises(ShapeError, match="^the bollobas condition is defined for pairs only$"):
+        with pytest.raises(ShapeError, match=f"^the bollobas condition needs a pair system, arity is {d}$"):
             FLAVOR_ENTRY_POINTS[entry]("bollobas", d)
 
     @pytest.mark.parametrize("flavor, d", [("bollobas", 2), ("skew", 1), ("skew", 3), ("weak", 3)])

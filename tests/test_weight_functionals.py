@@ -345,7 +345,7 @@ def weighted_systems(draw):
         field = PrimeField(draw(st.sampled_from([2, 3])))
         m = draw(st.integers(0, 4))
         n = min(n, 3)
-        return random_valid_system("subspace", n, d, "skew", m, seed=draw(st.integers(0, 999)), field=field)
+        return random_valid_system(n, d, "skew", m, seed=draw(st.integers(0, 999)), field=field)
     masks = st.integers(0, (1 << n) - 1)
     tuples = draw(st.lists(st.tuples(*[masks] * d), max_size=5))
     partition = None
