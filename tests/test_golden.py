@@ -123,6 +123,7 @@ def _inputs() -> dict[str, object]:
         "bad_scalar_word": _one_entry("x"),
         "bad_scalar_zero_den": _one_entry("1/0"),
         "bad_scalar_modulus": _one_entry("2 mod 7", "gf(5)"),
+        "bad_scalar_residue": _one_entry("x mod 3", "gf(3)"),
         # JSON text: a bare number a float holds exactly, one it cannot, the
         # same digits quoted, and bare numbers past the float range
         "bare_exact": _one_entry_text("0.5"),
@@ -206,6 +207,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "weight_tuza_arity_mismatch": (
             "weight", "--functional", "tuza", "--p", "1/2,1/2", "--in", "@tuples",
         ),
+        "refuse_tuza_no_p_weight": ("weight", "--functional", "tuza", "--in", "@tuples"),
         "saturate_set": ("saturate", "--flavor", "set", "--trace", "--in", "@empty_set_pair"),
         "saturate_tuple": ("saturate", "--flavor", "tuple", "--trace", "--in", "@empty_subspace_pair"),
         "certify_set_uniform_p": ("certify", "--flavor", "set", "--in", "@full"),
@@ -354,7 +356,9 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "--functional", "tuza", "--p", p,
         )
         cases[f"refuse_p_{label}_explore"] = ("explore", "--n", "2", "--d", "2", "--p", p, "--field", "gf(2)")
-    for label, field in (("gf4", "gf(4)"), ("word", "foo"), ("huge", "gf(618970019642690137449562111)")):
+    for label, field in (
+        ("gf4", "gf(4)"), ("word", "foo"), ("gfx", "gf(x)"), ("huge", "gf(618970019642690137449562111)"),
+    ):
         cases[f"refuse_field_{label}_search"] = (
             "search", "--objective", "max-m", "--kind", "subspace", "--n", "2", "--field", field,
         )
@@ -365,7 +369,8 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "random", "--kind", "subspace", "--seed", "0", "--m", "2", "--n", "2", "--field", field,
         )
     for doc in (
-        "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bare_overflow", "bare_nan",
+        "bad_scalar_word", "bad_scalar_zero_den", "bad_scalar_modulus", "bad_scalar_residue",
+        "bare_overflow", "bare_nan",
         "bool_element", "bool_block", "float_element", "str_element", "nested",
         "negative_n_subspace", "kind_graph", "tuples_not_list", "subset_not_list",
         "partition_not_list", "partition_block_int", "partition_block_str", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
