@@ -1,6 +1,52 @@
-"""Exception types shared across the package.  Every input refusal is a
-:class:`ShapeError`, which the CLI reports as usage (exit 2), or a
-:class:`PreconditionError`, reported as refused (exit 1)."""
+"""Exception types shared across the package, and :class:`Frozen`, the base
+of its immutable values.  Every input refusal is a :class:`ShapeError`,
+which the CLI reports as usage (exit 2), or a :class:`PreconditionError`,
+reported as refused (exit 1)."""
+
+
+class Frozen:
+    """Base of the package's immutable values: slotted classes that behave as
+    frozen dataclasses would, with no code generated at import.
+
+    A subclass names its value fields, in ``__init__`` parameter order, in
+    ``_fields``, lists them (and any other attribute) in ``__slots__``, and
+    sets each in ``__init__`` with ``object.__setattr__``.  Equality (another
+    class gives ``NotImplemented``), the hash (that of the tuple of fields),
+    the repr and pickling read ``_fields`` alone; a copy or an unpickled value
+    is rebuilt through ``__init__``.  Assignment and deletion raise
+    ``dataclasses.FrozenInstanceError``, imported only then.  A subclass that
+    defines ``__eq__`` defines ``__hash__`` too."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class BollobasError(Exception):

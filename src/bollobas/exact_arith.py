@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import ShapeError
+from .errors import Frozen, ShapeError
 
 Rational = Fraction
 
@@ -153,11 +152,17 @@ def is_prime(p: int) -> bool:
 # field tags
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Frozen):
     """Tag for exact rational arithmetic."""
 
-    p = 0  # the modulus: none; a class constant, not a dataclass field
+    __slots__ = ()
+    p = 0  # the modulus: none; a class constant, not a field
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         """Rational entries as one int row spanning the same line: each entry
@@ -189,15 +194,23 @@ class RationalField:
         return "rational"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """Tag for GF(p), p prime; its scalars are int residues in [0, p)."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ShapeError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        object.__setattr__(self, "p", p)
+        if not is_prime(p):
+            raise ShapeError(f"{p} is not prime")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         return [residue_from_str(text, self.p) for text in texts]
@@ -233,14 +246,13 @@ def field_from_str(s: str) -> FieldTag:
 # probability vectors
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
+class ProbabilityVector(Frozen):
     """Positive rationals p_1..p_d summing to exactly 1."""
 
-    entries: tuple[Rational, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(Fraction(e) for e in self.entries)
+    def __init__(self, entries: tuple[Rational, ...]):
+        entries = tuple(Fraction(e) for e in entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ShapeError("probability vector needs at least one entry")

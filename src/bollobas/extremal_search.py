@@ -54,13 +54,12 @@ and the node count are those of a visit to each leaf.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import DEFAULT_TUPLE_BUDGET
-from .errors import BudgetError, PreconditionError, ShapeError
+from .errors import BudgetError, Frozen, PreconditionError, ShapeError
 from .exact_arith import (
     QQ,
     FieldTag,
@@ -92,22 +91,36 @@ CLAUSE_TABLE_GUARD = 1 << 26
 OBJECTIVES = ("max_m", "max_weight", "counterexample")
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Frozen):
     """A search space (ground, arity, condition) plus objective and limits.
     The ground is the set [n] when ``field`` is None and F^n over a field."""
 
-    n: int
-    d: int
-    flavor: str  # "bollobas" | "skew" | "weak"
-    objective: str = "max_m"
-    functional: FunctionalKind | None = None
-    field: FieldTag | None = None
-    uniform_sizes: tuple[int, ...] | None = None
-    node_budget: int = DEFAULT_NODE_BUDGET
-    prune: bool = True
+    __slots__ = _fields = (
+        "n", "d", "flavor", "objective", "functional", "field", "uniform_sizes", "node_budget", "prune",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        flavor: str,  # "bollobas" | "skew" | "weak"
+        objective: str = "max_m",
+        functional: FunctionalKind | None = None,
+        field: FieldTag | None = None,
+        uniform_sizes: tuple[int, ...] | None = None,
+        node_budget: int = DEFAULT_NODE_BUDGET,
+        prune: bool = True,
+    ):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "d", d)
+        init(self, "flavor", flavor)
+        init(self, "objective", objective)
+        init(self, "functional", functional)
+        init(self, "field", field)
+        init(self, "uniform_sizes", uniform_sizes)
+        init(self, "node_budget", node_budget)
+        init(self, "prune", prune)
         if self.objective not in OBJECTIVES:
             raise ShapeError(f"unknown objective {self.objective!r}")
         check_flavor(self.flavor, self.d)
@@ -134,15 +147,18 @@ class SearchProblem:
         return self.field is not None and self.flavor == "weak"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Frozen):
     """Best value found, a witness system realizing it, and whether the
     search provably covered the space."""
 
-    best_value: Rational | int
-    witness: System | None
-    nodes: int
-    exhaustive: bool
+    __slots__ = _fields = ("best_value", "witness", "nodes", "exhaustive")
+
+    def __init__(self, best_value: Rational | int, witness: System | None, nodes: int, exhaustive: bool):
+        init = object.__setattr__
+        init(self, "best_value", best_value)
+        init(self, "witness", witness)
+        init(self, "nodes", nodes)
+        init(self, "exhaustive", exhaustive)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Any, Callable
@@ -54,6 +53,7 @@ from .errors import (
     BollobasError,
     BudgetError,
     DuplicateTupleError,
+    Frozen,
     PreconditionError,
     ShapeError,
 )
@@ -77,29 +77,43 @@ from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 DEBUG_RECOUNT_BUDGET = 2**22
 
 
-@dataclass(frozen=True)
-class FillUpStep:
+class FillUpStep(Frozen):
     """One replacement: tuple ``index`` (1-based) rewritten using ``x``, the
     set flavor's ground element or a subspace flavor's vector as its
     canonical int row; for the pair flavor, ``block`` names the deficient
     V_k."""
 
-    index: int
-    block: int | None
-    x: int | tuple[int, ...]
+    __slots__ = _fields = ("index", "block", "x")
+
+    def __init__(self, index: int, block: int | None, x: int | tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "index", index)
+        init(self, "block", block)
+        init(self, "x", x)
 
 
-@dataclass(frozen=True)
-class SaturationTrace:
+class SaturationTrace(Frozen):
     """A full fill-up run: every step keeps the weight ``omega``, and
     ``phis`` strictly increases and stays within the flavor's bound."""
 
-    flavor: str
-    functional: FunctionalKind
-    steps: tuple[FillUpStep, ...]
-    omega: Rational
-    phis: tuple[int, ...]
-    final: System
+    __slots__ = _fields = ("flavor", "functional", "steps", "omega", "phis", "final")
+
+    def __init__(
+        self,
+        flavor: str,
+        functional: FunctionalKind,
+        steps: tuple[FillUpStep, ...],
+        omega: Rational,
+        phis: tuple[int, ...],
+        final: System,
+    ):
+        init = object.__setattr__
+        init(self, "flavor", flavor)
+        init(self, "functional", functional)
+        init(self, "steps", steps)
+        init(self, "omega", omega)
+        init(self, "phis", phis)
+        init(self, "final", final)
 
 
 class Flavor:

@@ -31,12 +31,10 @@ are eliminated.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import FieldMismatchError, PreconditionError, ShapeError
+from .errors import FieldMismatchError, Frozen, PreconditionError, ShapeError
 from .exact_arith import FieldTag
 
 
@@ -106,7 +104,7 @@ def rref(rows: Iterable[Sequence[int]], width: int, field: FieldTag) -> tuple:
     return _canonical(*_eliminate(list(rows), width, p), p)
 
 
-class Subspace:
+class Subspace(Frozen):
     """A subspace of F^n, stored as its canonical int rows (see the module
     docstring); the zero subspace has none.  Values are immutable and
     hashable; equality is subspace equality.
@@ -116,7 +114,8 @@ class Subspace:
     use and kept: the search keys its clause table by subspaces.
     """
 
-    __slots__ = ("n", "field", "rows", "dim", "pivot_mask", "_hash")
+    _fields = ("n", "field", "rows")
+    __slots__ = _fields + ("dim", "pivot_mask", "_hash")
 
     def __init__(self, n: int, field: FieldTag, rows: tuple[tuple[int, ...], ...]):
         mask = 0
@@ -132,18 +131,6 @@ class Subspace:
         init(self, "dim", len(rows))
         init(self, "pivot_mask", mask)
         init(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Subspace, (self.n, self.field, self.rows)
-
-    def __repr__(self) -> str:
-        return f"Subspace(n={self.n!r}, field={self.field!r}, rows={self.rows!r})"
 
     def __eq__(self, other):
         if self is other:
@@ -306,26 +293,25 @@ def extension_vector(v_k: Subspace, s: Subspace) -> Optional[tuple[int, ...]]:
     return None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """A direct-sum decomposition V = V_1 ⊕ ... ⊕ V_r of the ambient space.
 
     ``components(u)`` memoizes (U ∩ V_1, ..., U ∩ V_r) per subspace U in a
     dict that lives as long as this value: systems derived by
-    ``with_tuples``/``replace`` keep the same decomposition, so one
-    saturation run computes each component once.  The memo takes no part in
-    equality, hashing or repr.
+    ``with_tuples`` keep the same decomposition, so one saturation run
+    computes each component once.  The memo is not a field: it takes no part
+    in equality, hashing or repr.
     """
 
-    n: int
-    field: FieldTag
-    blocks: tuple[Subspace, ...]
-    _components: dict = dataclasses.field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    _fields = ("n", "field", "blocks")
+    __slots__ = _fields + ("_components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+    def __init__(self, n: int, field: FieldTag, blocks: tuple[Subspace, ...]):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "field", field)
+        init(self, "blocks", tuple(blocks))
+        init(self, "_components", {})
         for b in self.blocks:
             if b.n != self.n or b.field != self.field:
                 raise FieldMismatchError("decomposition block in wrong ambient space/field")

@@ -13,10 +13,9 @@ violation witnesses and fill-up steps use the same convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
-from .errors import PartitionError, ShapeError
+from .errors import Frozen, PartitionError, ShapeError
 from .exact_arith import QQ, FieldTag
 from .subspace_algebra import Decomposition, Subspace, coordinate_subspace
 
@@ -50,8 +49,7 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
 # systems
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(Frozen):
     """Ordered system of d-tuples of subsets of [n], with optional partition.
 
     ``tuples[i]`` is a d-tuple of bitmasks.  ``partition`` is a tuple of block
@@ -59,13 +57,20 @@ class SetSystem:
     representable; the verifiers reject them through the cross clauses.
     """
 
-    n: int
-    d: int
-    tuples: tuple[tuple[int, ...], ...]
-    partition: tuple[int, ...] | None = None
+    __slots__ = _fields = ("n", "d", "tuples", "partition")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tuples", tuple(tuple(t) for t in self.tuples))
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        tuples: tuple[tuple[int, ...], ...],
+        partition: tuple[int, ...] | None = None,
+    ):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "d", d)
+        init(self, "tuples", tuple(tuple(t) for t in tuples))
+        init(self, "partition", partition)
         if self.n < 0 or self.d < 1:
             raise ShapeError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
         full = (1 << self.n) - 1
@@ -112,18 +117,25 @@ class SetSystem:
         return cls(n, d, packed, blocks)
 
 
-@dataclass(frozen=True)
-class SubspaceSystem:
+class SubspaceSystem(Frozen):
     """Ordered system of d-tuples of subspaces, with optional decomposition."""
 
-    n: int
-    field: FieldTag
-    d: int
-    tuples: tuple[tuple[Subspace, ...], ...]
-    decomposition: Decomposition | None = None
+    __slots__ = _fields = ("n", "field", "d", "tuples", "decomposition")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tuples", tuple(tuple(t) for t in self.tuples))
+    def __init__(
+        self,
+        n: int,
+        field: FieldTag,
+        d: int,
+        tuples: tuple[tuple[Subspace, ...], ...],
+        decomposition: Decomposition | None = None,
+    ):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "field", field)
+        init(self, "d", d)
+        init(self, "tuples", tuple(tuple(t) for t in tuples))
+        init(self, "decomposition", decomposition)
         if self.n < 0 or self.d < 1:
             raise ShapeError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
         for t in self.tuples:
@@ -146,7 +158,9 @@ System = Union[SetSystem, SubspaceSystem]
 
 def with_tuples(system: System, tuples) -> System:
     """Same system with the tuple list replaced (context kept)."""
-    return replace(system, tuples=tuple(tuples))
+    if isinstance(system, SetSystem):
+        return SetSystem(system.n, system.d, tuples, system.partition)
+    return SubspaceSystem(system.n, system.field, system.d, tuples, system.decomposition)
 
 
 def blocks_of(system: System) -> tuple | None:

@@ -27,12 +27,11 @@ so prime-field runs are exploration, not theorem checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable
 
-from .errors import PreconditionError, ShapeError
+from .errors import Frozen, PreconditionError, ShapeError
 from .exact_arith import PrimeField, Rational, multinomial, rational_to_str
 from .subspace_algebra import Subspace, dim_of_sum, share_a_row
 from .systems_model import (
@@ -61,17 +60,18 @@ CLAUSE_COMPONENT = "component"  # clause (i): within-tuple disjointness/independ
 CLAUSE_CROSS = "cross"  # clause (ii): cross-tuple intersection requirement
 
 
-@dataclass(frozen=True)
-class ConditionKind:
-    """A named condition: flavor x system kind x arity, plus the monotone flag
-    used by the size-monotone skew inequality."""
+class ConditionKind(Frozen):
+    """A named condition: flavor x system kind ("set" or "subspace") x arity,
+    plus the monotone flag used by the size-monotone skew inequality."""
 
-    flavor: str
-    kind: str  # "set" | "subspace"
-    d: int
-    monotone: bool = False
+    __slots__ = _fields = ("flavor", "kind", "d", "monotone")
 
-    def __post_init__(self):
+    def __init__(self, flavor: str, kind: str, d: int, monotone: bool = False):
+        init = object.__setattr__
+        init(self, "flavor", flavor)
+        init(self, "kind", kind)
+        init(self, "d", d)
+        init(self, "monotone", monotone)
         check_flavor(self.flavor, self.d)
         if self.kind not in ("set", "subspace"):
             raise ShapeError(f"unknown system kind {self.kind!r}")
@@ -86,14 +86,21 @@ def condition_for(system: System, flavor: str, monotone: bool = False) -> Condit
     return ConditionKind(flavor, kind, system.d, monotone)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    verdict: bool
-    first_violation: tuple[int, int, str] | None
-    condition: ConditionKind
-    field_caveat: bool = False
+class VerificationReport(Frozen):
+    __slots__ = _fields = ("verdict", "first_violation", "condition", "field_caveat")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        verdict: bool,
+        first_violation: tuple[int, int, str] | None,
+        condition: ConditionKind,
+        field_caveat: bool = False,
+    ):
+        init = object.__setattr__
+        init(self, "verdict", verdict)
+        init(self, "first_violation", first_violation)
+        init(self, "condition", condition)
+        init(self, "field_caveat", field_caveat)
         if self.verdict == (self.first_violation is not None):
             raise ValueError("verdict and witness are inconsistent")
 
@@ -330,30 +337,44 @@ def count_bound(profile: tuple) -> int:
     return multinomial(profile)
 
 
-@dataclass(frozen=True)
-class ClassCount:
+class ClassCount(Frozen):
     """One type class: its profile, how many tuples realize it, and the
     counting bound the profile licenses."""
 
-    profile: tuple
-    count: int
-    bound: int
+    __slots__ = _fields = ("profile", "count", "bound")
+
+    def __init__(self, profile: tuple, count: int, bound: int):
+        init = object.__setattr__
+        init(self, "profile", profile)
+        init(self, "count", count)
+        init(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """A checked assertion with its exact quantities.
 
     ``quantities`` holds (name, exact-string) pairs; ``classes`` is populated
     by type-class certificates; GF(p) findings are recorded, never raised.
     """
 
-    check: str
-    holds: bool
-    quantities: tuple[tuple[str, str], ...]
-    classes: tuple[ClassCount, ...] = ()
-    field_caveat: bool = False
-    findings: tuple[str, ...] = ()
+    __slots__ = _fields = ("check", "holds", "quantities", "classes", "field_caveat", "findings")
+
+    def __init__(
+        self,
+        check: str,
+        holds: bool,
+        quantities: tuple[tuple[str, str], ...],
+        classes: tuple[ClassCount, ...] = (),
+        field_caveat: bool = False,
+        findings: tuple[str, ...] = (),
+    ):
+        init = object.__setattr__
+        init(self, "check", check)
+        init(self, "holds", holds)
+        init(self, "quantities", quantities)
+        init(self, "classes", classes)
+        init(self, "field_caveat", field_caveat)
+        init(self, "findings", findings)
 
     def quantity(self, name: str) -> str:
         for key, value in self.quantities:

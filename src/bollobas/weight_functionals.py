@@ -32,13 +32,12 @@ The saturation potentials live with the flavors they terminate, in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import LicensingError, PreconditionError, ShapeError
+from .errors import Frozen, LicensingError, PreconditionError, ShapeError
 from .exact_arith import ProbabilityVector, Rational
 from .systems_model import (
     SetSystem,
@@ -87,15 +86,21 @@ RULES = {
 FUNCTIONALS = tuple(RULES)
 
 
-@dataclass(frozen=True)
-class FunctionalKind:
+class FunctionalKind(Frozen):
     """A functional name plus, for a functional that takes p (tuza_sum),
-    its probability vector."""
+    its probability vector.
 
-    name: str
-    p: ProbabilityVector | None = None
+    ``p_key`` is p as (numerator, denominator) pairs, or None: a key for
+    :func:`term`'s cache that hashes and compares without a ``Fraction``
+    method call.  It is not a field."""
 
-    def __post_init__(self):
+    _fields = ("name", "p")
+    __slots__ = _fields + ("p_key",)
+
+    def __init__(self, name: str, p: ProbabilityVector | None = None):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "p", p)
         if self.name not in FUNCTIONALS:
             raise ShapeError(f"unknown functional {self.name!r}; choose from {FUNCTIONALS}")
         takes_p = RULES[self.name].takes_p
@@ -103,18 +108,11 @@ class FunctionalKind:
             raise ShapeError(f"{self.name} needs a probability vector")
         if not takes_p and self.p is not None:
             raise ShapeError(f"{self.name} takes no probability vector")
+        key = None if p is None else tuple((e.numerator, e.denominator) for e in p.entries)
+        init(self, "p_key", key)
 
     def __str__(self) -> str:
         return self.name if self.p is None else f"{self.name}(p={self.p})"
-
-    @cached_property
-    def p_key(self) -> tuple | None:
-        """p as (numerator, denominator) pairs, or None: a key for
-        :func:`term`'s cache that hashes and compares without a ``Fraction``
-        method call."""
-        if self.p is None:
-            return None
-        return tuple((e.numerator, e.denominator) for e in self.p.entries)
 
 
 def tuza(p: ProbabilityVector | tuple) -> FunctionalKind:
@@ -129,18 +127,27 @@ def _as_kind(kind: str | FunctionalKind) -> FunctionalKind:
     return FunctionalKind(kind)
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
+class InequalityVerdict(Frozen):
     """An exact value against its licensed bound."""
 
-    value: Rational
-    bound: Rational
-    holds: bool
-    tight: bool
-    licensed_by: ConditionKind
-    field_caveat: bool = False
+    __slots__ = _fields = ("value", "bound", "holds", "tight", "licensed_by", "field_caveat")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        value: Rational,
+        bound: Rational,
+        holds: bool,
+        tight: bool,
+        licensed_by: ConditionKind,
+        field_caveat: bool = False,
+    ):
+        init = object.__setattr__
+        init(self, "value", value)
+        init(self, "bound", bound)
+        init(self, "holds", holds)
+        init(self, "tight", tight)
+        init(self, "licensed_by", licensed_by)
+        init(self, "field_caveat", field_caveat)
         if self.holds != (self.value <= self.bound):
             raise ValueError("holds flag inconsistent with value/bound")
         if self.tight and not self.holds:
