@@ -190,6 +190,10 @@ def _cases() -> dict[str, tuple[str, ...]]:
     cases = {
         "readme_construct": ("construct", "--family", "complement_chain", "--params", "n=4"),
         "construct_uniform_bollobas": ("construct", "--family", "uniform_bollobas", "--params", "a=2", "b=1"),
+        # a + b is the ground dimension n, which must lie in the range too
+        "construct_uniform_bollobas_above_cap": (
+            "construct", "--family", "uniform_bollobas", "--params", "a=1", "b=64",
+        ),
         "readme_verify": ("verify", "--kind", "skew", "--in", "@chain"),
         "readme_weight_yue": ("weight", "--functional", "yue_sum", "--in", "@chain"),
         "readme_weight_tuza": (
