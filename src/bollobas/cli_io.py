@@ -72,6 +72,7 @@ from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
+    check_sizes,
     elements_of_mask,
     embed,
     mask_from_elements,
@@ -93,12 +94,6 @@ from .weight_functionals import (
     evaluate_inequality,
     omega,
 )
-
-# Largest ground dimension and arity a document or the ``random`` command may
-# name.  They sit far above every exhaustive guard; without them a few bytes
-# of input could ask for work such as building the bignum 3^n.
-MAX_N = 64
-MAX_D = 16
 
 # ---------------------------------------------------------------------------
 # documents
@@ -255,12 +250,12 @@ def system_from_doc(doc: Any) -> System:
 
 
 def _expect_int(doc: dict, key: str) -> int:
-    """A document's n or d: an integer in its ``_check_sizes`` range."""
+    """A document's n or d: an integer in its ``check_sizes`` range."""
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(f"{key} must be an integer", key)
     try:
-        _check_sizes({key: value}, "")
+        check_sizes({key: value}, "")
     except ShapeError as exc:
         raise DocumentError(str(exc), key) from exc
     return value
@@ -455,18 +450,6 @@ def _int_blocks(text: str, flag: str) -> list[list[int]]:
     return [[_int(x, flag) for x in block.split(",") if x] for block in text.split("|")]
 
 
-def _check_sizes(sizes: dict[str, int], prefix: str) -> None:
-    """Refuse a size argument outside its range before any work is sized by
-    it: a ground dimension or family parameter n, a, b outside [0, MAX_N],
-    an arity d outside [1, MAX_D].  ``prefix`` makes the flag the message
-    names: "--" for --n, "--params " for a construct param, "" for a
-    document's n or d."""
-    for key, value in sizes.items():
-        low, cap = (1, MAX_D) if key == "d" else (0, MAX_N)
-        if not low <= value <= cap:
-            raise ShapeError(f"{prefix}{key}={value} is outside [{low}, {cap}]")
-
-
 def _cmd_verify(args) -> int:
     system = _read_system(args)
     report = verify(system, args.kind)
@@ -551,7 +534,7 @@ def _ground(args, run: str) -> FieldTag | None:
 
 
 def _cmd_search(args) -> int:
-    _check_sizes({"n": args.n, "d": args.d}, "--")
+    check_sizes({"n": args.n, "d": args.d}, "--")
     field = _ground(args, "search")
     functional = _parse_functional(args) if args.functional else None
     if args.p and functional is None:
@@ -584,7 +567,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    _check_sizes({"n": args.n, "d": args.d}, "--")
+    check_sizes({"n": args.n, "d": args.d}, "--")
     field = field_from_str(args.field)
     p = ProbabilityVector.parse(args.p)
     result = explore_weak_subspace_conjecture(
@@ -610,7 +593,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_construct(args) -> int:
     params = _parse_params(args.params or [])
-    _check_sizes({k: v for k, v in params.items() if k in ("n", "a", "b", "d")}, "--params ")
+    check_sizes({k: v for k, v in params.items() if k in ("n", "a", "b", "d")}, "--params ")
     embedded = params.pop("embedded", False)
     system = construct(args.family, params, embedded)
     _emit(system_to_doc(system))
@@ -651,7 +634,7 @@ def _cmd_random(args) -> int:
         given = [f"--{k}" for k in ("d", "condition", "kind", "field") if getattr(args, k) is not None]
         if given:
             raise ShapeError(f"--compatible-blocks takes no {', '.join(given)}")
-        _check_sizes({"n": args.n}, "--")
+        check_sizes({"n": args.n}, "--")
         blocks = _int_blocks(args.compatible_blocks, "--compatible-blocks")
         # read as sets, the blocks must be a partition of [1, n]
         if sorted(c for b in blocks for c in set(b)) != list(range(1, args.n + 1)):
@@ -660,7 +643,7 @@ def _cmd_random(args) -> int:
         system: System = random_compatible_pair_system(args.n, blocks, args.m, args.seed)
     else:
         d = 2 if args.d is None else args.d
-        _check_sizes({"n": args.n, "d": d}, "--")
+        check_sizes({"n": args.n, "d": d}, "--")
         field = _ground(args, "generation")
         system = random_valid_system(
             args.n, d, args.condition or "skew", target_m=args.m, seed=args.seed, field=field

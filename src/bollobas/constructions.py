@@ -19,13 +19,12 @@ order is skew-valid, but a fixed one keeps fixtures byte-stable.
 
 from __future__ import annotations
 
-from inspect import signature
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, ShapeError
 from .exact_arith import binomial
-from .systems_model import SetSystem, System, elements_of_mask, embed, mask_from_elements
+from .systems_model import SetSystem, System, check_sizes, elements_of_mask, embed, mask_from_elements
 
 DEFAULT_TUPLE_BUDGET = 4096
 
@@ -39,9 +38,8 @@ def _guard(count: int) -> None:
 
 def uniform_bollobas(a: int, b: int) -> SetSystem:
     """All a-subsets of [a+b] paired with their complements, in lex order."""
-    if a < 0 or b < 0:
-        raise ShapeError("parameters must be nonnegative")
     n = a + b
+    check_sizes({"a": a, "b": b, "n": n}, "")
     _guard(binomial(n, a))
     full = (1 << n) - 1
     tuples = []
@@ -59,8 +57,7 @@ def _chain_masks(n: int) -> list[int]:
 
 
 def complement_chain(n: int) -> SetSystem:
-    if n < 0:
-        raise ShapeError("n must be nonnegative")
+    check_sizes({"n": n}, "")
     _guard(1 << n)
     full = (1 << n) - 1
     tuples = tuple((s, full & ~s) for s in _chain_masks(n))
@@ -75,8 +72,7 @@ def partitioned_complement_chain(n: int, blocks: Sequence[Iterable[int]]) -> Set
 
 def full_tuza_tuples(n: int, d: int) -> SetSystem:
     """All d^n assignments of [n] onto d labelled parts, assignment-lex order."""
-    if n < 0 or d < 1:
-        raise ShapeError("need n >= 0 and d >= 1")
+    check_sizes({"n": n, "d": d}, "")
     _guard(d**n)
     tuples = []
     for assignment in product(range(d), repeat=n):
@@ -92,7 +88,7 @@ _FAMILIES = {
     for f in (uniform_bollobas, complement_chain, partitioned_complement_chain, full_tuza_tuples)
 }
 # each family's required parameters, in its signature's order
-FAMILY_PARAMS = {name: tuple(signature(f).parameters) for name, f in _FAMILIES.items()}
+FAMILY_PARAMS = {name: f.__code__.co_varnames[: f.__code__.co_argcount] for name, f in _FAMILIES.items()}
 FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 

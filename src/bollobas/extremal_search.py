@@ -74,7 +74,7 @@ from .subspace_algebra import (
     coordinate_subspace,
     rref,
 )
-from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
+from .systems_model import SetSystem, SubspaceSystem, System, check_sizes, sizes_of
 from .verifiers import ClauseTable, check_flavor, component_clause_ok, cross_nontrivial
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
@@ -111,6 +111,7 @@ class SearchProblem(Frozen):
         node_budget: int = DEFAULT_NODE_BUDGET,
         prune: bool = True,
     ):
+        check_sizes({"n": n, "d": d}, "")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "d", d)
@@ -478,6 +479,7 @@ def random_valid_system(
     The result verifies its condition by construction.  A ``target_m`` above
     ``DEFAULT_TUPLE_BUDGET`` is refused with ``BudgetError``.
     """
+    check_sizes({"n": n, "d": d}, "")
     _check_target(target_m)
     rng = random.Random(seed)
     table = ClauseTable(flavor, d)
@@ -511,6 +513,7 @@ def random_compatible_pair_system(
     skewness is enforced by the same append rule, and stop rule, as the
     other generators.
     """
+    check_sizes({"n": n}, "")
     _check_target(target_m)
     rng = random.Random(seed)
     decomp = coordinate_decomposition(n, QQ, blocks)

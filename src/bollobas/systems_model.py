@@ -19,6 +19,25 @@ from .errors import Frozen, PartitionError, ShapeError
 from .exact_arith import QQ, FieldTag
 from .subspace_algebra import Decomposition, Subspace, coordinate_subspace
 
+# Largest ground dimension and arity any entry point accepts.  They sit far
+# above every exhaustive guard; without them a few bytes of input could ask
+# for work such as building the bignum 3^n.
+MAX_N = 64
+MAX_D = 16
+
+
+def check_sizes(sizes: dict[str, int], prefix: str) -> None:
+    """Refuse a size outside its range before any work is sized by it: a
+    ground dimension or family parameter n, a, b outside [0, MAX_N], an
+    arity d outside [1, MAX_D].  ``prefix`` makes the name the message
+    gives: "--" for --n, "--params " for a construct param, "" for a
+    library argument or a document's n or d."""
+    for key, value in sizes.items():
+        low, cap = (1, MAX_D) if key == "d" else (0, MAX_N)
+        if not low <= value <= cap:
+            raise ShapeError(f"{prefix}{key}={value} is outside [{low}, {cap}]")
+
+
 # ---------------------------------------------------------------------------
 # bitmask helpers
 
@@ -66,13 +85,12 @@ class SetSystem(Frozen):
         tuples: tuple[tuple[int, ...], ...],
         partition: tuple[int, ...] | None = None,
     ):
+        check_sizes({"n": n, "d": d}, "")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "d", d)
         init(self, "tuples", tuple(tuple(t) for t in tuples))
         init(self, "partition", partition)
-        if self.n < 0 or self.d < 1:
-            raise ShapeError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
         full = (1 << self.n) - 1
         for t in self.tuples:
             if len(t) != self.d:
@@ -130,14 +148,13 @@ class SubspaceSystem(Frozen):
         tuples: tuple[tuple[Subspace, ...], ...],
         decomposition: Decomposition | None = None,
     ):
+        check_sizes({"n": n, "d": d}, "")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "field", field)
         init(self, "d", d)
         init(self, "tuples", tuple(tuple(t) for t in tuples))
         init(self, "decomposition", decomposition)
-        if self.n < 0 or self.d < 1:
-            raise ShapeError(f"need n >= 0 and d >= 1, got n={self.n}, d={self.d}")
         for t in self.tuples:
             if len(t) != self.d:
                 raise ShapeError(f"tuple arity {len(t)} != d={self.d}")

@@ -59,6 +59,37 @@ def run_cli(capsys, *argv):
     return rc, doc
 
 
+def _construct_edges() -> list[tuple[str, tuple[str, ...]]]:
+    """construct params at the edges of what it accepts: a and b at 0, 1, 2,
+    63 and 64, n and d at the size range and at the tuple budget, some of
+    them embedded."""
+    edges = [
+        ("uniform_bollobas", (f"a={a}", f"b={b}")) for a in (0, 1, 2, 63, 64) for b in (0, 1, 2, 63, 64)
+    ]
+    edges += [("complement_chain", (f"n={n}",)) for n in (0, 1, 12, 13, 64, 65)]
+    edges += [
+        ("partitioned_complement_chain", ("n=0", "blocks=")),
+        ("partitioned_complement_chain", ("n=12", "blocks=1,2,3,4,5,6|7,8,9,10,11,12")),
+        ("partitioned_complement_chain", ("n=13", "blocks=1,2,3,4,5,6|7,8,9,10,11,12,13")),
+    ]
+    edges += [
+        ("full_tuza_tuples", (f"n={n}", f"d={d}"))
+        for n, d in ((0, 1), (0, 16), (64, 1), (65, 1), (12, 2), (13, 2), (3, 16), (2, 17), (2, 0))
+    ]
+    for family, params in (
+        ("uniform_bollobas", ("a=0", "b=64")),
+        ("uniform_bollobas", ("a=64", "b=0")),
+        ("uniform_bollobas", ("a=1", "b=64")),
+        ("complement_chain", ("n=1",)),
+        ("full_tuza_tuples", ("n=1", "d=16")),
+    ):
+        edges.append((family, (*params, "embedded=1")))
+    return edges
+
+
+CONSTRUCT_EDGES = _construct_edges()
+
+
 class TestDocuments:
     def test_minimal_set_document(self):
         s = parse('{"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]]}')
@@ -529,6 +560,20 @@ class TestCli:
         rc, doc = run_cli(capsys, "construct", "--family", "complement_chain", "--params", "n=2")
         assert (rc, doc) == (code, {"error": "injected", "status": status})
 
+    def test_import_loads_no_reflection_modules(self):
+        # inspect (which pulls in ast, dis and tokenize) and dataclasses once
+        # cost a fresh import of the package milliseconds each
+        src = os.path.dirname(os.path.dirname(cli_io.__file__))
+        code = "import sys, bollobas.cli_io; print(sorted({'inspect', 'ast', 'dataclasses'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_module_runs_as_a_script(self):
         src = os.path.dirname(os.path.dirname(cli_io.__file__))
         proc = subprocess.run(
@@ -641,7 +686,7 @@ class TestCli:
         assert out["error"].startswith(f"{key}: ")
 
     def test_caps_admit_their_limit(self):
-        from bollobas.cli_io import MAX_D, MAX_N
+        from bollobas.systems_model import MAX_D, MAX_N
 
         system = system_from_doc({"kind": "set", "n": MAX_N, "d": MAX_D, "tuples": []})
         assert (system.n, system.d) == (MAX_N, MAX_D)
@@ -843,6 +888,18 @@ class TestCli:
         rc, doc = run_cli(capsys, "construct", "--family", "complement_chain", "--params", *params)
         assert rc == 2 and doc["status"] == "usage"
         assert doc["error"] == f"family 'complement_chain' takes no params {unknown}"
+
+    @pytest.mark.parametrize(
+        "family, params", CONSTRUCT_EDGES, ids=[" ".join((f, *p)) for f, p in CONSTRUCT_EDGES]
+    )
+    def test_construct_emits_only_documents_that_load(self, capsys, family, params):
+        # uniform_bollobas a=1 b=64 used to emit a document at n=65, which
+        # every reading command refused
+        rc, doc = run_cli(capsys, "construct", "--family", family, "--params", *params)
+        if rc:
+            assert rc == 2 and doc["status"] == "usage"
+        else:
+            assert system_to_doc(system_from_doc(doc)) == doc
 
     @pytest.mark.parametrize(
         "extra, message",

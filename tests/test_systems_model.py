@@ -1,6 +1,7 @@
 """System data model: profiles, embedding, decomposition compatibility."""
 
 import random
+import time
 
 import pytest
 
@@ -9,18 +10,30 @@ from bollobas import (
     Decomposition,
     FieldMismatchError,
     PrimeField,
+    ProbabilityVector,
+    SearchProblem,
     SetSystem,
     ShapeError,
     SubspaceSystem,
     canonicalize,
+    complement_chain,
     coordinate_decomposition,
     coordinate_subspace,
     embed,
+    explore_weak_subspace_conjecture,
+    full_tuza_tuples,
     is_decomposition_compatible,
+    partitioned_complement_chain,
+    random_compatible_pair_system,
     random_valid_system,
+    saturate,
+    search_max,
+    uniform_bollobas,
     zero_subspace,
 )
 from bollobas.systems_model import (
+    MAX_D,
+    MAX_N,
     block_profiles,
     blocks_of,
     elements_of_mask,
@@ -191,3 +204,68 @@ class TestDecompositionCompatibility:
         sys = SubspaceSystem(2, QQ, 2, ((z, z),))
         with pytest.raises(ShapeError):
             is_decomposition_compatible(sys)
+
+
+def _range_cases():
+    """(id, call, text): each library entry point at every size it takes,
+    just outside the range, and the calls that once hung or raised a bare
+    ``ValueError``."""
+    uniform = ProbabilityVector.uniform(2)
+    entries = {
+        "SetSystem": lambda n, d: SetSystem(n, d, ()),
+        "SubspaceSystem": lambda n, d: SubspaceSystem(n, QQ, d, ()),
+        "complement_chain": lambda n, d: complement_chain(n),
+        "partitioned_complement_chain": lambda n, d: partitioned_complement_chain(n, [range(1, n + 1)]),
+        "full_tuza_tuples": full_tuza_tuples,
+        "random_valid_system_set": lambda n, d: random_valid_system(n, d, "weak", 10, 0),
+        "random_valid_system_qq": lambda n, d: random_valid_system(n, d, "weak", 10, 0, field=QQ),
+        "random_compatible_pair_system": (
+            lambda n, d: random_compatible_pair_system(n, [range(1, n + 1)], 10, 0)
+        ),
+        "SearchProblem": lambda n, d: SearchProblem(n=n, d=d, flavor="weak"),
+        "explore_gf2": lambda n, d: explore_weak_subspace_conjecture(n, d, uniform, PrimeField(2), budget=5),
+        "explore_qq": lambda n, d: explore_weak_subspace_conjecture(n, d, uniform, QQ, budget=5),
+    }
+    takes_d = {"SetSystem", "SubspaceSystem", "full_tuza_tuples", "random_valid_system_set",
+               "random_valid_system_qq", "SearchProblem", "explore_gf2", "explore_qq"}
+    cases = []
+    for name, entry in entries.items():
+        for n in (-1, MAX_N + 1):
+            cases.append((f"{name}-n={n}", lambda entry=entry, n=n: entry(n, 2), f"n={n} is outside [0, 64]"))
+        if name in takes_d:
+            for d in (0, MAX_D + 1):
+                cases.append((f"{name}-d={d}", lambda entry=entry, d=d: entry(2, d), f"d={d} is outside [1, 16]"))
+    for key, a, b in (("a", -1, 2), ("a", MAX_N + 1, 0), ("b", 2, -1), ("b", 0, MAX_N + 1)):
+        value = a if key == "a" else b
+        cases.append(
+            (f"uniform_bollobas-{key}={value}", lambda a=a, b=b: uniform_bollobas(a, b),
+             f"{key}={value} is outside [0, 64]")
+        )
+    cases += [
+        ("uniform_bollobas-a+b=65", lambda: uniform_bollobas(1, MAX_N), "n=65 is outside [0, 64]"),
+        # once hung
+        ("random_set-n=10**6", lambda: random_valid_system(10**6, 2, "skew", 10, 0), "n=1000000 is outside [0, 64]"),
+        ("random_qq-n=400", lambda: random_valid_system(400, 2, "skew", 10, 0, field=QQ), "n=400 is outside [0, 64]"),
+        ("explore_qq-n=200", lambda: explore_weak_subspace_conjecture(200, 2, uniform, QQ, budget=5),
+         "n=200 is outside [0, 64]"),
+        # once raised a bare ValueError
+        ("search_max-n=-1", lambda: search_max(SearchProblem(n=-1, d=2, flavor="skew")), "n=-1 is outside [0, 64]"),
+        ("complement_chain-n=14300", lambda: complement_chain(14300), "n=14300 is outside [0, 64]"),
+        ("uniform_bollobas-10**5", lambda: uniform_bollobas(10**5, 10**5), "a=100000 is outside [0, 64]"),
+        ("saturate-n=14300", lambda: saturate(SetSystem(14300, 2, ((0, 0),)), "set"), "n=14300 is outside [0, 64]"),
+    ]
+    return cases
+
+
+RANGE_CASES = _range_cases()
+
+
+@pytest.mark.parametrize("call, text", [c[1:] for c in RANGE_CASES], ids=[c[0] for c in RANGE_CASES])
+def test_library_entry_points_refuse_sizes_outside_the_range(call, text):
+    """Every library entry point reads the one size range before any work
+    that n or d sizes, and refuses with its one text."""
+    start = time.perf_counter()
+    with pytest.raises(ShapeError) as refused:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert type(refused.value) is ShapeError and str(refused.value) == text

@@ -33,6 +33,7 @@ from bollobas import (
 )
 from bollobas import subspace_algebra
 from bollobas.subspace_algebra import _eliminate, dim_of_sum
+from bollobas.systems_model import MAX_N
 from bollobas.verifiers import ClauseTable, component_clause_ok, count_bound, cross_nontrivial
 
 from conftest import (
@@ -345,10 +346,12 @@ def set_masks(n: int):
 def systems_with_violations(draw, wide: bool = False):
     """A seeded random valid system of either kind, then extra tuples (any
     components, so clause (i) may fail) and copies of its own tuples, each
-    inserted at a drawn position.  ``wide`` draws set systems with n > 64."""
+    inserted at a drawn position.  ``wide`` draws set systems with n in
+    [MAX_N - 7, MAX_N], whose masks pack into the widest words, 8 bytes, that
+    the size range admits."""
     kind = "set" if wide else draw(st.sampled_from(["set", "subspace"]))
     if kind == "set":
-        n = draw(st.integers(65, 70) if wide else st.integers(1, 6))
+        n = draw(st.integers(MAX_N - 7, MAX_N) if wide else st.integers(1, 6))
         d, field = draw(st.integers(1, 4)), None
         component = set_masks(n)
     else:
@@ -505,7 +508,7 @@ class TestClauseTableMatchesPairwiseVerify:
 
     @settings(max_examples=60, deadline=None)
     @given(systems_with_violations(wide=True))
-    def test_verdict_and_first_violation_past_64_elements(self, system):
+    def test_verdict_and_first_violation_up_to_max_n(self, system):
         assert_verify_matches_reference(system)
 
     def test_hit_read_from_an_earlier_index_is_rebuilt(self):
