@@ -226,13 +226,12 @@ def _range_cases():
         "explore_gf2": lambda n, d: explore_weak_subspace_conjecture(n, d, uniform, PrimeField(2), budget=5),
         "explore_qq": lambda n, d: explore_weak_subspace_conjecture(n, d, uniform, QQ, budget=5),
     }
-    takes_d = {"SetSystem", "SubspaceSystem", "full_tuza_tuples", "random_valid_system_set",
-               "random_valid_system_qq", "SearchProblem", "explore_gf2", "explore_qq"}
+    takes_no_d = {"complement_chain", "partitioned_complement_chain", "random_compatible_pair_system"}
     cases = []
     for name, entry in entries.items():
         for n in (-1, MAX_N + 1):
             cases.append((f"{name}-n={n}", lambda entry=entry, n=n: entry(n, 2), f"n={n} is outside [0, 64]"))
-        if name in takes_d:
+        if name not in takes_no_d:
             for d in (0, MAX_D + 1):
                 cases.append((f"{name}-d={d}", lambda entry=entry, d=d: entry(2, d), f"d={d} is outside [1, 16]"))
     for key, a, b in (("a", -1, 2), ("a", MAX_N + 1, 0), ("b", 2, -1), ("b", 0, MAX_N + 1)):
