@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 from .constructions import FAMILY_NAMES, construct
-from .errors import DocumentError, PartitionError, PreconditionError, ShapeError
+from .errors import DocumentError, PartitionError, PreconditionError, ShapeError, check_sizes
 from .exact_arith import (
     FieldTag,
     ProbabilityVector,
@@ -72,7 +72,6 @@ from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
-    check_sizes,
     elements_of_mask,
     embed,
     mask_from_elements,

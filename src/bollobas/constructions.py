@@ -22,11 +22,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, ShapeError
+from .errors import DEFAULT_TUPLE_BUDGET, BudgetError, ShapeError, check_sizes
 from .exact_arith import binomial
-from .systems_model import SetSystem, System, check_sizes, elements_of_mask, embed, mask_from_elements
-
-DEFAULT_TUPLE_BUDGET = 4096
+from .systems_model import SetSystem, System, elements_of_mask, embed, mask_from_elements
 
 
 def _guard(count: int) -> None:
@@ -38,8 +36,8 @@ def _guard(count: int) -> None:
 
 def uniform_bollobas(a: int, b: int) -> SetSystem:
     """All a-subsets of [a+b] paired with their complements, in lex order."""
+    check_sizes({"a": a, "b": b, "a+b": a + b}, "")
     n = a + b
-    check_sizes({"a": a, "b": b, "n": n}, "")
     _guard(binomial(n, a))
     full = (1 << n) - 1
     tuples = []

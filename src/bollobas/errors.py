@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and :class:`Frozen`, the base
-of its immutable values.  Every input refusal is a :class:`ShapeError`,
-which the CLI reports as usage (exit 2), or a :class:`PreconditionError`,
-reported as refused (exit 1)."""
+"""Exception types shared across the package, :class:`Frozen`, the base of
+its immutable values, and the size limits every entry point reads.  Every
+input refusal is a :class:`ShapeError`, which the CLI reports as usage
+(exit 2), or a :class:`PreconditionError`, reported as refused (exit 1)."""
+
+_set = object.__setattr__
 
 
 class Frozen:
@@ -9,16 +11,21 @@ class Frozen:
     frozen dataclasses would, with no code generated at import.
 
     A subclass names its value fields, in ``__init__`` parameter order, in
-    ``_fields``, lists them (and any other attribute) in ``__slots__``, and
-    sets each in ``__init__`` with ``object.__setattr__``.  Equality (another
-    class gives ``NotImplemented``), the hash (that of the tuple of fields),
-    the repr and pickling read ``_fields`` alone; a copy or an unpickled value
-    is rebuilt through ``__init__``.  Assignment and deletion raise
-    ``dataclasses.FrozenInstanceError``, imported only then.  A subclass that
-    defines ``__eq__`` defines ``__hash__`` too."""
+    ``_fields`` and lists them (and any other attribute) in ``__slots__``.
+    Its ``__init__`` passes the values, in that order, to ``self._init``;
+    an attribute that is not a field is set with ``object.__setattr__``.
+    Equality (another class gives ``NotImplemented``), the hash (that of the
+    tuple of fields), the repr and pickling read ``_fields`` alone; a copy or
+    an unpickled value is rebuilt through ``__init__``.  Assignment and
+    deletion raise ``dataclasses.FrozenInstanceError``, imported only then.
+    A subclass that defines ``__eq__`` defines ``__hash__`` too."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -109,3 +116,24 @@ class DocumentError(ShapeError):
 
     def __init__(self, message: str, location: str | None = None):
         super().__init__(message if location is None else f"{location}: {message}")
+
+
+# Largest ground dimension and arity any entry point accepts.  They sit far
+# above every exhaustive guard; without them a few bytes of input could ask
+# for work such as building the bignum 3^n.
+MAX_N = 64
+MAX_D = 16
+# most tuples a constructed family, a saturated system or a random system may have
+DEFAULT_TUPLE_BUDGET = 4096
+
+
+def check_sizes(sizes: dict[str, int], prefix: str) -> None:
+    """Refuse a size outside its range before any work is sized by it: a
+    ground dimension or family parameter n, a, b or a+b outside
+    [0, MAX_N], an arity d outside [1, MAX_D].  ``prefix`` makes the name the message
+    gives: "--" for --n, "--params " for a construct param, "" for a
+    library argument or a document's n or d."""
+    for key, value in sizes.items():
+        low, cap = (1, MAX_D) if key == "d" else (0, MAX_N)
+        if not low <= value <= cap:
+            raise ShapeError(f"{prefix}{key}={value} is outside [{low}, {cap}]")

@@ -200,7 +200,7 @@ class PrimeField(Frozen):
     __slots__ = _fields = ("p",)
 
     def __init__(self, p: int):
-        object.__setattr__(self, "p", p)
+        self._init(p)
         if not is_prime(p):
             raise ShapeError(f"{p} is not prime")
 
@@ -253,7 +253,7 @@ class ProbabilityVector(Frozen):
 
     def __init__(self, entries: tuple[Rational, ...]):
         entries = tuple(Fraction(e) for e in entries)
-        object.__setattr__(self, "entries", entries)
+        self._init(entries)
         if len(entries) < 1:
             raise ShapeError("probability vector needs at least one entry")
         if any(e <= 0 for e in entries):

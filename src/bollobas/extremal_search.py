@@ -58,8 +58,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .constructions import DEFAULT_TUPLE_BUDGET
-from .errors import BudgetError, Frozen, PreconditionError, ShapeError
+from .errors import DEFAULT_TUPLE_BUDGET, BudgetError, Frozen, PreconditionError, ShapeError, check_sizes
 from .exact_arith import (
     QQ,
     FieldTag,
@@ -74,7 +73,7 @@ from .subspace_algebra import (
     coordinate_subspace,
     rref,
 )
-from .systems_model import SetSystem, SubspaceSystem, System, check_sizes, sizes_of
+from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
 from .verifiers import ClauseTable, check_flavor, component_clause_ok, cross_nontrivial
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
@@ -112,16 +111,7 @@ class SearchProblem(Frozen):
         prune: bool = True,
     ):
         check_sizes({"n": n, "d": d}, "")
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "d", d)
-        init(self, "flavor", flavor)
-        init(self, "objective", objective)
-        init(self, "functional", functional)
-        init(self, "field", field)
-        init(self, "uniform_sizes", uniform_sizes)
-        init(self, "node_budget", node_budget)
-        init(self, "prune", prune)
+        self._init(n, d, flavor, objective, functional, field, uniform_sizes, node_budget, prune)
         if self.objective not in OBJECTIVES:
             raise ShapeError(f"unknown objective {self.objective!r}")
         check_flavor(self.flavor, self.d)
@@ -155,11 +145,7 @@ class SearchResult(Frozen):
     __slots__ = _fields = ("best_value", "witness", "nodes", "exhaustive")
 
     def __init__(self, best_value: Rational | int, witness: System | None, nodes: int, exhaustive: bool):
-        init = object.__setattr__
-        init(self, "best_value", best_value)
-        init(self, "witness", witness)
-        init(self, "nodes", nodes)
-        init(self, "exhaustive", exhaustive)
+        self._init(best_value, witness, nodes, exhaustive)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Any, Callable
 
-from .constructions import DEFAULT_TUPLE_BUDGET
 from .errors import (
+    DEFAULT_TUPLE_BUDGET,
     BollobasError,
     BudgetError,
     DuplicateTupleError,
@@ -86,10 +86,7 @@ class FillUpStep(Frozen):
     __slots__ = _fields = ("index", "block", "x")
 
     def __init__(self, index: int, block: int | None, x: int | tuple[int, ...]):
-        init = object.__setattr__
-        init(self, "index", index)
-        init(self, "block", block)
-        init(self, "x", x)
+        self._init(index, block, x)
 
 
 class SaturationTrace(Frozen):
@@ -107,13 +104,7 @@ class SaturationTrace(Frozen):
         phis: tuple[int, ...],
         final: System,
     ):
-        init = object.__setattr__
-        init(self, "flavor", flavor)
-        init(self, "functional", functional)
-        init(self, "steps", steps)
-        init(self, "omega", omega)
-        init(self, "phis", phis)
-        init(self, "final", final)
+        self._init(flavor, functional, steps, omega, phis, final)
 
 
 class Flavor:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-from .errors import FieldMismatchError, Frozen, PreconditionError, ShapeError
+from .errors import FieldMismatchError, Frozen, PreconditionError, ShapeError, check_sizes
 from .exact_arith import FieldTag
 
 
@@ -174,9 +174,8 @@ def _check_same_space(u: Subspace, w: Subspace) -> None:
 def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[int]]) -> Subspace:
     """Row space of ``rows`` in canonical form, checked: each row must hold
     n ints, over GF(p) any integers (taken mod p), over QQ a row with
-    fractions times a common denominator."""
-    if n < 0:
-        raise ShapeError(f"ambient dimension must be >= 0, got {n}")
+    fractions times a common denominator; n must lie in the size range."""
+    check_sizes({"n": n}, "")
     p = field.p
     work = []
     for row in rows:
@@ -189,6 +188,7 @@ def canonicalize(n: int, field: FieldTag, rows: Iterable[Sequence[int]]) -> Subs
 
 
 def zero_subspace(n: int, field: FieldTag) -> Subspace:
+    check_sizes({"n": n}, "")
     return Subspace(n, field, ())
 
 
@@ -198,6 +198,7 @@ def full_space(n: int, field: FieldTag) -> Subspace:
 
 def coordinate_subspace(n: int, field: FieldTag, coords: Iterable[int]) -> Subspace:
     """span{e_p : p in coords}, coords 1-based.  Canonical by construction."""
+    check_sizes({"n": n}, "")
     rows = []
     for p in sorted(set(coords)):
         if not 1 <= p <= n:
@@ -216,7 +217,7 @@ def intersection(u: Subspace, w: Subspace) -> Subspace:
     """
     _check_same_space(u, w)
     if u.dim == 0 or w.dim == 0:
-        return zero_subspace(u.n, u.field)
+        return Subspace(u.n, u.field, ())
     n = u.n
     p = u.field.p
     stacked = [row + row for row in u.rows]
@@ -307,11 +308,8 @@ class Decomposition(Frozen):
     __slots__ = _fields + ("_components",)
 
     def __init__(self, n: int, field: FieldTag, blocks: tuple[Subspace, ...]):
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "field", field)
-        init(self, "blocks", tuple(blocks))
-        init(self, "_components", {})
+        self._init(n, field, tuple(blocks))
+        object.__setattr__(self, "_components", {})
         for b in self.blocks:
             if b.n != self.n or b.field != self.field:
                 raise FieldMismatchError("decomposition block in wrong ambient space/field")

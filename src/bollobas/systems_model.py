@@ -15,27 +15,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .errors import Frozen, PartitionError, ShapeError
+# MAX_N and MAX_D are imported for callers that read the range from here
+from .errors import MAX_D, MAX_N, Frozen, PartitionError, ShapeError, check_sizes
 from .exact_arith import QQ, FieldTag
 from .subspace_algebra import Decomposition, Subspace, coordinate_subspace
-
-# Largest ground dimension and arity any entry point accepts.  They sit far
-# above every exhaustive guard; without them a few bytes of input could ask
-# for work such as building the bignum 3^n.
-MAX_N = 64
-MAX_D = 16
-
-
-def check_sizes(sizes: dict[str, int], prefix: str) -> None:
-    """Refuse a size outside its range before any work is sized by it: a
-    ground dimension or family parameter n, a, b outside [0, MAX_N], an
-    arity d outside [1, MAX_D].  ``prefix`` makes the name the message
-    gives: "--" for --n, "--params " for a construct param, "" for a
-    library argument or a document's n or d."""
-    for key, value in sizes.items():
-        low, cap = (1, MAX_D) if key == "d" else (0, MAX_N)
-        if not low <= value <= cap:
-            raise ShapeError(f"{prefix}{key}={value} is outside [{low}, {cap}]")
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +69,7 @@ class SetSystem(Frozen):
         partition: tuple[int, ...] | None = None,
     ):
         check_sizes({"n": n, "d": d}, "")
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "d", d)
-        init(self, "tuples", tuple(tuple(t) for t in tuples))
-        init(self, "partition", partition)
+        self._init(n, d, tuple(tuple(t) for t in tuples), None if partition is None else tuple(partition))
         full = (1 << self.n) - 1
         for t in self.tuples:
             if len(t) != self.d:
@@ -99,10 +78,8 @@ class SetSystem(Frozen):
                 if mask < 0 or mask & ~full:
                     raise ShapeError(f"subset mask {mask} outside ground set [1, {self.n}]")
         if self.partition is not None:
-            blocks = tuple(self.partition)
-            object.__setattr__(self, "partition", blocks)
             union = 0
-            for k, b in enumerate(blocks):
+            for k, b in enumerate(self.partition):
                 if b & union:
                     raise PartitionError("blocks overlap", k)
                 union |= b
@@ -149,12 +126,7 @@ class SubspaceSystem(Frozen):
         decomposition: Decomposition | None = None,
     ):
         check_sizes({"n": n, "d": d}, "")
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "field", field)
-        init(self, "d", d)
-        init(self, "tuples", tuple(tuple(t) for t in tuples))
-        init(self, "decomposition", decomposition)
+        self._init(n, field, d, tuple(tuple(t) for t in tuples), decomposition)
         for t in self.tuples:
             if len(t) != self.d:
                 raise ShapeError(f"tuple arity {len(t)} != d={self.d}")

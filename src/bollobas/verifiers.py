@@ -67,11 +67,7 @@ class ConditionKind(Frozen):
     __slots__ = _fields = ("flavor", "kind", "d", "monotone")
 
     def __init__(self, flavor: str, kind: str, d: int, monotone: bool = False):
-        init = object.__setattr__
-        init(self, "flavor", flavor)
-        init(self, "kind", kind)
-        init(self, "d", d)
-        init(self, "monotone", monotone)
+        self._init(flavor, kind, d, monotone)
         check_flavor(self.flavor, self.d)
         if self.kind not in ("set", "subspace"):
             raise ShapeError(f"unknown system kind {self.kind!r}")
@@ -96,11 +92,7 @@ class VerificationReport(Frozen):
         condition: ConditionKind,
         field_caveat: bool = False,
     ):
-        init = object.__setattr__
-        init(self, "verdict", verdict)
-        init(self, "first_violation", first_violation)
-        init(self, "condition", condition)
-        init(self, "field_caveat", field_caveat)
+        self._init(verdict, first_violation, condition, field_caveat)
         if self.verdict == (self.first_violation is not None):
             raise ValueError("verdict and witness are inconsistent")
 
@@ -344,10 +336,7 @@ class ClassCount(Frozen):
     __slots__ = _fields = ("profile", "count", "bound")
 
     def __init__(self, profile: tuple, count: int, bound: int):
-        init = object.__setattr__
-        init(self, "profile", profile)
-        init(self, "count", count)
-        init(self, "bound", bound)
+        self._init(profile, count, bound)
 
 
 class Certificate(Frozen):
@@ -368,13 +357,7 @@ class Certificate(Frozen):
         field_caveat: bool = False,
         findings: tuple[str, ...] = (),
     ):
-        init = object.__setattr__
-        init(self, "check", check)
-        init(self, "holds", holds)
-        init(self, "quantities", quantities)
-        init(self, "classes", classes)
-        init(self, "field_caveat", field_caveat)
-        init(self, "findings", findings)
+        self._init(check, holds, quantities, classes, field_caveat, findings)
 
     def quantity(self, name: str) -> str:
         for key, value in self.quantities:

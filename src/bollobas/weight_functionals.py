@@ -98,9 +98,7 @@ class FunctionalKind(Frozen):
     __slots__ = _fields + ("p_key",)
 
     def __init__(self, name: str, p: ProbabilityVector | None = None):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "p", p)
+        self._init(name, p)
         if self.name not in FUNCTIONALS:
             raise ShapeError(f"unknown functional {self.name!r}; choose from {FUNCTIONALS}")
         takes_p = RULES[self.name].takes_p
@@ -109,7 +107,7 @@ class FunctionalKind(Frozen):
         if not takes_p and self.p is not None:
             raise ShapeError(f"{self.name} takes no probability vector")
         key = None if p is None else tuple((e.numerator, e.denominator) for e in p.entries)
-        init(self, "p_key", key)
+        object.__setattr__(self, "p_key", key)
 
     def __str__(self) -> str:
         return self.name if self.p is None else f"{self.name}(p={self.p})"
@@ -141,13 +139,7 @@ class InequalityVerdict(Frozen):
         licensed_by: ConditionKind,
         field_caveat: bool = False,
     ):
-        init = object.__setattr__
-        init(self, "value", value)
-        init(self, "bound", bound)
-        init(self, "holds", holds)
-        init(self, "tight", tight)
-        init(self, "licensed_by", licensed_by)
-        init(self, "field_caveat", field_caveat)
+        self._init(value, bound, holds, tight, licensed_by, field_caveat)
         if self.holds != (self.value <= self.bound):
             raise ValueError("holds flag inconsistent with value/bound")
         if self.tight and not self.holds:

@@ -5,11 +5,14 @@ copying and pickling, keyword construction), with no class built by
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import importlib
+import inspect
 import pickle
 import pkgutil
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -127,3 +130,27 @@ def test_every_value_class_is_tested_and_none_is_a_dataclass():
         for obj in vars(module).values():
             if isinstance(obj, type):
                 assert not dataclasses.is_dataclass(obj), obj
+
+
+def test_fields_are_stored_by_the_base_setter():
+    """No value class but ``Subspace``, the hottest constructor, passes a
+    field name to ``object.__setattr__`` (or a name bound to it): the others
+    store their fields with one ``_init`` call."""
+    for cls in Frozen.__subclasses__():
+        if cls is Subspace:
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        setters = {"object.__setattr__", "_set"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and ast.unparse(node.value) in setters:
+                setters.update(ast.unparse(target) for target in node.targets)
+        named = {
+            node.args[1].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in setters
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        }
+        assert not named & set(cls._fields), cls.__name__
+

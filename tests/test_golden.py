@@ -190,7 +190,8 @@ def _cases() -> dict[str, tuple[str, ...]]:
     cases = {
         "readme_construct": ("construct", "--family", "complement_chain", "--params", "n=4"),
         "construct_uniform_bollobas": ("construct", "--family", "uniform_bollobas", "--params", "a=2", "b=1"),
-        # a + b is the ground dimension n, which must lie in the range too
+        # a + b is the ground dimension n, which must lie in the range too;
+        # the library refuses it by that name, a+b
         "construct_uniform_bollobas_above_cap": (
             "construct", "--family", "uniform_bollobas", "--params", "a=1", "b=64",
         ),

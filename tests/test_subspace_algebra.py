@@ -81,7 +81,7 @@ class TestCanonicalize:
             canonicalize(2, field, [[1, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match=r"^row of length 0, expected 2$"):
             canonicalize(2, field, [[]])
-        with pytest.raises(ValueError, match=r"^ambient dimension must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^n=-1 is outside \[0, 64\]$"):
             canonicalize(-1, field, [])
 
     def test_empty_rows_give_zero_subspace(self):

@@ -7,8 +7,10 @@ import pytest
 
 from bollobas import (
     QQ,
+    ConditionKind,
     Decomposition,
     FieldMismatchError,
+    FunctionalKind,
     PrimeField,
     ProbabilityVector,
     SearchProblem,
@@ -17,10 +19,12 @@ from bollobas import (
     SubspaceSystem,
     canonicalize,
     complement_chain,
+    contains,
     coordinate_decomposition,
     coordinate_subspace,
     embed,
     explore_weak_subspace_conjecture,
+    full_space,
     full_tuza_tuples,
     is_decomposition_compatible,
     partitioned_complement_chain,
@@ -208,8 +212,8 @@ class TestDecompositionCompatibility:
 
 def _range_cases():
     """(id, call, text): each library entry point at every size it takes,
-    just outside the range, and the calls that once hung or raised a bare
-    ``ValueError``."""
+    just outside the range, and the calls that once hung, raised a bare
+    ``ValueError`` or took any ambient n."""
     uniform = ProbabilityVector.uniform(2)
     entries = {
         "SetSystem": lambda n, d: SetSystem(n, d, ()),
@@ -225,8 +229,16 @@ def _range_cases():
         "SearchProblem": lambda n, d: SearchProblem(n=n, d=d, flavor="weak"),
         "explore_gf2": lambda n, d: explore_weak_subspace_conjecture(n, d, uniform, PrimeField(2), budget=5),
         "explore_qq": lambda n, d: explore_weak_subspace_conjecture(n, d, uniform, QQ, budget=5),
+        "canonicalize": lambda n, d: canonicalize(n, QQ, []),
+        "zero_subspace": lambda n, d: zero_subspace(n, QQ),
+        "full_space": lambda n, d: full_space(n, QQ),
+        "coordinate_subspace": lambda n, d: coordinate_subspace(n, QQ, [1]),
+        "coordinate_decomposition": lambda n, d: coordinate_decomposition(n, QQ, [range(1, n + 1)]),
     }
-    takes_no_d = {"complement_chain", "partitioned_complement_chain", "random_compatible_pair_system"}
+    takes_no_d = {
+        "complement_chain", "partitioned_complement_chain", "random_compatible_pair_system",
+        "canonicalize", "zero_subspace", "full_space", "coordinate_subspace", "coordinate_decomposition",
+    }
     cases = []
     for name, entry in entries.items():
         for n in (-1, MAX_N + 1):
@@ -241,7 +253,7 @@ def _range_cases():
              f"{key}={value} is outside [0, 64]")
         )
     cases += [
-        ("uniform_bollobas-a+b=65", lambda: uniform_bollobas(1, MAX_N), "n=65 is outside [0, 64]"),
+        ("uniform_bollobas-a+b=65", lambda: uniform_bollobas(1, MAX_N), "a+b=65 is outside [0, 64]"),
         # once hung
         ("random_set-n=10**6", lambda: random_valid_system(10**6, 2, "skew", 10, 0), "n=1000000 is outside [0, 64]"),
         ("random_qq-n=400", lambda: random_valid_system(400, 2, "skew", 10, 0, field=QQ), "n=400 is outside [0, 64]"),
@@ -252,6 +264,12 @@ def _range_cases():
         ("complement_chain-n=14300", lambda: complement_chain(14300), "n=14300 is outside [0, 64]"),
         ("uniform_bollobas-10**5", lambda: uniform_bollobas(10**5, 10**5), "a=100000 is outside [0, 64]"),
         ("saturate-n=14300", lambda: saturate(SetSystem(14300, 2, ((0, 0),)), "set"), "n=14300 is outside [0, 64]"),
+        # once took any ambient n: F^(10^5) would have 10^10 entries, and
+        # zero_subspace(-5) gave <dim 0 of F^-5: 0>
+        ("full_space-n=10**5", lambda: full_space(10**5, QQ), "n=100000 is outside [0, 64]"),
+        ("zero_subspace-n=-5", lambda: zero_subspace(-5, QQ), "n=-5 is outside [0, 64]"),
+        ("coordinate_subspace-n=400", lambda: coordinate_subspace(400, QQ, [1]), "n=400 is outside [0, 64]"),
+        ("canonicalize-n=100", lambda: canonicalize(100, QQ, []), "n=100 is outside [0, 64]"),
     ]
     return cases
 
@@ -267,4 +285,35 @@ def test_library_entry_points_refuse_sizes_outside_the_range(call, text):
     with pytest.raises(ShapeError) as refused:
         call()
     assert time.perf_counter() - start < 0.1
+    assert type(refused.value) is ShapeError and str(refused.value) == text
+
+
+def _refusal_cases():
+    """(id, call, text): the library refusals of the value constructors and
+    the subspace layer that no CLI report reaches."""
+    line = coordinate_subspace(2, QQ, [1])
+    half = ProbabilityVector.uniform(2)
+    return [
+        ("SearchProblem-objective", lambda: SearchProblem(2, 2, "skew", objective="x"), "unknown objective 'x'"),
+        ("ConditionKind-kind", lambda: ConditionKind("skew", "graph", 2), "unknown system kind 'graph'"),
+        ("FunctionalKind-p", lambda: FunctionalKind("yue_sum", half), "yue_sum takes no probability vector"),
+        ("SetSystem-mask", lambda: SetSystem(2, 1, ((4,),)), "subset mask 4 outside ground set [1, 2]"),
+        ("SubspaceSystem-arity", lambda: SubspaceSystem(2, QQ, 2, ((line,),)), "tuple arity 1 != d=2"),
+        (
+            "SubspaceSystem-field",
+            lambda: SubspaceSystem(2, QQ, 1, ((zero_subspace(2, PrimeField(3)),),)),
+            "subspace in wrong ambient space or field",
+        ),
+        ("coordinate_subspace-coord", lambda: coordinate_subspace(2, QQ, [3]), "coordinate 3 outside [1, 2]"),
+        ("contains-length", lambda: contains(line, (1,)), "vector of length 1, expected 2"),
+    ]
+
+
+REFUSAL_CASES = _refusal_cases()
+
+
+@pytest.mark.parametrize("call, text", [c[1:] for c in REFUSAL_CASES], ids=[c[0] for c in REFUSAL_CASES])
+def test_library_refusals_give_their_text(call, text):
+    with pytest.raises(ShapeError) as refused:
+        call()
     assert type(refused.value) is ShapeError and str(refused.value) == text
