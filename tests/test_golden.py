@@ -82,6 +82,7 @@ def _inputs() -> dict[str, object]:
     weak_not_skew = SetSystem.from_sets(3, [({1}, {2}), ({2}, {3})])
     n0 = SetSystem(0, 1, (), partition=())
     empty_two_blocks = SetSystem(2, 2, (), partition=(0b01, 0b10))
+    full33 = full_tuza_tuples(3, 3).tuples
     docs: dict[str, object] = {
         "chain": chain,
         "embedded": embed(chain),
@@ -176,6 +177,12 @@ def _inputs() -> dict[str, object]:
         "empty_two_blocks": empty_two_blocks,
         "empty_two_blocks_embedded": embed(empty_two_blocks),
         "uniform_bollobas": uniform_bollobas(2, 1),
+        # weak set systems whose tuples all cover one support: the 27 full
+        # triples with tuple 5 again at the end, a pair system whose third
+        # pair overlaps, and the full triples of [3] on the ground [4]
+        "full_repeat": SetSystem(3, 3, full33 + full33[4:5]),
+        "common_support_overlap": SetSystem.from_sets(2, [({1}, {2}), ({2}, {1}), ({1, 2}, {2})]),
+        "full_in_larger_ground": SetSystem(4, 3, full33),
         # a Latin-1 file, and an int literal past the interpreter's digit limit
         "latin1": '{"kind": "set", "n": 1, "d": 1, "tuples": [], "note": "\u00e9"}'.encode("latin-1"),
         "long_int": '{"kind": "set", "n": ' + "1" * 4301 + ', "d": 1, "tuples": []}',
@@ -349,6 +356,16 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "embed_n0": ("embed", "--in", "@n0"),
         "verify_n0": ("verify", "--kind", "skew", "--in", "@n0"),
         "verify_n0_embedded": ("verify", "--kind", "skew", "--in", "@n0_embedded"),
+        # the weak condition, and the reports that require it, on systems
+        # whose tuples share one support
+        "verify_weak_tuples": ("verify", "--kind", "weak", "--in", "@tuples"),
+        "verify_weak_full_repeat": ("verify", "--kind", "weak", "--in", "@full_repeat"),
+        "verify_weak_common_support_overlap": (
+            "verify", "--kind", "weak", "--in", "@common_support_overlap",
+        ),
+        "verify_weak_full_in_larger_ground": ("verify", "--kind", "weak", "--in", "@full_in_larger_ground"),
+        "check_cardinality_tuples": ("check", "--bound", "cardinality", "--in", "@tuples"),
+        "weight_tuza_tuples": ("weight", "--functional", "tuza", "--p", "1/3,1/3,1/3", "--in", "@tuples"),
     }
     # argv text refused by the package's parsers: a --p that does not parse
     # or sum to 1, a --field that names no prime field
