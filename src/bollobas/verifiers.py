@@ -14,6 +14,12 @@ pairwise zero intersections.
 
 Clause (ii) is written once, in ``ClauseTable``: ``verify``, ``search_max``
 and the random generators read it there as ``int`` bitsets over the tuples.
+One exact certificate settles a true weak verdict on a set system without
+the table: pairwise distinct tuples of disjoint components that all cover
+one support S, as a saturated system's ordered partitions of [n] do.  For
+s != t, some e lies in s^(p) but not t^(p), or the other way round; e lies
+in S, so in the other tuple's q-th component for some q != p, and s^(p)
+meets t^(q) (or t^(p) meets s^(q)), which the weak clause accepts.
 
 A false verdict always carries the lexicographically first violating witness
 (i, j, clause), 1-based, with i = j marking a clause-(i) failure.  Duplicate
@@ -276,14 +282,39 @@ class ClauseTable:
 # verification
 
 
+def _partitions_of_one_support(tuples: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether set tuples are pairwise distinct, each of pairwise disjoint
+    components, and all of one union: then they satisfy the weak condition
+    (the module docstring gives the proof)."""
+    support = None
+    for t in tuples:
+        seen = 0
+        for mask in t:
+            if mask & seen:
+                return False
+            seen |= mask
+        if support is None:
+            support = seen
+        elif seen != support:
+            return False
+    return len(set(tuples)) == len(tuples)
+
+
 def verify(system: System, flavor: str) -> VerificationReport:
     """Check the condition named by ``flavor``, one of ``FLAVORS``, reporting
     the first violation in lexicographic (i, j) order: clause (i) at (i, i),
     and clause (ii) at the first tuple j that t_i's forward cover misses,
     among every j != i for bollobas (the B_j that A_i misses) and every
-    j > i otherwise."""
+    j > i otherwise.
+
+    A weak set system whose tuples are distinct ordered partitions of one
+    support S is true with no table: two distinct such tuples put some
+    e in S at different positions p != q, so s^(p) meets t^(q).  Every
+    other input, and every false verdict, is read from ``ClauseTable``."""
     condition = condition_for(system, flavor)
     caveat = is_gfp(system)
+    if flavor == "weak" and isinstance(system, SetSystem) and _partitions_of_one_support(system.tuples):
+        return VerificationReport(True, None, condition, caveat)
 
     def violated(i: int, j: int, clause: str) -> VerificationReport:
         return VerificationReport(False, (i + 1, j + 1, clause), condition, caveat)

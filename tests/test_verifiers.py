@@ -31,7 +31,7 @@ from bollobas import (
     verify,
     zero_subspace,
 )
-from bollobas import subspace_algebra
+from bollobas import subspace_algebra, verifiers
 from bollobas.subspace_algebra import _eliminate, dim_of_sum
 from bollobas.systems_model import MAX_N
 from bollobas.verifiers import ClauseTable, component_clause_ok, count_bound, cross_nontrivial
@@ -540,6 +540,69 @@ class TestClauseTableMatchesPairwiseVerify:
             report = verify(system, flavor)
             assert (report.verdict, report.first_violation) == expected
             assert reference_verify(system, flavor) == expected
+
+
+# ---------------------------------------------------------------------------
+# the weak certificate: distinct ordered partitions of one support
+
+
+@st.composite
+def one_support_systems(draw):
+    """Distinct tuples, each a random ordered partition of one random support
+    S of [n] (all of [n] half the time), n in [0, 8] or 64 and d in [1, 4];
+    then one drawn perturbation: a tuple copied to a random index, an element
+    of one tuple added to a second component of it, an element dropped from
+    one tuple, or the tuples shuffled."""
+    n = draw(st.sampled_from([MAX_N, *range(9)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = rng.randint(1, 4)  # not drawn: hypothesis leans to d = 1, where S has one partition
+    everything = draw(st.booleans())
+    support = [e for e in range(n) if everything or rng.random() < 0.5]
+
+    def partition() -> tuple[int, ...]:
+        parts = [0] * d
+        for e in support:
+            parts[rng.randrange(d)] |= 1 << e
+        return tuple(parts)
+
+    tuples = list(dict.fromkeys(partition() for _ in range(rng.randrange(16))))
+    perturbation = draw(st.sampled_from(["none", "duplicate", "overlap", "drop", "reorder"]))
+    if tuples and perturbation == "duplicate":
+        tuples.insert(rng.randrange(len(tuples) + 1), rng.choice(tuples))
+    elif tuples and support and perturbation in ("overlap", "drop"):
+        i, e = rng.randrange(len(tuples)), rng.choice(support)
+        parts = list(tuples[i])
+        p = next(k for k, part in enumerate(parts) if part >> e & 1)
+        if perturbation == "drop":
+            parts[p] ^= 1 << e
+        elif d > 1:
+            parts[rng.choice([q for q in range(d) if q != p])] |= 1 << e
+        tuples[i] = tuple(parts)
+    elif perturbation == "reorder":
+        rng.shuffle(tuples)
+    return SetSystem(n, d, tuple(tuples))
+
+
+class TestWeakPartitionCertificate:
+    @settings(max_examples=400, deadline=None)
+    @given(one_support_systems())
+    def test_verdict_and_first_violation(self, system):
+        assert_verify_matches_reference(system)
+
+    def test_full_systems_skip_the_clause_table(self, monkeypatch):
+        full = full_tuza_tuples(6, 3)
+        repeated = SetSystem(6, 3, full.tuples + full.tuples[:1])
+
+        def refuse(*args):
+            raise AssertionError("clause table built")
+
+        monkeypatch.setattr(verifiers, "ClauseTable", refuse)
+        assert full.m == 729 and verify(full, "weak").verdict
+        for system, flavor in ((full, "skew"), (repeated, "weak")):
+            with pytest.raises(AssertionError, match="^clause table built$"):
+                verify(system, flavor)
+        with pytest.raises(ShapeError, match="^unknown flavor 'wek'$"):
+            verify(full, "wek")
 
 
 # ---------------------------------------------------------------------------
