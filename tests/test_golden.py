@@ -186,6 +186,9 @@ def _inputs() -> dict[str, object]:
         # a Latin-1 file, and an int literal past the interpreter's digit limit
         "latin1": '{"kind": "set", "n": 1, "d": 1, "tuples": [], "note": "\u00e9"}'.encode("latin-1"),
         "long_int": '{"kind": "set", "n": ' + "1" * 4301 + ', "d": 1, "tuples": []}',
+        # 70 nested lists under a key the reader does not read
+        "nested_unknown_key": '{"kind": "set", "n": 2, "d": 2, "tuples": [], "note": '
+        + "[" * 70 + "]" * 70 + "}",
     }
     return {
         name: doc if isinstance(doc, (dict, str, bytes)) else system_to_doc(doc)
@@ -366,6 +369,11 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "verify_weak_full_in_larger_ground": ("verify", "--kind", "weak", "--in", "@full_in_larger_ground"),
         "check_cardinality_tuples": ("check", "--bound", "cardinality", "--in", "@tuples"),
         "weight_tuza_tuples": ("weight", "--functional", "tuza", "--p", "1/3,1/3,1/3", "--in", "@tuples"),
+        # report shapes: a final system with its partition, a saturation of
+        # no steps, and a system of no tuples
+        "saturate_set_partitioned": ("saturate", "--flavor", "set", "--in", "@ptriple"),
+        "saturate_set_full": ("saturate", "--flavor", "set", "--in", "@full"),
+        "random_m0": ("random", "--seed", "0", "--m", "0", "--n", "3"),
     }
     # argv text refused by the package's parsers: a --p that does not parse
     # or sum to 1, a --field that names no prime field
@@ -396,7 +404,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "bool_element", "bool_block", "float_element", "str_element", "nested",
         "negative_n_subspace", "kind_graph", "tuples_not_list", "subset_not_list",
         "partition_not_list", "partition_block_int", "partition_block_str", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
-        "subspace_not_rows", "zero_d_set", "latin1", "long_int",
+        "subspace_not_rows", "zero_d_set", "latin1", "long_int", "nested_unknown_key",
         "negative_n_set_element", "negative_n_subspace_row", "negative_n_decomposition", "n_above_cap",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
