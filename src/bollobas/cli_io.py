@@ -26,17 +26,24 @@ reads as 1/10, although no binary float is 1/10.  Otherwise the document is
 refused with a message to quote it (``0.1000000000000000000001`` reads as the
 float ``0.1``, ``1e400`` as ``inf``).  ``NaN`` and ``Infinity`` are refused.
 
+A document nesting lists and objects more than ``MAX_NESTING`` (64) deep
+is refused as nesting too deeply, however deep the caller's stack is (see
+``parse``).
+
 Reports are JSON with every number an exact string, written as the
-standard ``json`` module writes them with an indent of 2.  Exit status 0
-means the verdict was true / the inequality holds; 1 means a violation, an
-unlicensed bound, or a failed precondition; 2 means a usage, parse, or shape
-error.
+standard ``json`` module writes them with an indent of 2.  A system in a
+report (a whole document, a saturation's final system, a search witness) is
+written from its value, each distinct component's text once: one per mask
+for sets, one per ``Subspace`` for subspaces.  Exit status 0 means the
+verdict was true / the inequality holds; 1 means a violation, an unlicensed
+bound, or a failed precondition; 2 means a usage, parse, or shape error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -72,6 +79,7 @@ from .systems_model import (
     SetSystem,
     SubspaceSystem,
     System,
+    blocks_of,
     elements_of_mask,
     embed,
     mask_from_elements,
@@ -99,47 +107,76 @@ from .weight_functionals import (
 
 
 def system_to_doc(system: System) -> dict:
+    """The document of ``system`` as a dict, keys in the order a report
+    writes them."""
+    return _system_doc(system, [[_component_doc(c) for c in t] for t in system.tuples])
+
+
+def _system_doc(system: System, tuples: Any) -> dict:
+    """The document of ``system`` with ``tuples`` as the value of its
+    "tuples": its header, then the tuples, then its partition or
+    decomposition, if any.  :func:`system_to_doc` and the report writer both
+    read it, so the layout is set here alone."""
     if isinstance(system, SetSystem):
-        doc: dict[str, Any] = {
-            "kind": "set",
+        doc: dict[str, Any] = {"kind": "set", "n": system.n, "d": system.d, "tuples": tuples}
+        context = "partition"
+    else:
+        doc = {
+            "kind": "subspace",
             "n": system.n,
             "d": system.d,
-            "tuples": [
-                [list(elements_of_mask(mask)) for mask in t] for t in system.tuples
-            ],
+            "field": str(system.field),
+            "tuples": tuples,
         }
-        if system.partition is not None:
-            doc["partition"] = [list(elements_of_mask(b)) for b in system.partition]
-        return doc
-    doc = {
-        "kind": "subspace",
-        "n": system.n,
-        "d": system.d,
-        "field": str(system.field),
-        "tuples": [[_subspace_rows(sub) for sub in t] for t in system.tuples],
-    }
-    if system.decomposition is not None:
-        doc["decomposition"] = [
-            _subspace_rows(blk) for blk in system.decomposition.blocks
-        ]
+        context = "decomposition"
+    blocks = blocks_of(system)
+    if blocks is not None:
+        doc[context] = [_component_doc(b) for b in blocks]
     return doc
 
 
-def _subspace_rows(sub: Subspace) -> list[list[str]]:
-    return [sub.field.format_row(row) for row in sub.rows]
+def _component_doc(component: int | Subspace) -> list:
+    """A set component (a mask) as its sorted elements; a subspace as its
+    rows' entry texts."""
+    if type(component) is int:
+        return list(elements_of_mask(component))
+    return [component.field.format_row(row) for row in component.rows]
+
+
+class _Text(str):
+    """Text already written for its place in a report, which ``_dumps``
+    copies as it is."""
+
+
+def _tuples_text(tuples: tuple, newline: str) -> _Text:
+    """The "tuples" list of a system document, as ``_dumps`` would write it
+    on the line that ``newline`` starts, with each distinct component's text
+    built once."""
+    if not tuples:
+        return _Text("[]")
+    row = newline + "  "
+    cell = row + "  "
+    texts = dict.fromkeys(c for t in tuples for c in t)
+    for c in texts:
+        texts[c] = _dumps(_component_doc(c), cell)
+    between = "," + cell
+    rows = ["[" + cell + between.join([texts[c] for c in t]) + row + "]" for t in tuples]
+    return _Text("[" + row + ("," + row).join(rows) + newline + "]")
 
 
 def serialize(system: System) -> str:
-    return _dumps(system_to_doc(system))
+    return _dumps(system)
 
 
 def _dumps(value: Any, newline: str = "\n") -> str:
     """The text the ``json`` module writes for ``value`` with an indent of 2,
     for what a report holds: dicts with ``str`` keys, lists and tuples,
-    ``str``, ``int``, ``bool`` and None.  Any other type raises
-    ``TypeError``.  With an indent, ``json`` runs its pure-Python encoder;
-    this one joins each container's item texts in one pass.  ``newline``
-    breaks and indents the line ``value`` starts on."""
+    ``str``, ``int``, ``bool`` and None, and a ``SetSystem`` or
+    ``SubspaceSystem`` as its :func:`system_to_doc`, each distinct component
+    written once.  Any other type raises ``TypeError``.  With an indent,
+    ``json`` runs its pure-Python encoder; this one joins each container's
+    item texts in one pass.  ``newline`` breaks and indents the line
+    ``value`` starts on."""
     cls = type(value)
     if cls is str:
         return _quote(value)
@@ -168,6 +205,10 @@ def _dumps(value: Any, newline: str = "\n") -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if cls is _Text:
+        return value
+    if cls is SetSystem or cls is SubspaceSystem:
+        return _dumps(_system_doc(value, _tuples_text(value.tuples, newline + "  ")), newline)
     raise TypeError(f"a report cannot hold {cls.__name__}")
 
 
@@ -315,19 +356,86 @@ def _bare_constant(text: str):
     raise DocumentError(f"{text} is not a number a document may hold")
 
 
+# Deepest nesting of lists and objects a document may have; a valid one
+# nests 5 deep (a subspace document's rows).  The JSON decoder's own limit
+# moves with the caller's stack, so this bound decides instead.
+MAX_NESTING = 64
+_TOO_DEEP = "document nests too deeply"
+# the keys ``system_from_doc`` reads, per kind: ``parse`` bounds the nesting
+# of the values under any other key
+_READ_KEYS = {
+    "set": frozenset({"kind", "n", "d", "tuples", "partition"}),
+    "subspace": frozenset({"kind", "n", "d", "field", "tuples", "decomposition"}),
+}
+# a JSON string (or what follows an unclosed quote), or a run of text with
+# no bracket in it
+_NOT_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"?|[^"\[\]{}]+', re.S)
+
+
 def parse(text: str) -> System:
+    """The system of a document's text.
+
+    A document that nests lists and objects more than ``MAX_NESTING`` deep
+    is refused with "document nests too deeply" whenever the decoder or the
+    reader refuses it, the decoder's recursion limit included, and when the
+    deep value sits under a key the reader skips.  The bound is checked after
+    decoding, on refusals and skipped values only, so a document that is read
+    pays no scan for it; and the outcome is a function of the text while the
+    caller's stack stays more than ``MAX_NESTING`` frames below the
+    interpreter's limit."""
     try:
-        doc = json.loads(text, parse_float=_bare_float, parse_constant=_bare_constant)
+        doc = _decode(text)
+        system = system_from_doc(doc)
+    except RecursionError as exc:  # the decoder, or a repr, recursing once per level
+        raise DocumentError(_TOO_DEEP) from exc
+    except ShapeError as exc:
+        if _nesting_exceeds(text):
+            raise DocumentError(_TOO_DEEP) from exc
+        raise
+    read = _READ_KEYS[doc["kind"]]
+    if not doc.keys() <= read:
+        skipped = [value for key, value in doc.items() if key not in read]
+        if _values_nest_deeper(skipped, MAX_NESTING - 1):
+            raise DocumentError(_TOO_DEEP)
+    return system
+
+
+def _decode(text: str) -> Any:
+    try:
+        return json.loads(text, parse_float=_bare_float, parse_constant=_bare_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
-    except RecursionError as exc:  # the decoder recurses once per level
-        raise DocumentError("document nests too deeply") from exc
     except DocumentError:  # from the bare-number hooks
         raise
     except ValueError as exc:  # an int literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise DocumentError(f"an integer literal has more than {limit} digits") from exc
-    return system_from_doc(doc)
+
+
+def _nesting_exceeds(text: str) -> bool:
+    """Whether ``text`` has more than ``MAX_NESTING`` lists and objects open
+    at once, brackets inside strings aside."""
+    depth = 0
+    for bracket in _NOT_BRACKETS.sub("", text):
+        depth += 1 if bracket in "[{" else -1
+        if depth > MAX_NESTING:
+            return True
+    return False
+
+
+def _values_nest_deeper(values: list, limit: int) -> bool:
+    """Whether a list or object among ``values`` nests more than ``limit``
+    deep; counted a level at a time, so no recursion limit decides."""
+    for _ in range(limit):
+        values = [
+            item
+            for value in values
+            if type(value) is list or type(value) is dict
+            for item in (value.values() if type(value) is dict else value)
+        ]
+        if not values:
+            return False
+    return any(type(value) is list or type(value) is dict for value in values)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +487,7 @@ def report_trace(trace: SaturationTrace, include_steps: bool) -> dict:
         "omega_constant": True,
         "phi_initial": trace.phis[0],
         "phi_final": trace.phis[-1],
-        "final_system": system_to_doc(trace.final),
+        "final_system": trace.final,
     }
     if include_steps:
         doc["trace"] = [
@@ -406,7 +514,7 @@ def _x_to_doc(x, system: System) -> Any:
 def report_search(result: SearchResult) -> dict:
     return {
         "best_value": rational_to_str(Fraction(result.best_value)),
-        "witness": system_to_doc(result.witness) if result.witness is not None else None,
+        "witness": result.witness,
         "nodes": result.nodes,
         "exhaustive": result.exhaustive,
     }
@@ -430,9 +538,9 @@ def _read_system(args) -> System:
     return parse(text)
 
 
-def _emit(doc: dict) -> None:
-    """Write the report in one call."""
-    sys.stdout.write(_dumps(doc) + "\n")
+def _emit(report: Any) -> None:
+    """Write the report, a dict or a system, in one call."""
+    sys.stdout.write(_dumps(report) + "\n")
 
 
 def _int(text: str, flag: str) -> int:
@@ -595,7 +703,7 @@ def _cmd_construct(args) -> int:
     check_sizes({k: v for k, v in params.items() if k in ("n", "a", "b", "d")}, "--params ")
     embedded = params.pop("embedded", False)
     system = construct(args.family, params, embedded)
-    _emit(system_to_doc(system))
+    _emit(system)
     return 0
 
 
@@ -623,7 +731,7 @@ def _cmd_embed(args) -> int:
     system = _read_system(args)
     if not isinstance(system, SetSystem):
         raise ShapeError("embed expects a set system document")
-    _emit(system_to_doc(embed(system)))
+    _emit(embed(system))
     return 0
 
 
@@ -647,7 +755,7 @@ def _cmd_random(args) -> int:
         system = random_valid_system(
             args.n, d, args.condition or "skew", target_m=args.m, seed=args.seed, field=field
         )
-    _emit(system_to_doc(system))
+    _emit(system)
     return 0
 
 

@@ -30,7 +30,10 @@ raises instead of trusting them: the replacements' weight terms sum exactly
 to the replaced tuple's term (as integers, each term scaled by the least
 common multiple of the d + 1 denominators), their potentials exceed its
 potential, and the running potential and the step count stay within the
-bound.  ω and φ of the whole system are recomputed before the first step
+bound.  The terms are a function of the d + 1 profiles, which each step
+reads from its own tuples' facts, so the weight check runs once per class
+of (replaced profile, replacement profiles) in a run, and a step of a class
+the run has already checked passes it.  ω and φ of the whole system are recomputed before the first step
 and after the last, and must equal the start weight and the running
 potential; with ``debug`` they are also recomputed, and the flavor's
 condition re-verified, after every step, which ``DEBUG_RECOUNT_BUDGET``
@@ -427,8 +430,9 @@ def saturate(
     lowest deficient block, then the canonical extension vector.  A cursor
     walks the tuple list: every tuple before it is full, and after a
     replacement it stays on the first replacement.  Each step checks its own
-    d + 1 tuples only: the replacement terms sum to the replaced term, and
-    the potential gain is positive.  ω and φ of the whole system are
+    d + 1 tuples only: the replacement terms sum to the replaced term, once
+    per class of their profiles in the run, and the potential gain is
+    positive.  ω and φ of the whole system are
     recomputed at both ends, and with ``debug`` after every step too, where
     the flavor's condition is also re-verified.
     """
@@ -455,8 +459,8 @@ def saturate(
                 f"the budget is {DEBUG_RECOUNT_BUDGET}"
             )
 
-    def weight_term(t: tuple) -> Fraction:
-        return term(record.profile(t, facts(t)), functional)
+    def profile_of(t: tuple) -> tuple:
+        return record.profile(t, facts(t))
 
     def potential_of(t: tuple) -> int:
         return record.potential(t, facts(t))
@@ -466,6 +470,9 @@ def saturate(
     potential = sum(map(potential_of, system.tuples))
     phis = [potential]
     steps: list[FillUpStep] = []
+    # the profiles (replaced, *replacements) of the steps whose weight check
+    # passed: a step's terms are a function of these, so one check per class
+    checked: set[tuple] = set()
 
     tuples = list(system.tuples)
     # a verified system holds no duplicate tuple, so a set of them will do
@@ -484,12 +491,15 @@ def saturate(
         tuples[cursor : cursor + 1] = replacements
         steps.append(FillUpStep(index=cursor + 1, block=block, x=x))
 
-        scale, (removed, *added) = _scaled([weight_term(old), *map(weight_term, replacements)])
-        if sum(added) != removed:
-            raise BollobasError(
-                f"weight invariance broken at step {len(steps)}: "
-                f"{weight} -> {weight + Fraction(sum(added) - removed, scale)}"
-            )
+        profiles = (profile_of(old), *map(profile_of, replacements))
+        if profiles not in checked:
+            scale, (removed, *added) = _scaled([term(q, functional) for q in profiles])
+            if sum(added) != removed:
+                raise BollobasError(
+                    f"weight invariance broken at step {len(steps)}: "
+                    f"{weight} -> {weight + Fraction(sum(added) - removed, scale)}"
+                )
+            checked.add(profiles)
         gain = sum(potential_of(rep) for rep in replacements) - potential_of(old)
         if gain <= 0:
             raise BollobasError(f"potential failed to increase at step {len(steps)}")

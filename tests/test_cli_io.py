@@ -20,6 +20,7 @@ from bollobas import (
     QQ,
     SetSystem,
     SubspaceSystem,
+    canonicalize,
     complement_chain,
     coordinate_decomposition,
     coordinate_subspace,
@@ -36,6 +37,7 @@ from bollobas import (
 from bollobas import cli_io, errors
 from bollobas.cli_io import main, system_from_doc, system_to_doc
 from bollobas.constructions import FAMILY_PARAMS
+from bollobas.extremal_search import SearchResult
 from bollobas.verifiers import FLAVORS
 
 from conftest import scalar_basis
@@ -149,6 +151,75 @@ class TestDocuments:
             parse(text)
         with pytest.raises(DocumentError, match="^document nests too deeply$"):
             parse('{"kind": "set", "n": 2, "d": 2, "tuples": [[' + text + "]]}")
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"kind": "set", "n": 2, "d": 2, "tuples": [], "note": @}',
+            '{"kind": "set", "n": 2, "d": 2, "tuples": [[@]]}',
+            '{"kind": "set", "n": 2, "d": 2, "note": @, "tuples": }',
+        ],
+        ids=["skipped", "refused", "syntax"],
+    )
+    def test_nesting_refusal_does_not_depend_on_the_stack(self, template):
+        # nested lists under a key the reader skips, inside a tuple it
+        # refuses, and before a syntax error, deep enough that the decoder
+        # reaches its recursion limit from 200 frames down but not from here
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        k = sys.getrecursionlimit() - depth - 100
+        text = template.replace("@", "[" * k + "]" * k)
+
+        def outcome(frames):
+            if frames:
+                return outcome(frames - 1)
+            try:
+                return str(parse(text))
+            except DocumentError as exc:
+                return str(exc)
+
+        assert [outcome(frames) for frames in (0, 60, 200)] == ["document nests too deeply"] * 3
+
+    @pytest.mark.parametrize(
+        "template, below",
+        [
+            ('{"kind": "set", "n": 2, "d": 2, "tuples": [], "note": @}', None),
+            ('{"kind": "set", "n": 2, "d": 2, "tuples": [], "decomposition": @}', None),
+            ('{"kind": "set", "n": 2, "d": 2, "tuples": [[@]]}', r"^tuples\[0\]: expected a 2-tuple of subsets$"),
+            ('{"kind": "set", "n": 2, "d": 2, "note": @, "tuples": }', r"^line 1 column \d+: Expecting value$"),
+        ],
+        ids=["skipped", "skipped-context", "refused", "syntax"],
+    )
+    def test_nesting_bound_is_64_levels(self, template, below):
+        # levels count the lists and objects open at the innermost one,
+        # those of the template around the slot among them
+        before = template[: template.index("@")]
+        outer = sum(before.count(c) for c in "[{") - sum(before.count(c) for c in "]}")
+        for levels in (64, 65):
+            text = template.replace("@", "[" * (levels - outer) + "]" * (levels - outer))
+            if levels == 65:
+                with pytest.raises(DocumentError, match="^document nests too deeply$"):
+                    parse(text)
+            elif below is None:
+                assert parse(text) == SetSystem(2, 2, ())
+            else:
+                with pytest.raises(DocumentError, match=below):
+                    parse(text)
+
+    def test_brackets_in_strings_do_not_nest(self):
+        text = '{"kind": "set", "n": 2, "d": 2, "tuples": [], "note": "' + "[{" * 100 + '\\"["}'
+        assert parse(text) == SetSystem(2, 2, ())
+        with pytest.raises(DocumentError, match="^tuples: tuples must be a list$"):
+            parse(text.replace("[]", '"' + "[" * 100 + '"'))
+
+    def test_recursion_while_reading_is_the_nesting_refusal(self, monkeypatch):
+        def recursing(doc):
+            raise RecursionError("maximum recursion depth exceeded while getting the repr")
+
+        monkeypatch.setattr(cli_io, "system_from_doc", recursing)
+        with pytest.raises(DocumentError, match="^document nests too deeply$"):
+            parse('{"kind": "set", "n": 2, "d": 2, "tuples": []}')
 
     def test_overlapping_partition_blocks(self):
         doc = {
@@ -948,6 +1019,48 @@ _REPORTS = st.recursive(
 )
 
 
+def _labelled_blocks(draw, n: int) -> list[list[int]]:
+    """A partition of [1, n] into blocks, from one label per element."""
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return [[p + 1 for p in range(n) if labels[p] == k] for k in sorted(set(labels))]
+
+
+@st.composite
+def set_systems(draw):
+    """Set systems on n in 0..8 or 64 with d in 1..4 and up to 6 tuples
+    (none too), whose components, the empty set among them, repeat from a
+    small pool; half have a partition."""
+    n = draw(st.sampled_from([*range(9), 64]))
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=4))
+    component = st.sampled_from(pool)
+    tuples = draw(st.lists(st.tuples(*[component] * d), max_size=6))
+    partition = None
+    if draw(st.booleans()):
+        blocks = _labelled_blocks(draw, n)
+        partition = tuple(sum(1 << (p - 1) for p in block) for block in blocks)
+    return SetSystem(n, d, tuple(tuples), partition)
+
+
+@st.composite
+def subspace_systems(draw):
+    """Subspace systems over QQ (rows whose RREF has fractional entries),
+    GF(2) or GF(3) on n in 0..4 with d in 1..3 and up to 5 tuples, whose
+    components, zero subspaces among them, repeat from a small pool; half
+    have a coordinate decomposition."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    n = draw(st.integers(0, 4))
+    d = draw(st.integers(1, 3))
+    rows = st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=n)
+    pool = draw(st.lists(rows.map(lambda r: canonicalize(n, field, r)), min_size=1, max_size=4))
+    component = st.sampled_from(pool)
+    tuples = draw(st.lists(st.tuples(*[component] * d), max_size=5))
+    decomposition = None
+    if draw(st.booleans()):
+        decomposition = coordinate_decomposition(n, field, _labelled_blocks(draw, n))
+    return SubspaceSystem(n, field, d, tuple(tuples), decomposition)
+
+
 def emitted(doc) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
@@ -965,9 +1078,21 @@ class TestReportEncoder:
         doc = {"a": {}, "b": [], "c": (), "d": [{}, [[]], {"e": ({"f": None},)}], "": True}
         assert emitted(doc) == json.dumps(doc, indent=2) + "\n"
 
-    def test_serialize_writes_what_json_writes(self):
-        for system in (complement_chain(3), embed(complement_chain(2))):
-            assert serialize(system) == json.dumps(system_to_doc(system), indent=2)
+    @settings(max_examples=300, deadline=None)
+    @given(system=st.one_of(set_systems(), subspace_systems()), key=st.sampled_from(["final_system", "witness"]))
+    def test_serialize_writes_what_json_writes(self, system, key):
+        # a system is written from its value, each distinct component once,
+        # at the top of a document and nested in a report alike
+        doc = system_to_doc(system)
+        assert serialize(system) == json.dumps(doc, indent=2)
+        report = {"command": "saturate", "steps": 2, key: system, "trace": [{"x": 1}]}
+        assert emitted(report) == json.dumps({**report, key: doc}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("witness", [None, complement_chain(2), embed(complement_chain(2))])
+    def test_search_report_writes_what_json_writes(self, witness):
+        report = cli_io.report_search(SearchResult(Fraction(3, 2), witness, 7, True))
+        doc = None if witness is None else system_to_doc(witness)
+        assert emitted(report) == json.dumps({**report, "witness": doc}, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc", [1.5, {1: "x"}, {"x": {2}}, [b"x"], {"x": Fraction(1, 2)}])
     def test_other_types_are_refused(self, doc):

@@ -454,6 +454,21 @@ def test_golden_report(name, tmp_path):
     assert render(name, tmp_path) == expected
 
 
+def _deeper(frames: int, name: str, workdir: Path) -> str:
+    """``render`` called ``frames`` frames below this one."""
+    return render(name, workdir) if frames == 0 else _deeper(frames - 1, name, workdir)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_at_any_stack_depth(name, tmp_path):
+    """The case run twice in this process and once 200 frames deeper gives
+    its file each time: no report depends on the caller's stack, or on what
+    an earlier run left behind."""
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    runs = [_deeper(frames, name, tmp_path) for frames in (0, 0, 200)]
+    assert runs == [expected] * 3
+
+
 @pytest.mark.parametrize("seed", ["1", "777"])
 def test_golden_reports_under_hash_seed(seed, tmp_path):
     """Every case, recorded again in a fresh interpreter under the given

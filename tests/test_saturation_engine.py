@@ -626,6 +626,40 @@ class TestLocalChecksFire:
         ):
             saturate(SetSystem.from_sets(1, [((), ())]), "set")
 
+    def test_profile_first_met_at_step_3_is_checked_there(self, monkeypatch):
+        # the empty pair on [2] steps (0, 0), then (1, 0), then (0, 1) ->
+        # (1, 1), (0, 2): a term off on (0, 2) alone breaks step 3, also
+        # after an honest run of the same system
+        system = SetSystem.from_sets(2, [((), ())])
+        saturate(system, "set")
+        honest = saturation_engine.term
+
+        def skewed(profile, functional):
+            return honest(profile, functional) + (Fraction(1, 10**30) if profile == (0, 2) else 0)
+
+        monkeypatch.setattr(saturation_engine, "term", skewed)
+        with pytest.raises(
+            BollobasError,
+            match=rf"^weight invariance broken at step 3: 1 -> {10**30 + 1}/{10**30}$",
+        ):
+            saturate(system, "set")
+
+    def test_one_weight_check_per_profile_class(self, monkeypatch):
+        # 364 steps from one empty triple on [6] fall into 56 classes, one per
+        # replaced size vector of sum 0 to 5; each class weighs its d + 1 = 4
+        # terms once, not 364 x 4 times
+        honest = saturation_engine.term
+        calls = []
+
+        def counting(profile, functional):
+            calls.append(profile)
+            return honest(profile, functional)
+
+        monkeypatch.setattr(saturation_engine, "term", counting)
+        trace = saturate(SetSystem.from_sets(6, [((), (), ())], d=3), "set")
+        assert len(trace.steps) == 364
+        assert len(calls) == 56 * 4
+
     @pytest.mark.parametrize("debug, where", [(False, "at the end"), (True, "at step 1")])
     def test_whole_system_check(self, monkeypatch, debug, where):
         # a potential that doubles after its first answer: the start sum reads
