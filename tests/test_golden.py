@@ -189,6 +189,10 @@ def _inputs() -> dict[str, object]:
         # 70 nested lists under a key the reader does not read
         "nested_unknown_key": '{"kind": "set", "n": 2, "d": 2, "tuples": [], "note": '
         + "[" * 70 + "]" * 70 + "}",
+        # 70 nested lists under a key given twice, the reader taking the
+        # second value
+        "nested_repeated_key": '{"kind": "set", "n": 1, "d": 1, "tuples": '
+        + "[" * 70 + "]" * 70 + ', "tuples": []}',
     }
     return {
         name: doc if isinstance(doc, (dict, str, bytes)) else system_to_doc(doc)
@@ -374,6 +378,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "saturate_set_partitioned": ("saturate", "--flavor", "set", "--in", "@ptriple"),
         "saturate_set_full": ("saturate", "--flavor", "set", "--in", "@full"),
         "random_m0": ("random", "--seed", "0", "--m", "0", "--n", "3"),
+        "verify_nested_repeated_key": ("verify", "--kind", "weak", "--in", "@nested_repeated_key"),
     }
     # argv text refused by the package's parsers: a --p that does not parse
     # or sum to 1, a --field that names no prime field
