@@ -27,8 +27,9 @@ refused with a message to quote it (``0.1000000000000000000001`` reads as the
 float ``0.1``, ``1e400`` as ``inf``).  ``NaN`` and ``Infinity`` are refused.
 
 A document nesting lists and objects more than ``MAX_NESTING`` (64) deep
-is refused as nesting too deeply, however deep the caller's stack is (see
-``parse``).
+is refused as nesting too deeply whenever some of its text goes unread (a
+refusal, a key the reader skips, a key given twice), however deep the
+caller's stack is (see ``parse``).
 
 Reports are JSON with every number an exact string, written as the
 standard ``json`` module writes them with an indent of 2.  A system in a
@@ -372,17 +373,26 @@ _READ_KEYS = {
 _NOT_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"?|[^"\[\]{}]+', re.S)
 
 
+class _Repeated(dict):
+    """A decoded object that gave a key twice; only its last value was kept."""
+
+
+def _decoded_object(pairs: list) -> dict:
+    doc = dict(pairs)
+    return _Repeated(doc) if len(doc) < len(pairs) else doc
+
+
 def parse(text: str) -> System:
     """The system of a document's text.
 
     A document that nests lists and objects more than ``MAX_NESTING`` deep
-    is refused with "document nests too deeply" whenever the decoder or the
-    reader refuses it, the decoder's recursion limit included, and when the
-    deep value sits under a key the reader skips.  The bound is checked after
-    decoding, on refusals and skipped values only, so a document that is read
-    pays no scan for it; and the outcome is a function of the text while the
-    caller's stack stays more than ``MAX_NESTING`` frames below the
-    interpreter's limit."""
+    is refused with "document nests too deeply" whenever some of its text
+    goes unread: when the decoder or the reader refuses it, the decoder's
+    recursion limit included, and when it has a key the reader skips or
+    gives a key twice.  Only then is the text scanned for the bound, so a
+    document that is read in full pays no scan for it; and the outcome is a
+    function of the text while the caller's stack stays more than
+    ``MAX_NESTING`` frames below the interpreter's limit."""
     try:
         doc = _decode(text)
         system = system_from_doc(doc)
@@ -392,17 +402,17 @@ def parse(text: str) -> System:
         if _nesting_exceeds(text):
             raise DocumentError(_TOO_DEEP) from exc
         raise
-    read = _READ_KEYS[doc["kind"]]
-    if not doc.keys() <= read:
-        skipped = [value for key, value in doc.items() if key not in read]
-        if _values_nest_deeper(skipped, MAX_NESTING - 1):
-            raise DocumentError(_TOO_DEEP)
+    unread = type(doc) is _Repeated or not doc.keys() <= _READ_KEYS[doc["kind"]]
+    if unread and _nesting_exceeds(text):
+        raise DocumentError(_TOO_DEEP)
     return system
 
 
 def _decode(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_bare_float, parse_constant=_bare_constant)
+        return json.loads(
+            text, object_pairs_hook=_decoded_object, parse_float=_bare_float, parse_constant=_bare_constant
+        )
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
     except DocumentError:  # from the bare-number hooks
@@ -421,21 +431,6 @@ def _nesting_exceeds(text: str) -> bool:
         if depth > MAX_NESTING:
             return True
     return False
-
-
-def _values_nest_deeper(values: list, limit: int) -> bool:
-    """Whether a list or object among ``values`` nests more than ``limit``
-    deep; counted a level at a time, so no recursion limit decides."""
-    for _ in range(limit):
-        values = [
-            item
-            for value in values
-            if type(value) is list or type(value) is dict
-            for item in (value.values() if type(value) is dict else value)
-        ]
-        if not values:
-            return False
-    return any(type(value) is list or type(value) is dict for value in values)
 
 
 # ---------------------------------------------------------------------------

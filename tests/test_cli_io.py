@@ -158,13 +158,16 @@ class TestDocuments:
             '{"kind": "set", "n": 2, "d": 2, "tuples": [], "note": @}',
             '{"kind": "set", "n": 2, "d": 2, "tuples": [[@]]}',
             '{"kind": "set", "n": 2, "d": 2, "note": @, "tuples": }',
+            '{"kind": "set", "n": 2, "d": 2, "tuples": @, "tuples": []}',
+            '{"kind": @, "n": 2, "d": 2, "tuples": [], "kind": "set"}',
         ],
-        ids=["skipped", "refused", "syntax"],
+        ids=["skipped", "refused", "syntax", "repeated-tuples", "repeated-kind"],
     )
     def test_nesting_refusal_does_not_depend_on_the_stack(self, template):
         # nested lists under a key the reader skips, inside a tuple it
-        # refuses, and before a syntax error, deep enough that the decoder
-        # reaches its recursion limit from 200 frames down but not from here
+        # refuses, before a syntax error, and under the first of a key given
+        # twice, deep enough that the decoder reaches its recursion limit
+        # from 200 frames down but not from here
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
@@ -188,8 +191,10 @@ class TestDocuments:
             ('{"kind": "set", "n": 2, "d": 2, "tuples": [], "decomposition": @}', None),
             ('{"kind": "set", "n": 2, "d": 2, "tuples": [[@]]}', r"^tuples\[0\]: expected a 2-tuple of subsets$"),
             ('{"kind": "set", "n": 2, "d": 2, "note": @, "tuples": }', r"^line 1 column \d+: Expecting value$"),
+            ('{"kind": "set", "n": 2, "d": 2, "tuples": @, "tuples": []}', None),
+            ('{"kind": @, "n": 2, "d": 2, "tuples": [], "kind": "set"}', None),
         ],
-        ids=["skipped", "skipped-context", "refused", "syntax"],
+        ids=["skipped", "skipped-context", "refused", "syntax", "repeated-tuples", "repeated-kind"],
     )
     def test_nesting_bound_is_64_levels(self, template, below):
         # levels count the lists and objects open at the innermost one,
@@ -212,6 +217,16 @@ class TestDocuments:
         assert parse(text) == SetSystem(2, 2, ())
         with pytest.raises(DocumentError, match="^tuples: tuples must be a list$"):
             parse(text.replace("[]", '"' + "[" * 100 + '"'))
+
+    def test_documents_read_in_full_are_not_scanned(self, monkeypatch):
+        # the nesting scan runs only on text that went unread
+        def scanning(text):
+            raise AssertionError("scanned a document read in full")
+
+        monkeypatch.setattr(cli_io, "_nesting_exceeds", scanning)
+        for system in (full_tuza_tuples(6, 3), embed(complement_chain(6))):
+            assert parse(serialize(system)) == system
+        assert parse('{"kind": "set", "n": 2, "d": 2, "tuples": []}') == SetSystem(2, 2, ())
 
     def test_recursion_while_reading_is_the_nesting_refusal(self, monkeypatch):
         def recursing(doc):
@@ -1168,13 +1183,15 @@ def pair_documents(draw):
 
 
 # slots a nested value fills: the whole document, a tuple, an element, a
-# partition block, a subspace row
+# partition block, a subspace row, and the first value of a key given twice
 _NEST_SLOTS = (
     "@",
     '{"kind": "set", "n": 2, "d": 2, "tuples": [@]}',
     '{"kind": "set", "n": 2, "d": 2, "tuples": [[[@], []]]}',
     '{"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": [@]}',
     '{"kind": "subspace", "n": 2, "d": 2, "field": "gf(2)", "tuples": [[[@], []]]}',
+    '{"kind": "set", "n": 2, "d": 2, "tuples": @, "tuples": []}',
+    '{"kind": @, "n": 2, "d": 2, "tuples": [], "kind": "set"}',
 )
 
 
@@ -1182,11 +1199,34 @@ _NEST_SLOTS = (
 def nested_documents(draw):
     """JSON text nested from one level to past the decoder's recursion
     limit: a run of arrays or objects, closed or cut off, in one slot of a
-    document."""
-    depth = draw(st.integers(1, 3000) | st.sampled_from([500, 900, 990, 1000]))
+    document; often within a few levels of ``MAX_NESTING``."""
+    depth = draw(st.integers(1, 3000) | st.integers(60, 70) | st.sampled_from([500, 900, 990, 1000]))
     opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
     value = opener * depth + ("0" + closer * depth if draw(st.booleans()) else "")
     return draw(st.sampled_from(_NEST_SLOTS)).replace("@", value)
+
+
+def bracket_depth(text: str) -> int:
+    """The most lists and objects open at once in JSON ``text``, counted a
+    character at a time, brackets inside strings aside."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for c in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                escaped = True
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in "]}":
+            depth -= 1
+    return deepest
 
 
 def run_quietly(argv):
@@ -1293,6 +1333,23 @@ def assert_a_json_report(argv):
 
 
 class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=nested_documents())
+    def test_nesting_refusal_is_the_bracket_count(self, text):
+        # the same outcome from here and from 200 frames deeper, and the
+        # nesting refusal exactly when more than 64 brackets are open at once
+        def outcome(frames):
+            if frames:
+                return outcome(frames - 1)
+            try:
+                return str(parse(text))
+            except DocumentError as exc:
+                return str(exc)
+
+        here = outcome(0)
+        assert outcome(200) == here
+        assert (here == "document nests too deeply") == (bracket_depth(text) > cli_io.MAX_NESTING)
+
     @settings(max_examples=300, deadline=None)
     @given(argv=raw_argv())
     def test_raw_argv_ends_in_a_json_report(self, argv):

@@ -580,6 +580,11 @@ class TestExploreConjecture:
         with pytest.raises(ShapeError, match="p has 2 entries, system arity is 3"):
             explore_weak_subspace_conjecture(2, 3, ProbabilityVector.uniform(2), field)
 
+    def test_unknown_field_tag_refused(self):
+        # neither QQ nor a GF(p) tag: the CLI parses --field into one of those
+        with pytest.raises(ShapeError, match=r"^unsupported field gf\(4\)$"):
+            explore_weak_subspace_conjecture(2, 2, ProbabilityVector.uniform(2), "gf(4)")
+
     def test_exhaustive_rational_subspace_search_refused(self):
         problem = SearchProblem(n=2, d=2, flavor="skew", field=QQ)
         with pytest.raises(ShapeError):

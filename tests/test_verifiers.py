@@ -196,6 +196,11 @@ class TestUniformPairBound:
         cert = check_uniform_pair_bound(s)
         assert cert.holds and cert.quantity("bound") == "1"
 
+    def test_missing_quantity_is_a_key_error(self):
+        cert = check_uniform_pair_bound(SetSystem.from_sets(2, [({1}, {2}), ({2}, {1})]))
+        with pytest.raises(KeyError, match="'omega'"):
+            cert.quantity("omega")
+
     def test_non_uniform_rejected(self):
         s = SetSystem.from_sets(2, [({1, 2}, ()), ({1}, {2})])
         with pytest.raises(PreconditionError):
