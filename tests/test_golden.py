@@ -193,6 +193,28 @@ def _inputs() -> dict[str, object]:
         # second value
         "nested_repeated_key": '{"kind": "set", "n": 1, "d": 1, "tuples": '
         + "[" * 70 + "]" * 70 + ', "tuples": []}',
+        # set elements that are not ints in [1, n], each refused where it
+        # first occurs: past n in the last of 50 tuples, 0, -1, a bare
+        # exponent literal, 1.0 in the partition alone, a nested list
+        "element_past_n_last": {
+            "kind": "set", "n": 6, "d": 2,
+            "tuples": [[[1 + i % 6], [1 + (i + 1) % 6]] for i in range(49)] + [[[1], [7]]],
+        },
+        "element_zero": {"kind": "set", "n": 3, "d": 2, "tuples": [[[0], [1]]]},
+        "element_negative": {"kind": "set", "n": 3, "d": 2, "tuples": [[[1], [-1]]]},
+        "element_bare_exponent": '{"kind": "set", "n": 3, "d": 1, "tuples": [[[1e0]]]}',
+        "partition_float_element": {
+            "kind": "set", "n": 2, "d": 1, "tuples": [[[1]]], "partition": [[1.0], [2]],
+        },
+        "element_list": {"kind": "set", "n": 2, "d": 1, "tuples": [[[[1]]]]},
+        # subsets that hold no element but are not lists
+        "subset_object": {"kind": "set", "n": 2, "d": 2, "tuples": [[[1], {}]]},
+        "subset_empty_str": {"kind": "set", "n": 2, "d": 2, "tuples": [[[1], ""]]},
+        "partition_block_empty_str": {"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": [[1, 2], ""]},
+        # a bad element in tuple 0 before a tuple of the wrong arity
+        "element_before_arity": {"kind": "set", "n": 3, "d": 2, "tuples": [[[4], [1]], [[1]]]},
+        # a valid system with a JSON true under a key the reader skips
+        "true_unknown_key": {"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]], "note": True},
     }
     return {
         name: doc if isinstance(doc, (dict, str, bytes)) else system_to_doc(doc)
@@ -411,6 +433,9 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "partition_not_list", "partition_block_int", "partition_block_str", "subspace_tuple_arity", "decomposition_not_list", "n_not_int",
         "subspace_not_rows", "zero_d_set", "latin1", "long_int", "nested_unknown_key",
         "negative_n_set_element", "negative_n_subspace_row", "negative_n_decomposition", "n_above_cap",
+        "element_past_n_last", "element_zero", "element_negative", "element_bare_exponent",
+        "partition_float_element", "element_list", "subset_object", "subset_empty_str",
+        "partition_block_empty_str", "element_before_arity", "true_unknown_key",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
