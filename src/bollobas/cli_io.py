@@ -11,12 +11,20 @@ One self-describing JSON document format covers both system kinds, so the
      "tuples": [[[["1", "0"]], [["0", "1"]]]],
      "decomposition": [[["1", "0"]], [["0", "1"]]]}
 
-Subsets are sorted 1-based integer lists; subspaces are row matrices of
-scalar strings ("num/den" over the rationals, "r mod p" over GF(p)), the zero
-subspace being the empty matrix.  Non-canonical rows are accepted and
-canonicalized on load, after which serialize-parse round-trips exactly.
+Subsets are sorted 1-based integer lists, each element an int in [1, n];
+subspaces are row matrices of scalar strings ("num/den" over the
+rationals, "r mod p" over GF(p)), the zero subspace being the empty matrix.
+Non-canonical rows are accepted and canonicalized on load, after which
+serialize-parse round-trips exactly.
 Components of one document with the same entry texts are parsed once, to
 one shared ``Subspace``.
+
+``parse`` reads a set document's elements by one lookup each in the table
+``{e: 1 << (e - 1)}`` for e in [1, n] when its text holds no ``true`` or
+``false`` and the decoder read no float, since ``True`` and ``1.0`` find
+the entry of 1.  Any other document, and any document the lookup refuses,
+is read again by the checked loop, so every refusal names the first bad
+tuple, subset or element (see ``parse``).
 
 A scalar may be a bare JSON number.  A bare integer is read as it is.  A
 bare number with a fraction or an exponent is kept as the float ``json``
@@ -214,6 +222,9 @@ def _dumps(value: Any, newline: str = "\n") -> str:
 
 
 def system_from_doc(doc: Any) -> System:
+    """The system of a decoded document.  A set document's elements are
+    read by the checked loop, ``mask_from_elements``; only an ``_Exact``,
+    which ``parse`` decodes, is read by table lookup first."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
@@ -226,6 +237,11 @@ def system_from_doc(doc: Any) -> System:
         raise DocumentError("tuples must be a list", "tuples")
 
     if kind == "set":
+        if type(doc) is _Exact:
+            try:
+                return _set_system(n, d, *_set_masks_by_lookup(doc, n, d, tuples))
+            except (KeyError, TypeError):  # refused: the checked loop below names the first fault
+                pass
         packed = []
         for i, t in enumerate(tuples):
             if not isinstance(t, list) or len(t) != d:
@@ -253,11 +269,7 @@ def system_from_doc(doc: Any) -> System:
                 except ShapeError as exc:
                     raise DocumentError(str(exc), f"partition[{k}]") from exc
             partition = tuple(masks)
-        try:
-            return SetSystem(n, d, tuple(packed), partition)
-        except PartitionError as exc:
-            where = "partition" if exc.block is None else f"partition[{exc.block}]"
-            raise DocumentError(str(exc), where) from exc
+        return _set_system(n, d, packed, partition)
 
     field_name = doc.get("field", "rational")
     try:
@@ -290,6 +302,52 @@ def system_from_doc(doc: Any) -> System:
     return SubspaceSystem(n, field, d, tuple(packed_subs), decomposition)
 
 
+def _set_masks_by_lookup(doc: dict, n: int, d: int, tuples: list) -> tuple[list, tuple | None]:
+    """An ``_Exact`` set document's tuple masks and partition masks, each
+    element read by one lookup in ``{e: 1 << (e - 1)}`` for e in [1, n].
+    A value that is not an int in [1, n] misses (``KeyError``) or cannot be
+    hashed (``TypeError``); a tuple of the wrong arity and a subset or
+    partition that is not a list raise ``TypeError`` too, so that the
+    checked loop reads the document again and refuses it with its own
+    text."""
+    bit = {e: 1 << (e - 1) for e in range(1, n + 1)}
+    packed = _masks_by_lookup(tuples, d, bit)
+    if "partition" not in doc:
+        return packed, None
+    blocks = doc["partition"]
+    if type(blocks) is not list:
+        raise TypeError
+    return packed, _masks_by_lookup([blocks], len(blocks), bit)[0]
+
+
+def _masks_by_lookup(lists: list, arity: int, bit: dict) -> list[tuple]:
+    """Each list of ``arity`` subsets in ``lists`` as a tuple of masks."""
+    out = []
+    for subsets in lists:
+        if type(subsets) is not list or len(subsets) != arity:
+            raise TypeError
+        masks = []
+        for subset in subsets:
+            if type(subset) is not list:
+                raise TypeError
+            mask = 0
+            for e in subset:
+                mask |= bit[e]
+            masks.append(mask)
+        out.append(tuple(masks))
+    return out
+
+
+def _set_system(n: int, d: int, packed: list, partition: tuple | None) -> SetSystem:
+    """The system of a set document's masks, a partition fault named by
+    its block."""
+    try:
+        return SetSystem(n, d, tuple(packed), partition)
+    except PartitionError as exc:
+        where = "partition" if exc.block is None else f"partition[{exc.block}]"
+        raise DocumentError(str(exc), where) from exc
+
+
 def _expect_int(doc: dict, key: str) -> int:
     """A document's n or d: an integer in its ``check_sizes`` range."""
     value = doc.get(key)
@@ -318,7 +376,7 @@ def _subspace_from_rows(rows: Any, n: int, field: FieldTag, where: str, memo: di
         if not isinstance(row, list) or len(row) != n:
             short = r
             break
-        texts.append(tuple([str(x) for x in row]))
+        texts.append(tuple(map(str, row)))
     key = tuple(texts)
     found = None if short is not None else memo.get(key)
     if found is None:
@@ -382,6 +440,12 @@ def _decoded_object(pairs: list) -> dict:
     return _Repeated(doc) if len(doc) < len(pairs) else doc
 
 
+class _Exact(dict):
+    """A decoded document that holds no bool and no float, so that every
+    value in it equal to an int is that int: ``system_from_doc`` reads a set
+    document's elements by table lookup."""
+
+
 def parse(text: str) -> System:
     """The system of a document's text.
 
@@ -392,7 +456,15 @@ def parse(text: str) -> System:
     gives a key twice.  Only then is the text scanned for the bound, so a
     document that is read in full pays no scan for it; and the outcome is a
     function of the text while the caller's stack stays more than
-    ``MAX_NESTING`` frames below the interpreter's limit."""
+    ``MAX_NESTING`` frames below the interpreter's limit.
+
+    A set document whose text holds no ``true`` and no ``false``, and in
+    which the ``parse_float`` hook decoded no number, holds no bool and no
+    float: its elements are then read by one lookup each in ``{e: 1 << (e -
+    1)}``, which an int finds exactly when it lies in [1, n].  A miss, an
+    unhashable element, a subset that is not a list or a tuple of the wrong
+    arity sends it back to the checked loop, so that its refusal keeps the
+    text and path of that loop."""
     try:
         doc = _decode(text)
         system = system_from_doc(doc)
@@ -409,9 +481,17 @@ def parse(text: str) -> System:
 
 
 def _decode(text: str) -> Any:
+    """The value of a document's text, a top-level object as an ``_Exact``
+    when it holds no bool and no float."""
+    floats = []
+
+    def bare_float(literal: str) -> float:
+        floats.append(literal)
+        return _bare_float(literal)
+
     try:
-        return json.loads(
-            text, object_pairs_hook=_decoded_object, parse_float=_bare_float, parse_constant=_bare_constant
+        doc = json.loads(
+            text, object_pairs_hook=_decoded_object, parse_float=bare_float, parse_constant=_bare_constant
         )
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
@@ -420,6 +500,9 @@ def _decode(text: str) -> Any:
     except ValueError as exc:  # an int literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise DocumentError(f"an integer literal has more than {limit} digits") from exc
+    if type(doc) is dict and not floats and "true" not in text and "false" not in text:
+        return _Exact(doc)
+    return doc
 
 
 def _nesting_exceeds(text: str) -> bool:

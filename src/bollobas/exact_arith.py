@@ -168,7 +168,12 @@ class RationalField(Frozen):
         """Rational entries as one int row spanning the same line: each entry
         times the lcm of the denominators.  A plain integer entry stays an
         ``int`` (its denominator is 1); only the others go through
-        :func:`rational_from_str`."""
+        :func:`rational_from_str`.  A row of plain integers is read in one
+        pass, the others entry by entry."""
+        try:
+            return list(map(int, texts))
+        except ValueError:
+            pass
         qs: list[int | Fraction] = []
         for text in texts:
             try:

@@ -30,6 +30,7 @@ from bollobas import (
     partitioned_complement_chain,
     random_compatible_pair_system,
     random_valid_system,
+    saturate,
     serialize,
     uniform_bollobas,
     zero_subspace,
@@ -1151,6 +1152,55 @@ def set_documents(draw):
     return doc
 
 
+@st.composite
+def mixed_set_documents(draw):
+    """Set documents with n <= 6 and d <= 3 whose values are mostly valid,
+    and otherwise hostile at one or more levels: elements that are bools,
+    exact floats, 0, negatives, n + 1, strings, lists, objects or null;
+    subsets, tuples and partitions that are not lists or have the wrong
+    length; and a bool or float under a key the reader skips.  Each level
+    draws its own rate, so that some documents are hostile at one level
+    only."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 3))
+    rate = {level: draw(st.sampled_from([0, 0, 5, 30])) for level in ("element", "list", "note")}
+
+    def hostile(level):
+        return draw(st.integers(0, 99)) < rate[level]
+
+    scalar = st.one_of(
+        st.none(), st.text(max_size=2), st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1)
+    )
+    element = st.one_of(
+        st.booleans(),
+        st.sampled_from([1.0, 2.0, float(n), float(n + 1), 0.5, -1.0, 0.0]),
+        st.integers(-2, 0),
+        st.just(n + 1),
+        st.lists(st.integers(0, 2), max_size=2),
+        scalar,
+    )
+    not_a_list = st.one_of(st.just({}), st.just(""), st.integers(0, 2), scalar)
+
+    def subset():
+        if hostile("list"):
+            return draw(not_a_list)
+        return [draw(element) if hostile("element") else draw(st.integers(1, n)) for _ in range(draw(st.integers(0, n)))]
+
+    def subsets(length):
+        if hostile("list"):
+            if draw(st.booleans()):
+                return draw(not_a_list)
+            length = draw(st.integers(0, 4))
+        return [subset() for _ in range(length)]
+
+    doc = {"kind": "set", "n": n, "d": d, "tuples": [subsets(d) for _ in range(draw(st.integers(0, 4)))]}
+    if draw(st.booleans()):
+        doc["partition"] = subsets(draw(st.integers(0, 3)))
+    if hostile("note"):
+        doc["note"] = draw(element)
+    return doc
+
+
 # per field, entries it reads and entries it refuses
 _PAIR_ENTRIES = {
     "rational": (["0", "1", "-1", "2", "1/2"], ["1 mod 3", "x", "1/0"]),
@@ -1382,3 +1432,80 @@ class TestCliFuzz:
         ]
         for command in commands:
             assert_a_json_report([*command, "--in", str(path)])
+
+
+class TestSetLookup:
+    """``parse`` reads a set document's elements by table lookup when the
+    text holds no bool and no float, and by the checked loop otherwise."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        calls = []
+        checked = cli_io.mask_from_elements
+
+        def counted(elements, n):
+            calls.append(elements)
+            return checked(elements, n)
+
+        monkeypatch.setattr(cli_io, "mask_from_elements", counted)
+        return calls
+
+    def test_package_documents_are_read_by_lookup(self, monkeypatch):
+        def refused(elements, n):
+            raise AssertionError("read by the checked loop")
+
+        final = saturate(SetSystem.from_sets(4, [({1}, {2}, {3})], partition=[[1, 2], [3, 4]]), "set").final
+        assert final.partition is not None and final.m > 1
+        monkeypatch.setattr(cli_io, "mask_from_elements", refused)
+        for system in (full_tuza_tuples(6, 3), final):
+            assert parse(serialize(system)) == system
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]], "note": true}',
+            '{"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]], "note": false}',
+            '{"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]], "note": 0.5}',
+            '{"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]], "note": "true"}',
+        ],
+    )
+    def test_a_document_with_a_bool_or_float_is_checked(self, monkeypatch, text):
+        calls = self._counted(monkeypatch)
+        assert parse(text) == SetSystem.from_sets(2, [({1}, {2})])
+        assert calls == [[1], [2]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"kind": "set", "n": 2, "d": 1, "tuples": [[[1.0]]]}', "tuples[0][0]: element 1.0 outside [1, 2]"),
+            ('{"kind": "set", "n": 2, "d": 1, "tuples": [[[true]]]}', "tuples[0][0]: element True outside [1, 2]"),
+        ],
+    )
+    def test_a_bool_or_float_element_is_refused_by_the_checked_loop(self, monkeypatch, text, message):
+        calls = self._counted(monkeypatch)
+        with pytest.raises(DocumentError) as err:
+            parse(text)
+        assert str(err.value) == message
+        assert len(calls) == 1
+
+    def test_a_library_dict_is_checked(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        doc = {"kind": "set", "n": 2, "d": 2, "tuples": [[[1], [2]]]}
+        assert system_from_doc(doc) == SetSystem.from_sets(2, [({1}, {2})])
+        assert calls == [[1], [2]]
+        with pytest.raises(DocumentError, match=r"^tuples\[0\]\[0\]: element True outside \[1, 2\]$"):
+            system_from_doc({"kind": "set", "n": 2, "d": 2, "tuples": [[[True], [2]]]})
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=mixed_set_documents())
+    def test_parse_reads_as_the_checked_loop(self, doc):
+        # the same system, or the same refusal text and path, as the checked
+        # reader on the value the text decodes to
+        def outcome(read, value):
+            try:
+                return read(value)
+            except DocumentError as exc:
+                return str(exc)
+
+        text = json.dumps(doc)
+        assert outcome(parse, text) == outcome(system_from_doc, json.loads(text))
