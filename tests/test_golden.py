@@ -34,10 +34,11 @@ from bollobas import (
     full_tuza_tuples,
     partitioned_complement_chain,
     random_compatible_pair_system,
+    saturate,
     uniform_bollobas,
     zero_subspace,
 )
-from bollobas.cli_io import _functional_name, main, system_to_doc
+from bollobas.cli_io import _functional_name, main, parse, system_to_doc
 from bollobas.weight_functionals import RULES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,6 +84,15 @@ def _inputs() -> dict[str, object]:
     n0 = SetSystem(0, 1, (), partition=())
     empty_two_blocks = SetSystem(2, 2, (), partition=(0b01, 0b10))
     full33 = full_tuza_tuples(3, 3).tuples
+    # three blocks of QQ^4 whose stacked canonical rows have determinant 11,
+    # and one pair whose first subspace lies in the second block
+    qq_three_blocks = {
+        "kind": "subspace", "n": 4, "d": 2, "field": "rational",
+        "tuples": [[[["1", "3", "1", "2"]], []]],
+        "decomposition": [
+            [["2", "1", "0", "0"]], [["0", "3", "1", "0"], ["1", "0", "0", "2"]], [["0", "0", "1", "1"]],
+        ],
+    }
     docs: dict[str, object] = {
         "chain": chain,
         "embedded": embed(chain),
@@ -165,6 +175,9 @@ def _inputs() -> dict[str, object]:
             "kind": "subspace", "n": 3, "d": 2, "field": "rational", "tuples": [[[], []]],
             "decomposition": [[["2", "1", "0"], ["0", "3", "1"]], [["0", "0", "1"]]],
         },
+        "qq_three_blocks": qq_three_blocks,
+        "qq_three_blocks_final": saturate(parse(json.dumps(qq_three_blocks)), "pair").final,
+        "gf5_empty_triple": {"kind": "subspace", "n": 3, "d": 3, "field": "gf(5)", "tuples": [[[], [], []]]},
         "gf3_pair": {
             "kind": "subspace", "n": 3, "d": 2, "field": "gf(3)", "tuples": [[[], []]],
             "decomposition": [[["2", "1", "0"]], [["0", "2", "1"]], [["0", "0", "1"]]],
@@ -305,6 +318,9 @@ def _cases() -> dict[str, tuple[str, ...]]:
             "saturate", "--flavor", "pair", "--trace", "--in", "@qq_pair_fractional_x",
         ),
         "saturate_pair_gf3": ("saturate", "--flavor", "pair", "--trace", "--in", "@gf3_pair"),
+        "saturate_pair_qq_three_blocks": ("saturate", "--flavor", "pair", "--trace", "--in", "@qq_three_blocks"),
+        "certify_pair_qq_three_blocks_final": ("certify", "--flavor", "pair", "--in", "@qq_three_blocks_final"),
+        "saturate_tuple_gf5_empty_triple": ("saturate", "--flavor", "tuple", "--trace", "--in", "@gf5_empty_triple"),
         # weight refusals: each licensing rule's failure text
         "weight_partitioned_yue_ptriple": (
             "weight", "--functional", "partitioned_yue", "--in", "@ptriple",
