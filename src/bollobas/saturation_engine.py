@@ -19,11 +19,16 @@ potential is an exact integer, bounded as stated below:
   (A + <x>, B) FIRST and (A, B + <x>) second.  That order is forced: the
   earlier pair's A meets the later pair's B in <x>, so skewness survives;
   swapped, the two new pairs violate the skew clause between themselves.
-  Potential: prod_k 2^(n_k - d_k) = 2^(s_1 + ... + s_r), with s_k =
-  dim((A ∩ V_k) + (B ∩ V_k)) and d_k = n_k - s_k, at most 4^n.
+  x is a canonical row of V_k outside A ∩ V_k, so A + <x> splits as A does
+  with <x> added in block k (B + <x> likewise); the step records these
+  components in the decomposition's memo, which then splits no
+  replacement.  Potential: prod_k 2^(n_k - d_k) = 2^(s_1 + ... + s_r),
+  with s_k = dim((A ∩ V_k) + (B ∩ V_k)) and d_k = n_k - s_k, at most 4^n.
 * ``tuple``: a subspace d-tuple whose components do not span V gains <x> in
-  each coordinate, coordinate order, like the set case.  Potential: the sum
-  of the component dimensions, at most n d^n.
+  each coordinate, coordinate order, like the set case.  x is the first unit
+  vector e_c outside the span S of the components, read off S's canonical
+  rows: e_c lies in S exactly when S's row of pivot c is e_c.  Potential:
+  the sum of the component dimensions, at most n d^n.
 
 Every step checks the invariants it claims on its own d + 1 tuples, and
 raises instead of trusting them: the replacements' weight terms sum exactly
@@ -61,7 +66,7 @@ from .errors import (
     ShapeError,
 )
 from .exact_arith import ProbabilityVector, Rational, rational_to_str
-from .subspace_algebra import Subspace, dim_of_sum, extension_vector, full_space, rref
+from .subspace_algebra import Subspace, dim_of_sum, extension_vector, rref
 from .systems_model import (
     SetSystem,
     SubspaceSystem,
@@ -240,14 +245,23 @@ class _PairFlavor(Flavor):
         elif not 1 <= k <= len(blocks):
             raise ShapeError(f"block index {k} outside [1, {len(blocks)}]")
         a, b = t
-        components = system.decomposition.components
-        filled = components(a)[k - 1] + components(b)[k - 1]
+        decomposition = system.decomposition
+        a_parts, b_parts = decomposition.components(a), decomposition.components(b)
+        filled = a_parts[k - 1] + b_parts[k - 1]
         if filled.dim == blocks[k - 1].dim:
             raise PreconditionError(f"pair {i} is already full in block {k}")
         # x is a canonical row of V_k, so (x,) is already <x> in canonical form
         x = extension_vector(blocks[k - 1], filled)
         x_span = Subspace(system.n, system.field, (x,))
-        return k, x, ((a + x_span, b), (a, b + x_span))
+
+        def grow(sub: Subspace, parts: tuple) -> Subspace:
+            # x lies in V_k outside part k, so U + <x> has U's parts with <x>
+            # added in block k, which the memo takes when U was their sum
+            grown = sub + x_span
+            decomposition.record(grown, parts[: k - 1] + (parts[k - 1] + x_span,) + parts[k:])
+            return grown
+
+        return k, x, ((grow(a, a_parts), b), (a, grow(b, b_parts)))
 
     def bound(self, system: SubspaceSystem) -> int:
         return 4**system.n
@@ -284,7 +298,11 @@ class _TupleFlavor(Flavor):
         coordinate in turn."""
         if at is not None:
             raise ShapeError("the tuple flavor's fill-up takes no element or block")
-        x = extension_vector(full_space(system.n, system.field), span)
+        # e_c lies in the span exactly when the span's canonical row of pivot
+        # c is e_c, so x is the first unit row that is not one of its rows
+        rows = set(span.rows)
+        n = system.n
+        x = next(e for e in ((0,) * c + (1,) + (0,) * (n - 1 - c) for c in range(n)) if e not in rows)
         x_span = Subspace(system.n, system.field, (x,))
         replacements = tuple(
             tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))

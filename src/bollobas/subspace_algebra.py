@@ -15,9 +15,12 @@ All arithmetic is exact and runs on these rows directly: over GF(p) on
 residues mod p, over QQ fraction-free (Bareiss-style cross multiplication,
 each new row divided by its gcd).  The layer builds no scalar objects: the
 field tag writes a canonical row's RREF entries as text straight from the
-ints (``format_row``).  Intersections use Zassenhaus' sum/intersection
-elimination of ``[u | u]`` over ``[w | 0]``, never orthogonal complements
-(which are field-sensitive).
+ints (``format_row``).  :func:`intersection` uses Zassenhaus'
+sum/intersection elimination of ``[u | u]`` over ``[w | 0]``, never
+orthogonal complements (which are field-sensitive).  A subspace's components
+in a decomposition come from one elimination of its rows in block
+coordinates (:class:`Decomposition`), and from Zassenhaus only when the
+subspace is not the direct sum of them.
 
 Two certificates read sums and meets off the canonical rows exactly, with no
 elimination.  Rows whose pivot columns (first nonzero entries) are pairwise
@@ -32,6 +35,7 @@ are eliminated.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, Frozen, PreconditionError, ShapeError, check_sizes
@@ -294,37 +298,102 @@ def extension_vector(v_k: Subspace, s: Subspace) -> Optional[tuple[int, ...]]:
     return None
 
 
+def _times(rows: Iterable[Sequence[int]], cols: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """The int rows times the matrix given by its columns, mod p over GF(p)."""
+    out = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    return [[x % p for x in row] for row in out] if p else out
+
+
 class Decomposition(Frozen):
     """A direct-sum decomposition V = V_1 ⊕ ... ⊕ V_r of the ambient space.
 
-    ``components(u)`` memoizes (U ∩ V_1, ..., U ∩ V_r) per subspace U in a
-    dict that lives as long as this value: systems derived by
-    ``with_tuples`` keep the same decomposition, so one saturation run
-    computes each component once.  The memo is not a field: it takes no part
-    in equality, hashing or repr.
+    At construction the stacked canonical rows of the blocks, block 1's
+    first, form an invertible matrix M, which is inverted once: over QQ as
+    D·M⁻¹ in ints, D one common denominator, over GF(p) as M⁻¹ mod p.  A
+    row times that inverse is the row in block coordinates (up to the factor
+    D), where V_k is spanned by the unit vectors of the columns of block k.
+    ``components(u)`` maps U's rows there and eliminates them once, n wide:
+    when every eliminated row lies in the columns of one block, U is the
+    direct sum of its blocks' parts, and block k's rows mapped back through
+    M span U ∩ V_k.  Otherwise U is not decomposition-compatible, and each
+    U ∩ V_k is a Zassenhaus :func:`intersection`.
+
+    The components are memoized per subspace U in a dict that lives as long
+    as this value: systems derived by ``with_tuples`` keep the same
+    decomposition, so one saturation run computes each component once, and
+    :meth:`record` enters the components of a subspace its caller built
+    from known parts.  Neither the memo nor the inverse is a field: they take
+    no part in equality, hashing or repr.
     """
 
     _fields = ("n", "field", "blocks")
-    __slots__ = _fields + ("_components",)
+    __slots__ = _fields + ("_components", "_inverse", "_ends")
 
     def __init__(self, n: int, field: FieldTag, blocks: tuple[Subspace, ...]):
         self._init(n, field, tuple(blocks))
-        object.__setattr__(self, "_components", {})
+        init = object.__setattr__
+        init(self, "_components", {})
         for b in self.blocks:
             if b.n != self.n or b.field != self.field:
                 raise FieldMismatchError("decomposition block in wrong ambient space/field")
         total = sum(b.dim for b in self.blocks)
         if total != self.n:
             raise ShapeError(f"block dims sum to {total}, ambient is {self.n}")
-        if dim_of_sum(self.blocks) != self.n:
+        # eliminate [M | I]: M is invertible iff every pivot falls in M, and
+        # then row i is a_i (e_i | row i of M⁻¹)
+        p = field.p
+        rows = [row for b in self.blocks for row in b.rows]
+        unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        reduced, pivots = _eliminate([row + e for row, e in zip(rows, unit)], 2 * n, p)
+        if pivots != list(range(n)):
             raise ShapeError("blocks are not independent: stacked rank below ambient dim")
+        scale = math.lcm(*[row[i] for i, row in enumerate(reduced)])
+        inverse = [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
+        ends = []  # ends[c]: the end of the columns of the block owning column c
+        for b in self.blocks:
+            ends += [len(ends) + b.dim] * b.dim
+        init(self, "_inverse", tuple(zip(*inverse)))  # by columns
+        init(self, "_ends", ends)
 
     def components(self, u: Subspace) -> tuple[Subspace, ...]:
         """(U ∩ V_1, ..., U ∩ V_r), computed on the first call for U."""
         found = self._components.get(u)
         if found is None:
-            found = self._components[u] = tuple(intersection(u, blk) for blk in self.blocks)
+            found = self._components[u] = self._split(u)
         return found
+
+    def _split(self, u: Subspace) -> tuple[Subspace, ...]:
+        """U's components by one elimination in block coordinates, or by
+        Zassenhaus when U is not the direct sum of its components."""
+        blocks = self.blocks
+        if not blocks:
+            return ()
+        _check_same_space(u, blocks[0])
+        n, field, p = self.n, u.field, u.field.p
+        reduced, pivots = _eliminate(_times(u.rows, self._inverse, p), n, p)
+        ends = self._ends
+        if any(any(row[ends[c] :]) for row, c in zip(reduced, pivots)):
+            return tuple(intersection(u, blk) for blk in blocks)
+        parts = []
+        start = 0
+        for blk in blocks:
+            end = start + blk.dim
+            mine = [row[start:end] for row, c in zip(reduced, pivots) if start <= c < end]
+            if len(mine) == blk.dim:
+                parts.append(blk)
+            else:
+                back = _times(mine, tuple(zip(*blk.rows)), p)
+                parts.append(Subspace(n, field, rref(back, n, field)))
+            start = end
+        return tuple(parts)
+
+    def record(self, u: Subspace, parts: tuple[Subspace, ...]) -> None:
+        """Enter ``parts`` as U's components when their dims add up to
+        dim U.  The caller vouches that part k lies in U ∩ V_k; the parts of
+        independent blocks are independent, so then U is their direct sum
+        and part k is all of U ∩ V_k.  Otherwise the memo is left alone."""
+        if sum(part.dim for part in parts) == u.dim:
+            self._components.setdefault(u, parts)
 
 
 def coordinate_decomposition(n: int, field: FieldTag, blocks: Sequence[Iterable[int]]) -> Decomposition:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bollobas import (
+    Decomposition,
     DocumentError,
     PrimeField,
     QQ,
@@ -26,6 +27,7 @@ from bollobas import (
     coordinate_subspace,
     embed,
     full_tuza_tuples,
+    intersection,
     parse,
     partitioned_complement_chain,
     random_compatible_pair_system,
@@ -509,32 +511,44 @@ class TestCli:
         assert "open" in doc["note"]
 
     def test_pair_runs_meet_each_subspace_with_each_block_once(self, capsys, tmp_path, monkeypatch):
-        from bollobas import subspace_algebra
-
+        # a subspace meets the blocks in one block split, which gives the
+        # meets with each block; a pair step records its replacements from
+        # their known parts, so no replacement is split
         system = random_compatible_pair_system(4, [[1, 2], [3, 4]], 3, 2)
         path = tmp_path / "pair.json"
         path.write_text(serialize(system), encoding="utf-8")
-        real = subspace_algebra.intersection
-        calls = []
+        real_split, real_record = Decomposition._split, Decomposition.record
+        splits, seeded = [], []
 
-        def counted(u, w):
-            calls.append((u, w))
-            return real(u, w)
+        def counted_split(decomposition, u):
+            parts = real_split(decomposition, u)
+            assert parts == tuple(intersection(u, blk) for blk in decomposition.blocks)
+            splits.append(u)
+            return parts
 
-        monkeypatch.setattr(subspace_algebra, "intersection", counted)
+        def counted_record(decomposition, u, parts):
+            seeded.append(u)
+            real_record(decomposition, u, parts)
+
+        monkeypatch.setattr(Decomposition, "_split", counted_split)
+        monkeypatch.setattr(Decomposition, "record", counted_record)
         rc, doc = run_cli(capsys, "saturate", "--flavor", "pair", "--in", str(path))
         assert rc == 0 and doc["steps"] > 0
-        blocks = set(system.decomposition.blocks)
-        assert calls and len(calls) == len(set(calls)) and {w for _, w in calls} <= blocks
+        # each distinct subspace of the input split once, and nothing else
+        start = {sub for t in system.tuples for sub in t}
+        assert splits and len(splits) == len(set(splits)) and set(splits) == start
+        # each step records its two grown subspaces, none of them split
+        assert len(seeded) == 2 * doc["steps"] and set(seeded) - start
         full_path = tmp_path / "full.json"
         full_path.write_text(json.dumps(doc["final_system"]), encoding="utf-8")
-        calls.clear()
+        splits.clear()
+        seeded.clear()
         rc, cert = run_cli(capsys, "certify", "--flavor", "pair", "--in", str(full_path))
-        assert rc == 0 and cert["holds"] is True
-        # the final pairs' subspaces, each met with each of the 2 blocks once
+        assert rc == 0 and cert["holds"] is True and seeded == []
+        # the final pairs' subspaces, each split once
         final = parse(full_path.read_text(encoding="utf-8"))
         distinct = {sub for t in final.tuples for sub in t}
-        assert sorted(map(repr, calls)) == sorted(repr((u, w)) for u in distinct for w in blocks)
+        assert sorted(map(repr, splits)) == sorted(map(repr, distinct))
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bollobas import (
@@ -32,8 +32,11 @@ from bollobas import (
     coordinate_decomposition,
     coordinate_subspace,
     embed,
+    extension_vector,
     fill_up,
+    full_space,
     full_tuza_tuples,
+    intersection,
     omega,
     phi,
     phi_upper_bound,
@@ -193,6 +196,77 @@ class TestFillUpSubspacePair:
             new = fill_up(sys, i, k)
             assert omega(new, "partitioned_yue_sum") == omega(sys, "partitioned_yue_sum")
             assert phi(new, "pair") - phi(sys, "pair") == 3 * pair_deficit_product(sys, i)
+
+
+def _recorded_pair_saturations(compatible_pair_corpus):
+    """Pair systems to saturate: the corpus, over coordinate blocks, and
+    empty or one-subspace pairs over blocks that are not coordinate ones:
+    three blocks of QQ^4 whose stacked rows have determinant 11, and three
+    of GF(3)^3."""
+    qq_blocks = (
+        canonicalize(4, QQ, [[2, 1, 0, 0]]),
+        canonicalize(4, QQ, [[0, 3, 1, 0], [1, 0, 0, 2]]),
+        canonicalize(4, QQ, [[0, 0, 1, 1]]),
+    )
+    gf3 = PrimeField(3)
+    gf3_blocks = tuple(canonicalize(3, gf3, [row]) for row in ([2, 1, 0], [0, 2, 1], [0, 0, 1]))
+    return [
+        *compatible_pair_corpus,
+        SubspaceSystem(
+            4, QQ, 2, ((canonicalize(4, QQ, [[1, 3, 1, 2]]), zero_subspace(4, QQ)),),
+            Decomposition(4, QQ, qq_blocks),
+        ),
+        SubspaceSystem(4, QQ, 2, ((zero_subspace(4, QQ),) * 2,), Decomposition(4, QQ, qq_blocks)),
+        SubspaceSystem(3, gf3, 2, ((zero_subspace(3, gf3),) * 2,), Decomposition(3, gf3, gf3_blocks)),
+    ]
+
+
+def test_recorded_components_are_the_split_ones(compatible_pair_corpus, monkeypatch):
+    """Every memo entry a pair saturation records equals what a fresh
+    decomposition of the same blocks splits, and the Zassenhaus meets."""
+    real = Decomposition.record
+    recorded = []
+
+    def counted(decomposition, u, parts):
+        recorded.append(u)
+        real(decomposition, u, parts)
+
+    monkeypatch.setattr(Decomposition, "record", counted)
+    for system in _recorded_pair_saturations(compatible_pair_corpus):
+        recorded.clear()
+        trace = saturate(system, "pair")
+        assert len(recorded) == 2 * len(trace.steps)
+        memo = system.decomposition._components
+        fresh = Decomposition(system.n, system.field, system.decomposition.blocks)
+        for u in recorded:
+            assert memo[u] == fresh.components(u)
+            assert memo[u] == tuple(intersection(u, blk) for blk in fresh.blocks)
+
+
+@st.composite
+def deficient_spans(draw):
+    """A subspace S below F^n, n <= 6, over QQ or GF(p), spanned by rows
+    that are often unit rows."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(0, field.p - 1) if field.p else st.integers(-3, 3)
+    unit = st.integers(0, n - 1).map(lambda c: [int(j == c) for j in range(n)])
+    rows = draw(st.lists(st.one_of(unit, st.lists(entry, min_size=n, max_size=n)), max_size=n))
+    span = canonicalize(n, field, rows)
+    assume(span.dim < n)
+    return field, n, span
+
+
+class TestTupleStepVector:
+    @settings(max_examples=300, deadline=None)
+    @given(deficient_spans())
+    def test_x_is_the_first_unit_row_outside_the_span(self, drawn):
+        # e_c lies in S exactly when S's canonical row of pivot c is e_c
+        field, n, span = drawn
+        system = SubspaceSystem(n, field, 1, ((span,),))
+        _, x, _ = saturation_engine.FLAVORS["tuple"].step(system, (span,), 1, span)
+        assert x == extension_vector(full_space(n, field), span)
+        assert x == next(e for e in full_space(n, field).rows if e not in span.rows)
 
 
 def pair_block_deficit(system: SubspaceSystem, i: int, k: int) -> int:

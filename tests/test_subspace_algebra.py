@@ -322,6 +322,96 @@ class TestComponentMemo:
         assert {with_memo: 1}[without] == 1
 
 
+SPLIT_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+
+
+@st.composite
+def block_splits(draw):
+    """(kind, decomposition, U): blocks of F^n, n <= 6, cut from the rows of
+    an invertible L·R (L unit lower triangular, R upper triangular with a
+    nonzero diagonal; over QQ of determinant up to ±3^n), some blocks of dim
+    0; U is zero, the sum of one random subspace of each block (compatible),
+    or the span of random rows (compatible or not)."""
+    field = draw(st.sampled_from(SPLIT_FIELDS))
+    p = field.p
+    n = draw(st.integers(0, 6))
+    entry = st.integers(0, p - 1) if p else st.integers(-3, 3)
+    diagonal = st.integers(1, p - 1) if p else st.sampled_from([-3, -2, -1, 1, 2, 3])
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(diagonal) if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    rows = [[sum(lower[i][l] * upper[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    ends = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=3))), n]
+    decomposition = Decomposition(
+        n, field, tuple(canonicalize(n, field, rows[a:b]) for a, b in zip(ends, ends[1:]))
+    )
+    kind = draw(st.sampled_from(["zero", "compatible", "any"]))
+    vectors = []
+    if kind == "compatible":
+        for blk in decomposition.blocks:
+            for _ in range(draw(st.integers(0, blk.dim))):
+                coeffs = [draw(entry) for _ in blk.rows]
+                vectors.append([sum(c * row[j] for c, row in zip(coeffs, blk.rows)) for j in range(n)])
+    elif kind == "any":
+        vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    return kind, decomposition, canonicalize(n, field, vectors)
+
+
+class TestBlockSplit:
+    """``components`` by one elimination in block coordinates, against the
+    Zassenhaus meets with each block."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(block_splits())
+    def test_components_are_the_meets_with_the_blocks(self, drawn):
+        kind, decomposition, u = drawn
+        parts = decomposition.components(u)
+        assert parts == tuple(intersection(u, blk) for blk in decomposition.blocks)
+        if kind != "any":
+            assert sum(part.dim for part in parts) == u.dim
+
+    def test_blocks_of_determinant_other_than_one(self):
+        blocks = (qspan(4, [2, 1, 0, 0]), qspan(4, [0, 3, 1, 0], [1, 0, 0, 2]), qspan(4, [0, 0, 1, 1]))
+        stacked = [list(map(Fraction, row)) for blk in blocks for row in blk.rows]
+        det = Fraction(1)
+        for c in range(4):
+            top = next(r for r in range(c, 4) if stacked[r][c])
+            if top != c:
+                stacked[c], stacked[top] = stacked[top], stacked[c]
+                det = -det
+            det *= stacked[c][c]
+            for r in range(c + 1, 4):
+                f = stacked[r][c] / stacked[c][c]
+                stacked[r] = [x - f * y for x, y in zip(stacked[r], stacked[c])]
+        assert det == 11
+        decomposition = Decomposition(4, QQ, blocks)
+        u = qspan(4, [2, 1, 0, 0], [1, 3, 1, 2])
+        assert decomposition.components(u) == (blocks[0], qspan(4, [1, 3, 1, 2]), zero_subspace(4, QQ))
+        rng = random.Random(11)
+        for _ in range(60):
+            u = random_subspace(rng, 4)
+            assert decomposition.components(u) == tuple(intersection(u, blk) for blk in blocks)
+
+    def test_record_enters_parts_that_add_up_and_keeps_what_it_has(self):
+        decomposition = coordinate_decomposition(3, QQ, [[1, 2], [3]])
+        u = coordinate_subspace(3, QQ, [1, 3])
+        e1, e3, zero = (coordinate_subspace(3, QQ, c) for c in ([1], [3], []))
+        decomposition.record(u, (e1, zero))
+        assert decomposition.components(u) == (e1, e3)
+        w = coordinate_subspace(3, QQ, [2])
+        parts = (w, zero)
+        decomposition.record(w, parts)
+        assert decomposition.components(w) is parts
+        decomposition.record(w, (coordinate_subspace(3, QQ, [2]), zero))
+        assert decomposition.components(w) is parts
+
+    def test_another_ambient_space_is_refused(self):
+        decomposition = coordinate_decomposition(3, QQ, [[1, 2], [3]])
+        with pytest.raises(FieldMismatchError):
+            decomposition.components(coordinate_subspace(2, QQ, [1]))
+        with pytest.raises(FieldMismatchError):
+            decomposition.components(coordinate_subspace(3, PrimeField(3), [1]))
+
+
 class TestGFLattice:
     def test_gf2_counts_match_closure_oracle(self):
         for n in (1, 2, 3):
