@@ -224,6 +224,10 @@ def _inputs() -> dict[str, object]:
         "subset_object": {"kind": "set", "n": 2, "d": 2, "tuples": [[[1], {}]]},
         "subset_empty_str": {"kind": "set", "n": 2, "d": 2, "tuples": [[[1], ""]]},
         "partition_block_empty_str": {"kind": "set", "n": 2, "d": 2, "tuples": [], "partition": [[1, 2], ""]},
+        # valid tuples, and a partition block that holds n + 1
+        "partition_element_past_n": {
+            "kind": "set", "n": 3, "d": 2, "tuples": [[[1], [2]], [[2], [3]]], "partition": [[1], [2], [4]],
+        },
         # a bad element in tuple 0 before a tuple of the wrong arity
         "element_before_arity": {"kind": "set", "n": 3, "d": 2, "tuples": [[[4], [1]], [[1]]]},
         # a valid system with a JSON true under a key the reader skips
@@ -451,7 +455,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
         "negative_n_set_element", "negative_n_subspace_row", "negative_n_decomposition", "n_above_cap",
         "element_past_n_last", "element_zero", "element_negative", "element_bare_exponent",
         "partition_float_element", "element_list", "subset_object", "subset_empty_str",
-        "partition_block_empty_str", "element_before_arity", "true_unknown_key",
+        "partition_block_empty_str", "element_before_arity", "true_unknown_key", "partition_element_past_n",
     ):
         cases[f"verify_{doc}"] = ("verify", "--kind", "skew", "--in", f"@{doc}")
     for doc in ("bare_exact", "bare_inexact", "quoted_inexact"):
