@@ -22,9 +22,9 @@ one shared ``Subspace``.
 ``parse`` reads a set document's elements by one lookup each in the table
 ``{e: 1 << (e - 1)}`` for e in [1, n] when its text holds no ``true`` or
 ``false`` and the decoder read no float, since ``True`` and ``1.0`` find
-the entry of 1.  Any other document, and any document the lookup refuses,
-is read again by the checked loop, so every refusal names the first bad
-tuple, subset or element (see ``parse``).
+the entry of 1.  Any other document, and any subset the lookup misses, is
+read by the checked loop, so every refusal names the first bad tuple,
+subset or element (see ``parse``).
 
 A scalar may be a bare JSON number.  A bare integer is read as it is.  A
 bare number with a fraction or an exponent is kept as the float ``json``
@@ -223,8 +223,8 @@ def _dumps(value: Any, newline: str = "\n") -> str:
 
 def system_from_doc(doc: Any) -> System:
     """The system of a decoded document.  A set document's elements are
-    read by the checked loop, ``mask_from_elements``; only an ``_Exact``,
-    which ``parse`` decodes, is read by table lookup first."""
+    read by ``mask_from_elements``, or by table lookup in an ``_Exact``,
+    which ``parse`` decodes (see ``_subset_masks``)."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
@@ -237,38 +237,14 @@ def system_from_doc(doc: Any) -> System:
         raise DocumentError("tuples must be a list", "tuples")
 
     if kind == "set":
-        if type(doc) is _Exact:
-            try:
-                return _set_system(n, d, *_set_masks_by_lookup(doc, n, d, tuples))
-            except (KeyError, TypeError):  # refused: the checked loop below names the first fault
-                pass
-        packed = []
-        for i, t in enumerate(tuples):
-            if not isinstance(t, list) or len(t) != d:
-                raise DocumentError(f"expected a {d}-tuple of subsets", f"tuples[{i}]")
-            masks = []
-            for l, subset in enumerate(t):
-                if not isinstance(subset, list):
-                    raise DocumentError("subset must be an integer list", f"tuples[{i}][{l}]")
-                try:
-                    masks.append(mask_from_elements(subset, n))
-                except ShapeError as exc:
-                    raise DocumentError(str(exc), f"tuples[{i}][{l}]") from exc
-            packed.append(tuple(masks))
+        bit = {e: 1 << (e - 1) for e in range(1, n + 1)} if type(doc) is _Exact else None
+        packed = _subset_masks(tuples, d, n, bit, "tuples[{0}][{1}]")
         partition = None
         if "partition" in doc:
             blocks = doc["partition"]
             if not isinstance(blocks, list):
                 raise DocumentError("partition must be a list of blocks", "partition")
-            masks = []
-            for k, b in enumerate(blocks):
-                if not isinstance(b, list):
-                    raise DocumentError("subset must be an integer list", f"partition[{k}]")
-                try:
-                    masks.append(mask_from_elements(b, n))
-                except ShapeError as exc:
-                    raise DocumentError(str(exc), f"partition[{k}]") from exc
-            partition = tuple(masks)
+            partition = _subset_masks([blocks], len(blocks), n, bit, "partition[{1}]")[0]
         return _set_system(n, d, packed, partition)
 
     field_name = doc.get("field", "rational")
@@ -302,38 +278,38 @@ def system_from_doc(doc: Any) -> System:
     return SubspaceSystem(n, field, d, tuple(packed_subs), decomposition)
 
 
-def _set_masks_by_lookup(doc: dict, n: int, d: int, tuples: list) -> tuple[list, tuple | None]:
-    """An ``_Exact`` set document's tuple masks and partition masks, each
-    element read by one lookup in ``{e: 1 << (e - 1)}`` for e in [1, n].
-    A value that is not an int in [1, n] misses (``KeyError``) or cannot be
-    hashed (``TypeError``); a tuple of the wrong arity and a subset or
-    partition that is not a list raise ``TypeError`` too, so that the
-    checked loop reads the document again and refuses it with its own
-    text."""
-    bit = {e: 1 << (e - 1) for e in range(1, n + 1)}
-    packed = _masks_by_lookup(tuples, d, bit)
-    if "partition" not in doc:
-        return packed, None
-    blocks = doc["partition"]
-    if type(blocks) is not list:
-        raise TypeError
-    return packed, _masks_by_lookup([blocks], len(blocks), bit)[0]
+def _subset_masks(lists: list, arity: int, n: int, bit: dict | None, where: str) -> list[tuple]:
+    """Each list of ``arity`` subsets in ``lists`` as a tuple of masks.
 
-
-def _masks_by_lookup(lists: list, arity: int, bit: dict) -> list[tuple]:
-    """Each list of ``arity`` subsets in ``lists`` as a tuple of masks."""
+    With ``bit``, an ``_Exact`` document's table ``{e: 1 << (e - 1)}`` for
+    e in [1, n], a subset's elements are read by one lookup each.  With no
+    table, or when the lookup misses or meets an unhashable element, that
+    subset alone is read by ``mask_from_elements``, whose refusal names it by
+    ``where.format(i, l)``: the l-th subset of the i-th list.  Every subset
+    before the first refused one passed the lookup, which only ints in
+    [1, n] pass, so that refusal has the checked loop's text and path.  The
+    partition is one list, so only a tuple can have the wrong arity."""
     out = []
     for subsets in lists:
-        if type(subsets) is not list or len(subsets) != arity:
-            raise TypeError
+        if not isinstance(subsets, list) or len(subsets) != arity:
+            raise DocumentError(f"expected a {arity}-tuple of subsets", f"tuples[{len(out)}]")
         masks = []
         for subset in subsets:
-            if type(subset) is not list:
-                raise TypeError
-            mask = 0
-            for e in subset:
-                mask |= bit[e]
-            masks.append(mask)
+            if not isinstance(subset, list):
+                raise DocumentError("subset must be an integer list", where.format(len(out), len(masks)))
+            if bit is not None:
+                try:
+                    mask = 0
+                    for e in subset:
+                        mask |= bit[e]
+                    masks.append(mask)
+                    continue
+                except (KeyError, TypeError):  # not an int in [1, n]: the checked read names it
+                    pass
+            try:
+                masks.append(mask_from_elements(subset, n))
+            except ShapeError as exc:
+                raise DocumentError(str(exc), where.format(len(out), len(masks))) from exc
         out.append(tuple(masks))
     return out
 
@@ -460,11 +436,10 @@ def parse(text: str) -> System:
 
     A set document whose text holds no ``true`` and no ``false``, and in
     which the ``parse_float`` hook decoded no number, holds no bool and no
-    float: its elements are then read by one lookup each in ``{e: 1 << (e -
-    1)}``, which an int finds exactly when it lies in [1, n].  A miss, an
-    unhashable element, a subset that is not a list or a tuple of the wrong
-    arity sends it back to the checked loop, so that its refusal keeps the
-    text and path of that loop."""
+    float: its elements are then read by one lookup each in ``{e: 1 <<
+    (e - 1)}``, which an int finds exactly when it lies in [1, n].  A subset
+    that misses, or that holds an unhashable element, is read by the checked
+    loop, so that the refusal keeps the text and path of that loop."""
     try:
         doc = _decode(text)
         system = system_from_doc(doc)

@@ -38,16 +38,15 @@ potential, and the running potential and the step count stay within the
 bound.  The terms are a function of the d + 1 profiles, which each step
 reads from its own tuples' facts, so the weight check runs once per class
 of (replaced profile, replacement profiles) in a run, and a step of a class
-the run has already checked passes it.  ω and φ of the whole system are recomputed before the first step
-and after the last, and must equal the start weight and the running
-potential; with ``debug`` they are also recomputed, and the flavor's
-condition re-verified, after every step, which ``DEBUG_RECOUNT_BUDGET``
-bounds.  A step costs O(d) tuple
-operations, not O(m): a cursor replaces the rescan for the first non-full
-tuple, each tuple's facts are computed once per run (for sets they hold the
-covered mask and the size vector, which the potential and the weight term
-read), and the tuple list is spliced in place and made a system once, at
-the end.
+the run has already checked passes it.  ω and φ of the whole system are
+recomputed before the first step and after the last, and must equal the
+start weight and the running potential; with ``debug`` they are also
+recomputed, and the flavor's condition re-verified, after every step, which
+``DEBUG_RECOUNT_BUDGET`` bounds.  A step costs O(d) tuple operations, not
+O(m): a cursor replaces the rescan for the first non-full tuple, each
+tuple's facts are computed once per run (for sets they hold the covered
+mask and the size vector, which the potential and the weight term read),
+and the tuple list is spliced in place and made a system once, at the end.
 """
 
 from __future__ import annotations
@@ -368,10 +367,6 @@ def phi_upper_bound(system: System, flavor: str) -> int:
 def is_full_tuple(system: System, i: int, flavor: str) -> bool:
     record = _lookup(system, flavor)
     return record.deficit(system, record.facts(system, system.tuples[i - 1])) == 0
-
-
-def first_non_full(system: System, flavor: str) -> int | None:
-    return next((i for i in range(1, system.m + 1) if not is_full_tuple(system, i, flavor)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from bollobas import cli_io, errors
 from bollobas.cli_io import main, system_from_doc, system_to_doc
 from bollobas.constructions import FAMILY_PARAMS
 from bollobas.extremal_search import SearchResult
+from bollobas.systems_model import mask_from_elements
 from bollobas.verifiers import FLAVORS
 
 from conftest import scalar_basis
@@ -1215,6 +1216,46 @@ def mixed_set_documents(draw):
     return doc
 
 
+def checked_set_reading(doc: dict) -> SetSystem:
+    """The set system of a decoded ``mixed_set_documents`` value, read as by
+    a reader with no table: every subset by ``mask_from_elements``, each
+    refusal naming the first bad tuple, subset, block or element, and a
+    partition fault naming its block."""
+    n, d = doc["n"], doc["d"]
+    packed = []
+    for i, t in enumerate(doc["tuples"]):
+        if not isinstance(t, list) or len(t) != d:
+            raise DocumentError(f"expected a {d}-tuple of subsets", f"tuples[{i}]")
+        masks = []
+        for l, subset in enumerate(t):
+            if not isinstance(subset, list):
+                raise DocumentError("subset must be an integer list", f"tuples[{i}][{l}]")
+            try:
+                masks.append(mask_from_elements(subset, n))
+            except errors.ShapeError as exc:
+                raise DocumentError(str(exc), f"tuples[{i}][{l}]") from exc
+        packed.append(tuple(masks))
+    partition = None
+    if "partition" in doc:
+        blocks = doc["partition"]
+        if not isinstance(blocks, list):
+            raise DocumentError("partition must be a list of blocks", "partition")
+        masks = []
+        for k, b in enumerate(blocks):
+            if not isinstance(b, list):
+                raise DocumentError("subset must be an integer list", f"partition[{k}]")
+            try:
+                masks.append(mask_from_elements(b, n))
+            except errors.ShapeError as exc:
+                raise DocumentError(str(exc), f"partition[{k}]") from exc
+        partition = tuple(masks)
+    try:
+        return SetSystem(n, d, tuple(packed), partition)
+    except errors.PartitionError as exc:
+        where = "partition" if exc.block is None else f"partition[{exc.block}]"
+        raise DocumentError(str(exc), where) from exc
+
+
 # per field, entries it reads and entries it refuses
 _PAIR_ENTRIES = {
     "rational": (["0", "1", "-1", "2", "1/2"], ["1 mod 3", "x", "1/0"]),
@@ -1510,6 +1551,22 @@ class TestSetLookup:
         with pytest.raises(DocumentError, match=r"^tuples\[0\]\[0\]: element True outside \[1, 2\]$"):
             system_from_doc({"kind": "set", "n": 2, "d": 2, "tuples": [[[True], [2]]]})
 
+    @pytest.mark.parametrize("where", ["tuples", "partition"])
+    def test_only_the_subset_that_misses_is_checked(self, monkeypatch, where):
+        # n + 1 in the last subset of the last of 243 tuples, or in the last
+        # partition block: no subset the lookup read is read again
+        doc = json.loads(serialize(full_tuza_tuples(5, 3)))
+        if where == "tuples":
+            doc["tuples"][-1][-1].append(6)
+        else:
+            doc["partition"] = [[1, 2], [3], [4, 5, 6]]
+        calls = self._counted(monkeypatch)
+        with pytest.raises(DocumentError) as err:
+            parse(json.dumps(doc))
+        assert calls == [doc["tuples"][-1][-1] if where == "tuples" else [4, 5, 6]]
+        path = "tuples[242][2]" if where == "tuples" else "partition[2]"
+        assert str(err.value) == f"{path}: element 6 outside [1, 5]"
+
     @settings(max_examples=400, deadline=None)
     @given(doc=mixed_set_documents())
     def test_parse_reads_as_the_checked_loop(self, doc):
@@ -1522,4 +1579,4 @@ class TestSetLookup:
                 return str(exc)
 
         text = json.dumps(doc)
-        assert outcome(parse, text) == outcome(system_from_doc, json.loads(text))
+        assert outcome(parse, text) == outcome(checked_set_reading, json.loads(text))

@@ -47,7 +47,7 @@ from bollobas import (
     zero_subspace,
 )
 from bollobas import saturation_engine
-from bollobas.saturation_engine import default_flavor, first_non_full, is_full_tuple
+from bollobas.saturation_engine import default_flavor, is_full_tuple
 from bollobas.systems_model import sizes_of
 from bollobas.weight_functionals import FunctionalKind
 
@@ -130,7 +130,10 @@ class TestFillUpSetTuple:
 
     def test_verified_weak_inputs_never_duplicate(self, weak_set_tuple_corpus):
         for sys in weak_set_tuple_corpus:
-            i = first_non_full(sys, "set")
+            i = next(
+                (k for k in range(1, sys.m + 1) if not is_full_tuple(sys, k, "set")),
+                None,
+            )
             if i is None:
                 continue
             covered = 0
@@ -185,7 +188,10 @@ class TestFillUpSubspacePair:
 
     def test_weight_invariance_randomized(self, compatible_pair_corpus):
         for sys in compatible_pair_corpus:
-            i = first_non_full(sys, "pair")
+            i = next(
+                (k for k in range(1, sys.m + 1) if not is_full_tuple(sys, k, "pair")),
+                None,
+            )
             if i is None:
                 continue
             k = next(
