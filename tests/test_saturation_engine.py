@@ -498,6 +498,17 @@ class TestSaturate:
         with pytest.raises(PreconditionError):
             saturate(s, "set")
 
+    def test_duplicate_refused_past_the_admission(self, monkeypatch):
+        # not weak, but admitted: ({1}, {}) fills up with 2 into ({1, 2}, {}),
+        # which tuple 2 already is
+        monkeypatch.setattr(saturation_engine, "_admit", lambda record, system: None)
+        with pytest.raises(
+            DuplicateTupleError,
+            match=r"^fill-up of tuple 1 with 2 reproduces an existing tuple; "
+            r"the input did not satisfy its condition$",
+        ):
+            saturate(SetSystem.from_sets(2, [({1}, ()), ({1, 2}, ())]), "set")
+
     def test_weak_subspace_saturation_refused(self):
         # weak-but-not-skew subspace systems have no licensed saturation
         e1 = coordinate_subspace(2, QQ, [1])
