@@ -87,7 +87,8 @@ class LicensingError(PreconditionError):
 
 
 class DuplicateTupleError(PreconditionError):
-    """A fill-up step produced a tuple already present in the system.
+    """A fill-up step produced a tuple already present in the system, seen
+    by ``saturate`` as two equal final tuples.
 
     This cannot happen on inputs that verify their condition; raising instead
     of silently dropping keeps a violated proof assumption visible.

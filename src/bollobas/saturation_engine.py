@@ -43,17 +43,18 @@ recomputed before the first step and after the last, and must equal the
 start weight and the running potential; with ``debug`` they are also
 recomputed, and the flavor's condition re-verified, after every step, which
 ``DEBUG_RECOUNT_BUDGET`` bounds.  A step costs O(d) tuple operations, not
-O(m): a cursor replaces the rescan for the first non-full tuple, each
-tuple's facts are computed once per run (for sets they hold the covered
-mask and the size vector, which the potential and the weight term read),
-and the tuple list is spliced in place and made a system once, at the end.
+O(m): each input tuple is expanded depth-first, a full tuple going to the
+output and a non-full one's replacements onto a stack in reverse, and a
+step hands on its replacements' facts (for sets the covered mask and the
+size vector, which the potential and the weight term read).  Facts are
+computed afresh for the input tuples and, in the closing check, for the
+final ones, which must be full and pairwise distinct.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
-from typing import Any, Callable
+from typing import Any
 
 from .errors import (
     DEFAULT_TUPLE_BUDGET,
@@ -117,8 +118,8 @@ class SaturationTrace(Frozen):
 class Flavor:
     """One saturation flavor; ``FLAVORS`` holds one instance each.  Each
     defines ``shape`` (``ShapeError`` for another kind of system), a tuple's
-    ``facts``, which a run computes once per tuple, the ``deficit`` (0 when
-    full) and ``step`` read from them, and ``bound``, which caps the
+    ``facts``, which a step hands on for its replacements, the ``deficit`` (0
+    when full) and ``step`` read from them, and ``bound``, which caps the
     potential and the step count.  The defaults serve set and tuple: tuza
     weights, and size vectors as profiles (what :func:`term` weighs and
     :func:`count_bound` bounds) and type classes; the set flavor reads its
@@ -145,7 +146,7 @@ class Flavor:
 
 # A step takes a non-full tuple t (number i, for messages), its facts and,
 # from ``fill_up`` only, an ``at`` to use in place of its own choice of x or
-# block; it returns (block, x, replacements).
+# block; it returns (block, x, replacements, the replacements' facts).
 
 
 class _SetFlavor(Flavor):
@@ -175,8 +176,8 @@ class _SetFlavor(Flavor):
 
     def step(self, system: SetSystem, t: tuple, i: int, facts: tuple, x: int | None = None):
         """x joins each coordinate in turn; without x, the lowest uncovered
-        element."""
-        covered = facts[0]
+        element.  Each replacement covers x too and has one size raised by 1."""
+        covered, sizes = facts
         if x is None:
             x = (~covered & (covered + 1)).bit_length()
         elif not 1 <= x <= system.n:
@@ -184,11 +185,12 @@ class _SetFlavor(Flavor):
         elif covered & (1 << (x - 1)):
             raise PreconditionError(f"element {x} is already covered by tuple {i}")
         bit = 1 << (x - 1)
-        replacements = tuple(
-            tuple(mask | bit if l == pos else mask for l, mask in enumerate(t))
-            for pos in range(len(t))
+        replacements = tuple([t[:pos] + (t[pos] | bit,) + t[pos + 1 :] for pos in range(len(t))])
+        covered |= bit
+        handed = tuple(
+            [(covered, sizes[:pos] + (sizes[pos] + 1,) + sizes[pos + 1 :]) for pos in range(len(t))]
         )
-        return None, x, replacements
+        return None, x, replacements, handed
 
     def bound(self, system: SetSystem) -> int:
         return system.n * (system.d + 1) ** system.n
@@ -237,7 +239,8 @@ class _PairFlavor(Flavor):
     def step(self, system: SubspaceSystem, t: tuple, i: int, dims: tuple, k: int | None = None):
         """The first canonical x in V_k outside (A ∩ V_k) + (B ∩ V_k) gives
         (A + <x>, B) then (A, B + <x>); without k, the lowest block where the
-        pair is deficient."""
+        pair is deficient.  Their dims in block k are (a_k + 1, b_k, s_k + 1)
+        and (a_k, b_k + 1, s_k + 1), and as the pair's in every other block."""
         blocks = system.decomposition.blocks
         if k is None:
             k = next(k for k, ((_, _, s_k), v_k) in enumerate(zip(dims, blocks), 1) if s_k < v_k.dim)
@@ -260,7 +263,10 @@ class _PairFlavor(Flavor):
             decomposition.record(grown, parts[: k - 1] + (parts[k - 1] + x_span,) + parts[k:])
             return grown
 
-        return k, x, ((grow(a, a_parts), b), (a, grow(b, b_parts)))
+        a_k, b_k, s_k = dims[k - 1]
+        grown_a, grown_b = ((a_k + 1, b_k, s_k + 1),), ((a_k, b_k + 1, s_k + 1),)
+        handed = (dims[: k - 1] + grown_a + dims[k:], dims[: k - 1] + grown_b + dims[k:])
+        return k, x, ((grow(a, a_parts), b), (a, grow(b, b_parts))), handed
 
     def bound(self, system: SubspaceSystem) -> int:
         return 4**system.n
@@ -294,7 +300,7 @@ class _TupleFlavor(Flavor):
 
     def step(self, system: SubspaceSystem, t: tuple, i: int, span: Subspace, at: None = None):
         """The first canonical x outside the component span joins each
-        coordinate in turn."""
+        coordinate in turn; every replacement spans S + <x>."""
         if at is not None:
             raise ShapeError("the tuple flavor's fill-up takes no element or block")
         # e_c lies in the span exactly when the span's canonical row of pivot
@@ -307,7 +313,7 @@ class _TupleFlavor(Flavor):
             tuple(sub + x_span if l == pos else sub for l, sub in enumerate(t))
             for pos in range(len(t))
         )
-        return None, x, replacements
+        return None, x, replacements, (span + x_span,) * len(t)
 
     def bound(self, system: SubspaceSystem) -> int:
         return system.n * system.d**system.n
@@ -373,13 +379,6 @@ def is_full_tuple(system: System, i: int, flavor: str) -> bool:
 # fill-up steps
 
 
-def _duplicate(i: int, x: object) -> DuplicateTupleError:
-    return DuplicateTupleError(
-        f"fill-up of tuple {i} with {x} reproduces an existing tuple; "
-        "the input did not satisfy its condition"
-    )
-
-
 def fill_up(system: System, i: int, at: int | None = None, flavor: str | None = None) -> System:
     """Replace non-full tuple i, in place, by the flavor's d fuller tuples
     of the same weight: the step ``saturate`` takes there.  ``at`` names the
@@ -393,37 +392,18 @@ def fill_up(system: System, i: int, at: int | None = None, flavor: str | None = 
     facts = record.facts(system, t)
     if not record.deficit(system, facts):
         raise PreconditionError(f"tuple {i} is already full")
-    _, x, replacements = record.step(system, t, i, facts, at)
+    _, x, replacements, _ = record.step(system, t, i, facts, at)
     others = set(system.tuples[: i - 1] + system.tuples[i:])
     if any(rep in others for rep in replacements):
-        raise _duplicate(i, x)
+        raise DuplicateTupleError(
+            f"fill-up of tuple {i} with {x} reproduces an existing tuple; "
+            "the input did not satisfy its condition"
+        )
     return with_tuples(system, system.tuples[: i - 1] + replacements + system.tuples[i:])
 
 
 # ---------------------------------------------------------------------------
 # saturation
-
-
-def _check_whole_system(
-    current: System,
-    potential_of: Callable[[tuple], int],
-    functional: FunctionalKind,
-    weight: Rational,
-    potential: int,
-    where: str,
-) -> None:
-    """Recompute ω and φ over the whole system and compare them with the
-    values the steps carried."""
-    whole = omega(current, functional)
-    if whole != weight:
-        raise BollobasError(
-            f"whole-system weight {whole} differs from the invariant {weight} {where}"
-        )
-    whole = sum(map(potential_of, current.tuples))
-    if whole != potential:
-        raise BollobasError(
-            f"whole-system potential {whole} differs from the running {potential} {where}"
-        )
 
 
 def saturate(
@@ -440,23 +420,25 @@ def saturate(
     recounts, would pass ``DEBUG_RECOUNT_BUDGET``.
 
     Scan order is deterministic: lowest non-full tuple, then (pair flavor)
-    lowest deficient block, then the canonical extension vector.  A cursor
-    walks the tuple list: every tuple before it is full, and after a
-    replacement it stays on the first replacement.  Each step checks its own
-    d + 1 tuples only: the replacement terms sum to the replaced term, once
-    per class of their profiles in the run, and the potential gain is
-    positive.  ω and φ of the whole system are
-    recomputed at both ends, and with ``debug`` after every step too, where
-    the flavor's condition is also re-verified.
+    lowest deficient block, then the canonical extension vector.  Each input
+    tuple is expanded depth-first from a stack of (tuple, facts): a full
+    tuple popped goes to the output, a step pushes its replacements and the
+    facts it hands on in reverse, and the tuple it replaces is number (full
+    tuples so far) + 1.  Each step checks its own d + 1 tuples only: the
+    replacement terms sum to the replaced term, once per class of their
+    profiles in the run, and the potential gain is positive.  ω and φ of the
+    whole system are recomputed from fresh facts at both ends, where the
+    final tuples must also be full and distinct, and with ``debug`` after
+    every step, where the flavor's condition is also re-verified.
     """
     record = _lookup(system, flavor)
     _admit(record, system)
     functional = record.functional(system, p)
-    facts = cache(partial(record.facts, system))  # once per tuple met
+    facts = [record.facts(system, t) for t in system.tuples]
 
     # a tuple missing u elements or dimensions saturates into d^u full tuples,
     # in (d^u - 1) / (d - 1) steps (u steps for d = 1)
-    deficits = [record.deficit(system, facts(t)) for t in system.tuples]
+    deficits = [record.deficit(system, f) for f in facts]
     final_m = sum(system.d**u for u in deficits)
     if final_m > DEFAULT_TUPLE_BUDGET:
         raise BudgetError(
@@ -472,73 +454,84 @@ def saturate(
                 f"the budget is {DEBUG_RECOUNT_BUDGET}"
             )
 
-    def profile_of(t: tuple) -> tuple:
-        return record.profile(t, facts(t))
-
-    def potential_of(t: tuple) -> int:
-        return record.potential(t, facts(t))
-
     bound = record.bound(system)
     weight = omega(system, functional)
-    potential = sum(map(potential_of, system.tuples))
+    potential = sum(map(record.potential, system.tuples, facts))
     phis = [potential]
     steps: list[FillUpStep] = []
     # the profiles (replaced, *replacements) of the steps whose weight check
     # passed: a step's terms are a function of these, so one check per class
     checked: set[tuple] = set()
 
-    tuples = list(system.tuples)
-    # a verified system holds no duplicate tuple, so a set of them will do
-    present = set(tuples)
-    cursor = 0
-    while cursor < len(tuples):
-        old = tuples[cursor]
-        if not record.deficit(system, facts(old)):
-            cursor += 1
-            continue
-        block, x, replacements = record.step(system, old, cursor + 1, facts(old))
-        if any(rep in present for rep in replacements):
-            raise _duplicate(cursor + 1, x)
-        present.discard(old)
-        present.update(replacements)
-        tuples[cursor : cursor + 1] = replacements
-        steps.append(FillUpStep(index=cursor + 1, block=block, x=x))
-
-        profiles = (profile_of(old), *map(profile_of, replacements))
-        if profiles not in checked:
-            scale, (removed, *added) = _scaled([term(q, functional) for q in profiles])
-            if sum(added) != removed:
-                raise BollobasError(
-                    f"weight invariance broken at step {len(steps)}: "
-                    f"{weight} -> {weight + Fraction(sum(added) - removed, scale)}"
-                )
-            checked.add(profiles)
-        gain = sum(potential_of(rep) for rep in replacements) - potential_of(old)
-        if gain <= 0:
-            raise BollobasError(f"potential failed to increase at step {len(steps)}")
-        potential += gain
-        phis.append(potential)
-        if potential > bound:
-            raise BollobasError(f"potential exceeded its bound {bound}")
-        if len(steps) > bound:
-            raise BollobasError(f"saturation exceeded {bound} steps")
-        if debug:
-            current = with_tuples(system, tuples)
-            _check_whole_system(
-                current, potential_of, functional, weight, potential, f"at step {len(steps)}"
+    def recount(tuples: list, potential: int, where: str, final: bool = False) -> System:
+        """The system of ``tuples``, once its ω and its φ from fresh facts
+        equal the values the steps carried; with ``final``, once each tuple
+        is also full and met once."""
+        current = with_tuples(system, tuples)
+        whole = omega(current, functional)
+        if whole != weight:
+            raise BollobasError(
+                f"whole-system weight {whole} differs from the invariant {weight} {where}"
             )
-            _admit(record, current)
+        whole = 0
+        for j, t in enumerate(tuples, start=1):
+            f = record.facts(system, t)
+            whole += record.potential(t, f)
+            if final and record.deficit(system, f):
+                raise BollobasError(f"tuple {j} is not full {where} (bug)")
+        if whole != potential:
+            raise BollobasError(
+                f"whole-system potential {whole} differs from the running {potential} {where}"
+            )
+        # a replacement equal to a tuple present ends in two equal full
+        # tuples, since equal tuples expand alike
+        if final and len(set(tuples)) < len(tuples):
+            first: dict[tuple, int] = {}
+            for j, t in enumerate(tuples, start=1):
+                i = first.setdefault(t, j)
+                if i < j:
+                    raise DuplicateTupleError(
+                        f"saturation ends with tuple {j} equal to tuple {i}; "
+                        "the input did not satisfy its condition"
+                    )
+        return current
 
-    final = with_tuples(system, tuples)
-    _check_whole_system(final, potential_of, functional, weight, potential, "at the end")
-    return SaturationTrace(
-        flavor=record.name,
-        functional=functional,
-        steps=tuple(steps),
-        omega=weight,
-        phis=tuple(phis),
-        final=final,
-    )
+    out: list[tuple] = []
+    for read, start in enumerate(zip(system.tuples, facts), start=1):
+        stack = [start]
+        while stack:
+            old, old_facts = stack.pop()
+            if not record.deficit(system, old_facts):
+                out.append(old)
+                continue
+            i = len(out) + 1  # every tuple before this one is full
+            block, x, replacements, handed = record.step(system, old, i, old_facts)
+            steps.append(FillUpStep(index=i, block=block, x=x))
+            profiles = (record.profile(old, old_facts), *map(record.profile, replacements, handed))
+            if profiles not in checked:
+                scale, (removed, *added) = _scaled([term(q, functional) for q in profiles])
+                if sum(added) != removed:
+                    raise BollobasError(
+                        f"weight invariance broken at step {len(steps)}: "
+                        f"{weight} -> {weight + Fraction(sum(added) - removed, scale)}"
+                    )
+                checked.add(profiles)
+            gain = sum(map(record.potential, replacements, handed)) - record.potential(old, old_facts)
+            if gain <= 0:
+                raise BollobasError(f"potential failed to increase at step {len(steps)}")
+            potential += gain
+            phis.append(potential)
+            if potential > bound:
+                raise BollobasError(f"potential exceeded its bound {bound}")
+            if len(steps) > bound:
+                raise BollobasError(f"saturation exceeded {bound} steps")
+            stack.extend(zip(reversed(replacements), reversed(handed)))
+            if debug:
+                current = out + [t for t, _ in reversed(stack)] + list(system.tuples[read:])
+                _admit(record, recount(current, potential, f"at step {len(steps)}"))
+
+    final = recount(out, potential, "at the end", final=True)
+    return SaturationTrace(record.name, functional, tuple(steps), weight, tuple(phis), final)
 
 
 # ---------------------------------------------------------------------------

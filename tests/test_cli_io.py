@@ -1175,7 +1175,8 @@ def mixed_set_documents(draw):
     subsets, tuples and partitions that are not lists or have the wrong
     length; and a bool or float under a key the reader skips.  Each level
     draws its own rate, so that some documents are hostile at one level
-    only."""
+    only.  A partition is hostile in at most one block, drawn uniformly, so
+    that a refusal in its last block is drawn as often as in its first."""
     n = draw(st.integers(0, 6))
     d = draw(st.integers(1, 3))
     rate = {level: draw(st.sampled_from([0, 0, 5, 30])) for level in ("element", "list", "note")}
@@ -1196,21 +1197,30 @@ def mixed_set_documents(draw):
     )
     not_a_list = st.one_of(st.just({}), st.just(""), st.integers(0, 2), scalar)
 
-    def subset():
-        if hostile("list"):
+    def subset(bad=None):
+        # hostile at the level rates, or exactly when bad is given and true
+        if hostile("list") if bad is None else bad and draw(st.booleans()):
             return draw(not_a_list)
-        return [draw(element) if hostile("element") else draw(st.integers(1, n)) for _ in range(draw(st.integers(0, n)))]
+        out = [
+            draw(element) if bad is None and hostile("element") else draw(st.integers(1, n))
+            for _ in range(draw(st.integers(0, n)))
+        ]
+        if bad:
+            out.insert(draw(st.integers(0, len(out))), draw(element))
+        return out
 
-    def subsets(length):
+    def subsets(length, bad=None):
+        # bad names a partition's one hostile block, -1 for none
         if hostile("list"):
             if draw(st.booleans()):
                 return draw(not_a_list)
             length = draw(st.integers(0, 4))
-        return [subset() for _ in range(length)]
+        return [subset(None if bad is None else l == bad) for l in range(length)]
 
     doc = {"kind": "set", "n": n, "d": d, "tuples": [subsets(d) for _ in range(draw(st.integers(0, 4)))]}
     if draw(st.booleans()):
-        doc["partition"] = subsets(draw(st.integers(0, 3)))
+        blocks = draw(st.integers(0, 3))
+        doc["partition"] = subsets(blocks, bad=draw(st.integers(-1, blocks - 1)))
     if hostile("note"):
         doc["note"] = draw(element)
     return doc

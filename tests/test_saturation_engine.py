@@ -270,7 +270,7 @@ class TestTupleStepVector:
         # e_c lies in S exactly when S's canonical row of pivot c is e_c
         field, n, span = drawn
         system = SubspaceSystem(n, field, 1, ((span,),))
-        _, x, _ = saturation_engine.FLAVORS["tuple"].step(system, (span,), 1, span)
+        _, x, _, _ = saturation_engine.FLAVORS["tuple"].step(system, (span,), 1, span)
         assert x == extension_vector(full_space(n, field), span)
         assert x == next(e for e in full_space(n, field).rows if e not in span.rows)
 
@@ -500,11 +500,11 @@ class TestSaturate:
 
     def test_duplicate_refused_past_the_admission(self, monkeypatch):
         # not weak, but admitted: ({1}, {}) fills up with 2 into ({1, 2}, {}),
-        # which tuple 2 already is
+        # which tuple 2 already is, so the final tuples 1 and 3 are equal
         monkeypatch.setattr(saturation_engine, "_admit", lambda record, system: None)
         with pytest.raises(
             DuplicateTupleError,
-            match=r"^fill-up of tuple 1 with 2 reproduces an existing tuple; "
+            match=r"^saturation ends with tuple 3 equal to tuple 1; "
             r"the input did not satisfy its condition$",
         ):
             saturate(SetSystem.from_sets(2, [({1}, ()), ({1, 2}, ())]), "set")
@@ -636,7 +636,7 @@ def saturation_inputs(draw, pair_corpus, max_n=5):
 
 
 class TestIncrementalEngine:
-    """The engine's local checks and cursor against the whole-system loop."""
+    """The engine's local checks and expansion against the whole-system loop."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -661,6 +661,58 @@ class TestIncrementalEngine:
         # whole-system passes took 5.8 s on a 2-core host, local steps 0.053 s
         assert elapsed < 3.0
 
+    def test_one_empty_triple_at_n7_computes_facts_of_input_and_final_tuples(self, monkeypatch):
+        # steps hand their replacements' facts on: 1 input tuple and 2 187
+        # final ones, not one per tuple met, 1 + 1 093 x 3 = 3 280
+        record = saturation_engine.FLAVORS["set"]
+        honest = record.facts
+        calls = []
+
+        def counting(system, t):
+            calls.append(t)
+            return honest(system, t)
+
+        monkeypatch.setattr(record, "facts", counting)
+        saturate(SetSystem.from_sets(7, [((), (), ())], d=3), "set")
+        assert len(calls) == 1 + 2187
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_handed_facts_are_the_recomputed_ones(self, compatible_pair_corpus, data):
+        system, flavor, p = data.draw(saturation_inputs(compatible_pair_corpus))
+        record = saturation_engine.FLAVORS[flavor]
+        # pair facts are recomputed through a fresh decomposition, whose memo
+        # holds none of the components the run's steps recorded
+        fresh = system
+        if flavor == "pair":
+            blocks = Decomposition(system.n, system.field, system.decomposition.blocks)
+            fresh = SubspaceSystem(system.n, system.field, 2, (), blocks)
+        honest = record.step
+        handed = []
+
+        def recording(system, t, i, facts):
+            stepped = honest(system, t, i, facts)
+            handed.extend(zip(stepped[2], stepped[3], strict=True))
+            return stepped
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(record, "step", recording)
+            trace = saturate(system, flavor, p=p)
+        assert len(handed) == system.d * len(trace.steps)
+        for t, facts in handed:
+            assert facts == record.facts(fresh, t)
+
+
+def stepping(flavor, replacements):
+    """A flavor's step that replaces any tuple by ``replacements``, with x = 2
+    and their facts computed afresh."""
+    record = saturation_engine.FLAVORS[flavor]
+
+    def step(system, t, i, facts):
+        return None, 2, replacements, tuple(record.facts(system, r) for r in replacements)
+
+    return step
+
 
 class TestLocalChecksFire:
     """A flavor record whose step or potential breaks an invariant is caught
@@ -669,9 +721,7 @@ class TestLocalChecksFire:
     def test_wrong_weight(self, monkeypatch):
         # (1, 0) and (1, 1) weigh 1/2 + 1/4 at p = (1/2, 1/2), not 1
         monkeypatch.setattr(
-            saturation_engine.FLAVORS["set"],
-            "step",
-            lambda system, t, i, facts: (None, 2, ((0b01, 0b00), (0b01, 0b10))),
+            saturation_engine.FLAVORS["set"], "step", stepping("set", ((0b01, 0b00), (0b01, 0b10)))
         )
         with pytest.raises(BollobasError, match=r"^weight invariance broken at step 1: 1 -> 3/4$"):
             saturate(SetSystem.from_sets(2, [((), ())]), "set")
@@ -685,8 +735,8 @@ class TestLocalChecksFire:
         honest = saturation_engine.FLAVORS["pair"].step
 
         def doubled(system, t, i, facts):
-            block, x, replacements = honest(system, t, i, facts)
-            return block, x, (replacements[0], replacements[0])
+            block, x, replacements, handed = honest(system, t, i, facts)
+            return block, x, (replacements[0],) * 2, (handed[0],) * 2
 
         monkeypatch.setattr(saturation_engine.FLAVORS["pair"], "step", doubled)
         with pytest.raises(BollobasError, match=r"^weight invariance broken at step 1: 1/2 -> 2/3$"):
@@ -694,11 +744,7 @@ class TestLocalChecksFire:
 
     def test_potential_that_does_not_increase(self, monkeypatch):
         # ({2}, {}) weighs what ({1}, {}) weighs, and has the same potential
-        monkeypatch.setattr(
-            saturation_engine.FLAVORS["set"],
-            "step",
-            lambda system, t, i, facts: (None, 2, ((0b10, 0),)),
-        )
+        monkeypatch.setattr(saturation_engine.FLAVORS["set"], "step", stepping("set", ((0b10, 0),)))
         with pytest.raises(BollobasError, match=r"^potential failed to increase at step 1$"):
             saturate(SetSystem.from_sets(2, [({1}, ())]), "set")
 
@@ -750,6 +796,21 @@ class TestLocalChecksFire:
         trace = saturate(SetSystem.from_sets(6, [((), (), ())], d=3), "set")
         assert len(trace.steps) == 364
         assert len(calls) == 56 * 4
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_handed_fact_that_claims_fullness(self, monkeypatch, debug):
+        # the first step hands ({1}, {}) on as covering [2], so the run emits
+        # it unfilled: weight and potential still add up, and only the
+        # closing check's fresh facts see it
+        honest = saturation_engine.FLAVORS["set"].step
+
+        def overclaiming(system, t, i, facts):
+            block, x, replacements, ((covered, sizes), *rest) = honest(system, t, i, facts)
+            return block, x, replacements, ((covered | 0b10, sizes), *rest)
+
+        monkeypatch.setattr(saturation_engine.FLAVORS["set"], "step", overclaiming)
+        with pytest.raises(BollobasError, match=r"^tuple 1 is not full at the end \(bug\)$"):
+            saturate(SetSystem.from_sets(2, [((), ())]), "set", debug=debug)
 
     @pytest.mark.parametrize("debug, where", [(False, "at the end"), (True, "at step 1")])
     def test_whole_system_check(self, monkeypatch, debug, where):
