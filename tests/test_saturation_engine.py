@@ -46,7 +46,7 @@ from bollobas import (
     verify,
     zero_subspace,
 )
-from bollobas import saturation_engine
+from bollobas import saturation_engine, weight_functionals
 from bollobas.saturation_engine import default_flavor, is_full_tuple
 from bollobas.systems_model import sizes_of
 from bollobas.weight_functionals import FunctionalKind
@@ -810,6 +810,38 @@ class TestLocalChecksFire:
 
         monkeypatch.setattr(saturation_engine.FLAVORS["set"], "step", overclaiming)
         with pytest.raises(BollobasError, match=r"^tuple 1 is not full at the end \(bug\)$"):
+            saturate(SetSystem.from_sets(2, [((), ())]), "set", debug=debug)
+
+    @pytest.mark.parametrize(
+        "debug, overclaim, weight",
+        [
+            # the 4 final tuples of size sum 2 weigh 1 + 4 / 2^100
+            (False, False, f"{2**98 + 1}/{2**98} differs from the invariant 1 at the end"),
+            # after step 2: (2, 0), (1, 1) and (0, 1) weigh 1 + 2 / 2^100
+            (True, False, f"{2**99 + 1}/{2**99} differs from the invariant 1 at step 2"),
+            # ({1}, {}) ends unfilled, and the weight is refused before fullness
+            (False, True, f"{2**99 + 1}/{2**99} differs from the invariant 1 at the end"),
+        ],
+    )
+    def test_whole_system_weight_check(self, monkeypatch, debug, overclaim, weight):
+        # the steps weigh through the engine's own term and pass; the
+        # whole-system recounts weigh through the functional's, which adds
+        # 2^-100 to every term of a profile of size sum n = 2
+        honest = weight_functionals.term
+
+        def skewed(profile, functional):
+            return honest(profile, functional) + (Fraction(1, 2**100) if sum(profile) == 2 else 0)
+
+        monkeypatch.setattr(weight_functionals, "term", skewed)
+        if overclaim:
+            honest_step = saturation_engine.FLAVORS["set"].step
+
+            def overclaiming(system, t, i, facts):
+                block, x, replacements, ((covered, sizes), *rest) = honest_step(system, t, i, facts)
+                return block, x, replacements, ((covered | 0b10, sizes), *rest)
+
+            monkeypatch.setattr(saturation_engine.FLAVORS["set"], "step", overclaiming)
+        with pytest.raises(BollobasError, match=f"^whole-system weight {weight}$"):
             saturate(SetSystem.from_sets(2, [((), ())]), "set", debug=debug)
 
     @pytest.mark.parametrize("debug, where", [(False, "at the end"), (True, "at step 1")])
