@@ -42,8 +42,11 @@ caller's stack is (see ``parse``).
 Reports are JSON with every number an exact string, written as the
 standard ``json`` module writes them with an indent of 2.  A system in a
 report (a whole document, a saturation's final system, a search witness) is
-written from its value, each distinct component's text once: one per mask
-for sets, one per ``Subspace`` for subspaces.  Exit status 0 means the
+written from its value, each distinct component's text built once, straight
+from the value: a mask by walking its set bits into element texts built
+once per report, a ``Subspace`` by joining its rows' ``format_row`` texts,
+with no element list and no nested ``_dumps`` per component.  Each tuple's
+line joins its components' texts.  Exit status 0 means the
 verdict was true / the inequality holds; 1 means a violation, an unlicensed
 bound, or a failed precondition; 2 means a usage, parse, or shape error.
 """
@@ -57,7 +60,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .constructions import FAMILY_NAMES, construct
 from .errors import DocumentError, PartitionError, PreconditionError, ShapeError, check_sizes
@@ -118,14 +121,20 @@ from .weight_functionals import (
 def system_to_doc(system: System) -> dict:
     """The document of ``system`` as a dict, keys in the order a report
     writes them."""
-    return _system_doc(system, [[_component_doc(c) for c in t] for t in system.tuples])
+    blocks = blocks_of(system)
+    return _system_doc(
+        system,
+        [[_component_doc(c) for c in t] for t in system.tuples],
+        None if blocks is None else [_component_doc(b) for b in blocks],
+    )
 
 
-def _system_doc(system: System, tuples: Any) -> dict:
+def _system_doc(system: System, tuples: Any, blocks: Any) -> dict:
     """The document of ``system`` with ``tuples`` as the value of its
-    "tuples": its header, then the tuples, then its partition or
-    decomposition, if any.  :func:`system_to_doc` and the report writer both
-    read it, so the layout is set here alone."""
+    "tuples" and ``blocks`` (None: the system has none) as its partition or
+    decomposition: its header, then the tuples, then the blocks.
+    :func:`system_to_doc` and the report writer both read it, so the layout
+    is set here alone."""
     if isinstance(system, SetSystem):
         doc: dict[str, Any] = {"kind": "set", "n": system.n, "d": system.d, "tuples": tuples}
         context = "partition"
@@ -138,9 +147,8 @@ def _system_doc(system: System, tuples: Any) -> dict:
             "tuples": tuples,
         }
         context = "decomposition"
-    blocks = blocks_of(system)
     if blocks is not None:
-        doc[context] = [_component_doc(b) for b in blocks]
+        doc[context] = blocks
     return doc
 
 
@@ -157,19 +165,61 @@ class _Text(str):
     copies as it is."""
 
 
+def _component_texts(components: Iterable, newline: str) -> dict:
+    """Each distinct component's text, as ``_dumps`` writes its
+    :func:`_component_doc` on the line that ``newline`` starts, built from
+    its value: a mask by walking its set bits into element texts built once
+    per call, a subspace by joining its rows' ``format_row`` texts."""
+    texts = dict.fromkeys(components)
+    if not texts:
+        return texts
+    inner = newline + "  "
+    close = newline + "]"
+    if type(next(iter(texts))) is int:
+        union = 0
+        for mask in texts:
+            union |= mask
+        element = {}  # the low bit of e -> inner + e
+        while union:
+            low = union & -union
+            element[low] = inner + str(low.bit_length())
+            union ^= low
+        for mask in texts:
+            lines = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                lines.append(element[low])
+                rest ^= low
+            texts[mask] = "[" + ",".join(lines) + close if lines else "[]"
+        return texts
+    entry = inner + "  "
+    # entry texts are digits, "-", "/" and " mod ": quoting adds no escapes
+    between = '",' + entry + '"'
+    opened = inner + "[" + entry + '"'
+    ended = '"' + inner + "]"
+    for sub in texts:
+        if sub.rows:
+            format_row = sub.field.format_row
+            rows = [opened + between.join(format_row(row)) + ended for row in sub.rows]
+            texts[sub] = "[" + ",".join(rows) + close
+        else:
+            texts[sub] = "[]"
+    return texts
+
+
 def _tuples_text(tuples: tuple, newline: str) -> _Text:
     """The "tuples" list of a system document, as ``_dumps`` would write it
-    on the line that ``newline`` starts, with each distinct component's text
-    built once."""
+    on the line that ``newline`` starts: each distinct component's text is
+    built once from its value (:func:`_component_texts`), and each tuple's
+    texts are joined by ``map``."""
     if not tuples:
         return _Text("[]")
     row = newline + "  "
     cell = row + "  "
-    texts = dict.fromkeys(c for t in tuples for c in t)
-    for c in texts:
-        texts[c] = _dumps(_component_doc(c), cell)
+    text = _component_texts(set().union(*tuples), cell).__getitem__
     between = "," + cell
-    rows = ["[" + cell + between.join([texts[c] for c in t]) + row + "]" for t in tuples]
+    rows = ["[" + cell + between.join(map(text, t)) + row + "]" for t in tuples]
     return _Text("[" + row + ("," + row).join(rows) + newline + "]")
 
 
@@ -181,11 +231,12 @@ def _dumps(value: Any, newline: str = "\n") -> str:
     """The text the ``json`` module writes for ``value`` with an indent of 2,
     for what a report holds: dicts with ``str`` keys, lists and tuples,
     ``str``, ``int``, ``bool`` and None, and a ``SetSystem`` or
-    ``SubspaceSystem`` as its :func:`system_to_doc`, each distinct component
-    written once.  Any other type raises ``TypeError``.  With an indent,
-    ``json`` runs its pure-Python encoder; this one joins each container's
-    item texts in one pass.  ``newline`` breaks and indents the line
-    ``value`` starts on."""
+    ``SubspaceSystem`` as its :func:`system_to_doc`, whose tuples and blocks
+    are written from their values, each distinct component's text built
+    once with no list or nested ``_dumps`` per component.  Any other type
+    raises ``TypeError``.  With an indent, ``json`` runs its pure-Python
+    encoder; this one joins each container's item texts in one pass.
+    ``newline`` breaks and indents the line ``value`` starts on."""
     cls = type(value)
     if cls is str:
         return _quote(value)
@@ -217,7 +268,12 @@ def _dumps(value: Any, newline: str = "\n") -> str:
     if cls is _Text:
         return value
     if cls is SetSystem or cls is SubspaceSystem:
-        return _dumps(_system_doc(value, _tuples_text(value.tuples, newline + "  ")), newline)
+        inner = newline + "  "
+        blocks = blocks_of(value)
+        if blocks is not None:
+            text = _component_texts(blocks, inner + "  ")
+            blocks = [_Text(text[b]) for b in blocks]
+        return _dumps(_system_doc(value, _tuples_text(value.tuples, inner), blocks), newline)
     raise TypeError(f"a report cannot hold {cls.__name__}")
 
 

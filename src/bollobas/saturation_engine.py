@@ -48,11 +48,15 @@ output and a non-full one's replacements onto a stack in reverse, and a
 step hands on its replacements' facts (for sets the covered mask and the
 size vector, which the potential and the weight term read).  Facts are
 computed afresh for the input tuples and, in the closing check, for the
-final ones, which must be full and pairwise distinct.
+final ones, which must be full and pairwise distinct.  A whole-system
+recount (the closing one, and ``debug``'s) reads each tuple's fresh facts
+once, for its potential, its fullness and its profile, and weighs ω from
+the profile counts by :func:`weigh`, the formula :func:`omega` uses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Any
 
@@ -77,7 +81,7 @@ from .systems_model import (
     with_tuples,
 )
 from .verifiers import Certificate, ClassCount, count_bound, is_gfp, verify
-from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
+from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza, weigh
 
 # Largest steps x final tuples that ``saturate(..., debug=True)`` recounts:
 # it re-weighs and re-verifies the whole system after every step.  It admits
@@ -429,7 +433,10 @@ def saturate(
     profiles in the run, and the potential gain is positive.  ω and φ of the
     whole system are recomputed from fresh facts at both ends, where the
     final tuples must also be full and distinct, and with ``debug`` after
-    every step, where the flavor's condition is also re-verified.
+    every step, where the flavor's condition is also re-verified.  After
+    the first step, a recount reads each tuple's facts once: φ, fullness and
+    the profile counts, from which ω is weighed.  It refuses a wrong weight,
+    then a tuple not full, then a wrong potential, then two equal tuples.
     """
     record = _lookup(system, flavor)
     _admit(record, system)
@@ -456,7 +463,9 @@ def saturate(
 
     bound = record.bound(system)
     weight = omega(system, functional)
-    potential = sum(map(record.potential, system.tuples, facts))
+    facts_of, deficit, step = record.facts, record.deficit, record.step
+    profile, potential_of = record.profile, record.potential
+    potential = sum(map(potential_of, system.tuples, facts))
     phis = [potential]
     steps: list[FillUpStep] = []
     # the profiles (replaced, *replacements) of the steps whose weight check
@@ -464,21 +473,26 @@ def saturate(
     checked: set[tuple] = set()
 
     def recount(tuples: list, potential: int, where: str, final: bool = False) -> System:
-        """The system of ``tuples``, once its ω and its φ from fresh facts
-        equal the values the steps carried; with ``final``, once each tuple
-        is also full and met once."""
+        """The system of ``tuples``, once its ω and its φ, read from each
+        tuple's fresh facts in one pass, equal the values the steps carried;
+        with ``final``, once each tuple is also full and met once."""
         current = with_tuples(system, tuples)
-        whole = omega(current, functional)
-        if whole != weight:
-            raise BollobasError(
-                f"whole-system weight {whole} differs from the invariant {weight} {where}"
-            )
         whole = 0
+        profiles = []
+        unfilled = 0  # the first tuple found not full, with ``final``
         for j, t in enumerate(tuples, start=1):
-            f = record.facts(system, t)
-            whole += record.potential(t, f)
-            if final and record.deficit(system, f):
-                raise BollobasError(f"tuple {j} is not full {where} (bug)")
+            f = facts_of(system, t)
+            whole += potential_of(t, f)
+            profiles.append(profile(t, f))
+            if final and not unfilled and deficit(system, f):
+                unfilled = j
+        weighed = weigh(Counter(profiles), functional)
+        if weighed != weight:
+            raise BollobasError(
+                f"whole-system weight {weighed} differs from the invariant {weight} {where}"
+            )
+        if unfilled:
+            raise BollobasError(f"tuple {unfilled} is not full {where} (bug)")
         if whole != potential:
             raise BollobasError(
                 f"whole-system potential {whole} differs from the running {potential} {where}"
@@ -501,13 +515,13 @@ def saturate(
         stack = [start]
         while stack:
             old, old_facts = stack.pop()
-            if not record.deficit(system, old_facts):
+            if not deficit(system, old_facts):
                 out.append(old)
                 continue
             i = len(out) + 1  # every tuple before this one is full
-            block, x, replacements, handed = record.step(system, old, i, old_facts)
+            block, x, replacements, handed = step(system, old, i, old_facts)
             steps.append(FillUpStep(index=i, block=block, x=x))
-            profiles = (record.profile(old, old_facts), *map(record.profile, replacements, handed))
+            profiles = (profile(old, old_facts), *map(profile, replacements, handed))
             if profiles not in checked:
                 scale, (removed, *added) = _scaled([term(q, functional) for q in profiles])
                 if sum(added) != removed:
@@ -516,7 +530,7 @@ def saturate(
                         f"{weight} -> {weight + Fraction(sum(added) - removed, scale)}"
                     )
                 checked.add(profiles)
-            gain = sum(map(record.potential, replacements, handed)) - record.potential(old, old_facts)
+            gain = sum(map(potential_of, replacements, handed)) - potential_of(old, old_facts)
             if gain <= 0:
                 raise BollobasError(f"potential failed to increase at step {len(steps)}")
             potential += gain

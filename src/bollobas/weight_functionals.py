@@ -31,11 +31,12 @@ The saturation potentials live with the flavors they terminate, in
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import Frozen, LicensingError, PreconditionError, ShapeError
 from .exact_arith import ProbabilityVector, Rational
@@ -219,10 +220,19 @@ def omega(system: System, kind: str | FunctionalKind) -> Rational:
         counts = Counter(map(sizes_of, system.tuples))
         zero = (0,) * system.d
     # an empty system still has its shape checked, on the all-zero profile
-    return sum(
-        (count * term(key, kind) for key, count in (counts.items() or [(zero, 0)])),
-        Fraction(0),
-    )
+    return weigh(counts or {zero: 0}, kind)
+
+
+def weigh(counts: Mapping[tuple, int], kind: FunctionalKind) -> Rational:
+    """The sum of count x :func:`term` over ``counts``, which maps each
+    profile to its number of tuples: the weight :func:`omega` and the
+    saturation engine's whole-system recounts both take.  The terms are
+    summed as integers over the least common multiple of their
+    denominators."""
+    if not counts:
+        return Fraction(0)
+    scale, scaled = _scaled([term(key, kind) for key in counts])
+    return Fraction(sum(map(operator.mul, counts.values(), scaled)), scale)
 
 
 # ---------------------------------------------------------------------------

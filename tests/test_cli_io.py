@@ -1119,6 +1119,49 @@ class TestReportEncoder:
         report = {"command": "saturate", "steps": 2, key: system, "trace": [{"x": 1}]}
         assert emitted(report) == json.dumps({**report, key: doc}, indent=2) + "\n"
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            # the lowest and highest elements of n = 64, alone, together and none
+            SetSystem(64, 3, ((0, 1 << 63, 2**64 - 1), (1, 0, 1 << 63)), ((1 << 63) - 1, 1 << 63)),
+            # RREF rows (1, 0, 1/2), (0, 1, -2/3) and (1, 3/2, -5/7)
+            SubspaceSystem(
+                3, QQ, 2,
+                (
+                    (canonicalize(3, QQ, [[2, 0, 1], [0, 3, -2]]), canonicalize(3, QQ, [[14, 21, -10]])),
+                    (zero_subspace(3, QQ), canonicalize(3, QQ, [[2, 0, 1]])),
+                ),
+                coordinate_decomposition(3, QQ, [[1], [2, 3]]),
+            ),
+            SubspaceSystem(
+                2, PrimeField(3), 2,
+                (
+                    (zero_subspace(2, PrimeField(3)), canonicalize(2, PrimeField(3), [[2, 1]])),
+                    (zero_subspace(2, PrimeField(3)), zero_subspace(2, PrimeField(3))),
+                ),
+            ),
+        ],
+        ids=["n64", "rational", "gf3-zero"],
+    )
+    def test_serialize_writes_what_json_writes_at_the_edges(self, system):
+        assert serialize(system) == json.dumps(system_to_doc(system), indent=2)
+
+    def test_serialize_builds_no_element_lists(self, monkeypatch):
+        # 243 tuples of 32 distinct components, each text built from its
+        # mask's bits, with no elements_of_mask call
+        system = full_tuza_tuples(5, 3)
+        doc = system_to_doc(system)
+        calls = []
+        honest = cli_io.elements_of_mask
+
+        def counting(mask):
+            calls.append(mask)
+            return honest(mask)
+
+        monkeypatch.setattr(cli_io, "elements_of_mask", counting)
+        assert serialize(system) == json.dumps(doc, indent=2)
+        assert calls == []
+
     @pytest.mark.parametrize("witness", [None, complement_chain(2), embed(complement_chain(2))])
     def test_search_report_writes_what_json_writes(self, witness):
         report = cli_io.report_search(SearchResult(Fraction(3, 2), witness, 7, True))
