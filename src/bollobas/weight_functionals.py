@@ -229,8 +229,6 @@ def weigh(counts: Mapping[tuple, int], kind: FunctionalKind) -> Rational:
     saturation engine's whole-system recounts both take.  The terms are
     summed as integers over the least common multiple of their
     denominators."""
-    if not counts:
-        return Fraction(0)
     scale, scaled = _scaled([term(key, kind) for key in counts])
     return Fraction(sum(map(operator.mul, counts.values(), scaled)), scale)
 
