@@ -169,6 +169,16 @@ class TestSearchMax:
                 plain = search_max(SearchProblem(n=n, d=2, flavor=flavor, prune=False))
                 assert pruned.best_value == plain.best_value
 
+    @pytest.mark.parametrize(
+        "flavor, n, best, nodes",
+        [("weak", 2, 4, 21), ("bollobas", 2, 2, 10), ("weak", 1, 2, 4)],
+    )
+    def test_node_counts_through_a_weight_one_node_at_a_new_best(self, flavor, n, best, nodes):
+        # each search enters a node of tuza weight exactly 1 at a new best
+        # depth, which no valid child extends
+        result = search_max(SearchProblem(n=n, d=2, flavor=flavor))
+        assert (result.best_value, result.nodes, result.exhaustive) == (best, nodes, True)
+
     def test_budget_exhaustion_returns_best_found(self):
         problem = SearchProblem(n=2, d=2, flavor="skew", node_budget=3)
         result = search_max(problem)

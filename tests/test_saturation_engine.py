@@ -509,6 +509,12 @@ class TestSaturate:
         ):
             saturate(SetSystem.from_sets(2, [({1}, ()), ({1, 2}, ())]), "set")
 
+    def test_potential_above_its_bound_refused(self, monkeypatch):
+        # the first step of one empty pair on 2 points raises φ from 0 to 2
+        monkeypatch.setattr(saturation_engine.FLAVORS["set"], "bound", lambda system: 1)
+        with pytest.raises(BollobasError, match="^potential exceeded its bound 1$"):
+            saturate(SetSystem.from_sets(2, [((), ())]), "set")
+
     def test_weak_subspace_saturation_refused(self):
         # weak-but-not-skew subspace systems have no licensed saturation
         e1 = coordinate_subspace(2, QQ, [1])
