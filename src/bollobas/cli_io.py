@@ -57,7 +57,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterable, Sequence
@@ -554,7 +553,7 @@ def _nesting_exceeds(text: str) -> bool:
 def report_verification(report: VerificationReport) -> dict:
     return {
         "verdict": report.verdict,
-        "first_violation": list(report.first_violation) if report.first_violation else None,
+        "first_violation": report.first_violation,
         "condition": str(report.condition),
         "field_caveat": report.field_caveat,
     }
@@ -575,13 +574,13 @@ def report_certificate(cert: Certificate) -> dict:
     return {
         "check": cert.check,
         "holds": cert.holds,
-        "quantities": {k: v for k, v in cert.quantities},
+        "quantities": dict(cert.quantities),
         "classes": [
-            {"profile": list(c.profile), "count": c.count, "bound": c.bound}
+            {"profile": c.profile, "count": c.count, "bound": c.bound}
             for c in cert.classes
         ],
         "field_caveat": cert.field_caveat,
-        "findings": list(cert.findings),
+        "findings": cert.findings,
     }
 
 
@@ -622,7 +621,7 @@ def _x_to_doc(x, system: System) -> Any:
 
 def report_search(result: SearchResult) -> dict:
     return {
-        "best_value": rational_to_str(Fraction(result.best_value)),
+        "best_value": rational_to_str(result.best_value),
         "witness": result.witness,
         "nodes": result.nodes,
         "exhaustive": result.exhaustive,
@@ -789,7 +788,7 @@ def _cmd_explore(args) -> int:
     result = explore_weak_subspace_conjecture(
         args.n, args.d, p, field, budget=args.budget, seed=args.seed
     )
-    exceeds = Fraction(result.best_value) > 1
+    exceeds = result.best_value > 1
     _emit(
         {
             "command": "explore",

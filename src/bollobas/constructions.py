@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import DEFAULT_TUPLE_BUDGET, BudgetError, ShapeError, check_sizes
 from .exact_arith import binomial
-from .systems_model import SetSystem, System, elements_of_mask, embed, mask_from_elements
+from .systems_model import SetSystem, System, _assigned_masks, elements_of_mask, embed, mask_from_elements
 
 
 def _guard(count: int) -> None:
@@ -72,13 +72,8 @@ def full_tuza_tuples(n: int, d: int) -> SetSystem:
     """All d^n assignments of [n] onto d labelled parts, assignment-lex order."""
     check_sizes({"n": n, "d": d}, "")
     _guard(d**n)
-    tuples = []
-    for assignment in product(range(d), repeat=n):
-        parts = [0] * d
-        for p, coord in enumerate(assignment, start=1):
-            parts[coord] |= 1 << (p - 1)
-        tuples.append(tuple(parts))
-    return SetSystem(n, d, tuple(tuples))
+    tuples = tuple(_assigned_masks(a, d) for a in product(range(1, d + 1), repeat=n))
+    return SetSystem(n, d, tuples)
 
 
 _FAMILIES = {

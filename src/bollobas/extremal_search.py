@@ -43,12 +43,14 @@ best-found value with the exhaustive flag cleared, never an error.
 The prune refuses most of the nodes a max-m set search enters, and these
 leaves are counted in bulk.  The candidates are grouped by weight, one bitmask
 per distinct weight (at most n + 1).  A child at depth at most best cannot
-raise best, and the prune refuses it on entry exactly when its weight lies in
-a band fixed by its frame's weight and best: the band is the prune's own test.
-So when a frame resumes, the run of children before the next one to enter is
-the unvisited children in the band's classes, counted with one ``bit_count``;
-the same children are entered in the same order, and the result, the witness
-and the node count are those of a visit to each leaf.
+raise best, and the prune refuses it exactly when its weight lies in a band
+fixed by its frame's weight and best.  The band is the prune's only test: a
+node at a new best depth would be refused only at weight exactly 1, and such
+a node has no child, since a child would be a valid weak set system of weight
+above 1.  So when a frame resumes, the run of children before the next one to
+enter is the unvisited children in the band's classes, counted with one
+``bit_count``; the same children are entered in the same order, and the
+result, the witness and the node count are those of a visit to each leaf.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .subspace_algebra import (
     coordinate_subspace,
     rref,
 )
-from .systems_model import SetSystem, SubspaceSystem, System, sizes_of
+from .systems_model import SetSystem, SubspaceSystem, System, _assigned_masks, sizes_of
 from .verifiers import ClauseTable, check_flavor, component_clause_ok, cross_nontrivial
 from .weight_functionals import FunctionalKind, _scaled, omega, term, tuza
 
@@ -158,11 +160,7 @@ def enumerate_set_candidates(n: int, d: int) -> Iterator[tuple[int, ...]]:
     if n > DEFAULT_SET_GUARD:
         raise BudgetError(f"set ground n={n} above exhaustive guard {DEFAULT_SET_GUARD}")
     for assignment in product(range(d + 1), repeat=n):
-        parts = [0] * d
-        for p, coord in enumerate(assignment, start=1):
-            if coord:
-                parts[coord - 1] |= 1 << (p - 1)
-        yield tuple(parts)
+        yield _assigned_masks(assignment, d)
 
 
 def all_subspaces(n: int, field: FieldTag) -> tuple[Subspace, ...]:
@@ -294,11 +292,10 @@ def search_max(problem: SearchProblem) -> SearchResult:
     elif problem.prune and problem.field is None and candidates:
         uniform = tuza(ProbabilityVector.uniform(problem.d))
         scale, weights = _scaled([term(sizes_of(t), uniform) for t in candidates])
-    headroom_prune = max_m and weights is not None
     ceiling_prune = not max_m and problem.prune
     # the bitmask of the candidates of each distinct weight: at most n + 1
     classes: dict[int, int] = {}
-    if headroom_prune:
+    if max_m and weights is not None:
         step = min(weights)
         for i, w in enumerate(weights):
             classes[w] = classes.get(w, 0) | 1 << i
@@ -331,10 +328,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
             # the first weight above 1 is also the best so far: it is the witness
             stopped = True
             break
-        if headroom_prune:
-            # prune when depth + (1 - W) / (min term) <= best
-            expand = not (weight <= scale and scale - weight <= (best - depth) * step)
-        elif ceiling_prune:
+        if ceiling_prune:
             remaining = count - chosen[-1] - 1 if order_free and chosen else count - depth
             limit = best if problem.objective == "max_weight" else scale
             expand = weight + remaining * step > limit
@@ -417,12 +411,7 @@ def search_max(problem: SearchProblem) -> SearchResult:
 
 
 def _random_set_tuple(rng: random.Random, n: int, d: int) -> tuple[int, ...]:
-    parts = [0] * d
-    for p in range(1, n + 1):
-        coord = rng.randrange(d + 1)
-        if coord:
-            parts[coord - 1] |= 1 << (p - 1)
-    return tuple(parts)
+    return _assigned_masks([rng.randrange(d + 1) for _ in range(n)], d)
 
 
 def _check_target(target_m: int) -> None:

@@ -583,7 +583,6 @@ def certify_full_system(
     caveat = is_gfp(system)
     class_counts = []
     findings = []
-    term_total = Fraction(0)
     for key in sorted(classes):
         count, profile = classes[key]
         bound = count_bound(profile)
@@ -593,10 +592,10 @@ def certify_full_system(
                 f"class {key}: count {count} exceeds bound {bound}"
                 + (f" over {system.field}" if caveat else "")
             )
-        term_total += count * term(profile, functional)
 
     value = omega(system, functional)
-    if value != term_total:
+    # a class key and its members' profile determine each other
+    if value != weigh({profile: count for count, profile in classes.values()}, functional):
         raise BollobasError("class decomposition does not reproduce the weight (bug)")
     bounds_ok = all(c.count <= c.bound for c in class_counts)
     holds = bounds_ok and value <= 1

@@ -47,6 +47,16 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _assigned_masks(assignment: Iterable[int], d: int) -> tuple[int, ...]:
+    """The d part masks of an assignment whose p-th entry sends element p to
+    part c in [1, d], or to no part when c is 0."""
+    parts = [0] * (d + 1)
+    for p, c in enumerate(assignment):
+        parts[c] |= 1 << p
+    del parts[0]  # the elements assigned to no part
+    return tuple(parts)
+
+
 # ---------------------------------------------------------------------------
 # systems
 

@@ -467,55 +467,37 @@ def check_cardinality_lemmas(system: System) -> Certificate:
     pair sizes are uniform.  Over GF(p) a violated bound is recorded as a
     finding with the caveat flag, never as an error.
     """
-    lines: list[tuple[str, Rational, Rational]] = []
+    lines: list[tuple[str, Rational]] = []  # (name, bound)
     caveat = is_gfp(system)
     m = system.m
     if isinstance(system, SubspaceSystem):
         report = verify(system, "skew")
         if report.verdict:
             if system.d == 2:
-                lines.append(("skew-subspace-pair-count <= 2^n", Fraction(m), Fraction(2**system.n)))
-            lines.append(
-                (
-                    "skew-subspace-tuple-count <= d^n",
-                    Fraction(m),
-                    Fraction(system.d**system.n),
-                )
-            )
+                lines.append(("skew-subspace-pair-count <= 2^n", 2**system.n))
+            lines.append(("skew-subspace-tuple-count <= d^n", system.d**system.n))
     else:
         report = verify(system, "weak")
         if report.verdict:
-            lines.append(
-                (
-                    "weak-set-tuple-count <= (d+1)^n",
-                    Fraction(m),
-                    Fraction((system.d + 1) ** system.n),
-                )
-            )
-            if system.d == 2 and m > 0:
-                sizes = set(map(sizes_of, system.tuples))
-                if len(sizes) == 1:
-                    a, b = sizes.pop()
-                    # (a+b)^(a+b) / (a^a * b^b), with 0^0 = 1
-                    num = Fraction((a + b) ** (a + b))
-                    den = Fraction((a**a if a else 1) * (b**b if b else 1))
-                    lines.append(
-                        ("uniform-weak-pair-count <= (a+b)^(a+b)/(a^a b^b)", Fraction(m), num / den)
-                    )
+            lines.append(("weak-set-tuple-count <= (d+1)^n", (system.d + 1) ** system.n))
+            sizes = set(map(sizes_of, system.tuples)) if system.d == 2 else set()
+            if len(sizes) == 1:
+                ((a, b),) = sizes
+                ratio = Fraction((a + b) ** (a + b), a**a * b**b)
+                lines.append(("uniform-weak-pair-count <= (a+b)^(a+b)/(a^a b^b)", ratio))
     if not lines:
         raise PreconditionError(
             "no counting bound applies: the system verifies neither "
             "skew (subspaces) nor weak (sets)"
         )
     findings = tuple(
-        f"violated over {system.field}: {name} with m={rational_to_str(value)}, "
-        f"bound={rational_to_str(bound)}"
-        for name, value, bound in lines
-        if value > bound and caveat
+        f"violated over {system.field}: {name} with m={m}, bound={rational_to_str(bound)}"
+        for name, bound in lines
+        if m > bound and caveat
     )
-    holds = all(value <= bound for _, value, bound in lines)
+    holds = all(m <= bound for _, bound in lines)
     quantities = [("m", str(m))]
-    for name, value, bound in lines:
+    for name, bound in lines:
         quantities.append((name, rational_to_str(bound)))
     return Certificate(
         check="cardinality-bounds",
